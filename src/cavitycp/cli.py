@@ -9,18 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .config import ConfigError, Registry, load_registry, parse_quantity
 from .constants import C
 from .greens import CavityGeometry
 from .materials import ConstantR
 from .molecules import ThermalEnvironment
-from .potential import heating_rate_free, heating_rate_profile, \
-    heating_rate_single_plate, potential_components, potential_depth, \
-    resonance_width
+from .potential import PotentialComponents, heating_rate_free, \
+    heating_rate_profile, heating_rate_single_plate, nonresonant_potential, \
+    potential_depth, resonance_width, resonant_potential
 from .quadrature import QuadratureError, QuadratureSpec
 from . import asymptotics
 from .molecules import photon_number
@@ -82,14 +82,6 @@ def _resolve_width(text, molecule):
     return width
 
 
-def _thread_map(func, items, args):
-    threads = int(os.environ.get("CAVITYCP_THREADS", args.threads))
-    if threads <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
@@ -111,13 +103,17 @@ def cmd_profile(args) -> int:
     cavity = CavityGeometry(width=width, mirror=mirror)
     spec = _quad_spec(args)
 
-    comps = _thread_map(
-        lambda z: potential_components(z, mol, cavity, env, spec),
-        _z_grid(width, args.points), args)
+    # the grid and, unless --raw, its z = 0 centre offset share one batched
+    # real-frequency trace per transition
+    zs = _z_grid(width, args.points) + ([] if args.raw else [0.0])
+    u_pr, u_ev = resonant_potential(np.array(zs), mol, cavity, env, spec)
+    comps = [PotentialComponents(
+        z=z, U_nr=nonresonant_potential(z, mol, cavity, env, spec),
+        U_pr=float(pr), U_ev=float(ev)) for z, pr, ev in zip(zs, u_pr, u_ev)]
     if args.raw:
         off = (0.0, 0.0, 0.0)
     else:
-        center = potential_components(0.0, mol, cavity, env, spec)
+        center = comps.pop()
         off = (center.U_nr, center.U_pr, center.U_ev)
     rows = [(c.z, c.U_nr - off[0], c.U_pr - off[1], c.U_ev - off[2],
              c.U_total - sum(off)) for c in comps]
@@ -186,16 +182,13 @@ def cmd_heating(args) -> int:
         lo, hi = lam / 100.0, width
         step = (hi - lo) / (args.points - 1)
         grid = [lo + i * step for i in range(args.points)]
-        gammas = _thread_map(
-            lambda d: heating_rate_single_plate(d, mol, mirror, env, spec),
-            grid, args)
+        gammas = [heating_rate_single_plate(d, mol, mirror, env, spec)
+                  for d in grid]
     else:
         cavity = CavityGeometry(width=width, mirror=mirror)
         grid = _z_grid(width, args.points)
-        gammas = _thread_map(
-            lambda z: heating_rate_profile(z, mol, cavity, env, spec),
-            grid, args)
-    rows = [(z, g, gamma_free) for z, g in zip(grid, gammas)]
+        gammas = heating_rate_profile(np.array(grid), mol, cavity, env, spec)
+    rows = [(z, float(g), gamma_free) for z, g in zip(grid, gammas)]
     _emit(rows, ["z_m", "gamma_per_s", "gamma_free_per_s"], args)
     return EXIT_OK
 
@@ -250,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rel-tol", type=float, default=1e-9,
                         help="quadrature relative tolerance")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation "
-                        "(env CAVITYCP_THREADS overrides)")
+                        help="accepted and ignored, as is env "
+                        "CAVITYCP_THREADS: grids are evaluated in one "
+                        "batched pass")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="potential components on a z grid")

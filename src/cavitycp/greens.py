@@ -19,6 +19,7 @@ emitted quantity finite, keeps the two parts' sum exactly equal to the full
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = [
 
 # e^{-CUTOFF_DECADES} tail truncation for all evanescent-type integrals.
 _CUTOFF = 40.0
+# Positions per block of the (nodes x z) products of a batched trace.
+_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -48,17 +51,23 @@ class CavityGeometry:
         if not self.width > 0:
             raise ValueError("cavity width must be positive")
 
-    def check_position(self, z: float):
-        if not abs(z) < 0.5 * self.width:
-            raise ValueError(f"position z = {z} outside cavity of width "
-                             f"{self.width}")
+    def check_position(self, z):
+        """Raise ValueError unless every position in z lies inside."""
+        z = np.asarray(z, dtype=float)
+        outside = ~(np.abs(z) < 0.5 * self.width)
+        if np.any(outside):
+            raise ValueError(f"position z = {z[outside].flat[0]} outside "
+                             f"cavity of width {self.width}")
 
 
 @dataclass
 class GreenTraceParts:
-    """Propagating and evanescent contributions to Tr G (units 1/m)."""
-    propagating: complex
-    evanescent: complex
+    """Propagating and evanescent contributions to Tr G (units 1/m); complex
+    numbers, or complex arrays for an array of positions.  rule is set by
+    cavity_trace_realfreq (see there)."""
+    propagating: Any
+    evanescent: Any
+    rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def total(self) -> complex:
@@ -126,17 +135,48 @@ def _grazing_coefficient(mirror: MirrorSpec, omega: float, a: float) -> complex:
     return 2.0 * s_at(0.5 * beta0) - s_at(beta0)
 
 
-def cavity_trace_realfreq(z: float, omega: float, cavity: CavityGeometry,
-                          spec: QuadratureSpec = QuadratureSpec()):
-    """Tr G at real frequency, split into propagating/evanescent parts."""
+def _by_columns(rows, zs, block):
+    """(rows, len(zs)) complex array filled block(z_cols, cols) at a time, so
+    the (nodes x z) temporaries of one block stay near 1 MB."""
+    out = np.empty((rows, len(zs)), dtype=complex)
+    for start in range(0, len(zs), _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        out[:, cols] = block(zs[cols], cols)
+    return out
+
+
+def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
+                          spec: QuadratureSpec = QuadratureSpec(),
+                          evanescent: bool = True):
+    """Tr G at real frequency, split into propagating/evanescent parts.
+
+    z is a position or a 1-D array of positions; for an array, every part
+    is an array with one entry per position, each converged to its own
+    tolerance.  The z-independent kernel F(beta) of the propagating integral
+    int F(beta) cos(2 beta z) d beta (and its evanescent analogue with the
+    cosh) is evaluated once per quadrature node for all positions.  With
+    evanescent=False only the propagating part is integrated and the
+    evanescent field is None.
+
+    The result's rule holds (beta, w F): the nodes and Kronrod weights of
+    the propagating integral's final panels times F.  Re sum(w F cos(2 beta
+    z)) reproduces Re Tr G_pr(z) at any z up to the z-independent grazing
+    subtraction, so derivatives in z need no new reflection evaluations.
+    """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
-    cavity.check_position(z)
+    scalar = np.ndim(z) == 0
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if zs.ndim != 1:
+        raise ValueError("z must be a position or a 1-D array of positions")
+    cavity.check_position(zs)
     a, mirror = cavity.width, cavity.mirror
     wc = omega / C
-    kappa_max = _CUTOFF / (a - 2.0 * abs(z))
-    x_c = min(wc, kappa_max)
+    kappa_max = _CUTOFF / (a - 2.0 * np.abs(zs))
+    # the grazing subtraction runs over [0, x_c(z)] for each position
+    x_c = np.minimum(wc, kappa_max)
     s_coef = _grazing_coefficient(mirror, omega, a)
+    kernel = {}
 
     def f_prop(beta):
         k_perp = np.sqrt(np.maximum(wc**2 - beta**2, 0.0))
@@ -146,9 +186,12 @@ def cavity_trace_realfreq(z: float, omega: float, cavity: CavityGeometry,
         bracket = (2.0 * (C * beta / omega) ** 2 * rp / (1.0 - rp * rp * phase)
                    - rs / (1.0 - rs * rs * phase)
                    - rp / (1.0 - rp * rp * phase))
-        val = bracket * np.exp(1j * beta * a) * np.cos(2.0 * beta * z) \
-            / (2j * np.pi)
-        return val - s_coef * np.exp(-beta * a) / beta * (beta <= x_c)
+        f = bracket * np.exp(1j * beta * a) / (2j * np.pi)
+        kernel.update(zip(beta.tolist(), f.tolist()))
+        grazing = s_coef * np.exp(-beta * a) / beta
+        return _by_columns(len(beta), zs, lambda z_cols, cols: (
+            f[:, None] * np.cos(2.0 * np.outer(beta, z_cols))
+            - grazing[:, None] * (beta[:, None] <= x_c[cols])))
 
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
@@ -158,32 +201,50 @@ def cavity_trace_realfreq(z: float, omega: float, cavity: CavityGeometry,
 
     delta_eff = _effective_delta(mirror, omega)
     bps = _resonance_breakpoints(omega, a, delta_eff)
-    if x_c < wc:
-        bps.append(x_c)
+    bps += [x for x in set(x_c.tolist()) if x < wc]
     bps = [p for p in bps if p > x_lo]
-    prop, _ = adaptive_integrate(f_prop, x_lo, wc, spec, breakpoints=bps)
+    result = adaptive_integrate(f_prop, x_lo, wc, spec, breakpoints=bps)
+    prop = result[0]
+    nodes, weights = result.rule()
+    rule_f = weights * np.array([kernel[b] for b in nodes.tolist()])
     if x_lo > 0:
-        prop = prop + complex(f_prop(np.array([0.5 * x_lo]))[0]) * x_lo
+        mid = np.array([0.5 * x_lo])
+        prop = prop + f_prop(mid)[0] * x_lo
+        nodes = np.append(nodes, mid)
+        rule_f = np.append(rule_f, kernel[mid[0]] * x_lo)
 
-    def f_evan(kappa):
-        k_perp = np.sqrt(wc**2 + kappa**2)
-        rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                         beta=1j * kappa)
-        decay = np.exp(-2.0 * kappa * a)
-        bracket = (-2.0 * (C * kappa / omega) ** 2 * rp / (1.0 - rp * rp * decay)
-                   - rs / (1.0 - rs * rs * decay)
-                   - rp / (1.0 - rp * rp * decay))
-        cosh_term = 0.5 * (np.exp(-kappa * (a - 2.0 * z))
-                           + np.exp(-kappa * (a + 2.0 * z)))
-        val = -bracket * cosh_term / (2.0 * np.pi)
-        return val + s_coef * np.exp(-kappa * a) / kappa * (kappa <= x_c)
+    evan = None
+    if evanescent:
+        def f_evan(kappa):
+            k_perp = np.sqrt(wc**2 + kappa**2)
+            rs, rp = reflection_coefficients(mirror, omega, k_perp,
+                                             beta=1j * kappa)
+            decay = np.exp(-2.0 * kappa * a)
+            bracket = (-2.0 * (C * kappa / omega) ** 2 * rp
+                       / (1.0 - rp * rp * decay)
+                       - rs / (1.0 - rs * rs * decay)
+                       - rp / (1.0 - rp * rp * decay))
+            g = -bracket / (4.0 * np.pi)
+            grazing = s_coef * np.exp(-kappa * a) / kappa
+            return _by_columns(len(kappa), zs, lambda z_cols, cols: (
+                g[:, None] * (np.exp(-np.outer(kappa, a - 2.0 * z_cols))
+                              + np.exp(-np.outer(kappa, a + 2.0 * z_cols)))
+                + grazing[:, None] * (kappa[:, None] <= x_c[cols])))
 
-    ev_bps = [x_c] if x_lo < x_c < kappa_max else []
-    evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
-                                 breakpoints=ev_bps)
-    if x_lo > 0:
-        evan = evan + complex(f_evan(np.array([0.5 * x_lo]))[0]) * x_lo
-    return GreenTraceParts(propagating=complex(prop), evanescent=complex(evan))
+        # Every position shares the widest cutoff; beyond its own cutoff a
+        # position's integrand is below e^-40 of its peak.
+        k_hi = kappa_max.max()
+        ev_bps = [x for x in set(x_c.tolist()) if x_lo < x < k_hi]
+        evan, _ = adaptive_integrate(f_evan, x_lo, k_hi, spec,
+                                     breakpoints=ev_bps)
+        if x_lo > 0:
+            evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
+        if scalar:
+            evan = complex(evan[0])
+    if scalar:
+        prop = complex(prop[0])
+    return GreenTraceParts(propagating=prop, evanescent=evan,
+                           rule=(nodes, rule_f))
 
 
 def cavity_trace_imagfreq(z: float, xi: float, cavity: CavityGeometry,

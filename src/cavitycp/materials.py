@@ -39,7 +39,13 @@ class Drude:
 
 @dataclass(frozen=True)
 class ConstantLossy:
-    """Frequency-independent permittivity eps_real + i eps_imag."""
+    """Frequency-independent permittivity eps_real + i eps_imag.
+
+    On the imaginary axis (omega = i xi) the model is continued as the real
+    constant eps_real: a lossless, dispersion-free approximation, since a
+    constant complex eps has no causal continuation.  It affects only the
+    Matsubara (non-resonant) sums, and drops a relative eps_imag/eps_real.
+    """
     eps_real: float
     eps_imag: float = 0.0
 
@@ -103,6 +109,9 @@ def permittivity_at(model: PermittivityModel, omega: complex) -> complex:
     if isinstance(model, Vacuum):
         return 1.0 + 0.0j
     if isinstance(model, ConstantLossy):
+        omega = complex(omega)
+        if omega.real == 0 and omega.imag > 0:
+            return complex(model.eps_real, 0.0)
         return complex(model.eps_real, model.eps_imag)
     if omega == 0:
         raise ValueError("Drude permittivity diverges at omega = 0; "

@@ -63,11 +63,15 @@ def polarizability_imag(mol: Molecule, xi: float) -> float:
 
 
 def photon_number(omega: float, env: ThermalEnvironment) -> float:
-    """Bose-Einstein occupation n(omega) = 1/(e^{hbar w / k T} - 1)."""
+    """Bose-Einstein occupation n(omega) = 1/(e^{hbar w / k T} - 1).
+
+    Evaluated as e^{-x}/(1 - e^{-x}), x = hbar w / k T, which tends to 0
+    instead of overflowing as T -> 0.
+    """
     if not omega > 0:
         raise ValueError("photon_number requires omega > 0")
     x = HBAR * omega / (K_B * env.temperature)
-    return 1.0 / math.expm1(x)
+    return math.exp(-x) / -math.expm1(-x)
 
 
 def matsubara_frequency(j: int, env: ThermalEnvironment) -> float:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
 from .greens import CavityGeometry, cavity_trace_imagfreq, \
     cavity_trace_realfreq, single_plate_trace_imagfreq, \
@@ -21,7 +23,7 @@ from .greens import CavityGeometry, cavity_trace_imagfreq, \
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
-from .quadrature import QuadratureSpec, golden_section_minimize
+from .quadrature import QuadratureSpec
 
 __all__ = [
     "PotentialComponents", "ExtremumReport", "LevelScheme",
@@ -33,6 +35,10 @@ __all__ = [
 
 _TRUNC = 1e-12
 _J_MAX = 100_000
+# Newton refinement of well-depth extrema: step budget, and the step size
+# (relative to the cavity width) at which a position counts as converged.
+_NEWTON_STEPS = 50
+_NEWTON_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,14 @@ def nonresonant_potential(z: float, mol: Molecule, cavity: CavityGeometry,
     return MU_0 * K_B * env.temperature * (zero_term + rest)
 
 
-def resonant_potential(z: float, mol: Molecule, cavity: CavityGeometry,
+def resonant_potential(z, mol: Molecule, cavity: CavityGeometry,
                        env: ThermalEnvironment,
                        spec: QuadratureSpec = QuadratureSpec()):
-    """(U_pr, U_ev): the real-frequency (resonant) part of the potential."""
+    """(U_pr, U_ev): the real-frequency (resonant) part of the potential.
+
+    z may be a 1-D array of positions; each part is then an array, from one
+    batched trace per transition.
+    """
     u_pr = 0.0
     u_ev = 0.0
     for t in mol.transitions:
@@ -122,7 +132,6 @@ def single_plate_components(distance: float, mol: Molecule,
     """Potential components at a given distance from a single plate."""
     from .materials import static_limit_reflection
     from .quadrature import adaptive_integrate
-    import numpy as np
 
     def f_zero(kappa):
         rp0 = np.array([static_limit_reflection(mirror, k)[1] for k in kappa])
@@ -215,12 +224,35 @@ def resonance_width(transition: Transition, nu: int) -> float:
     return nu * math.pi * C / transition.omega
 
 
-def _refine_extremum(f, seed, half_width, lo, hi, xtol, maximum):
-    a = max(seed - half_width, lo)
-    b = min(seed + half_width, hi)
-    sign = -1.0 if maximum else 1.0
-    x, val = golden_section_minimize(lambda z: sign * f(z), a, b, xtol)
-    return x, sign * val
+def _newton_extrema(rule, seeds, maximum, half_width, edge, xtol):
+    """Stationary points of u(z) = Re sum(w F cos(2 beta z)) near the seeds.
+
+    rule is (beta, w F) from cavity_trace_realfreq.  Newton steps on
+    u'(z) = -Re sum(2 beta w F sin(2 beta z)) and u''(z) run for all seeds at
+    once.  maximum[i] selects a maximum or a minimum for seed i; a point
+    whose curvature has the wrong sign, or that leaves seed +- half_width or
+    +-edge, raises ArithmeticError.
+    """
+    beta, wf = rule
+    z = np.array(seeds, dtype=float)
+    for _ in range(_NEWTON_STEPS):
+        arg = 2.0 * np.outer(beta, z)
+        slope = -((2.0 * beta * wf) @ np.sin(arg)).real
+        curvature = -((4.0 * beta**2 * wf) @ np.cos(arg)).real
+        step = slope / curvature
+        z -= step
+        if np.all(np.abs(step) <= xtol):
+            break
+    else:
+        raise ArithmeticError("Newton refinement of the extrema did not "
+                              "converge")
+    for zi, seed, is_max, curv in zip(z, seeds, maximum, curvature):
+        if not ((curv < 0) == is_max and abs(zi - seed) <= half_width
+                and abs(zi) <= edge):
+            kind = "maximum" if is_max else "minimum"
+            raise ArithmeticError(f"no {kind} of the propagating potential "
+                                  f"within lam/8 of the seed z = {seed}")
+    return z
 
 
 def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
@@ -229,11 +261,19 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     """Extrema and well depth Delta U_nu of the propagating potential at the
     nu-th resonance of the molecule's first transition.
 
-    Extrema are refined by golden-section search around the grid seeds
-    z = -nu lam/4 + (mu - 1/2) lam/2 (maxima) and z = -nu lam/4 + mu lam/2
-    (minima); Delta U_nu = U[(nu-3) lam/4] - U[(nu-2) lam/4] with refined
-    positions.  For nu = 1 the report carries the central peak height
-    U(0) - U(a/2) instead of a well depth.
+    The extrema are seeded on the grid z = -nu lam/4 + (mu - 1/2) lam/2
+    (maxima) and z = -nu lam/4 + mu lam/2 (minima), and found in three steps:
+    one propagating-only trace at all seeds; Newton steps on the derivative
+    of the trace over that pass's nodes and kernel values (no new reflection
+    evaluations); one error-controlled propagating trace at the refined
+    extrema, which gives the reported values.  Newton runs on the trace, not
+    on the photon-weighted potential, so a vanishing photon number still
+    locates the extrema.  An extremum of the wrong kind, or outside seed
+    +- lam/8 or the +-(a/2 - a/1000) edge, raises ArithmeticError.
+
+    Delta U_nu = U[(nu-3) lam/4] - U[(nu-2) lam/4] with refined positions.
+    For nu = 1 the report carries the central peak height U(0) - U(edge)
+    instead of a well depth.
     """
     t = mol.transitions[0]
     lam = 2.0 * math.pi * C / t.omega
@@ -244,27 +284,24 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
         * t.d_squared
 
-    def u_pr(z):
-        return weight * cavity_trace_realfreq(z, t.omega, cavity, spec) \
-            .propagating.real
-
-    xtol = 1e-6 * a
-    max_pos, max_val, min_pos, min_val = [], [], [], []
-    for mu in range(1, nu + 1):
-        seed = -nu * lam / 4.0 + (mu - 0.5) * lam / 2.0
-        x, v = _refine_extremum(u_pr, seed, lam / 8.0, -edge, edge, xtol,
-                                maximum=True)
-        max_pos.append(x)
-        max_val.append(v)
-    for mu in range(1, nu):
-        seed = -nu * lam / 4.0 + mu * lam / 2.0
-        x, v = _refine_extremum(u_pr, seed, lam / 8.0, -edge, edge, xtol,
-                                maximum=False)
-        min_pos.append(x)
-        min_val.append(v)
+    seeds = [-nu * lam / 4.0 + (mu - 0.5) * lam / 2.0
+             for mu in range(1, nu + 1)]
+    seeds += [-nu * lam / 4.0 + mu * lam / 2.0 for mu in range(1, nu)]
+    maximum = [True] * nu + [False] * (nu - 1)
+    first = cavity_trace_realfreq(np.array(seeds), t.omega, cavity, spec,
+                                  evanescent=False)
+    z = _newton_extrema(first.rule, seeds, maximum, lam / 8.0, edge,
+                        _NEWTON_XTOL * a)
+    if nu == 1:
+        z = np.append(z, edge)
+    final = cavity_trace_realfreq(z, t.omega, cavity, spec, evanescent=False)
+    values = [weight * float(u) for u in final.propagating.real]
+    positions = [float(x) for x in z]
+    max_pos, max_val = positions[:nu], values[:nu]
+    min_pos, min_val = positions[nu:2 * nu - 1], values[nu:2 * nu - 1]
 
     if nu == 1:
-        depth = max_val[0] - u_pr(edge)
+        depth = max_val[0] - values[-1]
         return ExtremumReport(nu=nu, width=a,
                               maxima_positions=tuple(max_pos),
                               maxima_values=tuple(max_val),
@@ -293,10 +330,14 @@ def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:
                                             * EPSILON_0)
 
 
-def heating_rate_profile(z: float, mol: Molecule, cavity: CavityGeometry,
+def heating_rate_profile(z, mol: Molecule, cavity: CavityGeometry,
                          env: ThermalEnvironment,
-                         spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Gamma(z) = Gamma_0 + cavity-induced change from Im Tr G."""
+                         spec: QuadratureSpec = QuadratureSpec()):
+    """Gamma(z) = Gamma_0 + cavity-induced change from Im Tr G.
+
+    z may be a 1-D array of positions, giving an array of rates from one
+    batched trace per transition.
+    """
     gamma = heating_rate_free(mol, env)
     for t in mol.transitions:
         parts = cavity_trace_realfreq(z, t.omega, cavity, spec)

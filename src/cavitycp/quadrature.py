@@ -1,15 +1,24 @@
-"""Adaptive Gauss-Kronrod quadrature for real or complex integrands.
+"""Adaptive Gauss-Kronrod quadrature for real or complex, scalar- or
+vector-valued integrands.
 
 The integrator uses the embedded 7-point Gauss / 15-point Kronrod rule pair
-with adaptive bisection of the panel carrying the largest error estimate.
-Integrands must accept a numpy array of abscissae and return an array of
-values (real or complex); semi-infinite integrals are mapped to finite
+with adaptive bisection.  Integrands accept a 1-D numpy array of abscissae
+and return one value per abscissa, or an array of shape (nodes, m) holding m
+components per abscissa; semi-infinite integrals are mapped to finite
 intervals by explicit exponential cutoffs chosen at the call site.
+
+Each panel carries QUADPACK's error estimate |Kronrod - Gauss| per component
+(Piessens et al., QUADPACK, 1983), and every component k must meet its own
+tolerance max(rel_tol |I_k|, abs_tol).  As in scipy's quad_vec, each round
+bisects a batch of panels and evaluates all their halves in one integrand
+call: for every component still above tolerance, the fewest largest-error
+panels whose errors together cover its excess.  When a single panel carries
+most of the error this is the one-panel-at-a-time scheme; when the error is
+spread it saves one integrand call per panel.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,8 +27,8 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
+    "QuadratureResult",
     "adaptive_integrate",
-    "golden_section_minimize",
 ]
 
 
@@ -46,6 +55,8 @@ _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 # Gauss weights sit on nodes 1, 3, 5, ... 13.
 _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
+# Kronrod rule and Kronrod-minus-Gauss error rule, applied in one product.
+_RULES = np.stack((_WK, _WK - _WGFULL))
 
 
 @dataclass(frozen=True)
@@ -66,23 +77,71 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best estimate found."""
+    """Subdivision budget exhausted; carries the best estimate found (one
+    entry per component for a vector-valued integrand)."""
 
     def __init__(self, estimate, error):
         super().__init__(
             f"quadrature failed to converge: estimate {estimate}, "
-            f"error {error:.3e}")
+            f"error {np.max(error):.3e}")
         self.estimate = estimate
         self.error = error
 
 
-def _panel(f: Callable, lo: float, hi: float):
+class QuadratureResult(tuple):
+    """What adaptive_integrate returns: unpacks as (value, error).
+
+    It also keeps the final panels, so that a caller holding the integrand's
+    samples can apply the converged rule to a related integrand without a
+    new adaptive pass (see rule()).
+    """
+
+    def __new__(cls, value, error, lo, hi):
+        self = super().__new__(cls, (value, error))
+        self.panels = (lo, hi)
+        return self
+
+    def rule(self):
+        """(nodes, weights) of the composite Kronrod rule on the final
+        panels; the nodes are exactly those the integrand was called with."""
+        lo, hi = self.panels
+        return _nodes(lo, hi), (0.5 * (hi - lo)[:, None] * _WK).ravel()
+
+
+def _nodes(lo, hi):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    y = np.asarray(f(mid + half * _NODES))
-    kron = half * np.sum(_WK * y)
-    gauss = half * np.sum(_WGFULL * y)
-    return kron, abs(kron - gauss)
+    return (mid[:, None] + half[:, None] * _NODES).ravel()
+
+
+def _panels(f: Callable, lo, hi):
+    """Kronrod values and |Kronrod - Gauss| errors of the panels
+    [lo_i, hi_i] from one integrand call, both of shape (panels, m), and
+    whether f returned a single value per node."""
+    y = np.asarray(f(_nodes(lo, hi)))
+    scalar = y.ndim == 1
+    half = 0.5 * (hi - lo)[:, None]
+    rules = _RULES @ y.reshape(len(lo), 15, -1)
+    return half * rules[:, 0], np.abs(half * rules[:, 1]), scalar
+
+
+def _to_split(err, excess, tol):
+    """Panels to bisect: for each component with positive excess (error
+    above tolerance), the fewest largest-error panels whose errors sum to at
+    least that excess.  Returned worst first, by error over tolerance."""
+    chosen = np.zeros(len(err), dtype=bool)
+    if (err.max(axis=0) >= excess).all():
+        # one panel per component covers its excess
+        chosen[err.argmax(axis=0)[excess > 0]] = True
+    else:
+        order = np.argsort(-err, axis=0)
+        ranked = np.take_along_axis(err, order, axis=0)
+        before = np.cumsum(ranked, axis=0) - ranked
+        chosen[order[before < excess]] = True
+    chosen = np.flatnonzero(chosen)
+    if len(chosen) == 1:
+        return chosen
+    return chosen[np.argsort(-(err[chosen] / tol).max(axis=1), kind="stable")]
 
 
 def adaptive_integrate(
@@ -94,64 +153,49 @@ def adaptive_integrate(
 ):
     """Integrate a vectorized integrand over [lo, hi].
 
-    Returns (value, error_estimate).  Optional interior breakpoints seed the
+    f maps an array of nodes to values of shape (nodes,), giving a scalar
+    integral, or (nodes, m), giving m integrals at once.  Returns
+    (value, error_estimate) as a QuadratureResult; for a vector integrand
+    both are arrays of length m.  Optional interior breakpoints seed the
     initial panel list (useful when the caller knows where sharp features
-    sit).  Raises QuadratureError if the subdivision budget runs out before
-    the requested tolerance is met.
+    sit).  Raises QuadratureError if max_subdivisions bisections are used
+    before every component meets its tolerance.
     """
     if not lo < hi:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    edges = [lo] + sorted(p for p in set(breakpoints) if lo < p < hi) + [hi]
-
-    heap = []  # entries: (-err, tiebreak, lo, hi, value, err)
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, a, b)
-        heap.append((-err, count, a, b, val, err))
-        count += 1
-    heapq.heapify(heap)
+    edges = np.array([lo] + sorted(p for p in set(breakpoints) if lo < p < hi)
+                     + [hi], dtype=float)
+    a, b = edges[:-1], edges[1:].copy()
+    val, err, scalar = _panels(f, a, b)
 
     splits = 0
     while True:
-        total = sum(item[4] for item in heap)
-        total_err = sum(item[5] for item in heap)
-        tol = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if total_err <= tol:
-            return total, total_err
-        if splits >= spec.max_subdivisions:
-            raise QuadratureError(total, total_err)
-        _, _, a, b, _, _ = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        for lo2, hi2 in ((a, m), (m, b)):
-            val, err = _panel(f, lo2, hi2)
-            heapq.heappush(heap, (-err, count, lo2, hi2, val, err))
-            count += 1
-        splits += 1
+        total = val.sum(axis=0)
+        total_err = err.sum(axis=0)
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        converged = (total_err <= tol).all()
+        if converged or splits >= spec.max_subdivisions or \
+                not np.isfinite(total_err).all():
+            break
+        split = _to_split(err, total_err - tol, tol)
+        split = split[:spec.max_subdivisions - splits]
+        # each split panel keeps its slot for its left half; the right
+        # halves are appended
+        left, right = a[split], b[split]
+        mid = 0.5 * (left + right)
+        new_val, new_err, _ = _panels(f, np.concatenate((left, mid)),
+                                      np.concatenate((mid, right)))
+        n = len(split)
+        b[split] = mid
+        val[split], err[split] = new_val[:n], new_err[:n]
+        a = np.concatenate((a, mid))
+        b = np.concatenate((b, right))
+        val = np.concatenate((val, new_val[n:]))
+        err = np.concatenate((err, new_err[n:]))
+        splits += n
 
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float,
-                            xtol: float):
-    """Golden-section search for a minimum of a unimodal scalar function.
-
-    Returns (x_min, f_min).  The caller is responsible for supplying a
-    bracket that actually contains a minimum.
-    """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
+    if scalar:
+        total, total_err = total[0], total_err[0]
+    if not converged:
+        raise QuadratureError(total, total_err)
+    return QuadratureResult(total, total_err, a, b)

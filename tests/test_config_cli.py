@@ -267,3 +267,29 @@ def test_cli_threads_env(capsys, monkeypatch):
          "--mirror", "gold", "--points", "4", "--raw"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 5
+
+
+def test_cli_depth_at_zero_temperature(capsys):
+    # n(w) underflows to 0 instead of overflowing: exit 0, zero depth, and
+    # the extrema are still found on the unweighted trace
+    code, out, _ = run_cli(
+        ["--rel-tol", "1e-7", "depth", "--nu", "2", "--temperature",
+         "0.02K"], capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert float(row["depth_J"]) == 0.0
+    assert abs(float(row["z_min_m"])) <= 1e-9 * float(row["a_m"])
+
+
+def test_cli_profile_lossy_bragg_mirror(capsys, tmp_path):
+    cfg = tmp_path / "bragg.cfg"
+    cfg.write_text("[mirror:bragg]\ntype = quarter_wave\n"
+                   "material_a = sapphire_300K\nmaterial_b = vacuum\n"
+                   "pairs = 8\ndesign_frequency = 2.78973e12\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "--rel-tol", "1e-7", "profile", "--mirror",
+         "bragg", "--width", "resonance:2", "--points", "4"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert all(math.isfinite(float(r["U_nr_J"])) for r in rows)

@@ -17,8 +17,9 @@ from cavitycp.greens import (CavityGeometry, cavity_trace_imagfreq,
                              single_plate_trace_imagfreq,
                              single_plate_trace_parts, transverse_beta,
                              zero_frequency_trace_limit)
-from cavitycp.materials import ConstantR, HalfSpace
-from tests.conftest import GOLD_DRUDE
+from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
+                                quarter_wave_stack)
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
 W_LIH = 2.78973e12
 LAM = 2.0 * math.pi * C / W_LIH
@@ -91,6 +92,28 @@ def test_parity_realfreq(gold, quad):
         minus = cavity_trace_realfreq(-z, W_LIH, cav, quad)
         assert plus.propagating == pytest.approx(minus.propagating, rel=1e-9)
         assert plus.evanescent == pytest.approx(minus.evanescent, rel=1e-9)
+
+
+@pytest.mark.parametrize("mirror", [
+    HalfSpace(GOLD_DRUDE), ConstantR(1.0 - 1e-5),
+    Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH))],
+    ids=["gold", "constant_r", "sapphire_stack"])
+def test_batched_realfreq_matches_scalar(mirror, quad_fast):
+    cav = _resonant_cavity(mirror, 2)
+    edge = 0.5 * cav.width - cav.width / 1000.0
+    zs = np.linspace(-edge, edge, 7)
+    batch = cavity_trace_realfreq(zs, W_LIH, cav, quad_fast)
+    single = [cavity_trace_realfreq(float(z), W_LIH, cav, quad_fast)
+              for z in zs]
+    tol = 10.0 * quad_fast.rel_tol
+    for part in ("propagating", "evanescent"):
+        got = getattr(batch, part)
+        want = np.array([getattr(s, part) for s in single])
+        assert got.shape == zs.shape
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
+        assert np.all(np.abs(got - got[::-1]) <= tol * np.abs(got))
+    assert isinstance(single[0].propagating, complex)
+    assert isinstance(single[0].evanescent, complex)
 
 
 def test_imagfreq_is_real(gold, quad):

@@ -31,6 +31,12 @@ def test_drude_imag_axis_real():
     assert eps.real > 1.0
 
 
+def test_constant_lossy_imag_axis_lossless():
+    # real axis: the complex constant; imaginary axis: eps_real
+    assert permittivity_at(SAPPHIRE_300K, W_LIH) == complex(10.0, 1e-4)
+    assert permittivity_at(SAPPHIRE_300K, 1j * 2.0e14) == complex(10.0, 0.0)
+
+
 def test_constant_lossy_and_vacuum():
     assert permittivity_at(SAPPHIRE_300K, 1e12) == 10.0 + 1e-4j
     assert permittivity_at(Vacuum(), 1e12) == 1.0

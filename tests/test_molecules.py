@@ -113,3 +113,18 @@ def test_load_molecules_error():
     from cavitycp.config import ConfigError
     with pytest.raises(ConfigError):
         load_molecules("[molecule:bad]\ntransition = 1.0\n")
+
+
+def test_photon_number_vanishes_at_zero_temperature():
+    # hbar w / k T ~ 1060 for LiH at 0.02 K: e^x overflows, n is 0
+    assert photon_number(LIH.transitions[0].omega,
+                         ThermalEnvironment(0.02)) == 0.0
+
+
+def test_photon_number_matches_expm1_form():
+    env = ThermalEnvironment(1.0)
+    for x in np.logspace(-3, math.log10(700.0), 200):
+        omega = float(x) * K_B * env.temperature / HBAR
+        x_used = HBAR * omega / (K_B * env.temperature)
+        assert photon_number(omega, env) == pytest.approx(
+            1.0 / math.expm1(x_used), rel=1e-15)

@@ -13,14 +13,15 @@ import pytest
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B
 from cavitycp.greens import CavityGeometry
-from cavitycp.materials import ConstantR
+from cavitycp.config import builtin_materials
+from cavitycp.materials import ConstantR, HalfSpace, Stack, quarter_wave_stack
 from cavitycp.molecules import Molecule, Transition, photon_number
 from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
                                 heating_rate_single_plate,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
-                                single_plate_components)
+                                single_plate_components, _newton_extrema)
 
 W_LIH = LIH.transitions[0].omega
 D2_LIH = LIH.transitions[0].d_squared
@@ -43,10 +44,41 @@ def test_gold_depth_regression(gold, env300, env77, quad):
     assert rep.depth == pytest.approx(5.605037122200923e-35, rel=1e-6)
     # nu = 2: the single minimum sits at the cavity center
     assert len(rep.minima_positions) == 1
-    # position resolved to the golden-section tolerance (1e-6 of the width)
+    # position resolved well inside the benchmark's 1e-5 of the width
     assert abs(rep.minima_positions[0]) < 1e-5 * rep.width
     rep77 = potential_depth(LIH, gold, 2, env77, quad)
     assert rep77.depth == pytest.approx(1.2941533550722964e-35, rel=1e-6)
+
+
+def test_gold_nu2_minimum_at_centre(gold, env300, quad):
+    rep = potential_depth(LIH, gold, 2, env300, quad)
+    assert abs(rep.minima_positions[0]) <= 1e-9 * rep.width
+
+
+def test_newton_extrema_rejects_wrong_kind_or_bracket():
+    # u(z) = cos(2 z): maximum at 0, minima at +-pi/2
+    rule = (np.array([1.0]), np.array([1.0 + 0.0j]))
+    z = _newton_extrema(rule, [0.1, 1.4], [True, False], 0.3, 2.0, 1e-14)
+    assert z == pytest.approx([0.0, math.pi / 2.0], abs=1e-12)
+    with pytest.raises(ArithmeticError):
+        _newton_extrema(rule, [0.1], [False], 0.3, 2.0, 1e-14)
+    with pytest.raises(ArithmeticError):
+        _newton_extrema(rule, [0.1], [True], 0.05, 2.0, 1e-14)
+    with pytest.raises(ArithmeticError):
+        _newton_extrema(rule, [1.4], [False], 0.3, 1.5, 1e-14)
+
+
+def test_nonresonant_finite_for_lossy_dielectric(env300, quad_fast):
+    # ConstantLossy continues to the imaginary axis as eps_real
+    mats = builtin_materials()
+    cav_a = resonance_width(LIH.transitions[0], 2)
+    mirrors = [HalfSpace(mats["GaAs"]),
+               Stack(quarter_wave_stack(mats["GaAs"], mats["AlAs"], 3,
+                                        W_LIH))]
+    for mirror in mirrors:
+        cav = CavityGeometry(width=cav_a, mirror=mirror)
+        u_nr = nonresonant_potential(1e-4, LIH, cav, env300, quad_fast)
+        assert math.isfinite(u_nr) and u_nr != 0.0
 
 
 def test_gold_nu1_peak_height(gold, env300, quad):
@@ -174,8 +206,10 @@ def test_heating_profile_positive(gold, env300, quad):
     cav = CavityGeometry(width=resonance_width(LIH.transitions[0], 2),
                          mirror=gold)
     edge = 0.5 * cav.width - cav.width / 1000.0
-    for z in np.linspace(-edge, edge, 9):
+    zs = np.linspace(-edge, edge, 9)
+    for z in zs:
         assert heating_rate_profile(float(z), LIH, cav, env300, quad) > 0
+    assert np.all(heating_rate_profile(zs, LIH, cav, env300, quad) > 0)
 
 
 def test_heating_single_plate_far_field(gold, env300, quad):

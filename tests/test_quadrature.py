@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integrator and golden-section search."""
+"""Adaptive Gauss-Kronrod integrator, scalar and vector-valued."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavitycp.quadrature import (QuadratureError, QuadratureSpec,
-                                 adaptive_integrate, golden_section_minimize)
+                                 adaptive_integrate)
 
 
 def test_polynomial_exact():
@@ -75,15 +75,32 @@ def test_defaults():
     assert spec.max_subdivisions == 2000
 
 
-def test_golden_section_quadratic():
-    # position accuracy is limited by the flatness of f near the minimum
-    # (f varies below machine epsilon within ~1e-8 of x_min)
-    x, fx = golden_section_minimize(lambda x: (x - 0.3) ** 2 + 1.0,
-                                    -1.0, 1.0, 1e-10)
-    assert x == pytest.approx(0.3, abs=1e-6)
-    assert fx == pytest.approx(1.0, abs=1e-15)
+def test_vector_matches_scalar_components():
+    # int_0^pi cos(k x) dx = sin(k pi)/k, several k in one vector pass
+    ks = [0.5, 1.3, 2.5, 7.2, 30.5]
+    vals, errs = adaptive_integrate(lambda x: np.cos(np.outer(x, ks)),
+                                    0.0, math.pi)
+    assert vals.shape == errs.shape == (len(ks),)
+    for k, val, err in zip(ks, vals, errs):
+        scalar, _ = adaptive_integrate(lambda x: np.cos(k * x), 0.0, math.pi)
+        exact = math.sin(k * math.pi) / k
+        assert err <= 1e-9 * abs(val)
+        assert val == pytest.approx(scalar, rel=1e-12, abs=1e-15)
+        assert val == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
-def test_golden_section_cosine():
-    x, _ = golden_section_minimize(math.cos, 2.0, 4.0, 1e-9)
-    assert x == pytest.approx(math.pi, abs=1e-7)
+def test_vector_budget_exhaustion_raises():
+    ks = np.array([1.0, 40.0])
+    with pytest.raises(QuadratureError) as exc:
+        adaptive_integrate(lambda x: np.cos(np.outer(x, ks)), 0.0, math.pi,
+                           QuadratureSpec(rel_tol=1e-15, max_subdivisions=2))
+    assert exc.value.estimate.shape == (2,)
+    assert np.all(np.isfinite(exc.value.estimate))
+
+
+def test_rule_reproduces_integral():
+    # the final panels' rule, applied to the integrand, gives the result
+    result = adaptive_integrate(lambda x: np.exp(50j * x), 0.0, 1.0)
+    nodes, weights = result.rule()
+    assert np.sum(weights * np.exp(50j * nodes)) == pytest.approx(
+        result[0], rel=1e-14)
