@@ -7,6 +7,7 @@ success, 2 for configuration/usage errors, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -14,23 +15,24 @@ import sys
 import numpy as np
 
 from .config import ConfigError, Registry, load_registry, parse_quantity
-from .constants import C
+from .constants import C, EPSILON_0
 from .greens import CavityGeometry
-from .materials import ConstantR
-from .molecules import ThermalEnvironment
-from .potential import PotentialComponents, heating_rate_free, \
+from .materials import ConstantR, multilayer_reflection, quarter_wave_stack
+from .molecules import ThermalEnvironment, photon_number
+from .potential import heating_rate_free, \
     heating_rate_profile, heating_rate_single_plate, nonresonant_potential, \
     potential_depth, resonance_width, resonant_potential
 from .quadrature import QuadratureError, QuadratureSpec
 from . import asymptotics
-from .molecules import photon_number
-from .constants import EPSILON_0
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+_GLOBAL_DEFAULTS = {"config": None, "out": None, "format": "csv",
+                    "rel_tol": 1e-9}
 
 
 def _fmt(value) -> str:
@@ -103,20 +105,14 @@ def cmd_profile(args) -> int:
     cavity = CavityGeometry(width=width, mirror=mirror)
     spec = _quad_spec(args)
 
-    # the grid and, unless --raw, its z = 0 centre offset share one batched
-    # real-frequency trace per transition
-    zs = _z_grid(width, args.points) + ([] if args.raw else [0.0])
-    u_pr, u_ev = resonant_potential(np.array(zs), mol, cavity, env, spec)
-    comps = [PotentialComponents(
-        z=z, U_nr=nonresonant_potential(z, mol, cavity, env, spec),
-        U_pr=float(pr), U_ev=float(ev)) for z, pr, ev in zip(zs, u_pr, u_ev)]
-    if args.raw:
-        off = (0.0, 0.0, 0.0)
-    else:
-        center = comps.pop()
-        off = (center.U_nr, center.U_pr, center.U_ev)
-    rows = [(c.z, c.U_nr - off[0], c.U_pr - off[1], c.U_ev - off[2],
-             c.U_total - sum(off)) for c in comps]
+    # the grid and, unless --raw, its z = 0 centre offset share one
+    # Matsubara integral and one real-frequency trace per transition
+    zs = np.array(_z_grid(width, args.points) + ([] if args.raw else [0.0]))
+    u = np.array([nonresonant_potential(zs, mol, cavity, env, spec),
+                  *resonant_potential(zs, mol, cavity, env, spec)])
+    off = np.zeros(3) if args.raw else u[:, -1]
+    rows = [(z, *(c - off).tolist(), c.sum() - off.sum())
+            for z, c in zip(zs.tolist(), u.T[:args.points])]
     _emit(rows, ["z_m", "U_nr_J", "U_pr_J", "U_ev_J", "U_total_J"], args)
     return EXIT_OK
 
@@ -144,8 +140,6 @@ def cmd_depth(args) -> int:
 
 
 def cmd_bragg(args) -> int:
-    from .materials import quarter_wave_stack, multilayer_reflection
-    import numpy as np
     reg = _registry(args)
     mat_a = _lookup(reg.materials, args.material_a, "material")
     mat_b = _lookup(reg.materials, args.material_b, "material")
@@ -231,24 +225,29 @@ def cmd_asym(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # global flags, accepted before and after the subcommand (defaults:
+    # _GLOBAL_DEFAULTS, the namespace main() parses into)
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--config",
+                        help="path to a molecules/materials/mirrors config")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"),
+                        help="default csv")
+    common.add_argument("--rel-tol", type=float,
+                        help="quadrature relative tolerance (default 1e-9)")
     parser = argparse.ArgumentParser(
-        prog="cavitycp",
+        prog="cavitycp", parents=[common],
         description="Thermal Casimir-Polder potentials, well depths, and "
                     "heating rates for polar molecules in planar cavities.")
-    parser.add_argument("--config", default=None,
-                        help="path to a molecules/materials/mirrors config")
-    parser.add_argument("--out", default=None, help="output path (default "
-                        "stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--rel-tol", type=float, default=1e-9,
-                        help="quadrature relative tolerance")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored, as is env "
                         "CAVITYCP_THREADS: grids are evaluated in one "
                         "batched pass")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("profile", help="potential components on a z grid")
+    p = add("profile", help="potential components on a z grid")
     p.add_argument("--molecule", default="LiH")
     p.add_argument("--mirror", default="gold")
     p.add_argument("--width", required=True,
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "vanish-at-center shift")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("depth", help="well depths at cavity resonances")
+    p = add("depth", help="well depths at cavity resonances")
     p.add_argument("--molecule", default="LiH")
     p.add_argument("--mirror", default="gold")
     p.add_argument("--nu", required=True, help="comma-separated resonance "
@@ -268,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", default="300K")
     p.set_defaults(func=cmd_depth)
 
-    p = sub.add_parser("bragg", help="Bragg mirror reflectivity vs layer "
-                       "count")
+    p = add("bragg", help="Bragg mirror reflectivity vs layer count")
     p.add_argument("--material-a", required=True)
     p.add_argument("--material-b", required=True)
     p.add_argument("--n-min", type=int, default=0)
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stack design angular frequency, rad/s")
     p.set_defaults(func=cmd_bragg)
 
-    p = sub.add_parser("heating", help="heating-rate profile")
+    p = add("heating", help="heating-rate profile")
     p.add_argument("--molecule", default="LiH")
     p.add_argument("--mirror", default="gold")
     p.add_argument("--width", required=True)
@@ -289,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "cavity profile")
     p.set_defaults(func=cmd_heating)
 
-    p = sub.add_parser("asym", help="compare quadrature depths with the "
-                       "constant-reflectivity asymptotics")
+    p = add("asym", help="compare quadrature depths with the "
+            "constant-reflectivity asymptotics")
     p.add_argument("--molecule", default="LiH")
     p.add_argument("--temperature", default="300K")
     p.add_argument("--nu-min", type=int, default=2)
@@ -304,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            argv, namespace=argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -14,6 +14,9 @@ the convention of dropping position-independent terms, each part subtracts
 the same singular term S e^{-x a}/x over a shared range, which leaves every
 emitted quantity finite, keeps the two parts' sum exactly equal to the full
 (finite) trace, and changes each part only by a constant in z.
+
+At imaginary frequency omega = i xi the trace is real, and every Matsubara
+term and position is integrated over k_perp at once (imagfreq_trace_sum).
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ __all__ = [
     "cavity_trace_imagfreq", "cavity_trace_realfreq",
     "single_plate_trace", "single_plate_trace_parts",
     "single_plate_trace_imagfreq", "zero_frequency_trace_limit",
+    "imagfreq_trace_sum",
 ]
 
 # e^{-CUTOFF_DECADES} tail truncation for all evanescent-type integrals.
 _CUTOFF = 40.0
 # Positions per block of the (nodes x z) products of a batched trace.
 _BLOCK = 25
+# Bytes per block of the (nodes x terms [x z]) temporaries of a Matsubara sum.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,22 @@ class CavityGeometry:
             raise ValueError("cavity width must be positive")
 
     def check_position(self, z):
-        """Raise ValueError unless every position in z lies inside."""
-        z = np.asarray(z, dtype=float)
-        outside = ~(np.abs(z) < 0.5 * self.width)
+        """(scalar, zs): z, a position or a 1-D array of positions, as a 1-D
+        array, and whether it was a scalar.  Raises ValueError unless every
+        position lies inside."""
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        if zs.ndim != 1:
+            raise ValueError("z must be a position or a 1-D array of "
+                             "positions")
+        outside = ~(np.abs(zs) < 0.5 * self.width)
         if np.any(outside):
-            raise ValueError(f"position z = {z[outside].flat[0]} outside "
+            raise ValueError(f"position z = {zs[outside][0]} outside "
                              f"cavity of width {self.width}")
+        return np.ndim(z) == 0, zs
+
+    def decay_lengths(self, zs):
+        """(a - 2z, a + 2z) at positions zs: the paths of imagfreq_trace_sum."""
+        return np.array([self.width - 2.0 * zs, self.width + 2.0 * zs])
 
 
 @dataclass
@@ -92,23 +108,14 @@ def _resonance_breakpoints(omega: float, a: float, delta_eff: float):
     resonance is sharp."""
     wc = omega / C
     points = []
-    m_max = int(np.floor(wc * a / np.pi + 1e-9))
-    for m in range(1, m_max + 1):
+    for m in range(1, int(np.floor(wc * a / np.pi + 1e-9)) + 1):
         bm = min(np.pi * m / a, wc)
-        if delta_eff < 0.05:
-            width = min(np.sqrt(delta_eff) * wc, 0.02 * wc)
-            floor = max(delta_eff * wc / 20.0, 1e-13 * wc)
-            offs = []
-            off = width
-            while off > floor:
-                offs.append(off)
-                off *= 0.5
-            for off in offs:
-                if bm - off > 0:
-                    points.append(bm - off)
-                if bm + off < wc:
-                    points.append(bm + off)
         points.append(bm)
+        if delta_eff < 0.05:
+            off = min(np.sqrt(delta_eff) * wc, 0.02 * wc)
+            while off > max(delta_eff * wc / 20.0, 1e-13 * wc):
+                points += [bm - off, bm + off]
+                off *= 0.5
     return [p for p in points if 0 < p < wc]
 
 
@@ -165,11 +172,7 @@ def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
     """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
-    scalar = np.ndim(z) == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if zs.ndim != 1:
-        raise ValueError("z must be a position or a 1-D array of positions")
-    cavity.check_position(zs)
+    scalar, zs = cavity.check_position(z)
     a, mirror = cavity.width, cavity.mirror
     wc = omega / C
     kappa_max = _CUTOFF / (a - 2.0 * np.abs(zs))
@@ -247,35 +250,79 @@ def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
                            rule=(nodes, rule_f))
 
 
+def imagfreq_trace_sum(lengths, xi, weights, terms, mirror: MirrorSpec,
+                       width: Optional[float] = None,
+                       spec: QuadratureSpec = QuadratureSpec()):
+    """sum_{j < terms[i]} weights[j] xi_j^2 Tr G(i xi_j) at each position i.
+
+    Position i's trace carries sum_p e^{-kappa lengths[p, i]}: (a - 2z,
+    a + 2z) in a cavity of width a, (2d,) at distance d from a single plate
+    (width None).  xi ascends from xi[0] = 0, the static limit; xi and
+    weights hold terms.max() entries.  One vector integral over k_par, with
+    kappa_j = sqrt(k_par^2 + xi_j^2/c^2), covers all terms and positions:
+    reflection coefficients and bracket are evaluated once per (node, xi_j),
+    and the sum over j is done per node.  Position i's range ends where each
+    of its terms has decayed by e^-CUTOFF from its value at k_par = 0.
+    """
+    lengths, xi, weights = (np.asarray(v, dtype=float)
+                            for v in (lengths, xi, weights))
+    terms = np.asarray(terms)
+    q = _CUTOFF / lengths.min(axis=0)
+    k_max = np.sqrt(q * (q + 2.0 * xi[terms - 1] / C))
+    groups = [(j, np.flatnonzero(terms == j)) for j in np.unique(terms)]
+    rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
+
+    def kernel(k):
+        """kappa and weights_j (k/kappa_j) bracket_j, both (nodes, terms)."""
+        kappa = np.sqrt(k[:, None] ** 2 + (xi / C) ** 2)
+        rs, rp = reflection_coefficients(mirror, 1j * xi[1:], k[:, None],
+                                         beta=1j * kappa[:, 1:])
+        rs0, rp0 = static_limit_reflection(mirror, k)
+        rs, rp = np.column_stack((rs0, rs)), np.column_stack((rp0, rp))
+        if width is not None:
+            decay = np.exp(-2.0 * kappa * width)
+            rs = rs / (1.0 - rs * rs * decay)
+            rp = rp / (1.0 - rp * rp * decay)
+        bracket = xi**2 * (rs + rp) - 2.0 * (C * kappa) ** 2 * rp
+        if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):
+            raise ArithmeticError("imaginary-frequency trace acquired a "
+                                  "spurious imaginary part")
+        return kappa, weights * (k[:, None] / kappa) * bracket.real
+
+    def f(k):
+        vals = np.empty((len(k), len(q)))
+        for start in range(0, len(k), rows):
+            block = slice(start, start + rows)
+            kappa, a_kj = kernel(k[block])
+            for j, cols in groups:
+                step = max(1, _BLOCK_BYTES // (8 * len(kappa) * j))
+                for c in range(0, len(cols), step):
+                    cc = cols[c:c + step]
+                    decay = sum(np.exp(-kappa[:, :j, None] * lp[cc])
+                                for lp in lengths)
+                    vals[block, cc] = np.einsum("kj,kjc->kc", a_kj[:, :j],
+                                                decay)
+        return vals
+
+    # Panel edges halve from the widest cutoff down to the narrowest, so
+    # every position's decay scale is resolved by the first panels.
+    edges = k_max.max() * 0.5 ** np.arange(
+        1, 1 + int(np.log2(k_max.max() / k_max.min())))
+    val, _ = adaptive_integrate(f, 0.0, k_max.max(), spec,
+                                breakpoints=edges.tolist())
+    return val / (4.0 * np.pi)
+
+
 def cavity_trace_imagfreq(z: float, xi: float, cavity: CavityGeometry,
                           spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Tr G at omega = i xi (real-valued); xi > 0."""
     if not xi > 0:
         raise ValueError("cavity_trace_imagfreq requires xi > 0; "
                          "use zero_frequency_trace_limit for xi = 0")
-    cavity.check_position(z)
-    a, mirror = cavity.width, cavity.mirror
-    xc = xi / C
-    kappa_max = (_CUTOFF + 2.0 * xi * a / C) / (a - 2.0 * abs(z))
-
-    def f(kappa):
-        k_perp = np.sqrt(kappa**2 - xc**2)
-        rs, rp = reflection_coefficients(mirror, 1j * xi, k_perp,
-                                         beta=1j * kappa)
-        decay = np.exp(-2.0 * kappa * a)
-        bracket = (2.0 * (C * kappa / xi) ** 2 * rp / (1.0 - rp * rp * decay)
-                   - rs / (1.0 - rs * rs * decay)
-                   - rp / (1.0 - rp * rp * decay))
-        cosh_term = 0.5 * (np.exp(-kappa * (a - 2.0 * z))
-                           + np.exp(-kappa * (a + 2.0 * z)))
-        return -bracket * cosh_term / (2.0 * np.pi)
-
-    val, _ = adaptive_integrate(f, xc, kappa_max, spec)
-    val = complex(val)
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-        raise ArithmeticError(
-            "imaginary-frequency trace acquired a spurious imaginary part")
-    return val.real
+    _, zs = cavity.check_position(z)
+    return float(imagfreq_trace_sum(cavity.decay_lengths(zs), [0.0, xi],
+                                    [0.0, xi**-2], [2], cavity.mirror,
+                                    cavity.width, spec)[0])
 
 
 def zero_frequency_trace_limit(z: float, cavity: CavityGeometry,
@@ -286,20 +333,9 @@ def zero_frequency_trace_limit(z: float, cavity: CavityGeometry,
     -(c^2/pi) * int_0^inf dk k^2 r_p(0)/(1 - r_p(0)^2 e^{-2 k a})
     * e^{-k a} cosh(2 k z).  Negative for r_p(0) > 0 (attractive wall term).
     """
-    cavity.check_position(z)
-    a, mirror = cavity.width, cavity.mirror
-    kappa_max = _CUTOFF / (a - 2.0 * abs(z))
-
-    def f(kappa):
-        rp0 = np.array([static_limit_reflection(mirror, k)[1] for k in kappa])
-        decay = np.exp(-2.0 * kappa * a)
-        cosh_term = 0.5 * (np.exp(-kappa * (a - 2.0 * z))
-                           + np.exp(-kappa * (a + 2.0 * z)))
-        return -(C**2 / np.pi) * kappa**2 * rp0 / (1.0 - rp0**2 * decay) \
-            * cosh_term
-
-    val, _ = adaptive_integrate(f, 0.0, kappa_max, spec)
-    return float(np.real(val))
+    _, zs = cavity.check_position(z)
+    return float(imagfreq_trace_sum(cavity.decay_lengths(zs), [0.0], [1.0],
+                                    [1], cavity.mirror, cavity.width, spec)[0])
 
 
 def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,
@@ -311,25 +347,17 @@ def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,
         raise ValueError("single_plate_trace_parts requires omega > 0")
     wc = omega / C
 
-    def f_prop(beta):
-        k_perp = np.sqrt(np.maximum(wc**2 - beta**2, 0.0))
+    def f(beta):
+        """Integrand over beta; the evanescent part runs along beta = i kappa."""
+        k_perp = np.sqrt(np.maximum((wc**2 - beta**2).real, 0.0))
         rs, rp = reflection_coefficients(mirror, omega, k_perp,
                                          beta=beta + 0j)
         bracket = rs + rp - 2.0 * (C * beta / omega) ** 2 * rp
         return 1j / (4.0 * np.pi) * bracket * np.exp(2j * beta * distance)
 
-    prop, _ = adaptive_integrate(f_prop, 0.0, wc, spec)
-
-    kappa_max = _CUTOFF / (2.0 * distance)
-
-    def f_evan(kappa):
-        k_perp = np.sqrt(wc**2 + kappa**2)
-        rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                         beta=1j * kappa)
-        bracket = rs + rp + 2.0 * (C * kappa / omega) ** 2 * rp
-        return bracket * np.exp(-2.0 * kappa * distance) / (4.0 * np.pi)
-
-    evan, _ = adaptive_integrate(f_evan, 0.0, kappa_max, spec)
+    prop, _ = adaptive_integrate(f, 0.0, wc, spec)
+    evan, _ = adaptive_integrate(lambda kappa: -1j * f(1j * kappa), 0.0,
+                                 _CUTOFF / (2.0 * distance), spec)
     return GreenTraceParts(propagating=complex(prop), evanescent=complex(evan))
 
 
@@ -338,8 +366,8 @@ def single_plate_trace(distance: float, omega: complex, mirror: MirrorSpec,
     """Single-plate trace; real omega or purely imaginary omega = i xi."""
     omega = complex(omega)
     if omega.real > 0 and omega.imag == 0:
-        parts = single_plate_trace_parts(distance, omega.real, mirror, spec)
-        return parts.total
+        return single_plate_trace_parts(distance, omega.real, mirror,
+                                        spec).total
     if omega.real == 0 and omega.imag > 0:
         return complex(single_plate_trace_imagfreq(distance, omega.imag,
                                                    mirror, spec))
@@ -351,19 +379,6 @@ def single_plate_trace_imagfreq(distance: float, xi: float, mirror: MirrorSpec,
     """Single-plate trace at omega = i xi (real-valued)."""
     if not (distance > 0 and xi > 0):
         raise ValueError("distance and xi must be positive")
-    xc = xi / C
-    kappa_max = (_CUTOFF + 2.0 * xi * distance / C) / (2.0 * distance)
-
-    def f(kappa):
-        k_perp = np.sqrt(kappa**2 - xc**2)
-        rs, rp = reflection_coefficients(mirror, 1j * xi, k_perp,
-                                         beta=1j * kappa)
-        bracket = rs + rp - 2.0 * (C * kappa / xi) ** 2 * rp
-        return bracket * np.exp(-2.0 * kappa * distance) / (4.0 * np.pi)
-
-    val, _ = adaptive_integrate(f, xc, kappa_max, spec)
-    val = complex(val)
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-        raise ArithmeticError(
-            "imaginary-frequency trace acquired a spurious imaginary part")
-    return val.real
+    return float(imagfreq_trace_sum([[2.0 * distance]], [0.0, xi],
+                                    [0.0, xi**-2], [2], mirror,
+                                    spec=spec)[0])

@@ -104,16 +104,15 @@ class ConstantR:
 MirrorSpec = Union[HalfSpace, Stack, ConstantR]
 
 
-def permittivity_at(model: PermittivityModel, omega: complex) -> complex:
-    """eps(omega) on the real axis or the positive imaginary axis."""
+def permittivity_at(model: PermittivityModel, omega):
+    """eps(omega) on the real axis or the positive imaginary axis; omega may
+    be an array of frequencies."""
     if isinstance(model, Vacuum):
         return 1.0 + 0.0j
     if isinstance(model, ConstantLossy):
-        omega = complex(omega)
-        if omega.real == 0 and omega.imag > 0:
-            return complex(model.eps_real, 0.0)
-        return complex(model.eps_real, model.eps_imag)
-    if omega == 0:
+        lossy = (omega.real != 0) | (omega.imag <= 0)
+        return model.eps_real + 1j * model.eps_imag * lossy
+    if np.count_nonzero(omega) < np.size(omega):
         raise ValueError("Drude permittivity diverges at omega = 0; "
                          "use static_limit_reflection")
     return 1.0 - model.plasma_frequency**2 / (omega * (omega + 1j * model.damping))
@@ -200,51 +199,7 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
     return tuple(layers)
 
 
-def _static_rp(model: PermittivityModel) -> float:
-    if isinstance(model, Drude):
-        return 1.0
-    if isinstance(model, Vacuum):
-        return 0.0
-    eps0 = model.eps_real
-    return (eps0 - 1.0) / (eps0 + 1.0)
-
-
-def static_limit_reflection(mirror: MirrorSpec, k_perp: float):
-    """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients.
-
-    In the static limit r_s vanishes for any half-space while r_p tends to a
-    k_perp-independent constant: 1 for a Drude metal, (eps(0)-1)/(eps(0)+1)
-    for a dielectric.  For a stack only the front-most semi-infinite behavior
-    survives the e^{-2 k_perp d} interior phases in the j = 0 integrand at
-    leading order; the dominant wall response is taken from the terminating
-    material for metals and dielectric stacks alike.
-    """
-    if isinstance(mirror, ConstantR):
-        return -mirror.r, mirror.r
-    if isinstance(mirror, HalfSpace):
-        return 0.0, _static_rp(mirror.material)
-    # Stack: evaluate the full static p recursion at this k_perp.
-    # At omega -> 0, beta_j -> i k_perp in every layer, so the s seeds vanish
-    # and the p interface coefficients become (eps_j - eps_i)/(eps_j + eps_i).
-    layers = mirror.layers
-    eps = [1.0] + [(_static_rp_eps(l.material)) for l in layers]
-
-    def r_iface(i, j):
-        if np.isinf(eps[j]):
-            return 1.0
-        if np.isinf(eps[i]):
-            return -1.0
-        return (eps[j] - eps[i]) / (eps[j] + eps[i])
-
-    r = r_iface(len(layers) - 1, len(layers))
-    for i in range(len(layers) - 2, -1, -1):
-        phase = np.exp(-2.0 * k_perp * layers[i].thickness)
-        r_up = r_iface(i, i + 1)
-        r = (r_up + r * phase) / (1.0 + r_up * r * phase)
-    return 0.0, float(r)
-
-
-def _static_rp_eps(model: PermittivityModel) -> float:
+def _static_eps(model: PermittivityModel) -> float:
     if isinstance(model, Drude):
         return np.inf
     if isinstance(model, Vacuum):
@@ -252,16 +207,52 @@ def _static_rp_eps(model: PermittivityModel) -> float:
     return model.eps_real
 
 
+def static_limit_reflection(mirror: MirrorSpec, k_perp):
+    """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients,
+    floats for a scalar k_perp and arrays of its shape for an array.
+
+    r_s vanishes for any half-space or stack.  r_p of a half-space is 1 for a
+    Drude metal and (eps(0)-1)/(eps(0)+1) for a dielectric; a stack runs the
+    p recursion with beta_j -> i k_perp, i.e. phases e^{-2 k_perp d}.
+    """
+    k_perp = np.asarray(k_perp, dtype=float)
+    if isinstance(mirror, ConstantR):
+        rs, rp = -mirror.r, mirror.r
+    else:
+        layers = mirror.layers if isinstance(mirror, Stack) \
+            else (Layer(mirror.material, None),)
+        eps = [1.0] + [_static_eps(l.material) for l in layers]
+
+        def r_iface(i, j):
+            if np.isinf(eps[j]):
+                return 1.0
+            if np.isinf(eps[i]):
+                return -1.0
+            return (eps[j] - eps[i]) / (eps[j] + eps[i])
+
+        rs = 0.0
+        rp = r_iface(len(layers) - 1, len(layers))
+        for i in range(len(layers) - 2, -1, -1):
+            phase = np.exp(-2.0 * k_perp * layers[i].thickness)
+            r_up = r_iface(i, i + 1)
+            rp = (r_up + rp * phase) / (1.0 + r_up * rp * phase)
+    if k_perp.ndim == 0:
+        return float(rs), float(rp)
+    return np.full(k_perp.shape, rs), np.full(k_perp.shape, rp)
+
+
 def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp,
                             beta=None):
-    """(r_s, r_p) for any mirror variant; vectorized over k_perp.
+    """(r_s, r_p) for any mirror variant; vectorized over k_perp and omega,
+    which broadcast against each other.
 
     beta, if given, is the exact vacuum transverse wavenumber (see
     fresnel_halfspace).
     """
     k_perp = np.asarray(k_perp, dtype=float)
     if isinstance(mirror, ConstantR):
-        r = np.full(k_perp.shape, mirror.r, dtype=complex)
+        r = np.full(np.broadcast_shapes(k_perp.shape, np.shape(omega)),
+                    mirror.r, dtype=complex)
         return -r, r
     if isinstance(mirror, HalfSpace):
         return fresnel_halfspace(permittivity_at(mirror.material, omega),

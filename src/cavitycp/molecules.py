@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .constants import HBAR, K_B
 
 __all__ = [
@@ -54,9 +56,9 @@ class ThermalEnvironment:
 LIH = Molecule("LiH", (Transition(omega=2.78973e12, d_squared=3.847e-58),))
 
 
-def polarizability_imag(mol: Molecule, xi: float) -> float:
-    """Ground-state polarizability alpha(i xi), real and positive."""
-    if xi < 0:
+def polarizability_imag(mol: Molecule, xi):
+    """Ground-state polarizability alpha(i xi) > 0; xi may be an array."""
+    if np.any(np.asarray(xi) < 0):
         raise ValueError("xi must be non-negative")
     return (2.0 / (3.0 * HBAR)) * sum(
         t.d_squared * t.omega / (t.omega**2 + xi**2) for t in mol.transitions)

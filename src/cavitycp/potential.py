@@ -6,6 +6,12 @@ Ground-state potential:
 with the j = 0 Matsubara term at half weight.  The general-state version
 weights absorption channels by n(w) and emission channels by -(n(w) + 1);
 with all population in the ground state it reduces to the expression above.
+
+U_nr is one vector integral over k_par for every position and Matsubara
+term, j = 0 included (greens.imagfreq_trace_sum).  Position z keeps
+J(z) = 2 + ceil(40 c / (xi_1 gap)) terms, gap = a - 2|z| in a cavity and 2d
+near one plate, so the dropped terms carry e^{-xi_j gap / c} < e^-40; J(z)
+above 100 000 raises ArithmeticError before any integration.
 """
 
 from __future__ import annotations
@@ -17,9 +23,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import CavityGeometry, cavity_trace_imagfreq, \
-    cavity_trace_realfreq, single_plate_trace_imagfreq, \
-    single_plate_trace_parts, zero_frequency_trace_limit
+from .greens import _CUTOFF, CavityGeometry, cavity_trace_realfreq, \
+    imagfreq_trace_sum, single_plate_trace_parts
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -33,7 +38,7 @@ __all__ = [
     "heating_rate_single_plate",
 ]
 
-_TRUNC = 1e-12
+# Largest Matsubara term count any position may take.
 _J_MAX = 100_000
 # Newton refinement of well-depth extrema: step budget, and the step size
 # (relative to the cavity width) at which a position counts as converged.
@@ -67,36 +72,53 @@ class ExtremumReport:
     is_well_depth: bool    # False for nu = 1, where no minimum exists
 
 
-def _matsubara_sum(env: ThermalEnvironment, alpha, trace):
-    """sum'_j xi_j^2 alpha(i xi_j) * trace(xi_j) with half-weight j = 0 term
-    supplied by the caller via trace-limit; truncated when two consecutive
-    terms drop below 1e-12 of the running total."""
-    total = 0.0
-    small = 0
-    for j in range(1, _J_MAX):
-        xi = matsubara_frequency(j, env)
-        term = xi * xi * alpha(xi) * trace(xi)
-        total += term
-        if abs(term) <= _TRUNC * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    return total
+def _nonresonant(lengths, where, mirror: MirrorSpec, width, alpha,
+                 env: ThermalEnvironment, spec: QuadratureSpec):
+    """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position,
+    named by where in errors (lengths, width: see imagfreq_trace_sum)."""
+    xi1 = matsubara_frequency(1, env)
+    need = 2.0 + np.ceil(_CUTOFF * C / (xi1 * np.min(lengths, axis=0)))
+    if need.max() > _J_MAX:
+        i = int(np.argmax(need))
+        raise ArithmeticError(
+            f"Matsubara sum at T = {env.temperature} K needs J = "
+            f"{need[i]:.0f} terms at z = {where[i]} m, above the budget of "
+            f"{_J_MAX}")
+    terms = need.astype(int)
+    xi = xi1 * np.arange(terms.max())
+    weights = alpha(xi)
+    weights[0] *= 0.5
+    return MU_0 * K_B * env.temperature * imagfreq_trace_sum(
+        lengths, xi, weights, terms, mirror, width, spec)
 
 
-def nonresonant_potential(z: float, mol: Molecule, cavity: CavityGeometry,
+def _resonant(trace, mol: Molecule, env: ThermalEnvironment):
+    """(U_pr, U_ev) from trace(omega) -> GreenTraceParts per transition."""
+    u_pr = u_ev = 0.0
+    for t in mol.transitions:
+        weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
+            * t.d_squared
+        parts = trace(t.omega)
+        u_pr += weight * parts.propagating.real
+        u_ev += weight * parts.evanescent.real
+    return u_pr, u_ev
+
+
+def nonresonant_potential(z, mol: Molecule, cavity: CavityGeometry,
                           env: ThermalEnvironment,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Matsubara-sum (non-resonant) part of the ground-state potential."""
-    zero_term = 0.5 * polarizability_imag(mol, 0.0) \
-        * zero_frequency_trace_limit(z, cavity, spec)
-    rest = _matsubara_sum(
-        env,
-        lambda xi: polarizability_imag(mol, xi),
-        lambda xi: cavity_trace_imagfreq(z, xi, cavity, spec))
-    return MU_0 * K_B * env.temperature * (zero_term + rest)
+                          spec: QuadratureSpec = QuadratureSpec()):
+    """Matsubara-sum (non-resonant) part of the ground-state potential.
+
+    z is a position or a 1-D array of positions (array out).  All positions
+    and terms, the half-weight static j = 0 term included, share one k_par
+    integral; z keeps J(z) = 2 + ceil(40 c / (xi_1 (a - 2|z|))) terms (an
+    e^-40 truncation), and J(z) above 100 000 raises ArithmeticError.
+    """
+    scalar, zs = cavity.check_position(z)
+    u = _nonresonant(cavity.decay_lengths(zs), zs, cavity.mirror,
+                     cavity.width, lambda xi: polarizability_imag(mol, xi),
+                     env, spec)
+    return float(u[0]) if scalar else u
 
 
 def resonant_potential(z, mol: Molecule, cavity: CavityGeometry,
@@ -107,15 +129,8 @@ def resonant_potential(z, mol: Molecule, cavity: CavityGeometry,
     z may be a 1-D array of positions; each part is then an array, from one
     batched trace per transition.
     """
-    u_pr = 0.0
-    u_ev = 0.0
-    for t in mol.transitions:
-        weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
-            * t.d_squared
-        parts = cavity_trace_realfreq(z, t.omega, cavity, spec)
-        u_pr += weight * parts.propagating.real
-        u_ev += weight * parts.evanescent.real
-    return u_pr, u_ev
+    return _resonant(lambda w: cavity_trace_realfreq(z, w, cavity, spec),
+                     mol, env)
 
 
 def potential_components(z: float, mol: Molecule, cavity: CavityGeometry,
@@ -130,30 +145,15 @@ def single_plate_components(distance: float, mol: Molecule,
                             mirror: MirrorSpec, env: ThermalEnvironment,
                             spec: QuadratureSpec = QuadratureSpec()):
     """Potential components at a given distance from a single plate."""
-    from .materials import static_limit_reflection
-    from .quadrature import adaptive_integrate
-
-    def f_zero(kappa):
-        rp0 = np.array([static_limit_reflection(mirror, k)[1] for k in kappa])
-        return -(C**2 / (2.0 * math.pi)) * kappa**2 * rp0 \
-            * np.exp(-2.0 * kappa * distance)
-
-    zero_limit, _ = adaptive_integrate(f_zero, 0.0, 20.0 / distance, spec)
-    zero_term = 0.5 * polarizability_imag(mol, 0.0) * float(np.real(zero_limit))
-    u_nr = MU_0 * K_B * env.temperature * zero_term \
-        + MU_0 * K_B * env.temperature * _matsubara_sum(
-        env,
-        lambda xi: polarizability_imag(mol, xi),
-        lambda xi: single_plate_trace_imagfreq(distance, xi, mirror, spec))
-    u_pr = 0.0
-    u_ev = 0.0
-    for t in mol.transitions:
-        weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
-            * t.d_squared
-        parts = single_plate_trace_parts(distance, t.omega, mirror, spec)
-        u_pr += weight * parts.propagating.real
-        u_ev += weight * parts.evanescent.real
-    return PotentialComponents(z=distance, U_nr=u_nr, U_pr=u_pr, U_ev=u_ev)
+    if not distance > 0:
+        raise ValueError("distance must be positive")
+    u_nr = _nonresonant([[2.0 * distance]], [distance], mirror, None,
+                        lambda xi: polarizability_imag(mol, xi), env, spec)
+    u_pr, u_ev = _resonant(
+        lambda w: single_plate_trace_parts(distance, w, mirror, spec),
+        mol, env)
+    return PotentialComponents(z=distance, U_nr=float(u_nr[0]), U_pr=u_pr,
+                               U_ev=u_ev)
 
 
 @dataclass(frozen=True)
@@ -184,36 +184,33 @@ def general_state_potential(z: float, scheme: LevelScheme,
     if abs(sum(populations) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")
 
-    total = 0.0
     nstates = len(scheme.energies)
-    for n, p_n in enumerate(populations):
-        if p_n == 0.0:
-            continue
-        pairs = [(k, scheme.coupling(n, k),
-                  scheme.energies[k] - scheme.energies[n])
-                 for k in range(nstates) if k != n
-                 and scheme.coupling(n, k) > 0.0]
+    levels = [(p_n, [(scheme.coupling(n, k),
+                      scheme.energies[k] - scheme.energies[n])
+                     for k in range(nstates)
+                     if k != n and scheme.coupling(n, k) > 0.0])
+              for n, p_n in enumerate(populations) if p_n > 0.0]
 
-        def alpha_n(xi):
-            return (2.0 / (3.0 * HBAR)) * sum(
-                d2 * w_kn / (w_kn**2 + xi**2) for _, d2, w_kn in pairs)
+    def alpha(xi):
+        """Population-weighted polarizability sum_n p_n alpha_n(i xi)."""
+        return (2.0 / (3.0 * HBAR)) * sum(
+            (p_n * d2 * w_kn / (w_kn**2 + xi**2)
+             for p_n, pairs in levels for d2, w_kn in pairs),
+            np.zeros_like(xi))
 
-        zero_term = 0.5 * alpha_n(0.0) \
-            * zero_frequency_trace_limit(z, cavity, spec)
-        u_n = MU_0 * K_B * env.temperature * (
-            zero_term + _matsubara_sum(
-                env, alpha_n,
-                lambda xi: cavity_trace_imagfreq(z, xi, cavity, spec)))
-
-        for _, d2, w_kn in pairs:
+    _, zs = cavity.check_position(z)
+    total = float(_nonresonant(cavity.decay_lengths(zs), zs, cavity.mirror,
+                               cavity.width, alpha, env, spec)[0])
+    for p_n, pairs in levels:
+        for d2, w_kn in pairs:
             w_abs = abs(w_kn)
             if w_kn > 0:   # absorption from a thermal photon
                 weight = photon_number(w_abs, env)
             else:          # stimulated + spontaneous emission
                 weight = -(photon_number(w_abs, env) + 1.0)
             parts = cavity_trace_realfreq(z, w_abs, cavity, spec)
-            u_n += MU_0 / 3.0 * w_abs**2 * weight * d2 * parts.total.real
-        total += p_n * u_n
+            total += p_n * (MU_0 / 3.0 * w_abs**2 * weight * d2
+                            * parts.total.real)
     return total
 
 
@@ -302,25 +299,19 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
 
     if nu == 1:
         depth = max_val[0] - values[-1]
-        return ExtremumReport(nu=nu, width=a,
-                              maxima_positions=tuple(max_pos),
-                              maxima_values=tuple(max_val),
-                              minima_positions=(), minima_values=(),
-                              depth=depth, is_well_depth=False)
-
-    # deepest minimum sits at (nu-2) lam/4, its lower adjacent maximum at
-    # (nu-3) lam/4; pick the refined extrema closest to those grid points
-    target_min = (nu - 2) * lam / 4.0
-    target_max = (nu - 3) * lam / 4.0
-    i_min = min(range(len(min_pos)), key=lambda i: abs(min_pos[i] - target_min))
-    i_max = min(range(len(max_pos)), key=lambda i: abs(max_pos[i] - target_max))
-    depth = max_val[i_max] - min_val[i_min]
-    return ExtremumReport(nu=nu, width=a,
-                          maxima_positions=tuple(max_pos),
+    else:
+        # deepest minimum sits at (nu-2) lam/4, its lower adjacent maximum
+        # at (nu-3) lam/4; pick the refined extrema closest to those points
+        i_min = min(range(len(min_pos)),
+                    key=lambda i: abs(min_pos[i] - (nu - 2) * lam / 4.0))
+        i_max = min(range(len(max_pos)),
+                    key=lambda i: abs(max_pos[i] - (nu - 3) * lam / 4.0))
+        depth = max_val[i_max] - min_val[i_min]
+    return ExtremumReport(nu=nu, width=a, maxima_positions=tuple(max_pos),
                           maxima_values=tuple(max_val),
                           minima_positions=tuple(min_pos),
                           minima_values=tuple(min_val),
-                          depth=depth, is_well_depth=True)
+                          depth=depth, is_well_depth=nu > 1)
 
 
 def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:
@@ -328,6 +319,15 @@ def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:
     return sum(t.d_squared * t.omega**3 * photon_number(t.omega, env)
                for t in mol.transitions) / (3.0 * math.pi * HBAR * C**3
                                             * EPSILON_0)
+
+
+def _heating(trace, mol: Molecule, env: ThermalEnvironment):
+    """Gamma_0 plus the change from Im trace(omega), per transition."""
+    gamma = heating_rate_free(mol, env)
+    for t in mol.transitions:
+        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
+            * photon_number(t.omega, env) * trace(t.omega).total.imag
+    return gamma
 
 
 def heating_rate_profile(z, mol: Molecule, cavity: CavityGeometry,
@@ -338,20 +338,13 @@ def heating_rate_profile(z, mol: Molecule, cavity: CavityGeometry,
     z may be a 1-D array of positions, giving an array of rates from one
     batched trace per transition.
     """
-    gamma = heating_rate_free(mol, env)
-    for t in mol.transitions:
-        parts = cavity_trace_realfreq(z, t.omega, cavity, spec)
-        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
-            * photon_number(t.omega, env) * parts.total.imag
-    return gamma
+    return _heating(lambda w: cavity_trace_realfreq(z, w, cavity, spec),
+                    mol, env)
 
 
 def heating_rate_single_plate(distance: float, mol: Molecule,
                               mirror: MirrorSpec, env: ThermalEnvironment,
                               spec: QuadratureSpec = QuadratureSpec()) -> float:
-    gamma = heating_rate_free(mol, env)
-    for t in mol.transitions:
-        parts = single_plate_trace_parts(distance, t.omega, mirror, spec)
-        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
-            * photon_number(t.omega, env) * parts.total.imag
-    return gamma
+    return _heating(
+        lambda w: single_plate_trace_parts(distance, w, mirror, spec),
+        mol, env)

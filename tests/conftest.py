@@ -7,6 +7,17 @@ from cavitycp import (ConstantLossy, Drude, HalfSpace, LIH,
                       ThermalEnvironment, Vacuum)
 from cavitycp.quadrature import QuadratureSpec
 
+try:
+    from hypothesis import settings
+except ImportError:    # the property tests skip themselves
+    pass
+else:
+    # derandomized: every run draws the same examples, so the suite stays
+    # reproducible; no example database is written
+    settings.register_profile("cavitycp", derandomize=True, deadline=None,
+                              database=None)
+    settings.load_profile("cavitycp")
+
 GOLD_DRUDE = Drude(plasma_frequency=1.37e16, damping=5.32e13)
 SAPPHIRE_300K = ConstantLossy(eps_real=10.0, eps_imag=1e-4)
 SAPPHIRE_77K = ConstantLossy(eps_real=10.0, eps_imag=1e-6)

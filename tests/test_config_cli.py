@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -137,6 +138,19 @@ def test_cli_out_file_and_json(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert isinstance(data, list) and data[0]["nu"] == 2
     assert data[0]["kind"] == "well_depth"
+
+
+def test_cli_global_flags_after_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "mirror.cfg"
+    cfg.write_text("[mirror:half_gold]\ntype = constant_r\nr = 0.5\n")
+    flags = ["--config", str(cfg), "--rel-tol", "1e-6", "--format", "json"]
+    cmd = ["profile", "--width", "resonance:2", "--mirror", "half_gold",
+           "--points", "3"]
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert run_cli(flags + ["--out", str(before)] + cmd, capsys)[0] == 0
+    assert run_cli(cmd + flags + ["--out", str(after)], capsys)[0] == 0
+    assert after.read_bytes() == before.read_bytes()
+    assert json.loads(after.read_text())[0]["z_m"] < 0
 
 
 def test_cli_profile_resonance_width(capsys):
@@ -279,6 +293,19 @@ def test_cli_depth_at_zero_temperature(capsys):
     row = next(csv.DictReader(io.StringIO(out)))
     assert float(row["depth_J"]) == 0.0
     assert abs(float(row["z_min_m"])) <= 1e-9 * float(row["a_m"])
+
+
+def test_cli_profile_matsubara_budget_exit(capsys):
+    # at 1 mK the wall-adjacent grid points need ~1e7 Matsubara terms: the
+    # budget error comes before any integration
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["profile", "--width", "resonance:2", "--points", "3",
+         "--temperature", "0.001K"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "T = 0.001 K needs J = " in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_cli_profile_lossy_bragg_mirror(capsys, tmp_path):

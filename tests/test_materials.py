@@ -223,6 +223,20 @@ def test_static_limit_stack_finite():
         assert abs(rp) <= 1.0
 
 
+@pytest.mark.parametrize("mirror", [
+    HalfSpace(GOLD_DRUDE), HalfSpace(SAPPHIRE_300K), ConstantR(0.9),
+    Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH))],
+    ids=["gold", "sapphire", "constant_r", "sapphire_stack"])
+def test_static_limit_array_equals_scalar(mirror):
+    k = np.geomspace(1.0, 1e7, 41)
+    rs, rp = static_limit_reflection(mirror, k)
+    assert rs.shape == rp.shape == k.shape
+    scalar = [static_limit_reflection(mirror, float(x)) for x in k]
+    assert all(isinstance(v, float) for pair in scalar for v in pair)
+    np.testing.assert_array_equal(rs, [s for s, _ in scalar])
+    np.testing.assert_array_equal(rp, [p for _, p in scalar])
+
+
 def test_reflection_coefficients_dispatch(rng):
     k = rng.uniform(0.0, 2.0 * W_LIH / C, size=50)
     rs, rp = reflection_coefficients(ConstantR(0.7), W_LIH, k)

@@ -1,0 +1,201 @@
+"""The Matsubara (non-resonant) potential against the per-term loop.
+
+The reference below is the per-term form the library used before the sum
+became one k_par integral: one adaptive kappa integral per position and per
+Matsubara term, the j = 0 term from a per-node loop over the scalar static
+reflection coefficient, and a sum truncated once two consecutive terms drop
+below 1e-12 of the running total.  The library must agree with it within
+10 rel_tol of each column's largest value.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+
+from cavitycp import LIH, ThermalEnvironment
+from cavitycp.constants import C, HBAR, K_B, MU_0
+from cavitycp.greens import CavityGeometry, cavity_trace_realfreq
+from cavitycp.materials import (ConstantR, HalfSpace, Stack,
+                                Vacuum, quarter_wave_stack,
+                                reflection_coefficients,
+                                static_limit_reflection)
+from cavitycp.molecules import (matsubara_frequency, photon_number,
+                                polarizability_imag)
+from cavitycp.potential import (LevelScheme, general_state_potential,
+                                nonresonant_potential, resonance_width,
+                                single_plate_components)
+from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
+
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
+
+W_LIH = LIH.transitions[0].omega
+A2 = resonance_width(LIH.transitions[0], 2)
+FAST = QuadratureSpec(rel_tol=1e-7)
+TOL = 10.0 * FAST.rel_tol
+STACK = Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH))
+
+
+# --- reference: the per-term loop -------------------------------------------
+
+def _ref_cavity_trace(z, xi, cavity, spec):
+    """xi^2 Tr G(i xi) in the cavity, or its xi -> 0 limit, by kappa."""
+    a, mirror = cavity.width, cavity.mirror
+    cosh = lambda kappa: 0.5 * (np.exp(-kappa * (a - 2.0 * z))  # noqa: E731
+                                + np.exp(-kappa * (a + 2.0 * z)))
+    if xi == 0.0:
+        def f(kappa):
+            rp0 = np.array([static_limit_reflection(mirror, k)[1]
+                            for k in kappa])
+            decay = np.exp(-2.0 * kappa * a)
+            return -(C**2 / np.pi) * kappa**2 * rp0 \
+                / (1.0 - rp0**2 * decay) * cosh(kappa)
+        val, _ = adaptive_integrate(f, 0.0, 40.0 / (a - 2.0 * abs(z)), spec)
+        return float(np.real(val))
+
+    def f(kappa):
+        k_perp = np.sqrt(kappa**2 - (xi / C) ** 2)
+        rs, rp = reflection_coefficients(mirror, 1j * xi, k_perp,
+                                         beta=1j * kappa)
+        decay = np.exp(-2.0 * kappa * a)
+        bracket = (2.0 * (C * kappa / xi) ** 2 * rp / (1.0 - rp * rp * decay)
+                   - rs / (1.0 - rs * rs * decay)
+                   - rp / (1.0 - rp * rp * decay))
+        return -bracket * cosh(kappa) / (2.0 * np.pi)
+
+    hi = (40.0 + 2.0 * xi * a / C) / (a - 2.0 * abs(z))
+    val, _ = adaptive_integrate(f, xi / C, hi, spec)
+    return xi * xi * complex(val).real
+
+
+def _ref_plate_trace(d, xi, mirror, spec):
+    """xi^2 Tr G(i xi) at distance d from one plate, or its xi -> 0 limit."""
+    if xi == 0.0:
+        def f(kappa):
+            rp0 = np.array([static_limit_reflection(mirror, k)[1]
+                            for k in kappa])
+            return -(C**2 / (2.0 * math.pi)) * kappa**2 * rp0 \
+                * np.exp(-2.0 * kappa * d)
+        val, _ = adaptive_integrate(f, 0.0, 20.0 / d, spec)
+        return float(np.real(val))
+
+    def f(kappa):
+        k_perp = np.sqrt(kappa**2 - (xi / C) ** 2)
+        rs, rp = reflection_coefficients(mirror, 1j * xi, k_perp,
+                                         beta=1j * kappa)
+        bracket = rs + rp - 2.0 * (C * kappa / xi) ** 2 * rp
+        return bracket * np.exp(-2.0 * kappa * d) / (4.0 * np.pi)
+
+    val, _ = adaptive_integrate(f, xi / C, (40.0 + 2.0 * xi * d / C)
+                                / (2.0 * d), spec)
+    return xi * xi * complex(val).real
+
+
+def _ref_matsubara(env, alpha, trace):
+    """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j), stopped once two
+    consecutive terms fall below 1e-12 of the running total."""
+    total = 0.5 * alpha(0.0) * trace(0.0)
+    small = 0
+    for j in range(1, 100_000):
+        xi = matsubara_frequency(j, env)
+        term = alpha(xi) * trace(xi)
+        total += term
+        small = small + 1 if abs(term) <= 1e-12 * abs(total) else 0
+        if small >= 2:
+            break
+    return MU_0 * K_B * env.temperature * total
+
+
+def _ref_nonresonant(z, cavity, env, alpha=None):
+    alpha = alpha or (lambda xi: polarizability_imag(LIH, xi))
+    return _ref_matsubara(env, alpha,
+                          lambda xi: _ref_cavity_trace(z, xi, cavity, FAST))
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.all(np.abs(got - want) <= TOL * np.max(np.abs(want)))
+
+
+# --- cavity ------------------------------------------------------------------
+
+CASES = {
+    "gold_10K": (HalfSpace(GOLD_DRUDE), 10.0),
+    "gold_300K": (HalfSpace(GOLD_DRUDE), 300.0),
+    "constant_r": (ConstantR(0.9), 300.0),
+    "sapphire": (HalfSpace(SAPPHIRE_300K), 300.0),
+    "sapphire_stack": (STACK, 300.0),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_nonresonant_matches_per_term_loop(case):
+    mirror, temperature = CASES[case]
+    env = ThermalEnvironment(temperature)
+    cav = CavityGeometry(width=A2, mirror=mirror)
+    edge = 0.5 * A2 - A2 / 1000.0 if temperature > 10.0 else 0.49 * A2
+    zs = np.array([-edge, -0.3 * A2, -0.1 * A2, 0.0, 0.1 * A2, 0.3 * A2,
+                   edge])
+    got = nonresonant_potential(zs, LIH, cav, env, FAST)
+    want = np.array([_ref_nonresonant(z, cav, env) for z in zs])
+    assert got.shape == zs.shape
+    assert _close(got, want)
+    # parity, and every scalar call equals its array entry
+    assert np.all(np.abs(got - got[::-1]) <= TOL * np.max(np.abs(got)))
+    single = [nonresonant_potential(float(z), LIH, cav, env, FAST)
+              for z in zs[1:3]]
+    assert all(isinstance(u, float) for u in single)
+    assert _close(single, got[1:3])
+
+
+def test_single_plate_matches_per_term_loop(env300):
+    gold = HalfSpace(GOLD_DRUDE)
+    for mirror, d in ((gold, 5e-5), (gold, 2e-6), (STACK, 3e-5)):
+        got = single_plate_components(d, LIH, mirror, env300, FAST).U_nr
+        want = _ref_matsubara(
+            env300, lambda xi: polarizability_imag(LIH, xi),
+            lambda xi: _ref_plate_trace(d, xi, mirror, FAST))
+        assert _close(got, want)
+
+
+def test_general_state_matches_per_state_loop(env300):
+    # three levels with populations in all of them: each state's Matsubara
+    # sum with its own polarizability plus its resonant channels
+    energies = (0.0, W_LIH, 2.5 * W_LIH)
+    d2 = {(0, 1): 3.8e-58, (1, 2): 2.1e-58}
+    scheme = LevelScheme(energies=energies, d_squared=d2)
+    populations = (0.6, 0.3, 0.1)
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    for z in (0.0, -2.2e-4):
+        want = 0.0
+        for n, p_n in enumerate(populations):
+            pairs = [(scheme.coupling(n, k), energies[k] - energies[n])
+                     for k in range(3) if scheme.coupling(n, k) > 0.0]
+
+            def alpha(xi, pairs=pairs):
+                return (2.0 / (3.0 * HBAR)) * sum(
+                    c * w / (w**2 + xi**2) for c, w in pairs)
+
+            u_n = _ref_nonresonant(z, cav, env300, alpha)
+            for c, w in pairs:
+                n_w = photon_number(abs(w), env300)
+                weight = n_w if w > 0 else -(n_w + 1.0)
+                tr = cavity_trace_realfreq(z, abs(w), cav, FAST).total.real
+                u_n += MU_0 / 3.0 * w**2 * weight * c * tr
+            want += p_n * u_n
+        got = general_state_potential(z, scheme, populations, cav, env300,
+                                      FAST)
+        assert got == pytest.approx(want, rel=TOL)
+
+
+# --- term budget -------------------------------------------------------------
+
+def test_term_budget_raises_before_integrating():
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.array([0.0, 0.5 * A2 - A2 / 1000.0])
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"T = 0\.001 K needs J = "
+                       r"\d+ terms at z = 0\.0003369"):
+        nonresonant_potential(zs, LIH, cav, ThermalEnvironment(1e-3), FAST)
+    assert time.perf_counter() - start < 1.0
