@@ -88,6 +88,14 @@ def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
 
+def _setup(args):
+    """(registry, molecule, thermal environment, quadrature spec) of args."""
+    reg = _registry(args)
+    return (reg, _lookup(reg.molecules, args.molecule, "molecule"),
+            ThermalEnvironment(parse_quantity(args.temperature)),
+            _quad_spec(args))
+
+
 def _z_grid(width, points):
     edge = width / 2.0 - width / 1000.0
     if points < 2:
@@ -97,13 +105,10 @@ def _z_grid(width, points):
 
 
 def cmd_profile(args) -> int:
-    reg = _registry(args)
-    mol = _lookup(reg.molecules, args.molecule, "molecule")
+    reg, mol, env, spec = _setup(args)
     mirror = _lookup(reg.mirrors, args.mirror, "mirror")
     width = _resolve_width(args.width, mol)
-    env = ThermalEnvironment(parse_quantity(args.temperature))
     cavity = CavityGeometry(width=width, mirror=mirror)
-    spec = _quad_spec(args)
 
     # the grid and, unless --raw, its z = 0 centre offset share one
     # Matsubara integral and one real-frequency trace per transition
@@ -111,18 +116,15 @@ def cmd_profile(args) -> int:
     u = np.array([nonresonant_potential(zs, mol, cavity, env, spec),
                   *resonant_potential(zs, mol, cavity, env, spec)])
     off = np.zeros(3) if args.raw else u[:, -1]
-    rows = [(z, *(c - off).tolist(), c.sum() - off.sum())
-            for z, c in zip(zs.tolist(), u.T[:args.points])]
+    rows = [(z, *c, sum(c))
+            for z, c in zip(zs.tolist(), (u.T[:args.points] - off).tolist())]
     _emit(rows, ["z_m", "U_nr_J", "U_pr_J", "U_ev_J", "U_total_J"], args)
     return EXIT_OK
 
 
 def cmd_depth(args) -> int:
-    reg = _registry(args)
-    mol = _lookup(reg.molecules, args.molecule, "molecule")
+    reg, mol, env, spec = _setup(args)
     mirror = _lookup(reg.mirrors, args.mirror, "mirror")
-    env = ThermalEnvironment(parse_quantity(args.temperature))
-    spec = _quad_spec(args)
     nus = [int(s) for s in args.nu.split(",") if s.strip()]
     if not nus or any(nu < 1 for nu in nus):
         raise ConfigError("--nu needs a comma-separated list of integers >= 1")
@@ -163,12 +165,9 @@ def cmd_bragg(args) -> int:
 
 
 def cmd_heating(args) -> int:
-    reg = _registry(args)
-    mol = _lookup(reg.molecules, args.molecule, "molecule")
+    reg, mol, env, spec = _setup(args)
     mirror = _lookup(reg.mirrors, args.mirror, "mirror")
     width = _resolve_width(args.width, mol)
-    env = ThermalEnvironment(parse_quantity(args.temperature))
-    spec = _quad_spec(args)
     gamma_free = heating_rate_free(mol, env)
 
     if args.single_plate:
@@ -188,10 +187,7 @@ def cmd_heating(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    reg = _registry(args)
-    mol = _lookup(reg.molecules, args.molecule, "molecule")
-    env = ThermalEnvironment(parse_quantity(args.temperature))
-    spec = _quad_spec(args)
+    _, mol, env, spec = _setup(args)
     t = mol.transitions[0]
     lam = 2.0 * math.pi * C / t.omega
     coupling = photon_number(t.omega, env) * t.d_squared / (3.0 * EPSILON_0)
@@ -240,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cavitycp", parents=[common],
         description="Thermal Casimir-Polder potentials, well depths, and "
                     "heating rates for polar molecules in planar cavities.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored, as is env "
-                        "CAVITYCP_THREADS: grids are evaluated in one "
-                        "batched pass")
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, parents=[common])
 

@@ -1,21 +1,25 @@
 """Scattering Green-tensor trace for a planar cavity and a single plate.
 
-Conventions: identical mirrors at z = +-a/2; the trace integrand is
-(1/2 pi i) * (k_perp / beta) [2 c^2 beta^2/w^2 * r_p/D_p - sum_sigma r_sigma/D_sigma]
-* e^{i beta a} cos(2 beta z), with D_sigma = 1 - r_sigma^2 e^{2 i beta a} and
-beta on the Im >= 0 branch.  At real frequency the integral splits into a
-propagating part (beta real, k_perp < w/c) and an evanescent part
-(beta = i kappa, k_perp > w/c).
+One bracket serves every trace.  Times omega^2 it reads
+B = 2 c^2 beta^2 r_p/D_p - omega^2 sum_sigma r_sigma/D_sigma, with beta on the
+Im >= 0 branch, D_sigma = 1 - r_sigma^2 e^{2 i beta a} between identical
+mirrors at z = +-a/2 and D_sigma = 1 for a single plate.  The trace is
+int dk_perp (k_perp/beta) B/(4 pi i omega^2) sum_p e^{i beta L_p} over the
+paths L = (a - 2z, a + 2z) in a cavity and L = (2d,) at distance d from a
+plate; the plate is thus half the D_sigma = 1 trace at z = 0 with a = 2d.
 
-For frequency-dependent mirrors both parts are individually log-divergent at
-grazing incidence (r_sigma -> -1, D_sigma -> 0 as beta -> 0); the divergent
-piece is position-independent and cancels between the two parts.  Following
-the convention of dropping position-independent terms, each part subtracts
-the same singular term S e^{-x a}/x over a shared range, which leaves every
-emitted quantity finite, keeps the two parts' sum exactly equal to the full
-(finite) trace, and changes each part only by a constant in z.
+At real frequency the integral splits into a propagating part (beta real,
+k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
+cavity of frequency-dependent mirrors both parts are individually
+log-divergent at grazing incidence (r_sigma -> -1, D_sigma -> 0 as beta -> 0);
+the divergent piece is position-independent and cancels between the two
+parts.  Following the convention of dropping position-independent terms, each
+part subtracts the same singular term S e^{-x a}/x over a shared range, which
+leaves every emitted quantity finite, keeps the two parts' sum exactly equal
+to the full (finite) trace, and changes each part only by a constant in z.
 
-At imaginary frequency omega = i xi the trace is real, and every Matsubara
+At imaginary frequency omega = i xi, beta = i kappa, the bracket is real; the
+static term xi = 0 takes the static reflection coefficients.  Every Matsubara
 term and position is integrated over k_perp at once (imagfreq_trace_sum).
 """
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
-    static_limit_reflection
+    static_limit_reflection, transverse_wavenumber
 from .quadrature import QuadratureSpec, adaptive_integrate
 
 __all__ = [
@@ -92,21 +96,36 @@ class GreenTraceParts:
 
 def transverse_beta(omega: complex, k_perp):
     """beta = sqrt(w^2/c^2 - k_perp^2) on the Im beta >= 0 branch."""
-    val = np.sqrt((omega / C) ** 2 - np.asarray(k_perp, dtype=complex) ** 2)
-    return np.where(val.imag < 0, -val, val)
+    return transverse_wavenumber(1.0, omega, k_perp)
 
 
-def _effective_delta(mirror: MirrorSpec, omega: float) -> float:
-    """Resonance sharpness |1 - r_p^2|/2 at normal incidence."""
-    _, rp0 = reflection_coefficients(mirror, omega, np.array([0.0]))
-    return 0.5 * abs(1.0 - complex(rp0[0]) ** 2)
+def _bracket(rs, rp, omega2, beta2, phase):
+    """B = 2 c^2 beta^2 r_p/D_p - omega^2 (r_s/D_s + r_p/D_p) from omega^2 and
+    beta^2, with D_sigma = 1 - r_sigma^2 phase, phase = e^{2 i beta a}, in a
+    cavity and D_sigma = 1 for a single plate (phase None)."""
+    if phase is not None:
+        rs = rs / (1.0 - rs * rs * phase)
+        rp = rp / (1.0 - rp * rp * phase)
+    return 2.0 * C**2 * beta2 * rp - omega2 * (rs + rp)
 
 
-def _resonance_breakpoints(omega: float, a: float, delta_eff: float):
+def _kernel(beta, omega: float, mirror: MirrorSpec, width: Optional[float]):
+    """K = B / (4 pi i omega^2) at real omega along complex beta: beta real
+    for propagating waves, beta = i kappa for evanescent ones."""
+    k_perp = np.sqrt(np.maximum(((omega / C) ** 2 - beta * beta).real, 0.0))
+    rs, rp = reflection_coefficients(mirror, omega, k_perp, beta=beta)
+    phase = None if width is None else np.exp(2j * beta * width)
+    return _bracket(rs, rp, omega**2, beta * beta, phase) \
+        / (4j * np.pi * omega**2)
+
+
+def _resonance_breakpoints(mirror: MirrorSpec, omega: float, a: float):
     """Panel edges for the propagating beta integral: one at each multiple
     of pi/a (where D_sigma is smallest) plus geometric refinement when the
-    resonance is sharp."""
+    resonance is sharp, i.e. |1 - r_p^2|/2 at normal incidence is small."""
     wc = omega / C
+    _, rp0 = reflection_coefficients(mirror, omega, np.array([0.0]))
+    delta_eff = 0.5 * abs(1.0 - complex(rp0[0]) ** 2)
     points = []
     for m in range(1, int(np.floor(wc * a / np.pi + 1e-9)) + 1):
         bm = min(np.pi * m / a, wc)
@@ -116,30 +135,21 @@ def _resonance_breakpoints(omega: float, a: float, delta_eff: float):
             while off > max(delta_eff * wc / 20.0, 1e-13 * wc):
                 points += [bm - off, bm + off]
                 off *= 0.5
-    return [p for p in points if 0 < p < wc]
+    return points
 
 
-def _grazing_coefficient(mirror: MirrorSpec, omega: float, a: float) -> complex:
-    """S = lim_{beta->0} beta * F_pr(beta): the residue-like coefficient of
-    the 1/beta grazing-incidence singularity of the propagating integrand."""
+def _grazing_coefficient(mirror: MirrorSpec, omega: float, a: float,
+                         step: float = 1e-6) -> complex:
+    """S = lim_{beta->0} 2 beta K(beta), the 1/beta grazing singularity of a
+    cavity's propagating integrand.  2 beta K is analytic at beta = 0; two
+    Richardson steps from beta_0 = step * w/c cancel its O(beta_0) error (a
+    1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for gold at
+    beta_0 = 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
     if isinstance(mirror, ConstantR):
         return 0.0 + 0.0j
-    wc = omega / C
-
-    def s_at(beta0):
-        k_perp = np.sqrt(wc**2 - beta0**2)
-        rs, rp = reflection_coefficients(mirror, omega, np.array([k_perp]),
-                                         beta=np.array([beta0 + 0j]))
-        rs, rp = complex(rs[0]), complex(rp[0])
-        phase = np.exp(2j * beta0 * a)
-        dsum = rs / (1.0 - rs * rs * phase) + rp / (1.0 - rp * rp * phase)
-        return beta0 * (-dsum) / (2j * np.pi)
-
-    # S(beta) is analytic at beta = 0; a single Richardson step removes the
-    # O(beta0) error, which would otherwise reappear as a weak 1/beta tail
-    # in the regularized integrand.
-    beta0 = 1e-6 * wc
-    return 2.0 * s_at(0.5 * beta0) - s_at(beta0)
+    beta = step * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
+    s = 2.0 * beta * _kernel(beta, omega, mirror, a)
+    return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
 
 
 def _by_columns(rows, zs, block):
@@ -152,46 +162,28 @@ def _by_columns(rows, zs, block):
     return out
 
 
-def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
-                          spec: QuadratureSpec = QuadratureSpec(),
-                          evanescent: bool = True):
-    """Tr G at real frequency, split into propagating/evanescent parts.
-
-    z is a position or a 1-D array of positions; for an array, every part
-    is an array with one entry per position, each converged to its own
-    tolerance.  The z-independent kernel F(beta) of the propagating integral
-    int F(beta) cos(2 beta z) d beta (and its evanescent analogue with the
-    cosh) is evaluated once per quadrature node for all positions.  With
-    evanescent=False only the propagating part is integrated and the
-    evanescent field is None.
-
-    The result's rule holds (beta, w F): the nodes and Kronrod weights of
-    the propagating integral's final panels times F.  Re sum(w F cos(2 beta
-    z)) reproduces Re Tr G_pr(z) at any z up to the z-independent grazing
-    subtraction, so derivatives in z need no new reflection evaluations.
-    """
-    if not omega > 0:
-        raise ValueError("cavity_trace_realfreq requires omega > 0")
-    scalar, zs = cavity.check_position(z)
-    a, mirror = cavity.width, cavity.mirror
+def _realfreq_trace(zs, omega: float, mirror: MirrorSpec, path: float,
+                    width: Optional[float], spec: QuadratureSpec, evanescent):
+    """(propagating, evanescent, rule): the trace at real omega over the
+    paths path -+ 2z for each z of the array zs, D_sigma set by width as
+    in _bracket.  See cavity_trace_realfreq."""
     wc = omega / C
-    kappa_max = _CUTOFF / (a - 2.0 * np.abs(zs))
+    kappa_max = _CUTOFF / (path - 2.0 * np.abs(zs))
     # the grazing subtraction runs over [0, x_c(z)] for each position
     x_c = np.minimum(wc, kappa_max)
-    s_coef = _grazing_coefficient(mirror, omega, a)
+    if width is None:
+        # D_sigma = 1: no resonances and no grazing singularity
+        s_coef, bps = 0.0, []
+    else:
+        s_coef = _grazing_coefficient(mirror, omega, width)
+        bps = _resonance_breakpoints(mirror, omega, width)
     kernel = {}
 
     def f_prop(beta):
-        k_perp = np.sqrt(np.maximum(wc**2 - beta**2, 0.0))
-        rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                         beta=beta + 0j)
-        phase = np.exp(2j * beta * a)
-        bracket = (2.0 * (C * beta / omega) ** 2 * rp / (1.0 - rp * rp * phase)
-                   - rs / (1.0 - rs * rs * phase)
-                   - rp / (1.0 - rp * rp * phase))
-        f = bracket * np.exp(1j * beta * a) / (2j * np.pi)
+        f = 2.0 * _kernel(beta + 0j, omega, mirror, width) \
+            * np.exp(1j * beta * path)
         kernel.update(zip(beta.tolist(), f.tolist()))
-        grazing = s_coef * np.exp(-beta * a) / beta
+        grazing = s_coef * np.exp(-beta * path) / beta
         return _by_columns(len(beta), zs, lambda z_cols, cols: (
             f[:, None] * np.cos(2.0 * np.outer(beta, z_cols))
             - grazing[:, None] * (beta[:, None] <= x_c[cols])))
@@ -201,12 +193,8 @@ def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
     # precision; start at a small floor and add the residual's (essentially
     # constant) rectangle contribution for [0, x_lo].
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
-
-    delta_eff = _effective_delta(mirror, omega)
-    bps = _resonance_breakpoints(omega, a, delta_eff)
-    bps += [x for x in set(x_c.tolist()) if x < wc]
-    bps = [p for p in bps if p > x_lo]
-    result = adaptive_integrate(f_prop, x_lo, wc, spec, breakpoints=bps)
+    result = adaptive_integrate(f_prop, x_lo, wc, spec,
+                                breakpoints=bps + x_c.tolist())
     prop = result[0]
     nodes, weights = result.rule()
     rule_f = weights * np.array([kernel[b] for b in nodes.tolist()])
@@ -219,35 +207,50 @@ def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
     evan = None
     if evanescent:
         def f_evan(kappa):
-            k_perp = np.sqrt(wc**2 + kappa**2)
-            rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                             beta=1j * kappa)
-            decay = np.exp(-2.0 * kappa * a)
-            bracket = (-2.0 * (C * kappa / omega) ** 2 * rp
-                       / (1.0 - rp * rp * decay)
-                       - rs / (1.0 - rs * rs * decay)
-                       - rp / (1.0 - rp * rp * decay))
-            g = -bracket / (4.0 * np.pi)
-            grazing = s_coef * np.exp(-kappa * a) / kappa
+            g = -1j * _kernel(1j * kappa, omega, mirror, width)
+            grazing = s_coef * np.exp(-kappa * path) / kappa
             return _by_columns(len(kappa), zs, lambda z_cols, cols: (
-                g[:, None] * (np.exp(-np.outer(kappa, a - 2.0 * z_cols))
-                              + np.exp(-np.outer(kappa, a + 2.0 * z_cols)))
+                g[:, None] * (np.exp(-np.outer(kappa, path - 2.0 * z_cols))
+                              + np.exp(-np.outer(kappa, path + 2.0 * z_cols)))
                 + grazing[:, None] * (kappa[:, None] <= x_c[cols])))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.
-        k_hi = kappa_max.max()
-        ev_bps = [x for x in set(x_c.tolist()) if x_lo < x < k_hi]
-        evan, _ = adaptive_integrate(f_evan, x_lo, k_hi, spec,
-                                     breakpoints=ev_bps)
+        evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max.max(), spec,
+                                     breakpoints=x_c.tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
-        if scalar:
-            evan = complex(evan[0])
+    return prop, evan, (nodes, rule_f)
+
+
+def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
+                          spec: QuadratureSpec = QuadratureSpec(),
+                          evanescent: bool = True):
+    """Tr G at real frequency, split into propagating/evanescent parts.
+
+    z is a position or a 1-D array of positions; for an array, every part
+    is an array with one entry per position, each converged to its own
+    tolerance.  The z-independent kernel F(beta) = 2 K(beta) e^{i beta a} of
+    the propagating integral int F(beta) cos(2 beta z) d beta (and its
+    evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is evaluated
+    once per quadrature node for all positions.  With evanescent=False only
+    the propagating part is integrated and the evanescent field is None.
+
+    The result's rule holds (beta, w F): the nodes and Kronrod weights of
+    the propagating integral's final panels times F.  Re sum(w F cos(2 beta
+    z)) reproduces Re Tr G_pr(z) at any z up to the z-independent grazing
+    subtraction, so derivatives in z need no new reflection evaluations.
+    """
+    if not omega > 0:
+        raise ValueError("cavity_trace_realfreq requires omega > 0")
+    scalar, zs = cavity.check_position(z)
+    prop, evan, rule = _realfreq_trace(zs, omega, cavity.mirror,
+                                       cavity.width, cavity.width, spec,
+                                       evanescent)
     if scalar:
         prop = complex(prop[0])
-    return GreenTraceParts(propagating=prop, evanescent=evan,
-                           rule=(nodes, rule_f))
+        evan = None if evan is None else complex(evan[0])
+    return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule)
 
 
 def imagfreq_trace_sum(lengths, xi, weights, terms, mirror: MirrorSpec,
@@ -279,11 +282,8 @@ def imagfreq_trace_sum(lengths, xi, weights, terms, mirror: MirrorSpec,
                                          beta=1j * kappa[:, 1:])
         rs0, rp0 = static_limit_reflection(mirror, k)
         rs, rp = np.column_stack((rs0, rs)), np.column_stack((rp0, rp))
-        if width is not None:
-            decay = np.exp(-2.0 * kappa * width)
-            rs = rs / (1.0 - rs * rs * decay)
-            rp = rp / (1.0 - rp * rp * decay)
-        bracket = xi**2 * (rs + rp) - 2.0 * (C * kappa) ** 2 * rp
+        phase = None if width is None else np.exp(-2.0 * kappa * width)
+        bracket = _bracket(rs, rp, -xi**2, -kappa**2, phase)
         if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):
             raise ArithmeticError("imaginary-frequency trace acquired a "
                                   "spurious imaginary part")
@@ -340,25 +340,15 @@ def zero_frequency_trace_limit(z: float, cavity: CavityGeometry,
 
 def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,
                              spec: QuadratureSpec = QuadratureSpec()):
-    """Propagating/evanescent parts of the single-plate trace at real omega."""
-    if not distance > 0:
-        raise ValueError("distance must be positive")
-    if not omega > 0:
-        raise ValueError("single_plate_trace_parts requires omega > 0")
-    wc = omega / C
-
-    def f(beta):
-        """Integrand over beta; the evanescent part runs along beta = i kappa."""
-        k_perp = np.sqrt(np.maximum((wc**2 - beta**2).real, 0.0))
-        rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                         beta=beta + 0j)
-        bracket = rs + rp - 2.0 * (C * beta / omega) ** 2 * rp
-        return 1j / (4.0 * np.pi) * bracket * np.exp(2j * beta * distance)
-
-    prop, _ = adaptive_integrate(f, 0.0, wc, spec)
-    evan, _ = adaptive_integrate(lambda kappa: -1j * f(1j * kappa), 0.0,
-                                 _CUTOFF / (2.0 * distance), spec)
-    return GreenTraceParts(propagating=complex(prop), evanescent=complex(evan))
+    """Propagating/evanescent parts of the single-plate trace at real omega:
+    the D_sigma = 1 trace at z = 0 with path 2d, where both paths 2d -+ 2z
+    are the plate's one, so half of it."""
+    if not (distance > 0 and omega > 0):
+        raise ValueError("distance and omega must be positive")
+    prop, evan, _ = _realfreq_trace(np.zeros(1), omega, mirror,
+                                    2.0 * distance, None, spec, True)
+    return GreenTraceParts(propagating=0.5 * complex(prop[0]),
+                           evanescent=0.5 * complex(evan[0]))
 
 
 def single_plate_trace(distance: float, omega: complex, mirror: MirrorSpec,

@@ -129,6 +129,36 @@ def transverse_wavenumber(eps, omega, k_perp):
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
+def _recursion(eps, betas, thickness):
+    """(r_s, r_p) of vacuum | medium 1 | ... | medium n in one pass; eps and
+    betas list the media from vacuum on, thickness the n - 1 finite layers.
+    Back to front, r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j)
+    with e_j = e^{2i beta_j d_j}, from the Fresnel pair of the deepest
+    interface.  r_p uses eps_i/eps_j: eps_j = inf (perfect reflector) gives 1.
+    """
+    def fresnel(i):
+        b, b_t, n = betas[i], betas[i + 1], eps[i] / eps[i + 1]
+        return (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
+
+    rs, rp = fresnel(len(thickness))
+    for i in range(len(thickness) - 1, -1, -1):
+        phase = np.exp(2j * betas[i + 1] * thickness[i])
+        us, up = fresnel(i)
+        rs = (us + rs * phase) / (1.0 + us * rs * phase)
+        rp = (up + rp * phase) / (1.0 + up * rp * phase)
+    return rs, rp
+
+
+def _reflection(eps, thickness, omega: complex, k_perp, beta):
+    """_recursion at frequency omega for media of permittivities eps behind
+    vacuum; beta as in fresnel_halfspace."""
+    beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
+        else np.asarray(beta, dtype=complex)
+    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
+                      for e in eps]
+    return _recursion([1.0] + list(eps), betas, thickness)
+
+
 def fresnel_halfspace(eps: complex, omega: complex, k_perp, beta=None):
     """(r_s, r_p) for vacuum / half-space of permittivity eps.
 
@@ -137,51 +167,17 @@ def fresnel_halfspace(eps: complex, omega: complex, k_perp, beta=None):
     integrate over beta may pass it directly; recomputing it from k_perp
     loses all precision near grazing incidence (beta -> 0).
     """
-    if beta is None:
-        beta = transverse_wavenumber(1.0, omega, k_perp)
-    else:
-        beta = np.asarray(beta, dtype=complex)
-    beta_t = sqrt_upper(beta * beta + (eps - 1.0) * (omega / C)**2)
-    r_s = (beta - beta_t) / (beta + beta_t)
-    r_p = (eps * beta - beta_t) / (eps * beta + beta_t)
-    return r_s, r_p
+    return _reflection([eps], [], omega, k_perp, beta)
 
 
 def multilayer_reflection(layers, omega: complex, k_perp, polarization: str,
                           beta=None):
-    """Reflection coefficient of a layered stack fronted by vacuum.
-
-    Back-to-front recursion
-    r_{ij...} = (r_ij + r_{jk...} e^{2i beta_j d_j})
-              / (1 + r_ij r_{jk...} e^{2i beta_j d_j}),
-    seeded with the two-media Fresnel coefficient at the deepest interface.
-    beta, if given, is the exact vacuum transverse wavenumber (see
-    fresnel_halfspace).
-    """
-    if not layers:
-        raise ValueError("multilayer_reflection requires a nonempty stack")
+    """Reflection coefficient of a layered stack fronted by vacuum (see
+    _recursion); beta as in fresnel_halfspace."""
     if polarization not in ("s", "p"):
         raise ValueError(f"polarization must be 's' or 'p', got {polarization!r}")
-    eps = [1.0 + 0.0j] + [permittivity_at(l.material, omega) for l in layers]
-    if beta is None:
-        beta = transverse_wavenumber(1.0, omega, k_perp)
-    else:
-        beta = np.asarray(beta, dtype=complex)
-    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
-                      for e in eps[1:]]
-
-    def r_interface(i, j):
-        if polarization == "s":
-            return (betas[i] - betas[j]) / (betas[i] + betas[j])
-        return ((eps[j] * betas[i] - eps[i] * betas[j])
-                / (eps[j] * betas[i] + eps[i] * betas[j]))
-
-    r = r_interface(len(layers) - 1, len(layers))
-    for i in range(len(layers) - 2, -1, -1):
-        phase = np.exp(2j * betas[i + 1] * layers[i].thickness)
-        r_up = r_interface(i, i + 1)
-        r = (r_up + r * phase) / (1.0 + r_up * r * phase)
-    return r
+    return reflection_coefficients(Stack(tuple(layers)), omega, k_perp,
+                                   beta)["sp".index(polarization)]
 
 
 def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
@@ -211,9 +207,11 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients,
     floats for a scalar k_perp and arrays of its shape for an array.
 
-    r_s vanishes for any half-space or stack.  r_p of a half-space is 1 for a
-    Drude metal and (eps(0)-1)/(eps(0)+1) for a dielectric; a stack runs the
-    p recursion with beta_j -> i k_perp, i.e. phases e^{-2 k_perp d}.
+    A half-space or stack runs _recursion with eps_j(0) and beta_j = i k_perp
+    in every medium.  The Fresnel pairs depend on ratios of the beta_j only,
+    so it runs with beta_j = 1 and thicknesses i k_perp d_j (phases
+    e^{-2 k_perp d_j}), which keeps k_perp = 0 finite.  r_s vanishes; a
+    Drude layer (eps(0) = inf) reflects perfectly, so the stack ends there.
     """
     k_perp = np.asarray(k_perp, dtype=float)
     if isinstance(mirror, ConstantR):
@@ -222,23 +220,14 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
         layers = mirror.layers if isinstance(mirror, Stack) \
             else (Layer(mirror.material, None),)
         eps = [1.0] + [_static_eps(l.material) for l in layers]
-
-        def r_iface(i, j):
-            if np.isinf(eps[j]):
-                return 1.0
-            if np.isinf(eps[i]):
-                return -1.0
-            return (eps[j] - eps[i]) / (eps[j] + eps[i])
-
-        rs = 0.0
-        rp = r_iface(len(layers) - 1, len(layers))
-        for i in range(len(layers) - 2, -1, -1):
-            phase = np.exp(-2.0 * k_perp * layers[i].thickness)
-            r_up = r_iface(i, i + 1)
-            rp = (r_up + rp * phase) / (1.0 + r_up * rp * phase)
+        if np.inf in eps:
+            eps = eps[:eps.index(np.inf) + 1]
+        rs, rp = _recursion(eps, [1.0] * len(eps), [
+            1j * k_perp * l.thickness for l in layers[:len(eps) - 2]])
+    rs, rp = (np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
     if k_perp.ndim == 0:
         return float(rs), float(rp)
-    return np.full(k_perp.shape, rs), np.full(k_perp.shape, rp)
+    return rs, rp
 
 
 def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp,
@@ -254,10 +243,8 @@ def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp,
         r = np.full(np.broadcast_shapes(k_perp.shape, np.shape(omega)),
                     mirror.r, dtype=complex)
         return -r, r
-    if isinstance(mirror, HalfSpace):
-        return fresnel_halfspace(permittivity_at(mirror.material, omega),
-                                 omega, k_perp, beta=beta)
-    return (multilayer_reflection(mirror.layers, omega, k_perp, "s",
-                                  beta=beta),
-            multilayer_reflection(mirror.layers, omega, k_perp, "p",
-                                  beta=beta))
+    layers = mirror.layers if isinstance(mirror, Stack) \
+        else (Layer(mirror.material, None),)
+    return _reflection([permittivity_at(l.material, omega) for l in layers],
+                       [l.thickness for l in layers[:-1]], omega, k_perp,
+                       beta)

@@ -1,22 +1,20 @@
 """Special functions needed by the constant-reflectivity asymptotics.
 
 Everything here is implemented from series plus standard accelerations
-(recurrence lifting, Euler-Maclaurin tails, log-argument expansions) so the
+(recurrence lifting, Euler-Maclaurin tails, integral representations) so the
 library carries no external special-function dependency.  Target accuracy is
 1e-12; physics-level comparisons elsewhere use far looser tolerances.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .constants import EULER_GAMMA, ZETA_3
 from .quadrature import QuadratureSpec, adaptive_integrate
 
-__all__ = ["digamma", "hurwitz_zeta3", "polylog", "shifted_geometric_sum"]
+__all__ = ["digamma", "hurwitz_zeta3", "shifted_geometric_sum"]
 
 
 # Bernoulli numbers B_2 ... B_14 for the digamma asymptotic series.
@@ -57,90 +55,6 @@ def hurwitz_zeta3(b: float) -> float:
             - 1.0 / 12.0 / t**6   # f'''(n)/720 with f''' = -60 t^-6
             + 0.25 / t**8)        # -f^(5)(n)/30240 with f^(5) = -2520 t^-8
     return head + tail
-
-
-# zeta at non-positive integers, for the log-argument polylog expansions
-# (even negative arguments vanish); zeta(-n) = -B_{n+1}/(n+1).
-_ZETA_NEG = {0: -0.5, 1: -1/12, 3: 1/120, 5: -1/252, 7: 1/240,
-             9: -1/132, 11: 691/32760, 13: -1/12, 15: 3617/8160,
-             17: -43867/14364, 19: 174611/6600, 21: -77683/276,
-             23: 236364091/65520}
-_ZETA_2 = math.pi**2 / 6
-
-
-def _zeta_int(k: int) -> float:
-    """zeta(k) for the small set of integer arguments the expansions need."""
-    if k < 0:
-        return _ZETA_NEG.get(-k, 0.0)
-    return {0: -0.5, 2: _ZETA_2, 3: ZETA_3}[k]
-
-
-def _polylog_series(s: int, z: complex) -> complex:
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 100000):
-        term *= z
-        add = term / k**s
-        total += add
-        if abs(add) < 1e-17 * max(abs(total), 1e-30):
-            break
-    return total
-
-
-def _li2_log_branch(z: complex) -> complex:
-    # Li2(e^mu) = zeta(2) + mu(1 - ln(-mu)) + sum_{k>=2} zeta(2-k) mu^k / k!
-    mu = cmath.log(z)
-    total = _ZETA_2 + mu * (1.0 - cmath.log(-mu))
-    fact = 1.0
-    power = mu
-    for k in range(2, 30):
-        power *= mu
-        fact *= k
-        total += _zeta_int(2 - k) * power / fact
-    return total
-
-
-def _li3_log_branch(z: complex) -> complex:
-    # Li3(e^mu) = zeta(3) + zeta(2) mu + mu^2/2 (3/2 - ln(-mu))
-    #           + sum_{k>=3} zeta(3-k) mu^k / k!
-    mu = cmath.log(z)
-    total = ZETA_3 + _ZETA_2 * mu + 0.5 * mu * mu * (1.5 - cmath.log(-mu))
-    fact = 2.0
-    power = mu * mu
-    for k in range(3, 30):
-        power *= mu
-        fact *= k
-        total += _zeta_int(3 - k) * power / fact
-    return total
-
-
-def polylog(s: int, z: complex, _depth: int = 0) -> complex:
-    """Li_s(z) for s in {0, 1, 2, 3} and |z| <= 1 (z != 1 for s <= 1)."""
-    if s not in (0, 1, 2, 3):
-        raise ValueError(f"polylog supports s in {{0,1,2,3}}, got {s}")
-    z = complex(z)
-    if abs(z) > 1 + 1e-14:
-        raise ValueError(f"polylog requires |z| <= 1, got |z| = {abs(z)}")
-    if z == 1 and s <= 1:
-        raise ValueError(f"polylog({s}, 1) diverges")
-    if z == 0:
-        return 0.0 + 0.0j
-    if s == 0:
-        return z / (1.0 - z)
-    if s == 1:
-        return -cmath.log(1.0 - z)
-    if z == 1:
-        return complex(_ZETA_2 if s == 2 else ZETA_3)
-    if abs(z) <= 0.995:
-        return _polylog_series(s, z)
-    if z.real < 0 and _depth < 3:
-        # Square-argument identity Li_s(z) = 2^(1-s) Li_s(z^2) - Li_s(-z):
-        # keeps the log-branch expansions away from ln z ~ i pi, where the
-        # truncated zeta tail would dominate the error.  Depth-limited, as
-        # the argument-doubling orbit need not leave the left half plane.
-        return 2.0 ** (1 - s) * polylog(s, z * z, _depth + 1) \
-            - polylog(s, -z, _depth + 1)
-    return _li2_log_branch(z) if s == 2 else _li3_log_branch(z)
 
 
 def shifted_geometric_sum(b: float, r: float) -> float:

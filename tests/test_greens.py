@@ -12,13 +12,15 @@ import pytest
 
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, cavity_trace_imagfreq,
+from cavitycp.greens import (CavityGeometry, _grazing_coefficient,
+                             cavity_trace_imagfreq,
                              cavity_trace_realfreq, single_plate_trace,
                              single_plate_trace_imagfreq,
                              single_plate_trace_parts, transverse_beta,
                              zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
-                                quarter_wave_stack)
+                                quarter_wave_stack, reflection_coefficients)
+from cavitycp.quadrature import adaptive_integrate
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
 W_LIH = 2.78973e12
@@ -192,3 +194,55 @@ def test_domain_errors(gold, quad):
         single_plate_trace(0.0, W_LIH, gold, quad)
     with pytest.raises(ValueError):
         single_plate_trace(1e-4, complex(1e12, 1e12), gold, quad)
+
+
+# --- reference: the single plate's own integrand ----------------------------
+# The form the library used before the single plate became the D_sigma = 1
+# case of the cavity's real-frequency path: its own integrand over beta and
+# its own two integrals, the evanescent one along beta = i kappa.
+
+def _single_plate_parts_reference(distance, omega, mirror, spec):
+    wc = omega / C
+
+    def f(beta):
+        k_perp = np.sqrt(np.maximum((wc**2 - beta**2).real, 0.0))
+        rs, rp = reflection_coefficients(mirror, omega, k_perp,
+                                         beta=beta + 0j)
+        bracket = rs + rp - 2.0 * (C * beta / omega) ** 2 * rp
+        return 1j / (4.0 * np.pi) * bracket * np.exp(2j * beta * distance)
+
+    prop, _ = adaptive_integrate(f, 0.0, wc, spec)
+    evan, _ = adaptive_integrate(lambda kappa: -1j * f(1j * kappa), 0.0,
+                                 40.0 / (2.0 * distance), spec)
+    return complex(prop), complex(evan)
+
+
+STACK = Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH))
+PLATE_MIRRORS = [HalfSpace(GOLD_DRUDE), HalfSpace(SAPPHIRE_300K), STACK,
+                 ConstantR(0.9)]
+PLATE_IDS = ["gold", "sapphire", "sapphire_stack", "constant_r"]
+
+
+@pytest.mark.parametrize("mirror", PLATE_MIRRORS, ids=PLATE_IDS)
+@pytest.mark.parametrize("d_over_lam", [1 / 8, 1 / 4, 1.0])
+def test_single_plate_matches_reference(mirror, d_over_lam, quad):
+    parts = single_plate_trace_parts(d_over_lam * LAM, W_LIH, mirror,
+                                     quad)
+    ref = _single_plate_parts_reference(d_over_lam * LAM, W_LIH, mirror,
+                                        quad)
+    tol = 10.0 * quad.rel_tol
+    for got, want in zip((parts.propagating, parts.evanescent), ref):
+        assert abs(got - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("mirror", [HalfSpace(GOLD_DRUDE), STACK],
+                         ids=["gold", "sapphire_stack"])
+@pytest.mark.parametrize("nu", [1, 2, 4])
+def test_grazing_coefficient_step_independent(mirror, nu):
+    # S is a limit beta -> 0: the default step beta_0 = 1e-6 w/c and a
+    # ten times larger one agree
+    a = nu * LAM / 2.0
+    s_default = _grazing_coefficient(mirror, W_LIH, a)
+    s_coarse = _grazing_coefficient(mirror, W_LIH, a, step=1e-5)
+    assert s_default != 0
+    assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)

@@ -14,7 +14,8 @@ from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B
 from cavitycp.greens import CavityGeometry
 from cavitycp.config import builtin_materials
-from cavitycp.materials import ConstantR, HalfSpace, Stack, quarter_wave_stack
+from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
+                                quarter_wave_stack)
 from cavitycp.molecules import Molecule, Transition, photon_number
 from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
@@ -22,6 +23,8 @@ from cavitycp.potential import (LevelScheme, general_state_potential,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
                                 single_plate_components, _newton_extrema)
+
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
 W_LIH = LIH.transitions[0].omega
 D2_LIH = LIH.transitions[0].d_squared
@@ -216,3 +219,27 @@ def test_heating_single_plate_far_field(gold, env300, quad):
     # far from the plate the rate relaxes to the free-space value
     far = heating_rate_single_plate(10.0 * LAM, LIH, gold, env300, quad)
     assert far == pytest.approx(heating_rate_free(LIH, env300), rel=0.1)
+
+
+HEATING_MIRRORS = [
+    HalfSpace(GOLD_DRUDE), HalfSpace(SAPPHIRE_300K),
+    Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)),
+    ConstantR(0.9)]
+
+
+@pytest.mark.parametrize("mirror", HEATING_MIRRORS,
+                         ids=["gold", "sapphire", "sapphire_stack",
+                              "constant_r"])
+def test_heating_nonnegative(mirror, env300, quad_fast):
+    # passive mirrors: Gamma(z) >= 0 across a nu = 1, 2 cavity (up to the
+    # wall) and from lam/100 to 2 lam in front of one plate
+    for nu in (1, 2):
+        cav = CavityGeometry(width=resonance_width(LIH.transitions[0], nu),
+                             mirror=mirror)
+        edge = 0.5 * cav.width - cav.width / 1000.0
+        gammas = heating_rate_profile(np.linspace(-edge, edge, 41), LIH, cav,
+                                      env300, quad_fast)
+        assert np.all(gammas >= 0)
+    for d in np.geomspace(LAM / 100.0, 2.0 * LAM, 9):
+        assert heating_rate_single_plate(float(d), LIH, mirror, env300,
+                                         quad_fast) >= 0

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from cavitycp.constants import C  # noqa: E402
 from cavitycp.materials import (ConstantLossy, Drude, HalfSpace,  # noqa: E402
-                                Layer, Stack, Vacuum, quarter_wave_stack,
-                                reflection_coefficients,
-                                static_limit_reflection)
+                                Layer, Stack, Vacuum, permittivity_at,
+                                quarter_wave_stack, reflection_coefficients,
+                                sqrt_upper, static_limit_reflection)
 
 W_LIH = 2.78973e12
 
@@ -84,3 +84,62 @@ def test_array_xi_reflection_equals_per_xi(m, xis, ks):
         rs_j, rp_j = reflection_coefficients(m, 1j * x, k, beta=1j * kappa[:, j])
         np.testing.assert_allclose(rs[:, j], rs_j, rtol=1e-13, atol=1e-300)
         np.testing.assert_allclose(rp[:, j], rp_j, rtol=1e-13, atol=1e-300)
+
+
+# --- reference: one recursion per polarization ------------------------------
+# The form the library used before s and p shared one pass: eps_j and beta_j
+# recomputed for each polarization, r_p written with eps_j beta_i - eps_i
+# beta_j, and a half-space through its own Fresnel formula.
+
+def _per_polarization(m, w, k, beta, pol):
+    layers = m.layers if isinstance(m, Stack) else (Layer(m.material, None),)
+    eps = [1.0 + 0.0j] + [permittivity_at(l.material, w) for l in layers]
+    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (w / C) ** 2)
+                      for e in eps[1:]]
+
+    def r_interface(i, j):
+        if pol == "s":
+            return (betas[i] - betas[j]) / (betas[i] + betas[j])
+        return ((eps[j] * betas[i] - eps[i] * betas[j])
+                / (eps[j] * betas[i] + eps[i] * betas[j]))
+
+    r = r_interface(len(layers) - 1, len(layers))
+    for i in range(len(layers) - 2, -1, -1):
+        phase = np.exp(2j * betas[i + 1] * layers[i].thickness)
+        r_up = r_interface(i, i + 1)
+        r = (r_up + r * phase) / (1.0 + r_up * r * phase)
+    return r
+
+
+@given(mirror, omega, st.floats(0.0, 3.0), st.booleans())
+def test_merged_recursion_matches_per_polarization(m, w, k_scale, imaginary):
+    # s and p from one pass equal the per-polarization recursion, on the
+    # real axis (propagating and evanescent) and on the imaginary axis.  The
+    # 1e-15 floor covers near-transparent media: there r_p is a difference
+    # of nearly equal terms in either form, good to a few ulp of 1 only.
+    k = np.array([k_scale * w / C])
+    freq = 1j * w if imaginary else w
+    beta = 1j * np.sqrt(k**2 + (w / C) ** 2) if imaginary \
+        else np.sqrt((w / C) ** 2 - k**2 + 0j)
+    for pol, r in zip("sp", reflection_coefficients(m, freq, k, beta=beta)):
+        ref = _per_polarization(m, freq, k, beta, pol)
+        assert r[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
+
+
+dielectric_stack = st.builds(
+    lambda a, b, n, w: Stack(quarter_wave_stack(a, b, n, w)),
+    dielectric, st.one_of(dielectric, st.just(Vacuum())),
+    st.integers(1, 8), st.floats(1e11, 1e14))
+
+
+@given(st.one_of(dielectric_stack, st.builds(HalfSpace, dielectric)),
+       st.floats(1e-2, 1e7))
+def test_static_limit_is_imaginary_axis_limit(m, k):
+    # r(i xi) -> r(0) as xi -> 0 for dielectric mirrors; at xi = 1e-8 k c the
+    # remaining O(xi^2/(k c)^2) difference is far below 1e-9
+    xi = 1e-8 * k * C
+    kappa = np.sqrt(k**2 + (xi / C) ** 2)
+    dynamic = reflection_coefficients(m, 1j * xi, np.array([k]),
+                                      beta=np.array([1j * kappa]))
+    for r0, r in zip(static_limit_reflection(m, k), dynamic):
+        assert abs(r[0] - r0) <= 1e-9 * max(abs(r0), 1.0)

@@ -5,12 +5,9 @@ Reference values were generated with an arbitrary-precision library
 series/Euler-Maclaurin based and independent of that library.
 """
 
-import math
-
 import pytest
 
-from cavitycp.specfun import (digamma, hurwitz_zeta3, polylog,
-                              shifted_geometric_sum)
+from cavitycp.specfun import digamma, hurwitz_zeta3, shifted_geometric_sum
 
 DIGAMMA_REF = [
     (0.001, -1000.5755719318103),
@@ -29,23 +26,6 @@ HURWITZ3_REF = [
     (1.0, 1.2020569031595942),
     (2.5, 0.1181020258208637),
     (30.0, 0.0005743826018643),
-]
-
-POLYLOG_REF = [
-    (2, (0.5 + 0j), (0.5822405264650125 + 0j)),
-    (2, (-0.999 + 0j), (-0.8217737896472407 + 0j)),
-    (2, (0.999 + 0j), (1.6370226052761176 + 0j)),
-    (2, (0.4995 + 0.8651593783806542j),
-     (0.2741554277247253 + 1.013894318356393j)),
-    (2, (0.99999 + 0j), (1.644808936992927 + 0j)),
-    (2, (-1 + 0j), (-0.8224670334241132 + 0j)),
-    (3, (0.5 + 0j), (0.5372131936080402 + 0j)),
-    (3, (-0.999 + 0j), (-0.9007201456654272 + 0j)),
-    (3, (0.999 + 0j), (1.2004153539954643 + 0j)),
-    (3, (0.4995 + 0.8651593783806542j),
-     (0.4004113416228474 + 0.9559689227199216j)),
-    (3, (0.99999 + 0j), (1.2020404543873313 + 0j)),
-    (3, (-1 + 0j), (-0.9015426773696957 + 0j)),
 ]
 
 LERCH_REF = [
@@ -91,34 +71,6 @@ def test_hurwitz_zeta3_shift():
 def test_hurwitz_zeta3_domain():
     with pytest.raises(ValueError):
         hurwitz_zeta3(0.0)
-
-
-@pytest.mark.parametrize("s, z, ref", POLYLOG_REF)
-def test_polylog(s, z, ref):
-    assert polylog(s, z) == pytest.approx(ref, rel=1e-12)
-
-
-def test_polylog_closed_forms():
-    z = 0.3 - 0.4j
-    assert polylog(0, z) == pytest.approx(z / (1.0 - z), rel=1e-14)
-    assert polylog(1, z) == pytest.approx(-math.log(abs(1.0 - z))
-                                          - 1j * math.atan2((1 - z).imag,
-                                                            (1 - z).real),
-                                          rel=1e-13)
-
-
-def test_polylog_at_unity():
-    assert polylog(2, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
-    assert polylog(3, 1.0) == pytest.approx(1.2020569031595943, rel=1e-14)
-    with pytest.raises(ValueError):
-        polylog(1, 1.0)
-
-
-def test_polylog_domain():
-    with pytest.raises(ValueError):
-        polylog(4, 0.5)
-    with pytest.raises(ValueError):
-        polylog(2, 1.5)
 
 
 @pytest.mark.parametrize("r, b, ref", LERCH_REF)
