@@ -151,9 +151,18 @@ def _recursion(eps, betas, thickness):
 
 def _reflection(eps, thickness, omega: complex, k_perp, beta):
     """_recursion at frequency omega for media of permittivities eps behind
-    vacuum; beta as in fresnel_halfspace."""
+    vacuum; beta as in fresnel_halfspace.  At beta = 0, where vacuum-index
+    layers give 0/0, the limit is r_s = r_p = -1 if any eps != 1, else 0.
+    """
     beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
         else np.asarray(beta, dtype=complex)
+    grazing = beta == 0
+    if grazing.any():
+        rs, rp = _reflection(eps, thickness, omega, k_perp,
+                             np.where(grazing, 1.0, beta))
+        mirror = np.any([e != 1.0 for e in np.broadcast_arrays(*eps)], axis=0)
+        limit = np.where(mirror, -1.0, 0.0)
+        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
     betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
                       for e in eps]
     return _recursion([1.0] + list(eps), betas, thickness)

@@ -1,9 +1,9 @@
 """Special functions needed by the constant-reflectivity asymptotics.
 
-Everything here is implemented from series plus standard accelerations
-(recurrence lifting, Euler-Maclaurin tails, integral representations) so the
-library carries no external special-function dependency.  Target accuracy is
-1e-12; physics-level comparisons elsewhere use far looser tolerances.
+Digamma and zeta(3, b) come from series with recurrence lifting and
+Euler-Maclaurin tails, the Lerch transcendent from one adaptive integral:
+no external special-function dependency.  Target accuracy is 1e-12;
+physics-level comparisons elsewhere use far looser tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, adaptive_integrate
 
-__all__ = ["digamma", "hurwitz_zeta3", "shifted_geometric_sum"]
+__all__ = ["digamma", "hurwitz_zeta3", "lerch_phi"]
 
 
 # Bernoulli numbers B_2 ... B_14 for the digamma asymptotic series.
@@ -57,49 +57,27 @@ def hurwitz_zeta3(b: float) -> float:
     return head + tail
 
 
-def shifted_geometric_sum(b: float, r: float) -> float:
-    """sum_{j>=0} r^(2j) / (j + b) for b > 0 and 0 <= r < 1.
+_LERCH_SPEC = QuadratureSpec(rel_tol=1e-13)
 
-    Direct summation while the term count stays moderate; for r extremely
-    close to 1 the sum is evaluated through its exact integral
-    representation (1/b) * int_0^1 dw / (1 - r^2 w^(1/b)), whose integrand
-    peak near w = 1 has width ~ b*(1-r^2) and is resolved with geometric
-    breakpoints.
-    """
-    if not b > 0:
-        raise ValueError(f"shifted_geometric_sum requires b > 0, got {b}")
-    if not 0 <= r < 1:
-        raise ValueError(f"shifted_geometric_sum requires 0 <= r < 1, got {r}")
-    if r == 0:
-        return 1.0 / b
-    nterms = int(-37.0 / math.log(r)) + 1  # r^(2j) below ~1e-16*r^... at j*2
-    if nterms <= 20_000_000:
-        total = 0.0
-        start = 0
-        r2 = r * r
-        while start < nterms:
-            stop = min(start + 5_000_000, nterms)
-            j = np.arange(start, stop, dtype=float)
-            total += float(np.sum(np.power(r2, j) / (j + b)))
-            start = stop
-        return total
-    r2 = r * r
-    width = b * (1.0 - r2)
-    bps = []
-    u = width
-    while u < 1.0:
-        bps.append(u)
-        u *= 4.0
 
-    def integrand(u):
-        # substituting u = 1 - w, the denominator
-        # 1 - r^2 w^(1/b) = (1 - r^2) + r^2 (1 - e^{ln(1-u)/b})
-        # is evaluated in log1p/expm1 form so the peak at u -> 0 carries no
-        # catastrophic cancellation.
-        return 1.0 / ((1.0 - r2) - r2 * np.expm1(np.log1p(-u) / b))
+def lerch_phi(delta: float, b: float) -> np.ndarray:
+    """Phi(r^2, s, b) = sum_{j>=0} r^(2j) (j + b)^-s for s = 1, 2, 3, with
+    r = 1 - delta, 0 < delta <= 1 and b > 0, from one vector quadrature of
+    Phi(z, s, b) = Gamma(s)^-1 int_0^inf t^(s-1) e^(-bt) / (1 - z e^(-t)) dt
+    (Erdelyi et al., Higher Transcendental Functions I, 1.11).  Its
+    denominator, (1 - r^2) e^(-t) - expm1(-t) with 1 - r^2 = delta (2 - delta),
+    is exact at its minimum t = 0; geometric breakpoints from 1 - r^2 upward
+    resolve the peak there, and past t = 50/b, e^(-bt) < e^-50."""
+    if not (b > 0 and 0 < delta <= 1):
+        raise ValueError(
+            f"lerch_phi requires b > 0 and 0 < delta <= 1, got {b}, {delta}")
+    gap = delta * (2.0 - delta)
+    hi = 50.0 / b
+    breakpoints = gap * 4.0 ** np.arange(int(math.log(hi / gap, 4.0)) + 1)
 
-    val, _ = adaptive_integrate(
-        integrand, 0.0, 1.0,
-        QuadratureSpec(rel_tol=1e-12, max_subdivisions=6000),
-        breakpoints=bps)
-    return float(np.real(val)) / b
+    def integrand(t):
+        w = np.exp(-b * t) / (gap * np.exp(-t) - np.expm1(-t))
+        return w[:, None] * t[:, None] ** np.arange(3)
+
+    val, _ = adaptive_integrate(integrand, 0.0, hi, _LERCH_SPEC, breakpoints)
+    return val * np.array([1.0, 1.0, 0.5])

@@ -2,9 +2,11 @@
 
 The series and closed forms are cross-checked against direct quadrature of
 the defining oscillatory integral, evaluated here with the package's own
-adaptive integrator over an explicit panel decomposition.
+adaptive integrator over an explicit panel decomposition, against the plain
+term-by-term series, and against mpmath's Lerch transcendent.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,6 +20,51 @@ from cavitycp.constants import ZETA_3
 from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
 
 PHI_TABLE = [(2, -0.1134423724), (3, -0.4015949503), (4, -0.7384479470)]
+LAM = 6.7526e-4
+
+
+def I_phi_plain(cfg, phi):
+    """I(phi) as the plain series, summed term by term until
+    r^(2j) < 1e-16."""
+    r, nu = cfg.r, cfg.nu
+    j = np.arange(int(-16.0 * math.log(10.0) / (2.0 * math.log(r))) + 1.0)
+
+    def y(p):
+        c, s = np.cos(2.0 * np.pi * nu * p), np.sin(2.0 * np.pi * nu * p)
+        return (-2.0 / p**3 + (2.0 / p**3 - 4.0 * nu**2 * np.pi**2 / p) * c
+                + 4.0 * nu * np.pi / p**2 * s)
+
+    return r / (2.0 * np.pi * nu**3 * cfg.lam**3) * float(
+        np.sum(r ** (2.0 * j) * (y(j + 0.5 + phi) + y(j + 0.5 - phi))))
+
+
+@functools.lru_cache(maxsize=None)
+def lerch_mpmath(delta, b):
+    """mpmath's Phi((1 - delta)^2, s, b) for s = 1, 2, 3, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        z = (1 - mpmath.mpf(delta)) ** 2
+        return tuple(mpmath.lerchphi(z, s, b) for s in (1, 2, 3))
+
+
+def I_phi_mpmath(cfg, phi):
+    """I(phi) combined at 30 digits from mpmath's Lerch transcendent."""
+    mpmath = pytest.importorskip("mpmath")
+    nu = cfg.nu
+    with mpmath.workdps(30):
+        total = 0
+        for b in (0.5 + phi, 0.5 - phi):
+            c, s = mpmath.cospi(2 * nu * b), mpmath.sinpi(2 * nu * b)
+            phi1, phi2, phi3 = lerch_mpmath(cfg.delta, b)
+            total += ((2 * c - 2) * phi3 - 4 * nu**2 * mpmath.pi**2 * c * phi1
+                      + 4 * nu * mpmath.pi * s * phi2)
+        return float((1 - mpmath.mpf(cfg.delta)) * total
+                     / (2 * mpmath.pi * nu**3 * mpmath.mpf(cfg.lam) ** 3))
+
+
+def depth_phis(nu):
+    """phi at the well minimum and maximum of the nu-th resonance."""
+    return (0.5 - 1.5 / nu, 0.5 - 1.0 / nu)
 
 
 def I_phi_quadrature(r, nu, a, phi):
@@ -90,6 +137,13 @@ def test_constant_r_cavity_fields():
         ConstantRCavity(r=0.5, nu=0, lam=6.7e-4)
     with pytest.raises(ValueError):
         ConstantRCavity(r=0.5, nu=1, lam=0.0)
+    # the Lerch form of I(phi) needs integer nu
+    with pytest.raises(ValueError):
+        ConstantRCavity(r=0.5, nu=2.5, lam=6.7e-4)
+    # b = 1/2 - |phi| must stay positive; I_half_closed covers phi = 1/2
+    for phi in (0.5, -0.5, 0.7):
+        with pytest.raises(ValueError):
+            I_phi_series(cfg, phi)
 
 
 def test_I_half_closed_value():
@@ -110,6 +164,41 @@ def test_series_vs_quadrature_interior():
     for phi in (0.0, 0.25, 0.4):
         assert I_phi_series(cfg, phi) == pytest.approx(
             I_phi_quadrature(cfg.r, cfg.nu, cfg.a, phi), rel=1e-8)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1, 1e-2, 1e-3])
+def test_series_vs_plain_series(delta):
+    for nu in range(1, 7):
+        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
+        phis = (0.0, 0.1, 0.25, -0.37) + (depth_phis(nu) if nu >= 2 else ())
+        for phi in phis:
+            assert I_phi_series(cfg, phi) == pytest.approx(
+                I_phi_plain(cfg, phi), rel=1e-11)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-8, 1e-12])
+def test_series_vs_mpmath_lerch(delta):
+    pytest.importorskip("mpmath")
+    for nu in (2, 3, 4):
+        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
+        for phi in depth_phis(nu):
+            assert I_phi_series(cfg, phi) == pytest.approx(
+                I_phi_mpmath(cfg, phi), rel=1e-13)
+
+
+def test_depth_intercept_is_printed_closed_form():
+    # Evidence on criterion 1: the exact series' depth at delta = 1e-8 has
+    # intercept phi_eff = -ln delta - (nu lam^3/8 pi) Delta I equal to the
+    # printed closed form phi_nu_printed, not the table value phi_nu (which
+    # is larger by nu/(4(nu - 1))).  ln of cfg.delta: rounding r = 1 - delta
+    # moves ln delta by ~2e-5 at delta = 1e-12.
+    for nu in (2, 3, 4):
+        cfg = ConstantRCavity(r=1.0 - 1e-8, nu=nu, lam=LAM)
+        lo, hi = depth_phis(nu)
+        phi_eff = -math.log(cfg.delta) - nu * LAM**3 / (8.0 * math.pi) * (
+            I_phi_series(cfg, lo) - I_phi_series(cfg, hi))
+        assert phi_eff == pytest.approx(phi_nu_printed(nu), abs=1e-5)
+        assert abs(phi_eff - phi_nu(nu)) > 0.1
 
 
 def test_series_even_in_phi():

@@ -229,6 +229,19 @@ def test_cli_asym(capsys):
     assert float(rows[0]["phi_nu"]) == pytest.approx(-0.1134423724, abs=1e-8)
 
 
+def test_cli_asym_sharp_cavity(capsys):
+    # delta = 1e-8 needs ~1.8e9 terms of the plain series; the Lerch form
+    # of I(phi) answers in milliseconds
+    code, out, _ = run_cli(
+        ["asym", "--nu-min", "2", "--nu-max", "4", "--delta", "1e-8"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["nu"] for r in rows] == ["2", "3", "4"]
+    for r in rows:
+        assert float(r["depth_quadrature_J"]) == pytest.approx(
+            float(r["depth_series_J"]), rel=0.01)
+
+
 def test_cli_config_file(capsys, tmp_path):
     cfg = tmp_path / "reg.cfg"
     cfg.write_text("[mirror:ideal]\ntype = constant_r\nr = 0.9\n")

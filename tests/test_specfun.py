@@ -2,12 +2,14 @@
 
 Reference values were generated with an arbitrary-precision library
 (30 digits) and frozen here; the implementations under test are
-series/Euler-Maclaurin based and independent of that library.
+series/Euler-Maclaurin/quadrature based and independent of that library.
+The Lerch transcendent is also checked live against mpmath where it is
+installed.
 """
 
 import pytest
 
-from cavitycp.specfun import digamma, hurwitz_zeta3, shifted_geometric_sum
+from cavitycp.specfun import digamma, hurwitz_zeta3, lerch_phi
 
 DIGAMMA_REF = [
     (0.001, -1000.5755719318103),
@@ -29,7 +31,7 @@ HURWITZ3_REF = [
 ]
 
 LERCH_REF = [
-    # sum_j r^(2j) / (j + b)
+    # Phi(r^2, 1, b) = sum_j r^(2j) / (j + b), frozen from the float r
     (0.9, 0.4, 3.830801506605565),
     (0.5, 2.0, 0.6029131592284949),
     (0.999999, 0.7, 13.765190437434768),
@@ -74,16 +76,31 @@ def test_hurwitz_zeta3_domain():
 
 
 @pytest.mark.parametrize("r, b, ref", LERCH_REF)
-def test_shifted_geometric_sum(r, b, ref):
-    assert shifted_geometric_sum(b, r) == pytest.approx(ref, rel=1e-11)
+def test_lerch_phi(r, b, ref):
+    assert lerch_phi(1.0 - r, b)[0] == pytest.approx(ref, rel=1e-11)
 
 
-def test_shifted_geometric_sum_r_zero():
-    assert shifted_geometric_sum(2.5, 0.0) == pytest.approx(0.4, rel=1e-15)
+def test_lerch_phi_delta_one():
+    # r = 0: only the j = 0 term, b^-s
+    for b in (0.3, 2.5):
+        assert lerch_phi(1.0, b) == pytest.approx(
+            [b**-1, b**-2, b**-3], rel=1e-15)
 
 
-def test_shifted_geometric_sum_domain():
-    with pytest.raises(ValueError):
-        shifted_geometric_sum(0.0, 0.5)
-    with pytest.raises(ValueError):
-        shifted_geometric_sum(1.0, 1.0)
+def test_lerch_phi_domain():
+    for b in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            lerch_phi(0.5, b)
+    for delta in (0.0, -1e-3, 1.5):
+        with pytest.raises(ValueError):
+            lerch_phi(delta, 1.0)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 1e-2, 1e-5, 1e-8, 1e-12])
+def test_lerch_phi_vs_mpmath(delta):
+    mpmath = pytest.importorskip("mpmath")
+    for b in (0.01, 1 / 6, 0.5, 1.25, 3.0):
+        with mpmath.workdps(30):
+            z = (1 - mpmath.mpf(delta)) ** 2
+            ref = [float(mpmath.lerchphi(z, s, b)) for s in (1, 2, 3)]
+        assert lerch_phi(delta, b) == pytest.approx(ref, rel=1e-13)
