@@ -16,12 +16,12 @@ import numpy as np
 
 from .config import ConfigError, Registry, load_registry, parse_quantity
 from .constants import C, EPSILON_0
-from .greens import CavityGeometry
+from .greens import CavityGeometry, PlateGeometry
 from .materials import ConstantR, multilayer_reflection, quarter_wave_stack
 from .molecules import ThermalEnvironment, photon_number
-from .potential import heating_rate_free, \
-    heating_rate_profile, heating_rate_single_plate, nonresonant_potential, \
-    potential_depth, resonance_width, resonant_potential
+from .potential import heating_rate_free, heating_rate_profile, \
+    nonresonant_potential, potential_depth, resonance_width, \
+    resonant_potential
 from .quadrature import QuadratureError, QuadratureSpec
 from . import asymptotics
 
@@ -96,12 +96,19 @@ def _setup(args):
             _quad_spec(args))
 
 
-def _z_grid(width, points):
-    edge = width / 2.0 - width / 1000.0
+def _grid(lo, hi, points):
+    """points evenly spaced values from lo up to hi."""
     if points < 2:
         raise ConfigError("grid needs at least 2 points")
-    step = 2.0 * edge / (points - 1)
-    return [-edge + i * step for i in range(points)]
+    if not lo < hi:
+        raise ConfigError(f"grid must ascend, but runs from {lo} m to {hi} m")
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points)]
+
+
+def _z_grid(width, points):
+    edge = width / 2.0 - width / 1000.0
+    return _grid(-edge, edge, points)
 
 
 def cmd_profile(args) -> int:
@@ -172,15 +179,12 @@ def cmd_heating(args) -> int:
 
     if args.single_plate:
         lam = 2.0 * math.pi * C / mol.transitions[0].omega
-        lo, hi = lam / 100.0, width
-        step = (hi - lo) / (args.points - 1)
-        grid = [lo + i * step for i in range(args.points)]
-        gammas = [heating_rate_single_plate(d, mol, mirror, env, spec)
-                  for d in grid]
+        geometry = PlateGeometry(mirror)
+        grid = _grid(lam / 100.0, width, args.points)
     else:
-        cavity = CavityGeometry(width=width, mirror=mirror)
+        geometry = CavityGeometry(width=width, mirror=mirror)
         grid = _z_grid(width, args.points)
-        gammas = heating_rate_profile(np.array(grid), mol, cavity, env, spec)
+    gammas = heating_rate_profile(np.array(grid), mol, geometry, env, spec)
     rows = [(z, float(g), gamma_free) for z, g in zip(grid, gammas)]
     _emit(rows, ["z_m", "gamma_per_s", "gamma_free_per_s"], args)
     return EXIT_OK

@@ -5,8 +5,10 @@ B = 2 c^2 beta^2 r_p/D_p - omega^2 sum_sigma r_sigma/D_sigma, with beta on the
 Im >= 0 branch, D_sigma = 1 - r_sigma^2 e^{2 i beta a} between identical
 mirrors at z = +-a/2 and D_sigma = 1 for a single plate.  The trace is
 int dk_perp (k_perp/beta) B/(4 pi i omega^2) sum_p e^{i beta L_p} over the
-paths L = (a - 2z, a + 2z) in a cavity and L = (2d,) at distance d from a
-plate; the plate is thus half the D_sigma = 1 trace at z = 0 with a = 2d.
+paths L = (a - 2z, a + 2z) of a CavityGeometry and L = (2d,) at distance d
+from a PlateGeometry.  Every function batches over either's positions; the
+two differ only in D_sigma and in how they factor the propagating phase
+sum_p e^{i beta L_p} into node_phase and position_phase.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -36,10 +38,9 @@ from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
 from .quadrature import QuadratureSpec, adaptive_integrate
 
 __all__ = [
-    "CavityGeometry", "GreenTraceParts", "transverse_beta",
+    "CavityGeometry", "PlateGeometry", "GreenTraceParts", "transverse_beta",
     "cavity_trace_imagfreq", "cavity_trace_realfreq",
-    "single_plate_trace", "single_plate_trace_parts",
-    "single_plate_trace_imagfreq", "zero_frequency_trace_limit",
+    "single_plate_trace_parts", "zero_frequency_trace_limit",
     "imagfreq_trace_sum",
 ]
 
@@ -62,22 +63,56 @@ class CavityGeometry:
             raise ValueError("cavity width must be positive")
 
     def check_position(self, z):
-        """(scalar, zs): z, a position or a 1-D array of positions, as a 1-D
-        array, and whether it was a scalar.  Raises ValueError unless every
-        position lies inside."""
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        if zs.ndim != 1:
-            raise ValueError("z must be a position or a 1-D array of "
-                             "positions")
-        outside = ~(np.abs(zs) < 0.5 * self.width)
-        if np.any(outside):
-            raise ValueError(f"position z = {zs[outside][0]} outside "
-                             f"cavity of width {self.width}")
-        return np.ndim(z) == 0, zs
+        """(scalar, zs): z, a position or a 1-D array of them, as a 1-D array
+        and whether it was a scalar; ValueError unless all lie inside."""
+        return _positions(z, lambda zs: np.abs(zs) < 0.5 * self.width,
+                          f"outside cavity of width {self.width}")
 
     def decay_lengths(self, zs):
-        """(a - 2z, a + 2z) at positions zs: the paths of imagfreq_trace_sum."""
+        """(a - 2z, a + 2z) at positions zs: the paths L_p."""
         return np.array([self.width - 2.0 * zs, self.width + 2.0 * zs])
+
+    def node_phase(self, beta):
+        """2 e^{i beta a}, the z-independent factor of sum_p e^{i beta L_p}."""
+        return 2.0 * np.exp(1j * beta * self.width)
+
+    def position_phase(self, beta, zs):
+        """cos(2 beta z), the rest of it: one real cos per (node, z)."""
+        return np.cos(2.0 * np.outer(beta, zs))
+
+
+@dataclass(frozen=True)
+class PlateGeometry:
+    """A single plate; its positions are distances d > 0 from it."""
+    mirror: MirrorSpec
+    width = None    # no second wall: D_sigma = 1
+
+    def check_position(self, d):
+        """As CavityGeometry.check_position, for distances d > 0."""
+        return _positions(d, lambda ds: ds > 0, "is not a positive distance")
+
+    def decay_lengths(self, ds):
+        """(2d,) at distances ds: the one path L_p."""
+        return np.array([2.0 * ds])
+
+    def node_phase(self, beta):
+        """1: the plate's phase depends on d alone."""
+        return 1.0
+
+    def position_phase(self, beta, ds):
+        """e^{2 i beta d} per (node, distance)."""
+        return np.exp(2j * np.outer(beta, ds))
+
+
+def _positions(z, inside, what):
+    """(scalar, zs) of z; ValueError unless z is 0-/1-D and inside(zs)."""
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    if zs.ndim != 1:
+        raise ValueError("z must be a position or a 1-D array of positions")
+    bad = ~inside(zs)
+    if np.any(bad):
+        raise ValueError(f"position z = {zs[bad][0]} {what}")
+    return np.ndim(z) == 0, zs
 
 
 @dataclass
@@ -162,31 +197,35 @@ def _by_columns(rows, zs, block):
     return out
 
 
-def _realfreq_trace(zs, omega: float, mirror: MirrorSpec, path: float,
-                    width: Optional[float], spec: QuadratureSpec, evanescent):
-    """(propagating, evanescent, rule): the trace at real omega over the
-    paths path -+ 2z for each z of the array zs, D_sigma set by width as
-    in _bracket.  See cavity_trace_realfreq."""
+def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
+                    evanescent):
+    """(propagating, evanescent, rule): the trace at real omega at each
+    position of the array zs.  See cavity_trace_realfreq."""
+    mirror, width = geometry.mirror, geometry.width
     wc = omega / C
-    kappa_max = _CUTOFF / (path - 2.0 * np.abs(zs))
+    kappa_max = _CUTOFF / geometry.decay_lengths(zs).min(axis=0)
     # the grazing subtraction runs over [0, x_c(z)] for each position
     x_c = np.minimum(wc, kappa_max)
     if width is None:
         # D_sigma = 1: no resonances and no grazing singularity
-        s_coef, bps = 0.0, []
+        s_coef, bps, grazing = 0.0, [], np.zeros_like
     else:
         s_coef = _grazing_coefficient(mirror, omega, width)
         bps = _resonance_breakpoints(mirror, omega, width)
+
+        def grazing(x):
+            """S e^{-x a}/x, subtracted below each position's x_c."""
+            return s_coef * np.exp(-x * width) / x
     kernel = {}
 
     def f_prop(beta):
-        f = 2.0 * _kernel(beta + 0j, omega, mirror, width) \
-            * np.exp(1j * beta * path)
+        f = _kernel(beta + 0j, omega, mirror, width) \
+            * geometry.node_phase(beta)
         kernel.update(zip(beta.tolist(), f.tolist()))
-        grazing = s_coef * np.exp(-beta * path) / beta
+        sub = grazing(beta)
         return _by_columns(len(beta), zs, lambda z_cols, cols: (
-            f[:, None] * np.cos(2.0 * np.outer(beta, z_cols))
-            - grazing[:, None] * (beta[:, None] <= x_c[cols])))
+            f[:, None] * geometry.position_phase(beta, z_cols)
+            - sub[:, None] * (beta[:, None] <= x_c[cols])))
 
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
@@ -208,11 +247,11 @@ def _realfreq_trace(zs, omega: float, mirror: MirrorSpec, path: float,
     if evanescent:
         def f_evan(kappa):
             g = -1j * _kernel(1j * kappa, omega, mirror, width)
-            grazing = s_coef * np.exp(-kappa * path) / kappa
+            sub = grazing(kappa)
             return _by_columns(len(kappa), zs, lambda z_cols, cols: (
-                g[:, None] * (np.exp(-np.outer(kappa, path - 2.0 * z_cols))
-                              + np.exp(-np.outer(kappa, path + 2.0 * z_cols)))
-                + grazing[:, None] * (kappa[:, None] <= x_c[cols])))
+                g[:, None] * sum(np.exp(-np.outer(kappa, lp))
+                                 for lp in geometry.decay_lengths(z_cols))
+                + sub[:, None] * (kappa[:, None] <= x_c[cols])))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.
@@ -223,52 +262,52 @@ def _realfreq_trace(zs, omega: float, mirror: MirrorSpec, path: float,
     return prop, evan, (nodes, rule_f)
 
 
-def cavity_trace_realfreq(z, omega: float, cavity: CavityGeometry,
+def cavity_trace_realfreq(z, omega: float, cavity,
                           spec: QuadratureSpec = QuadratureSpec(),
                           evanescent: bool = True):
     """Tr G at real frequency, split into propagating/evanescent parts.
 
+    cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
     z is a position or a 1-D array of positions; for an array, every part
     is an array with one entry per position, each converged to its own
-    tolerance.  The z-independent kernel F(beta) = 2 K(beta) e^{i beta a} of
-    the propagating integral int F(beta) cos(2 beta z) d beta (and its
-    evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is evaluated
-    once per quadrature node for all positions.  With evanescent=False only
-    the propagating part is integrated and the evanescent field is None.
+    tolerance.  The z-independent kernel F(beta) = K(beta) node_phase(beta)
+    of the propagating integral int F(beta) position_phase(beta, z) d beta
+    (and its evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is
+    evaluated once per quadrature node for all positions.  With
+    evanescent=False the evanescent field is None.
 
     The result's rule holds (beta, w F): the nodes and Kronrod weights of
-    the propagating integral's final panels times F.  Re sum(w F cos(2 beta
-    z)) reproduces Re Tr G_pr(z) at any z up to the z-independent grazing
-    subtraction, so derivatives in z need no new reflection evaluations.
+    the propagating integral's final panels times F.  In a cavity,
+    Re sum(w F cos(2 beta z)) reproduces Re Tr G_pr(z) at any z up to the
+    z-independent grazing subtraction, so derivatives in z need no new
+    reflection evaluations.
     """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
     scalar, zs = cavity.check_position(z)
-    prop, evan, rule = _realfreq_trace(zs, omega, cavity.mirror,
-                                       cavity.width, cavity.width, spec,
-                                       evanescent)
+    prop, evan, rule = _realfreq_trace(zs, omega, cavity, spec, evanescent)
     if scalar:
         prop = complex(prop[0])
         evan = None if evan is None else complex(evan[0])
     return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule)
 
 
-def imagfreq_trace_sum(lengths, xi, weights, terms, mirror: MirrorSpec,
-                       width: Optional[float] = None,
+def imagfreq_trace_sum(geometry, zs, xi, weights, terms,
                        spec: QuadratureSpec = QuadratureSpec()):
-    """sum_{j < terms[i]} weights[j] xi_j^2 Tr G(i xi_j) at each position i.
+    """sum_{j < terms[i]} weights[j] xi_j^2 Tr G(i xi_j) at each position
+    zs[i] of a CavityGeometry or PlateGeometry.
 
-    Position i's trace carries sum_p e^{-kappa lengths[p, i]}: (a - 2z,
-    a + 2z) in a cavity of width a, (2d,) at distance d from a single plate
-    (width None).  xi ascends from xi[0] = 0, the static limit; xi and
+    Position i's trace carries sum_p e^{-kappa L_p} over the geometry's
+    decay_lengths.  xi ascends from xi[0] = 0, the static limit; xi and
     weights hold terms.max() entries.  One vector integral over k_par, with
     kappa_j = sqrt(k_par^2 + xi_j^2/c^2), covers all terms and positions:
     reflection coefficients and bracket are evaluated once per (node, xi_j),
     and the sum over j is done per node.  Position i's range ends where each
     of its terms has decayed by e^-CUTOFF from its value at k_par = 0.
     """
-    lengths, xi, weights = (np.asarray(v, dtype=float)
-                            for v in (lengths, xi, weights))
+    lengths = geometry.decay_lengths(np.asarray(zs, dtype=float))
+    xi, weights = (np.asarray(v, dtype=float) for v in (xi, weights))
+    mirror, width = geometry.mirror, geometry.width
     terms = np.asarray(terms)
     q = _CUTOFF / lengths.min(axis=0)
     k_max = np.sqrt(q * (q + 2.0 * xi[terms - 1] / C))
@@ -313,62 +352,30 @@ def imagfreq_trace_sum(lengths, xi, weights, terms, mirror: MirrorSpec,
     return val / (4.0 * np.pi)
 
 
-def cavity_trace_imagfreq(z: float, xi: float, cavity: CavityGeometry,
+def cavity_trace_imagfreq(z: float, xi: float, cavity,
                           spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Tr G at omega = i xi (real-valued); xi > 0."""
+    """Tr G at omega = i xi (real-valued), xi > 0; cavity or plate."""
     if not xi > 0:
         raise ValueError("cavity_trace_imagfreq requires xi > 0; "
                          "use zero_frequency_trace_limit for xi = 0")
     _, zs = cavity.check_position(z)
-    return float(imagfreq_trace_sum(cavity.decay_lengths(zs), [0.0, xi],
-                                    [0.0, xi**-2], [2], cavity.mirror,
-                                    cavity.width, spec)[0])
+    return float(imagfreq_trace_sum(cavity, zs, [0.0, xi], [0.0, xi**-2],
+                                    [2], spec)[0])
 
 
-def zero_frequency_trace_limit(z: float, cavity: CavityGeometry,
+def zero_frequency_trace_limit(z: float, cavity,
                                spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """lim_{xi -> 0} xi^2 * Tr G(i xi): the j = 0 Matsubara ingredient.
+    """lim_{xi -> 0} xi^2 * Tr G(i xi) (cavity or plate): the j = 0 term.
 
     Only the p channel survives, with its static reflection coefficient:
     -(c^2/pi) * int_0^inf dk k^2 r_p(0)/(1 - r_p(0)^2 e^{-2 k a})
     * e^{-k a} cosh(2 k z).  Negative for r_p(0) > 0 (attractive wall term).
     """
     _, zs = cavity.check_position(z)
-    return float(imagfreq_trace_sum(cavity.decay_lengths(zs), [0.0], [1.0],
-                                    [1], cavity.mirror, cavity.width, spec)[0])
+    return float(imagfreq_trace_sum(cavity, zs, [0.0], [1.0], [1], spec)[0])
 
 
 def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,
                              spec: QuadratureSpec = QuadratureSpec()):
-    """Propagating/evanescent parts of the single-plate trace at real omega:
-    the D_sigma = 1 trace at z = 0 with path 2d, where both paths 2d -+ 2z
-    are the plate's one, so half of it."""
-    if not (distance > 0 and omega > 0):
-        raise ValueError("distance and omega must be positive")
-    prop, evan, _ = _realfreq_trace(np.zeros(1), omega, mirror,
-                                    2.0 * distance, None, spec, True)
-    return GreenTraceParts(propagating=0.5 * complex(prop[0]),
-                           evanescent=0.5 * complex(evan[0]))
-
-
-def single_plate_trace(distance: float, omega: complex, mirror: MirrorSpec,
-                       spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Single-plate trace; real omega or purely imaginary omega = i xi."""
-    omega = complex(omega)
-    if omega.real > 0 and omega.imag == 0:
-        return single_plate_trace_parts(distance, omega.real, mirror,
-                                        spec).total
-    if omega.real == 0 and omega.imag > 0:
-        return complex(single_plate_trace_imagfreq(distance, omega.imag,
-                                                   mirror, spec))
-    raise ValueError("omega must be real positive or positive imaginary")
-
-
-def single_plate_trace_imagfreq(distance: float, xi: float, mirror: MirrorSpec,
-                                spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Single-plate trace at omega = i xi (real-valued)."""
-    if not (distance > 0 and xi > 0):
-        raise ValueError("distance and xi must be positive")
-    return float(imagfreq_trace_sum([[2.0 * distance]], [0.0, xi],
-                                    [0.0, xi**-2], [2], mirror,
-                                    spec=spec)[0])
+    """cavity_trace_realfreq at distance from a PlateGeometry(mirror)."""
+    return cavity_trace_realfreq(distance, omega, PlateGeometry(mirror), spec)

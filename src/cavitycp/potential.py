@@ -12,6 +12,8 @@ term, j = 0 included (greens.imagfreq_trace_sum).  Position z keeps
 J(z) = 2 + ceil(40 c / (xi_1 gap)) terms, gap = a - 2|z| in a cavity and 2d
 near one plate, so the dropped terms carry e^{-xi_j gap / c} < e^-40; J(z)
 above 100 000 raises ArithmeticError before any integration.
+
+Each cavity argument is a CavityGeometry or a PlateGeometry (z = distance).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, cavity_trace_realfreq, \
-    imagfreq_trace_sum, single_plate_trace_parts
+from .greens import _CUTOFF, CavityGeometry, PlateGeometry, \
+    cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -35,7 +37,6 @@ __all__ = [
     "nonresonant_potential", "resonant_potential", "potential_components",
     "single_plate_components", "general_state_potential", "resonance_width",
     "potential_depth", "heating_rate_free", "heating_rate_profile",
-    "heating_rate_single_plate",
 ]
 
 # Largest Matsubara term count any position may take.
@@ -72,70 +73,63 @@ class ExtremumReport:
     is_well_depth: bool    # False for nu = 1, where no minimum exists
 
 
-def _nonresonant(lengths, where, mirror: MirrorSpec, width, alpha,
-                 env: ThermalEnvironment, spec: QuadratureSpec):
-    """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position,
-    named by where in errors (lengths, width: see imagfreq_trace_sum)."""
+def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
+                 spec: QuadratureSpec):
+    """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position of
+    the array zs (see imagfreq_trace_sum)."""
     xi1 = matsubara_frequency(1, env)
-    need = 2.0 + np.ceil(_CUTOFF * C / (xi1 * np.min(lengths, axis=0)))
+    gap = geometry.decay_lengths(zs).min(axis=0)
+    need = 2.0 + np.ceil(_CUTOFF * C / (xi1 * gap))
     if need.max() > _J_MAX:
         i = int(np.argmax(need))
         raise ArithmeticError(
             f"Matsubara sum at T = {env.temperature} K needs J = "
-            f"{need[i]:.0f} terms at z = {where[i]} m, above the budget of "
+            f"{need[i]:.0f} terms at z = {zs[i]} m, above the budget of "
             f"{_J_MAX}")
     terms = need.astype(int)
     xi = xi1 * np.arange(terms.max())
     weights = alpha(xi)
     weights[0] *= 0.5
     return MU_0 * K_B * env.temperature * imagfreq_trace_sum(
-        lengths, xi, weights, terms, mirror, width, spec)
+        geometry, zs, xi, weights, terms, spec)
 
 
-def _resonant(trace, mol: Molecule, env: ThermalEnvironment):
-    """(U_pr, U_ev) from trace(omega) -> GreenTraceParts per transition."""
+def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
+                          spec: QuadratureSpec = QuadratureSpec()):
+    """Matsubara-sum (non-resonant) potential in a cavity or at a plate.
+
+    z is a position or a 1-D array of positions (array out).  All positions
+    and terms, the half-weight static j = 0 term included, share one k_par
+    integral; z keeps J(z) = 2 + ceil(40 c / (xi_1 gap)) terms (an e^-40
+    truncation), and J(z) above 100 000 raises ArithmeticError.
+    """
+    scalar, zs = cavity.check_position(z)
+    u = _nonresonant(cavity, zs, lambda xi: polarizability_imag(mol, xi),
+                     env, spec)
+    return float(u[0]) if scalar else u
+
+
+def resonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
+                       spec: QuadratureSpec = QuadratureSpec()):
+    """(U_pr, U_ev): the resonant potential in a cavity or at a plate.
+
+    z may be a 1-D array of positions; each part is then an array, from one
+    batched trace per transition.
+    """
     u_pr = u_ev = 0.0
     for t in mol.transitions:
         weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
             * t.d_squared
-        parts = trace(t.omega)
+        parts = cavity_trace_realfreq(z, t.omega, cavity, spec)
         u_pr += weight * parts.propagating.real
         u_ev += weight * parts.evanescent.real
     return u_pr, u_ev
 
 
-def nonresonant_potential(z, mol: Molecule, cavity: CavityGeometry,
-                          env: ThermalEnvironment,
-                          spec: QuadratureSpec = QuadratureSpec()):
-    """Matsubara-sum (non-resonant) part of the ground-state potential.
-
-    z is a position or a 1-D array of positions (array out).  All positions
-    and terms, the half-weight static j = 0 term included, share one k_par
-    integral; z keeps J(z) = 2 + ceil(40 c / (xi_1 (a - 2|z|))) terms (an
-    e^-40 truncation), and J(z) above 100 000 raises ArithmeticError.
-    """
-    scalar, zs = cavity.check_position(z)
-    u = _nonresonant(cavity.decay_lengths(zs), zs, cavity.mirror,
-                     cavity.width, lambda xi: polarizability_imag(mol, xi),
-                     env, spec)
-    return float(u[0]) if scalar else u
-
-
-def resonant_potential(z, mol: Molecule, cavity: CavityGeometry,
-                       env: ThermalEnvironment,
-                       spec: QuadratureSpec = QuadratureSpec()):
-    """(U_pr, U_ev): the real-frequency (resonant) part of the potential.
-
-    z may be a 1-D array of positions; each part is then an array, from one
-    batched trace per transition.
-    """
-    return _resonant(lambda w: cavity_trace_realfreq(z, w, cavity, spec),
-                     mol, env)
-
-
-def potential_components(z: float, mol: Molecule, cavity: CavityGeometry,
+def potential_components(z: float, mol: Molecule, cavity,
                          env: ThermalEnvironment,
                          spec: QuadratureSpec = QuadratureSpec()):
+    """The three-way split at z in a cavity, or at distance z from a plate."""
     u_nr = nonresonant_potential(z, mol, cavity, env, spec)
     u_pr, u_ev = resonant_potential(z, mol, cavity, env, spec)
     return PotentialComponents(z=z, U_nr=u_nr, U_pr=u_pr, U_ev=u_ev)
@@ -144,16 +138,9 @@ def potential_components(z: float, mol: Molecule, cavity: CavityGeometry,
 def single_plate_components(distance: float, mol: Molecule,
                             mirror: MirrorSpec, env: ThermalEnvironment,
                             spec: QuadratureSpec = QuadratureSpec()):
-    """Potential components at a given distance from a single plate."""
-    if not distance > 0:
-        raise ValueError("distance must be positive")
-    u_nr = _nonresonant([[2.0 * distance]], [distance], mirror, None,
-                        lambda xi: polarizability_imag(mol, xi), env, spec)
-    u_pr, u_ev = _resonant(
-        lambda w: single_plate_trace_parts(distance, w, mirror, spec),
-        mol, env)
-    return PotentialComponents(z=distance, U_nr=float(u_nr[0]), U_pr=u_pr,
-                               U_ev=u_ev)
+    """potential_components at distance from a PlateGeometry(mirror)."""
+    return potential_components(distance, mol, PlateGeometry(mirror), env,
+                                spec)
 
 
 @dataclass(frozen=True)
@@ -172,10 +159,10 @@ class LevelScheme:
 
 
 def general_state_potential(z: float, scheme: LevelScheme,
-                            populations: Sequence[float],
-                            cavity: CavityGeometry, env: ThermalEnvironment,
+                            populations: Sequence[float], cavity,
+                            env: ThermalEnvironment,
                             spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Population-weighted potential for an incoherent mixture of states."""
+    """Potential of an incoherent mixture of states, cavity or plate."""
     populations = list(populations)
     if len(populations) != len(scheme.energies):
         raise ValueError("one population per level required")
@@ -199,8 +186,7 @@ def general_state_potential(z: float, scheme: LevelScheme,
             np.zeros_like(xi))
 
     _, zs = cavity.check_position(z)
-    total = float(_nonresonant(cavity.decay_lengths(zs), zs, cavity.mirror,
-                               cavity.width, alpha, env, spec)[0])
+    total = float(_nonresonant(cavity, zs, alpha, env, spec)[0])
     for p_n, pairs in levels:
         for d2, w_kn in pairs:
             w_abs = abs(w_kn)
@@ -321,30 +307,16 @@ def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:
                                             * EPSILON_0)
 
 
-def _heating(trace, mol: Molecule, env: ThermalEnvironment):
-    """Gamma_0 plus the change from Im trace(omega), per transition."""
-    gamma = heating_rate_free(mol, env)
-    for t in mol.transitions:
-        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
-            * photon_number(t.omega, env) * trace(t.omega).total.imag
-    return gamma
-
-
-def heating_rate_profile(z, mol: Molecule, cavity: CavityGeometry,
-                         env: ThermalEnvironment,
+def heating_rate_profile(z, mol: Molecule, cavity, env: ThermalEnvironment,
                          spec: QuadratureSpec = QuadratureSpec()):
-    """Gamma(z) = Gamma_0 + cavity-induced change from Im Tr G.
+    """Gamma(z) = Gamma_0 + change from Im Tr G, in a cavity or at a plate.
 
     z may be a 1-D array of positions, giving an array of rates from one
     batched trace per transition.
     """
-    return _heating(lambda w: cavity_trace_realfreq(z, w, cavity, spec),
-                    mol, env)
-
-
-def heating_rate_single_plate(distance: float, mol: Molecule,
-                              mirror: MirrorSpec, env: ThermalEnvironment,
-                              spec: QuadratureSpec = QuadratureSpec()) -> float:
-    return _heating(
-        lambda w: single_plate_trace_parts(distance, w, mirror, spec),
-        mol, env)
+    gamma = heating_rate_free(mol, env)
+    for t in mol.transitions:
+        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
+            * photon_number(t.omega, env) \
+            * cavity_trace_realfreq(z, t.omega, cavity, spec).total.imag
+    return gamma

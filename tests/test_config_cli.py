@@ -216,6 +216,21 @@ def test_cli_heating_single_plate(capsys):
     assert float(rows[-1]["z_m"]) == pytest.approx(5e-4, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "1"], "grid needs at least 2 points"),
+    (["--points", "0"], "grid needs at least 2 points"),
+    (["--width", "5um"], "grid must ascend")],
+    ids=["one_point", "no_points", "width_below_lam_over_100"])
+def test_cli_heating_single_plate_bad_grid(argv, message, capsys):
+    # the distance grid runs from lam/100 (6.75 um for LiH) to the width and
+    # needs two points, as the cavity grid does
+    argv = ["heating", "--width", "500um", "--single-plate"] + argv
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_cli_asym(capsys):
     code, out, _ = run_cli(
         ["--rel-tol", "1e-7", "asym", "--nu-max", "3", "--delta", "1e-2"],
@@ -234,6 +249,20 @@ def test_cli_asym_sharp_cavity(capsys):
     # of I(phi) answers in milliseconds
     code, out, _ = run_cli(
         ["asym", "--nu-min", "2", "--nu-max", "4", "--delta", "1e-8"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["nu"] for r in rows] == ["2", "3", "4"]
+    for r in rows:
+        assert float(r["depth_quadrature_J"]) == pytest.approx(
+            float(r["depth_series_J"]), rel=0.01)
+
+
+def test_cli_asym_delta_floor(capsys):
+    # near the resonances D_sigma ~ 2 delta is rounded by ~ulp(pi m), so the
+    # reachable tolerance is ~1e-17/delta; delta = 1e-10 converges at 1e-7
+    code, out, _ = run_cli(
+        ["--rel-tol", "1e-7", "asym", "--nu-min", "2", "--nu-max", "4",
+         "--delta", "1e-10"], capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["nu"] for r in rows] == ["2", "3", "4"]

@@ -1,0 +1,32 @@
+"""Every exported name resolves: the names in each cavitycp module's
+__all__, and the names cavitycp/__init__.py imports.  Deleting a function
+must not leave a dangling export behind."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cavitycp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cavitycp.__path__)
+                 if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"cavitycp.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(cavitycp.__file__).read_text())
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert names
+    assert [n for n in names if not hasattr(cavitycp, n)] == []

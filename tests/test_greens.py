@@ -12,12 +12,10 @@ import pytest
 
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, _grazing_coefficient,
-                             cavity_trace_imagfreq,
-                             cavity_trace_realfreq, single_plate_trace,
-                             single_plate_trace_imagfreq,
-                             single_plate_trace_parts, transverse_beta,
-                             zero_frequency_trace_limit)
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
+                             _grazing_coefficient, cavity_trace_imagfreq,
+                             cavity_trace_realfreq, single_plate_trace_parts,
+                             transverse_beta, zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack, reflection_coefficients)
 from cavitycp.quadrature import adaptive_integrate
@@ -154,8 +152,9 @@ def test_single_plate_oscillation_decay(gold, quad):
     # oscillation amplitude of Re(trace) decays ~ 1/distance
     amps = []
     for mult in (4.0, 8.0):
-        vals = [single_plate_trace(d, W_LIH, gold, quad).real
-                for d in np.linspace(mult * LAM, (mult + 0.5) * LAM, 21)]
+        vals = cavity_trace_realfreq(
+            np.linspace(mult * LAM, (mult + 0.5) * LAM, 21), W_LIH,
+            PlateGeometry(gold), quad).total.real
         amps.append(max(vals) - min(vals))
     assert amps[1] == pytest.approx(amps[0] / 2.0, rel=0.15)
 
@@ -169,14 +168,14 @@ def test_single_plate_vs_wide_cavity(gold, quad):
     cav = CavityGeometry(width=a, mirror=gold)
     z = -a / 2.0 + LAM / 4.0  # distance lam/4 from the lower wall
     cavity_val = cavity_trace_realfreq(z, W_LIH, cav, quad).total
-    plate_val = single_plate_trace(LAM / 4.0, W_LIH, gold, quad)
+    plate_val = cavity_trace_realfreq(LAM / 4.0, W_LIH, PlateGeometry(gold),
+                                      quad).total
     assert cavity_val.real == pytest.approx(plate_val.real, rel=0.05)
 
 
 def test_single_plate_imagfreq_real(gold, quad):
-    val = single_plate_trace_imagfreq(1e-4, 1e12, gold, quad)
+    val = cavity_trace_imagfreq(1e-4, 1e12, PlateGeometry(gold), quad)
     assert isinstance(val, float)
-    assert single_plate_trace(1e-4, 1e12j, gold, quad) == val
 
 
 def test_single_plate_constant_r_zero(quad):
@@ -190,10 +189,12 @@ def test_domain_errors(gold, quad):
         cavity_trace_realfreq(0.0, -1.0, cav, quad)
     with pytest.raises(ValueError):
         cavity_trace_imagfreq(0.0, 0.0, cav, quad)
-    with pytest.raises(ValueError):
-        single_plate_trace(0.0, W_LIH, gold, quad)
-    with pytest.raises(ValueError):
-        single_plate_trace(1e-4, complex(1e12, 1e12), gold, quad)
+    plate = PlateGeometry(gold)
+    for bad in (0.0, -1e-4, np.array([1e-4, np.nan]), np.full((2, 2), 1e-4)):
+        with pytest.raises(ValueError):
+            cavity_trace_realfreq(bad, W_LIH, plate, quad)
+        with pytest.raises(ValueError):
+            plate.check_position(bad)
 
 
 # --- reference: the single plate's own integrand ----------------------------

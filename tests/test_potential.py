@@ -12,19 +12,20 @@ import pytest
 
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B
-from cavitycp.greens import CavityGeometry
+from cavitycp.greens import CavityGeometry, PlateGeometry
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack)
 from cavitycp.molecules import Molecule, Transition, photon_number
 from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
-                                heating_rate_single_plate,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
-                                single_plate_components, _newton_extrema)
+                                resonant_potential, single_plate_components,
+                                _newton_extrema)
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
+from tests.test_greens import PLATE_IDS, PLATE_MIRRORS
 
 W_LIH = LIH.transitions[0].omega
 D2_LIH = LIH.transitions[0].d_squared
@@ -217,7 +218,8 @@ def test_heating_profile_positive(gold, env300, quad):
 
 def test_heating_single_plate_far_field(gold, env300, quad):
     # far from the plate the rate relaxes to the free-space value
-    far = heating_rate_single_plate(10.0 * LAM, LIH, gold, env300, quad)
+    far = heating_rate_profile(10.0 * LAM, LIH, PlateGeometry(gold), env300,
+                               quad)
     assert far == pytest.approx(heating_rate_free(LIH, env300), rel=0.1)
 
 
@@ -240,6 +242,31 @@ def test_heating_nonnegative(mirror, env300, quad_fast):
         gammas = heating_rate_profile(np.linspace(-edge, edge, 41), LIH, cav,
                                       env300, quad_fast)
         assert np.all(gammas >= 0)
-    for d in np.geomspace(LAM / 100.0, 2.0 * LAM, 9):
-        assert heating_rate_single_plate(float(d), LIH, mirror, env300,
-                                         quad_fast) >= 0
+    gammas = heating_rate_profile(np.geomspace(LAM / 100.0, 2.0 * LAM, 9),
+                                  LIH, PlateGeometry(mirror), env300,
+                                  quad_fast)
+    assert np.all(gammas >= 0)
+
+
+@pytest.mark.parametrize("mirror", PLATE_MIRRORS, ids=PLATE_IDS)
+def test_batched_plate_matches_scalar(mirror, env300, quad_fast):
+    # one batched call over 9 distances equals 9 scalar calls, column by
+    # column, within 10 rel_tol of the column's largest value
+    plate = PlateGeometry(mirror)
+    ds = np.geomspace(LAM / 100.0, 2.0 * LAM, 9)
+    columns = {
+        "gamma": lambda d: heating_rate_profile(d, LIH, plate, env300,
+                                                quad_fast),
+        "U_nr": lambda d: nonresonant_potential(d, LIH, plate, env300,
+                                                quad_fast),
+        "U_pr": lambda d: resonant_potential(d, LIH, plate, env300,
+                                             quad_fast)[0],
+        "U_ev": lambda d: resonant_potential(d, LIH, plate, env300,
+                                             quad_fast)[1]}
+    for name, column in columns.items():
+        batch = column(ds)
+        single = np.array([column(float(d)) for d in ds])
+        assert batch.shape == ds.shape, name
+        assert np.all(np.abs(batch - single)
+                      <= 10.0 * quad_fast.rel_tol * np.max(np.abs(single))), \
+            name
