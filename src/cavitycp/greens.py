@@ -22,7 +22,9 @@ to the full (finite) trace, and changes each part only by a constant in z.
 
 At imaginary frequency omega = i xi, beta = i kappa, the bracket is real; the
 static term xi = 0 takes the static reflection coefficients.  Every Matsubara
-term and position is integrated over k_perp at once (imagfreq_trace_sum).
+term and position is integrated at once (imagfreq_trace_sum), over
+s = kappa - xi/c rather than k_perp, so that e^{-kappa L} factors into a
+per-node and a per-term part.
 """
 
 from __future__ import annotations
@@ -292,87 +294,107 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule)
 
 
-def imagfreq_trace_sum(geometry, zs, xi, weights, terms,
-                       spec: QuadratureSpec = QuadratureSpec()):
-    """sum_{j < terms[i]} weights[j] xi_j^2 Tr G(i xi_j) at each position
-    zs[i] of a CavityGeometry or PlateGeometry.
+def imagfreq_trace_sum(geometry, zs, xi, weights,
+                       spec: QuadratureSpec = QuadratureSpec(),
+                       per_term: bool = False):
+    """sum_j weights[i, j] xi_j^2 Tr G(i xi_j) at each position zs[i] of a
+    CavityGeometry or PlateGeometry.
 
     Position i's trace carries sum_p e^{-kappa L_p} over the geometry's
-    decay_lengths.  xi ascends from xi[0] = 0, the static limit; xi and
-    weights hold terms.max() entries.  One vector integral over k_par, with
-    kappa_j = sqrt(k_par^2 + xi_j^2/c^2), covers all terms and positions:
-    reflection coefficients and bracket are evaluated once per (node, xi_j),
-    and the sum over j is done per node.  Position i's range ends where each
-    of its terms has decayed by e^-CUTOFF from its value at k_par = 0.
+    decay_lengths.  xi[0] = 0 is the static limit.  weights holds one weight
+    per term, or one row of them per position; a zero weight drops its term.
+    With per_term the terms are not summed: the result is the
+    (len(xi), len(zs)) array of weights[i, j] xi_j^2 Tr G(i xi_j; z_i),
+    every entry converged to spec on its own.  That is the integrand of the
+    Matsubara tail: past J0 = 64 exact terms, potential._nonresonant
+    integrates the rest over xi, to the same spec.
+
+    One vector integral over s = kappa_j - xi_j/c >= 0, the same variable for
+    every term (k_par = sqrt(s (s + 2 xi_j/c)), and dk_par k_par/kappa_j =
+    ds), covers all terms and positions: reflection coefficients and bracket
+    are evaluated once per (node, xi_j).  e^{-kappa_j L} factors into
+    e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position), so
+    the sum over j is one matrix product per path.  Position i's range ends
+    at s = CUTOFF / min_p L_p, where each of its terms has decayed by
+    e^-CUTOFF.
     """
     lengths = geometry.decay_lengths(np.asarray(zs, dtype=float))
-    xi, weights = (np.asarray(v, dtype=float) for v in (xi, weights))
+    xi = np.asarray(xi, dtype=float)
     mirror, width = geometry.mirror, geometry.width
-    terms = np.asarray(terms)
+    static = int(xi[0] == 0.0)
     q = _CUTOFF / lengths.min(axis=0)
-    k_max = np.sqrt(q * (q + 2.0 * xi[terms - 1] / C))
-    groups = [(j, np.flatnonzero(terms == j)) for j in np.unique(terms)]
+    weights = np.broadcast_to(np.asarray(weights, dtype=float),
+                              (len(q), len(xi)))
+    shifts = [weights.T * np.exp(-np.outer(xi / C, lp)) for lp in lengths]
     rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
 
-    def kernel(k):
-        """kappa and weights_j (k/kappa_j) bracket_j, both (nodes, terms)."""
-        kappa = np.sqrt(k[:, None] ** 2 + (xi / C) ** 2)
-        rs, rp = reflection_coefficients(mirror, 1j * xi[1:], k[:, None],
-                                         beta=1j * kappa[:, 1:])
-        rs0, rp0 = static_limit_reflection(mirror, k)
-        rs, rp = np.column_stack((rs0, rs)), np.column_stack((rp0, rp))
+    def kernel(s):
+        """bracket_j at kappa_j = s + xi_j/c, (nodes, terms)."""
+        kappa = s[:, None] + xi / C
+        rs = np.empty(kappa.shape, dtype=complex)
+        rp = np.empty_like(rs)
+        if static:
+            rs[:, 0], rp[:, 0] = static_limit_reflection(mirror, s)
+        if len(xi) > static:
+            k = np.sqrt(s[:, None] * (kappa[:, static:] + xi[static:] / C))
+            rs[:, static:], rp[:, static:] = reflection_coefficients(
+                mirror, 1j * xi[static:], k, beta=1j * kappa[:, static:])
         phase = None if width is None else np.exp(-2.0 * kappa * width)
         bracket = _bracket(rs, rp, -xi**2, -kappa**2, phase)
         if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):
             raise ArithmeticError("imaginary-frequency trace acquired a "
                                   "spurious imaginary part")
-        return kappa, weights * (k[:, None] / kappa) * bracket.real
+        return bracket.real
 
-    def f(k):
-        vals = np.empty((len(k), len(q)))
-        for start in range(0, len(k), rows):
+    def f(s):
+        decays = [np.exp(-np.outer(s, lp)) for lp in lengths]
+        vals = np.empty((len(s), len(xi), len(q)) if per_term
+                        else (len(s), len(q)))
+        for start in range(0, len(s), rows):
             block = slice(start, start + rows)
-            kappa, a_kj = kernel(k[block])
-            for j, cols in groups:
-                step = max(1, _BLOCK_BYTES // (8 * len(kappa) * j))
-                for c in range(0, len(cols), step):
-                    cc = cols[c:c + step]
-                    decay = sum(np.exp(-kappa[:, :j, None] * lp[cc])
-                                for lp in lengths)
-                    vals[block, cc] = np.einsum("kj,kjc->kc", a_kj[:, :j],
-                                                decay)
-        return vals
+            bracket = kernel(s[block])
+            if per_term:
+                vals[block] = sum(np.einsum("sj,jc,sc->sjc", bracket, m,
+                                            d[block])
+                                  for m, d in zip(shifts, decays))
+            else:
+                vals[block] = sum((bracket @ m) * d[block]
+                                  for m, d in zip(shifts, decays))
+        return vals.reshape(len(s), -1)
 
     # Panel edges halve from the widest cutoff down to the narrowest, so
     # every position's decay scale is resolved by the first panels.
-    edges = k_max.max() * 0.5 ** np.arange(
-        1, 1 + int(np.log2(k_max.max() / k_max.min())))
-    val, _ = adaptive_integrate(f, 0.0, k_max.max(), spec,
+    edges = q.max() * 0.5 ** np.arange(1, 1 + int(np.log2(q.max() / q.min())))
+    val, _ = adaptive_integrate(f, 0.0, q.max(), spec,
                                 breakpoints=edges.tolist())
-    return val / (4.0 * np.pi)
+    return val.reshape((len(xi), len(q)) if per_term else len(q)) \
+        / (4.0 * np.pi)
 
 
-def cavity_trace_imagfreq(z: float, xi: float, cavity,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Tr G at omega = i xi (real-valued), xi > 0; cavity or plate."""
+def cavity_trace_imagfreq(z, xi: float, cavity,
+                          spec: QuadratureSpec = QuadratureSpec()):
+    """Tr G at omega = i xi (real-valued), xi > 0; cavity or plate.  z is a
+    position (float out) or a 1-D array of them (array out)."""
     if not xi > 0:
         raise ValueError("cavity_trace_imagfreq requires xi > 0; "
                          "use zero_frequency_trace_limit for xi = 0")
-    _, zs = cavity.check_position(z)
-    return float(imagfreq_trace_sum(cavity, zs, [0.0, xi], [0.0, xi**-2],
-                                    [2], spec)[0])
+    scalar, zs = cavity.check_position(z)
+    tr = imagfreq_trace_sum(cavity, zs, [xi], [xi**-2], spec)
+    return float(tr[0]) if scalar else tr
 
 
-def zero_frequency_trace_limit(z: float, cavity,
-                               spec: QuadratureSpec = QuadratureSpec()) -> float:
+def zero_frequency_trace_limit(z, cavity,
+                               spec: QuadratureSpec = QuadratureSpec()):
     """lim_{xi -> 0} xi^2 * Tr G(i xi) (cavity or plate): the j = 0 term.
+    z is a position (float out) or a 1-D array of them (array out).
 
     Only the p channel survives, with its static reflection coefficient:
     -(c^2/pi) * int_0^inf dk k^2 r_p(0)/(1 - r_p(0)^2 e^{-2 k a})
     * e^{-k a} cosh(2 k z).  Negative for r_p(0) > 0 (attractive wall term).
     """
-    _, zs = cavity.check_position(z)
-    return float(imagfreq_trace_sum(cavity, zs, [0.0], [1.0], [1], spec)[0])
+    scalar, zs = cavity.check_position(z)
+    tr = imagfreq_trace_sum(cavity, zs, [0.0], [1.0], spec)
+    return float(tr[0]) if scalar else tr
 
 
 def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,

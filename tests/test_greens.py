@@ -132,6 +132,28 @@ def test_imagfreq_small_xi_approaches_zero_limit(gold, quad):
     assert val == pytest.approx(lim, rel=1e-3)
 
 
+@pytest.mark.parametrize("plate", [False, True], ids=["cavity", "plate"])
+def test_imagfreq_traces_batch_positions(plate, gold, quad_fast):
+    # an array of positions gives one entry per position, each the value of
+    # its own scalar call; a scalar position gives a float
+    if plate:
+        geometry, zs = PlateGeometry(gold), np.array([2e-6, 1e-5, 3e-4])
+    else:
+        geometry = _resonant_cavity(gold, 2)
+        zs = np.array([1e-5, 2e-4, -3e-4, 0.0])
+    traces = {
+        "imagfreq": lambda z: cavity_trace_imagfreq(z, 1e13, geometry,
+                                                    quad_fast),
+        "zero": lambda z: zero_frequency_trace_limit(z, geometry, quad_fast)}
+    for name, trace in traces.items():
+        batch = trace(zs)
+        single = [trace(float(z)) for z in zs]
+        assert all(isinstance(v, float) for v in single), name
+        assert batch.shape == zs.shape, name
+        assert np.all(np.abs(batch - single)
+                      <= 10.0 * quad_fast.rel_tol * np.abs(single)), name
+
+
 def test_zero_limit_perfect_conductor_closed_form(quad):
     # r_p(0) = 1, z = 0: -(c^2/pi) * (7/4) zeta(3) / a^3 magnitude
     a = LAM

@@ -5,25 +5,29 @@ became one k_par integral: one adaptive kappa integral per position and per
 Matsubara term, the j = 0 term from a per-node loop over the scalar static
 reflection coefficient, and a sum truncated once two consecutive terms drop
 below 1e-12 of the running total.  The library must agree with it within
-10 rel_tol of each column's largest value.
+10 rel_tol of each column's largest value, also where it replaces the terms
+past J0 by the Euler-Maclaurin tail.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
 
+import cavitycp.greens
+import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
+from cavitycp.cli import _z_grid
 from cavitycp.constants import C, HBAR, K_B, MU_0
-from cavitycp.greens import CavityGeometry, cavity_trace_realfreq
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
+                             cavity_trace_imagfreq, cavity_trace_realfreq)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack,
                                 Vacuum, quarter_wave_stack,
                                 reflection_coefficients,
                                 static_limit_reflection)
 from cavitycp.molecules import (matsubara_frequency, photon_number,
                                 polarizability_imag)
-from cavitycp.potential import (LevelScheme, general_state_potential,
+from cavitycp.potential import (_J0, LevelScheme, general_state_potential,
                                 nonresonant_potential, resonance_width,
                                 single_plate_components)
 from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
@@ -189,13 +193,138 @@ def test_general_state_matches_per_state_loop(env300):
         assert got == pytest.approx(want, rel=TOL)
 
 
-# --- term budget -------------------------------------------------------------
+# --- the hybrid sum: J0 exact terms, then an Euler-Maclaurin tail ------------
 
-def test_term_budget_raises_before_integrating():
+def _gap_for_terms(terms, env):
+    """The gap at which J(z) = 2 + ceil(40 c / (xi_1 gap)) steps from terms
+    to terms + 1."""
+    return 40.0 * C / ((terms - 2) * matsubara_frequency(1, env))
+
+
+def _wall_positions(cavity, env, terms):
+    """Cavity positions whose J(z) is about each entry of terms."""
+    gaps = np.array([_gap_for_terms(j + 0.5, env) for j in terms])
+    return 0.5 * (cavity.width - gaps)
+
+
+def _full_sum(monkeypatch, *args):
+    """nonresonant_potential with every term summed exactly."""
+    with monkeypatch.context() as m:
+        m.setattr(cavitycp.potential, "_J0", 10**9)
+        return nonresonant_potential(*args)
+
+
+HYBRID_MIRRORS = {
+    "gold": HalfSpace(GOLD_DRUDE),
+    "constant_r": ConstantR(0.9),
+    "sapphire": HalfSpace(SAPPHIRE_300K),
+    "sapphire_stack": STACK,
+}
+
+
+@pytest.mark.parametrize("temperature", [10.0, 300.0])
+@pytest.mark.parametrize("mirror", list(HYBRID_MIRRORS))
+def test_hybrid_matches_per_term_loop(mirror, temperature):
+    # positions with J(z) = J0 / 2 (exact) and about 1.3 and 3 J0 (tail)
+    env = ThermalEnvironment(temperature)
+    cav = CavityGeometry(width=A2, mirror=HYBRID_MIRRORS[mirror])
+    zs = _wall_positions(cav, env, [_J0 // 2, 1.3 * _J0, 3 * _J0])
+    got = nonresonant_potential(zs, LIH, cav, env, FAST)
+    want = np.array([_ref_nonresonant(z, cav, env) for z in zs])
+    assert _close(got, want)
+
+
+@pytest.mark.parametrize("temperature", [10.0, 300.0])
+def test_hybrid_single_plate_matches_per_term_loop(temperature):
+    env = ThermalEnvironment(temperature)
+    for mirror in (HalfSpace(GOLD_DRUDE), STACK):
+        plate = PlateGeometry(mirror)
+        ds = 0.5 * np.array([_gap_for_terms(j + 0.5, env)
+                             for j in (0.5 * _J0, 1.3 * _J0, 3 * _J0)])
+        got = nonresonant_potential(ds, LIH, plate, env, FAST)
+        want = np.array([_ref_matsubara(
+            env, lambda xi: polarizability_imag(LIH, xi),
+            lambda xi, d=d: _ref_plate_trace(d, xi, mirror, FAST))
+            for d in ds])
+        assert _close(got, want)
+
+
+def test_hybrid_matches_full_sum(monkeypatch):
+    # at a tight tolerance the tail and its Gregory end correction reproduce
+    # up to ~1 000 exact terms entry by entry
+    spec = QuadratureSpec(rel_tol=1e-10)
+    env = ThermalEnvironment(10.0)
+    for mirror in (HalfSpace(GOLD_DRUDE), STACK):
+        cav = CavityGeometry(width=A2, mirror=mirror)
+        zs = np.append(_wall_positions(cav, env, [1.5 * _J0, 3 * _J0,
+                                                  8 * _J0]),
+                       0.5 * A2 - A2 / 1000.0)
+        got = nonresonant_potential(zs, LIH, cav, env, spec)
+        want = _full_sum(monkeypatch, zs, LIH, cav, env, spec)
+        assert np.all(np.abs(got - want) <= 10 * spec.rel_tol * np.abs(want))
+
+
+def test_exact_sum_up_to_J0(monkeypatch):
+    # a position with J(z) <= J0, the last one at J(z) = J0, takes today's
+    # plain sum of J(z) terms, bit for bit
+    env = ThermalEnvironment(10.0)
     cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
-    zs = np.array([0.0, 0.5 * A2 - A2 / 1000.0])
-    start = time.perf_counter()
-    with pytest.raises(ArithmeticError, match=r"T = 0\.001 K needs J = "
-                       r"\d+ terms at z = 0\.0003369"):
-        nonresonant_potential(zs, LIH, cav, ThermalEnvironment(1e-3), FAST)
-    assert time.perf_counter() - start < 1.0
+    zs = np.append(_wall_positions(cav, env, [3, 10, _J0 - 1]), 0.0)
+    zs[2] = 0.5 * (A2 - _gap_for_terms(_J0 - 0.5, env))
+    gap = A2 - 2.0 * np.abs(zs)
+    need = 2 + np.ceil(40.0 * C / (matsubara_frequency(1, env) * gap))
+    assert need.max() == _J0
+    got = nonresonant_potential(zs, LIH, cav, env, FAST)
+    assert np.array_equal(got, _full_sum(monkeypatch, zs, LIH, cav, env,
+                                         FAST))
+
+
+@pytest.mark.parametrize("terms", [_J0, _J0 + 1])
+def test_continuous_across_J0(terms):
+    # just inside and just outside the gap where J(z) steps from terms to
+    # terms + 1; the exact sum meets the hybrid there
+    spec = QuadratureSpec(rel_tol=1e-10)
+    env = ThermalEnvironment(10.0)
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    gap = _gap_for_terms(terms, env) * np.array([1.0 + 1e-12, 1.0 - 1e-12])
+    u = nonresonant_potential(0.5 * (A2 - gap), LIH, cav, env, spec)
+    assert abs(u[1] - u[0]) <= 10 * spec.rel_tol * abs(u[0])
+
+
+def test_cost_bounded_in_temperature(monkeypatch):
+    # (node x xi column) reflection evaluations of a 40-point gold profile:
+    # J(z) at the wall grows as 1/T, the cost does not
+    def counted(*args, **kwargs):
+        rs, rp = reflection_coefficients(*args, **kwargs)
+        evaluations.append(rs.size)
+        return rs, rp
+
+    monkeypatch.setattr(cavitycp.greens, "reflection_coefficients", counted)
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.array(_z_grid(A2, 40) + [0.0])
+    cost = {}
+    for temperature in (10.0, 0.1):
+        evaluations = []
+        nonresonant_potential(zs, LIH, cav, ThermalEnvironment(temperature),
+                              QuadratureSpec(rel_tol=1e-9))
+        cost[temperature] = sum(evaluations)
+    assert cost[0.1] <= 3 * cost[10.0]
+
+
+def test_zero_temperature_limit():
+    # at 1 mK the sum is the T = 0 integral
+    # (hbar mu0 / 2 pi) int_0^inf xi^2 alpha(i xi) Tr G(i xi) dxi, cut where
+    # the wall position's integrand has decayed by e^-45
+    integrate = pytest.importorskip("scipy.integrate")
+    zs = np.array([0.0, 0.3 * A2, 0.5 * A2 - A2 / 1000.0])
+    for mirror in (HalfSpace(GOLD_DRUDE), ConstantR(0.9)):
+        cav = CavityGeometry(width=A2, mirror=mirror)
+        val, _ = integrate.quad_vec(
+            lambda xi: xi**2 * polarizability_imag(LIH, xi)
+            * cavity_trace_imagfreq(zs, xi, cav, FAST),
+            0.0, 45.0 * C / (A2 / 500.0), epsrel=FAST.rel_tol, epsabs=0.0)
+        want = HBAR * MU_0 / (2.0 * math.pi) * val
+        got = nonresonant_potential(zs, LIH, cav, ThermalEnvironment(1e-3),
+                                    FAST)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= TOL * np.abs(want))

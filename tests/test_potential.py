@@ -178,6 +178,29 @@ def test_general_state_thermal_equilibrium(env300, quad):
     assert got == pytest.approx(expect, rel=1e-10)
 
 
+def test_general_state_batched_matches_scalar(env300, quad_fast):
+    # an array of positions gives each position its own U_nr and resonant
+    # part, equal to its scalar call, in a cavity and at a plate
+    scheme = LevelScheme(energies=(0.0, W_LIH, 2.5 * W_LIH),
+                         d_squared={(0, 1): D2_LIH, (1, 2): 0.5 * D2_LIH})
+    populations = (0.7, 0.2, 0.1)
+    a = resonance_width(LIH.transitions[0], 2)
+    for geometry, zs in (
+            (CavityGeometry(width=a, mirror=ConstantR(0.9)),
+             np.array([0.0, 0.3 * a, -0.45 * a])),
+            (PlateGeometry(HalfSpace(GOLD_DRUDE)),
+             np.array([LAM / 100.0, LAM / 4.0, LAM]))):
+        batch = general_state_potential(zs, scheme, populations, geometry,
+                                        env300, quad_fast)
+        single = [general_state_potential(float(z), scheme, populations,
+                                          geometry, env300, quad_fast)
+                  for z in zs]
+        assert all(isinstance(u, float) for u in single)
+        assert batch.shape == zs.shape
+        assert np.all(np.abs(batch - single)
+                      <= 10.0 * quad_fast.rel_tol * np.max(np.abs(single)))
+
+
 def test_general_state_validation(env300, quad):
     scheme = LevelScheme(energies=(0.0, W_LIH), d_squared={(0, 1): D2_LIH})
     cav = CavityGeometry(width=1e-4, mirror=ConstantR(0.5))
