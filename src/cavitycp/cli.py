@@ -139,7 +139,7 @@ def cmd_depth(args) -> int:
     rows = []
     for nu in nus:
         rep = potential_depth(mol, mirror, nu, env, spec)
-        z_min = rep.minima_positions[0] if rep.minima_positions else math.nan
+        z_min = rep.depth_positions[1] if rep.is_well_depth else math.nan
         rows.append((nu, rep.width, rep.depth, z_min,
                      ";".join(_fmt(z) for z in rep.maxima_positions),
                      "well_depth" if rep.is_well_depth else "peak_height"))

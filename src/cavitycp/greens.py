@@ -120,11 +120,12 @@ def _positions(z, inside, what):
 @dataclass
 class GreenTraceParts:
     """Propagating and evanescent contributions to Tr G (units 1/m); complex
-    numbers, or complex arrays for an array of positions.  rule is set by
-    cavity_trace_realfreq (see there)."""
+    numbers, or complex arrays for an array of positions.  rule, and
+    samples for start=, are set by cavity_trace_realfreq (see there)."""
     propagating: Any
     evanescent: Any
     rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    samples: Any = None
 
     @property
     def total(self) -> complex:
@@ -200,30 +201,46 @@ def _by_columns(rows, zs, block):
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
-                    evanescent):
-    """(propagating, evanescent, rule): the trace at real omega at each
-    position of the array zs.  See cavity_trace_realfreq."""
+                    evanescent, seed=None):
+    """(propagating, evanescent, rule, samples): the trace at real omega at
+    each position of the array zs.  samples is (omega, geometry, S, final
+    panel edges, F by node) of the propagating integral; an earlier trace's
+    samples as seed stand in for S, the resonance breakpoints and every
+    reflection evaluation they hold, and gain this trace's new nodes.  See
+    cavity_trace_realfreq."""
     mirror, width = geometry.mirror, geometry.width
     wc = omega / C
     kappa_max = _CUTOFF / geometry.decay_lengths(zs).min(axis=0)
     # the grazing subtraction runs over [0, x_c(z)] for each position
     x_c = np.minimum(wc, kappa_max)
-    if width is None:
+    if seed is not None:
+        _, _, s_coef, bps, kernel = seed
+    elif width is None:
         # D_sigma = 1: no resonances and no grazing singularity
-        s_coef, bps, grazing = 0.0, [], np.zeros_like
+        s_coef, bps, kernel = 0.0, [], {}
     else:
-        s_coef = _grazing_coefficient(mirror, omega, width)
-        bps = _resonance_breakpoints(mirror, omega, width)
+        s_coef, bps, kernel = _grazing_coefficient(mirror, omega, width), \
+            _resonance_breakpoints(mirror, omega, width), {}
 
-        def grazing(x):
-            """S e^{-x a}/x, subtracted below each position's x_c."""
-            return s_coef * np.exp(-x * width) / x
-    kernel = {}
+    def grazing(x):
+        """S e^{-x a}/x, subtracted below each position's x_c."""
+        return np.zeros_like(x) if width is None \
+            else s_coef * np.exp(-x * width) / x
+
+    def node_kernel(beta):
+        """F(beta) = K(beta) node_phase(beta), recorded in kernel.  A seeded
+        trace looks F up there and evaluates only the nodes it lacks."""
+        new = beta if seed is None \
+            else np.array([b for b in beta.tolist() if b not in kernel])
+        if len(new):
+            f = _kernel(new + 0j, omega, mirror, width) \
+                * geometry.node_phase(new)
+            kernel.update(zip(new.tolist(), f.tolist()))
+        return f if seed is None \
+            else np.array([kernel[b] for b in beta.tolist()])
 
     def f_prop(beta):
-        f = _kernel(beta + 0j, omega, mirror, width) \
-            * geometry.node_phase(beta)
-        kernel.update(zip(beta.tolist(), f.tolist()))
+        f = node_kernel(beta)
         sub = grazing(beta)
         return _by_columns(len(beta), zs, lambda z_cols, cols: (
             f[:, None] * geometry.position_phase(beta, z_cols)
@@ -237,6 +254,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     result = adaptive_integrate(f_prop, x_lo, wc, spec,
                                 breakpoints=bps + x_c.tolist())
     prop = result[0]
+    samples = (omega, geometry, s_coef, result.panels[0].tolist(), kernel)
     nodes, weights = result.rule()
     rule_f = weights * np.array([kernel[b] for b in nodes.tolist()])
     if x_lo > 0:
@@ -261,12 +279,12 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                                      breakpoints=x_c.tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
-    return prop, evan, (nodes, rule_f)
+    return prop, evan, (nodes, rule_f), samples
 
 
 def cavity_trace_realfreq(z, omega: float, cavity,
                           spec: QuadratureSpec = QuadratureSpec(),
-                          evanescent: bool = True):
+                          evanescent: bool = True, start=None):
     """Tr G at real frequency, split into propagating/evanescent parts.
 
     cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
@@ -283,15 +301,29 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     Re sum(w F cos(2 beta z)) reproduces Re Tr G_pr(z) at any z up to the
     z-independent grazing subtraction, so derivatives in z need no new
     reflection evaluations.
+
+    start, an earlier result at the same omega and cavity (ValueError
+    otherwise), seeds the propagating integral: its adaptive pass starts
+    from start's final panels and takes F from start's samples wherever it
+    has them, including the grazing coefficient S.  Only nodes start lacks,
+    where a panel must split further or a position adds an edge, cost
+    reflection evaluations, and every position still meets spec.rel_tol.
+    The evanescent integral is never seeded.
     """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
     scalar, zs = cavity.check_position(z)
-    prop, evan, rule = _realfreq_trace(zs, omega, cavity, spec, evanescent)
+    seed = None if start is None else start.samples
+    if start is not None and (seed is None or seed[:2] != (omega, cavity)):
+        raise ValueError("start must be a real-frequency trace at the same "
+                         "omega and cavity")
+    prop, evan, rule, samples = _realfreq_trace(zs, omega, cavity, spec,
+                                                evanescent, seed)
     if scalar:
         prop = complex(prop[0])
         evan = None if evan is None else complex(evan[0])
-    return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule)
+    return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule,
+                           samples=samples)
 
 
 def imagfreq_trace_sum(geometry, zs, xi, weights,

@@ -129,43 +129,64 @@ def transverse_wavenumber(eps, omega, k_perp):
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
-def _recursion(eps, betas, thickness):
-    """(r_s, r_p) of vacuum | medium 1 | ... | medium n in one pass; eps and
-    betas list the media from vacuum on, thickness the n - 1 finite layers.
-    Back to front, r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j)
-    with e_j = e^{2i beta_j d_j}, from the Fresnel pair of the deepest
-    interface.  r_p uses eps_i/eps_j: eps_j = inf (perfect reflector) gives 1.
+def _recursion(eps, betas, layers, thickness):
+    """(r_s, r_p) of vacuum | layers[0] | ... | layers[-1] in one pass.  eps
+    and betas map each material, and None for the vacuum in front, to its
+    permittivity and beta_j; thickness[j] is what 2i beta_j multiplies in
+    the phase of finite layer j.  Back to front,
+    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j) with
+    e_j = e^{2i beta_j d_j}, from the Fresnel pair of the deepest interface.
+    r_p uses eps_i/eps_j: eps_j = inf (perfect reflector) gives 1.  Each
+    distinct interface (pair of materials) gets its Fresnel pair once, and
+    each distinct Layer (material, thickness) its phase once, so a Bragg
+    stack of two materials costs three Fresnel pairs and two phases.
     """
+    # materials hash slowly: number them once, and key on the numbers
+    index = {m: j for j, m in enumerate(eps)}
+    eps, betas = list(eps.values()), [betas[m] for m in index]
+    media = [index[None]] + [index[l.material] for l in layers]
+    pairs, phases = {}, {}
+
     def fresnel(i):
-        b, b_t, n = betas[i], betas[i + 1], eps[i] / eps[i + 1]
-        return (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
+        key = media[i], media[i + 1]
+        if key not in pairs:
+            b, b_t, n = betas[key[0]], betas[key[1]], eps[key[0]] / eps[key[1]]
+            pairs[key] = (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
+        return pairs[key]
 
     rs, rp = fresnel(len(thickness))
     for i in range(len(thickness) - 1, -1, -1):
-        phase = np.exp(2j * betas[i + 1] * thickness[i])
+        key = media[i + 1], layers[i].thickness
+        if key not in phases:
+            phases[key] = np.exp(2j * betas[key[0]] * thickness[i])
+        phase = phases[key]
         us, up = fresnel(i)
         rs = (us + rs * phase) / (1.0 + us * rs * phase)
         rp = (up + rp * phase) / (1.0 + up * rp * phase)
     return rs, rp
 
 
-def _reflection(eps, thickness, omega: complex, k_perp, beta):
-    """_recursion at frequency omega for media of permittivities eps behind
-    vacuum; beta as in fresnel_halfspace.  At beta = 0, where vacuum-index
-    layers give 0/0, the limit is r_s = r_p = -1 if any eps != 1, else 0.
+def _reflection(eps, layers, omega: complex, k_perp, beta):
+    """_recursion at frequency omega for layers behind vacuum, eps mapping
+    each of their materials to its permittivity; beta as in
+    fresnel_halfspace.  beta_j is evaluated once per material.  At
+    beta = 0, where vacuum-index layers give 0/0, the limit is
+    r_s = r_p = -1 if any eps != 1, else 0.
     """
     beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
         else np.asarray(beta, dtype=complex)
     grazing = beta == 0
     if grazing.any():
-        rs, rp = _reflection(eps, thickness, omega, k_perp,
+        rs, rp = _reflection(eps, layers, omega, k_perp,
                              np.where(grazing, 1.0, beta))
-        mirror = np.any([e != 1.0 for e in np.broadcast_arrays(*eps)], axis=0)
+        mirror = np.any([e != 1.0 for e in np.broadcast_arrays(
+            *eps.values())], axis=0)
         limit = np.where(mirror, -1.0, 0.0)
         return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
-    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
-                      for e in eps]
-    return _recursion([1.0] + list(eps), betas, thickness)
+    betas = {m: sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
+             for m, e in eps.items()}
+    return _recursion({None: 1.0, **eps}, {None: beta, **betas}, layers,
+                      [l.thickness for l in layers[:-1]])
 
 
 def fresnel_halfspace(eps: complex, omega: complex, k_perp, beta=None):
@@ -176,7 +197,8 @@ def fresnel_halfspace(eps: complex, omega: complex, k_perp, beta=None):
     integrate over beta may pass it directly; recomputing it from k_perp
     loses all precision near grazing incidence (beta -> 0).
     """
-    return _reflection([eps], [], omega, k_perp, beta)
+    # one medium: any key but None names it
+    return _reflection({0: eps}, (Layer(0, None),), omega, k_perp, beta)
 
 
 def multilayer_reflection(layers, omega: complex, k_perp, polarization: str,
@@ -228,11 +250,13 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     else:
         layers = mirror.layers if isinstance(mirror, Stack) \
             else (Layer(mirror.material, None),)
-        eps = [1.0] + [_static_eps(l.material) for l in layers]
-        if np.inf in eps:
-            eps = eps[:eps.index(np.inf) + 1]
-        rs, rp = _recursion(eps, [1.0] * len(eps), [
-            1j * k_perp * l.thickness for l in layers[:len(eps) - 2]])
+        drude = [isinstance(l.material, Drude) for l in layers]
+        if any(drude):
+            layers = layers[:drude.index(True) + 1]
+        eps = {None: 1.0, **{l.material: _static_eps(l.material)
+                             for l in layers}}
+        rs, rp = _recursion(eps, dict.fromkeys(eps, 1.0), layers,
+                            [1j * k_perp * l.thickness for l in layers[:-1]])
     rs, rp = (np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
     if k_perp.ndim == 0:
         return float(rs), float(rp)
@@ -254,6 +278,6 @@ def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp,
         return -r, r
     layers = mirror.layers if isinstance(mirror, Stack) \
         else (Layer(mirror.material, None),)
-    return _reflection([permittivity_at(l.material, omega) for l in layers],
-                       [l.thickness for l in layers[:-1]], omega, k_perp,
-                       beta)
+    eps = {m: permittivity_at(m, omega)
+           for m in dict.fromkeys(l.material for l in layers)}
+    return _reflection(eps, layers, omega, k_perp, beta)

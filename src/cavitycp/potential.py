@@ -103,6 +103,9 @@ class ExtremumReport:
     minima_values: Tuple[float, ...]
     depth: float           # Delta U_nu (nu >= 2) or peak height (nu = 1)
     is_well_depth: bool    # False for nu = 1, where no minimum exists
+    # (z_max, z_min) with depth = U(z_max) - U(z_min); z_min is the edge
+    # for nu = 1
+    depth_positions: Tuple[float, float]
 
 
 def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
@@ -306,9 +309,12 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     one propagating-only trace at all seeds; Newton steps on the derivative
     of the trace over that pass's nodes and kernel values (no new reflection
     evaluations); one error-controlled propagating trace at the refined
-    extrema, which gives the reported values.  Newton runs on the trace, not
-    on the photon-weighted potential, so a vanishing photon number still
-    locates the extrema.  An extremum of the wrong kind, or outside seed
+    extrema, which gives the reported values.  That trace starts from the
+    first one's panels, kernel samples and grazing coefficient
+    (cavity_trace_realfreq's start), so a depth costs one pass of reflection
+    evaluations, plus any nodes a further split needs.  Newton runs on the
+    trace, not on the photon-weighted potential, so a vanishing photon
+    number still locates the extrema.  An extremum of the wrong kind, or outside seed
     +- lam/8 or the +-(a/2 - a/1000) edge, raises ArithmeticError.
 
     Delta U_nu = U[(nu-3) lam/4] - U[(nu-2) lam/4] with refined positions.
@@ -334,7 +340,8 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
                         _NEWTON_XTOL * a)
     if nu == 1:
         z = np.append(z, edge)
-    final = cavity_trace_realfreq(z, t.omega, cavity, spec, evanescent=False)
+    final = cavity_trace_realfreq(z, t.omega, cavity, spec, evanescent=False,
+                                  start=first)
     values = [weight * float(u) for u in final.propagating.real]
     positions = [float(x) for x in z]
     max_pos, max_val = positions[:nu], values[:nu]
@@ -342,6 +349,7 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
 
     if nu == 1:
         depth = max_val[0] - values[-1]
+        pair = max_pos[0], positions[-1]
     else:
         # deepest minimum sits at (nu-2) lam/4, its lower adjacent maximum
         # at (nu-3) lam/4; pick the refined extrema closest to those points
@@ -350,11 +358,13 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
         i_max = min(range(len(max_pos)),
                     key=lambda i: abs(max_pos[i] - (nu - 3) * lam / 4.0))
         depth = max_val[i_max] - min_val[i_min]
+        pair = max_pos[i_max], min_pos[i_min]
     return ExtremumReport(nu=nu, width=a, maxima_positions=tuple(max_pos),
                           maxima_values=tuple(max_val),
                           minima_positions=tuple(min_pos),
                           minima_values=tuple(min_val),
-                          depth=depth, is_well_depth=nu > 1)
+                          depth=depth, is_well_depth=nu > 1,
+                          depth_positions=pair)
 
 
 def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:

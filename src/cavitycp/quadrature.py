@@ -78,14 +78,20 @@ class QuadratureSpec:
 
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best estimate found (one
-    entry per component for a vector-valued integrand)."""
+    entry per component for a vector-valued integrand), the bisections used
+    of max_subdivisions, and the worst component's error over tolerance."""
 
-    def __init__(self, estimate, error):
+    def __init__(self, estimate, error, splits, max_subdivisions,
+                 error_ratio):
         super().__init__(
             f"quadrature failed to converge: estimate {estimate}, "
-            f"error {np.max(error):.3e}")
+            f"error {np.max(error):.3e}; {splits} of {max_subdivisions} "
+            f"subdivisions used, worst error/tolerance {error_ratio:.3g}")
         self.estimate = estimate
         self.error = error
+        self.splits = splits
+        self.max_subdivisions = max_subdivisions
+        self.error_ratio = error_ratio
 
 
 class QuadratureResult(tuple):
@@ -197,5 +203,6 @@ def adaptive_integrate(
     if scalar:
         total, total_err = total[0], total_err[0]
     if not converged:
-        raise QuadratureError(total, total_err)
+        raise QuadratureError(total, total_err, splits, spec.max_subdivisions,
+                              np.max(total_err / tol))
     return QuadratureResult(total, total_err, a, b)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import cavitycp.greens
 from cavitycp import (ConstantLossy, Drude, HalfSpace, LIH,
                       ThermalEnvironment, Vacuum)
+from cavitycp.materials import reflection_coefficients
 from cavitycp.quadrature import QuadratureSpec
 
 try:
@@ -46,6 +48,21 @@ def quad():
 @pytest.fixture(scope="session")
 def quad_fast():
     return QuadratureSpec(rel_tol=1e-7)
+
+
+@pytest.fixture()
+def reflection_evaluations(monkeypatch):
+    """The (node x omega column) sizes of the reflection_coefficients calls
+    the trace kernels make during the test, in call order."""
+    sizes = []
+
+    def counted(*args, **kwargs):
+        rs, rp = reflection_coefficients(*args, **kwargs)
+        sizes.append(rs.size)
+        return rs, rp
+
+    monkeypatch.setattr(cavitycp.greens, "reflection_coefficients", counted)
+    return sizes
 
 
 @pytest.fixture()

@@ -4,14 +4,21 @@ import csv
 import io
 import json
 import math
+import re
 import time
 
+import numpy as np
 import pytest
 
+from cavitycp import LIH, ThermalEnvironment
 from cavitycp.cli import main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
                              load_registry, parse_quantity)
+from cavitycp.constants import C
+from cavitycp.greens import CavityGeometry
 from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack
+from cavitycp.potential import resonant_potential
+from cavitycp.quadrature import QuadratureSpec
 
 
 # --- config -----------------------------------------------------------------
@@ -112,6 +119,27 @@ def test_cli_depth_csv(capsys):
     assert float(rows[1]["a_m"]) == pytest.approx(6.7521e-4, rel=1e-4)
     # nu = 1 has no minimum
     assert math.isnan(float(rows[0]["z_min_m"]))
+
+
+def test_cli_depth_nu3_minimum_is_the_depth_minimum(capsys):
+    # z_min_m is the minimum depth_J is measured from: the one nearest
+    # (nu - 2) lam/4 = +lam/4, with depth_J = U(z_max) - U(z_min) for the
+    # maximum nearest (nu - 3) lam/4 = 0
+    lam = 2.0 * math.pi * C / LIH.transitions[0].omega
+    code, out, _ = run_cli(
+        ["--rel-tol", "1e-9", "depth", "--mirror", "gold", "--nu", "3"],
+        capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    z_min = float(row["z_min_m"])
+    z_max = min((float(z) for z in row["z_maxima_m"].split(";")), key=abs)
+    assert abs(z_min - lam / 4.0) <= lam / 8.0
+    cavity = CavityGeometry(width=float(row["a_m"]), mirror=HalfSpace(
+        builtin_materials()["gold"]))
+    u_pr, _ = resonant_potential(np.array([z_max, z_min]), LIH, cavity,
+                                 ThermalEnvironment(300.0), QuadratureSpec())
+    depth = float(row["depth_J"])
+    assert abs(depth - (u_pr[0] - u_pr[1])) <= 1e-7 * depth
 
 
 def test_cli_depth_deterministic_17_digits(capsys, tmp_path):
@@ -313,7 +341,14 @@ def test_cli_exit_numerical(capsys, monkeypatch):
     code, _, err = run_cli(
         ["depth", "--mirror", "gold", "--nu", "2"], capsys)
     assert code == 3
-    assert "numerical failure" in err
+    assert err.startswith("numerical failure: quadrature failed to converge")
+    # where the budget went: bisections used of the budget, and the worst
+    # component's error over its tolerance
+    budget = re.search(r"(\d+) of (\d+) subdivisions used, worst "
+                       r"error/tolerance (\S+)$", err.strip())
+    assert budget is not None, err
+    assert int(budget[1]) == int(budget[2]) == 2
+    assert float(budget[3]) > 1.0
 
 
 def test_cli_threads_env(capsys, monkeypatch):

@@ -246,3 +246,135 @@ def test_reflection_coefficients_dispatch(rng):
     rs_f, rp_f = fresnel_halfspace(permittivity_at(GOLD_DRUDE, W_LIH),
                                    W_LIH, k)
     assert np.allclose(rs_h, rs_f) and np.allclose(rp_h, rp_f)
+
+
+# --- reference: the per-layer recursion --------------------------------------
+# The form the library used before it evaluated each distinct medium once:
+# eps_j and beta_j per layer, a Fresnel pair per interface and a phase per
+# finite layer.  The per-medium form does the same arithmetic on each value,
+# so the two must agree bit for bit.
+
+def _recursion_per_layer(eps, betas, thickness):
+    def fresnel(i):
+        b, b_t, n = betas[i], betas[i + 1], eps[i] / eps[i + 1]
+        return (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
+
+    rs, rp = fresnel(len(thickness))
+    for i in range(len(thickness) - 1, -1, -1):
+        phase = np.exp(2j * betas[i + 1] * thickness[i])
+        us, up = fresnel(i)
+        rs = (us + rs * phase) / (1.0 + us * rs * phase)
+        rp = (up + rp * phase) / (1.0 + up * rp * phase)
+    return rs, rp
+
+
+def _reflection_per_layer(eps, thickness, omega, k_perp, beta):
+    beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
+        else np.asarray(beta, dtype=complex)
+    grazing = beta == 0
+    if grazing.any():
+        rs, rp = _reflection_per_layer(eps, thickness, omega, k_perp,
+                                       np.where(grazing, 1.0, beta))
+        mirror = np.any([e != 1.0 for e in np.broadcast_arrays(*eps)], axis=0)
+        limit = np.where(mirror, -1.0, 0.0)
+        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
+    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
+                      for e in eps]
+    return _recursion_per_layer([1.0] + list(eps), betas, thickness)
+
+
+def _layers(mirror):
+    return mirror.layers if isinstance(mirror, Stack) \
+        else (Layer(mirror.material, None),)
+
+
+def reflection_per_layer(mirror, omega, k_perp, beta=None):
+    layers = _layers(mirror)
+    return _reflection_per_layer(
+        [permittivity_at(l.material, omega) for l in layers],
+        [l.thickness for l in layers[:-1]], omega,
+        np.asarray(k_perp, dtype=float), beta)
+
+
+def static_limit_per_layer(mirror, k_perp):
+    k_perp = np.asarray(k_perp, dtype=float)
+    layers = _layers(mirror)
+    eps = [1.0] + [math.inf if isinstance(l.material, Drude)
+                   else 1.0 if isinstance(l.material, Vacuum)
+                   else l.material.eps_real for l in layers]
+    if math.inf in eps:
+        eps = eps[:eps.index(math.inf) + 1]
+    rs, rp = _recursion_per_layer(eps, [1.0] * len(eps), [
+        1j * k_perp * l.thickness for l in layers[:len(eps) - 2]])
+    return tuple(np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
+
+
+def _assert_per_medium_equals_per_layer(mirror, omega):
+    # real axis from normal incidence past grazing (one exact beta = 0 row),
+    # the imaginary axis for one and for an array of xi, and the static limit
+    wc = omega / C
+    k = np.linspace(0.0, 3.0 * wc, 61)
+    beta = np.sqrt(wc**2 - k**2 + 0j)
+    beta[20] = 0.0
+    kappa = np.sqrt(k[:, None] ** 2 + (np.array([1.0, 30.0]) * wc) ** 2)
+    cases = [(omega, k, None), (omega, k, beta), (1j * omega, k, None),
+             (1j * omega * np.array([1.0, 30.0]), k[:, None], 1j * kappa)]
+    for freq, k_perp, b in cases:
+        got = reflection_coefficients(mirror, freq, k_perp, beta=b)
+        want = reflection_per_layer(mirror, freq, k_perp, beta=b)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    for g, w in zip(static_limit_reflection(mirror, k * 1e3),
+                    static_limit_per_layer(mirror, k * 1e3)):
+        assert np.array_equal(g, w)
+
+
+GAAS = ConstantLossy(eps_real=12.96, eps_imag=0.02)
+ALAS = ConstantLossy(eps_real=10.96, eps_imag=0.02)
+D = 1e-5
+PER_MEDIUM_MIRRORS = {
+    "sapphire_stack": Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8,
+                                               W_LIH)),
+    "gaas_alas": Stack(quarter_wave_stack(GAAS, ALAS, 10, W_LIH)),
+    "two_thicknesses": Stack((
+        Layer(SAPPHIRE_300K, D), Layer(Vacuum(), D),
+        Layer(SAPPHIRE_300K, 3 * D), Layer(Vacuum(), D),
+        Layer(SAPPHIRE_300K, D), Layer(SAPPHIRE_300K, 3 * D),
+        Layer(GOLD_DRUDE, None))),
+    "lossy_vacuum": Stack((
+        Layer(Vacuum(), D), Layer(ConstantLossy(4.0, 0.5), D),
+        Layer(Vacuum(), 2 * D), Layer(ConstantLossy(4.0, 0.5), D),
+        Layer(ConstantLossy(4.0), None))),
+    "gold": HalfSpace(GOLD_DRUDE),
+}
+
+
+@pytest.mark.parametrize("mirror", PER_MEDIUM_MIRRORS.values(),
+                         ids=PER_MEDIUM_MIRRORS.keys())
+def test_per_medium_recursion_equals_per_layer(mirror):
+    _assert_per_medium_equals_per_layer(mirror, W_LIH)
+
+
+def test_per_medium_recursion_random_stacks():
+    # stacks of 2-3 materials, each used at up to two thicknesses, in any
+    # order: repeated media and layers share their evaluations bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    material = st.one_of(
+        st.builds(Drude, plasma_frequency=st.floats(1e13, 1e17),
+                  damping=st.floats(1e10, 1e15)),
+        st.builds(ConstantLossy, eps_real=st.floats(1.0, 100.0),
+                  eps_imag=st.floats(0.0, 10.0)),
+        st.just(Vacuum()))
+
+    @hypothesis.given(st.lists(material, min_size=2, max_size=3),
+                      st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                               min_size=1, max_size=12),
+                      st.integers(0, 2), st.floats(1e11, 1e14))
+    def check(materials, picks, last, omega):
+        layers = [Layer(materials[i % len(materials)], D * (1 + 2 * thick))
+                  for i, thick in picks]
+        layers.append(Layer(materials[last % len(materials)], None))
+        _assert_per_medium_equals_per_layer(Stack(tuple(layers)), omega)
+
+    check()

@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.cli import _z_grid
@@ -291,23 +290,17 @@ def test_continuous_across_J0(terms):
     assert abs(u[1] - u[0]) <= 10 * spec.rel_tol * abs(u[0])
 
 
-def test_cost_bounded_in_temperature(monkeypatch):
+def test_cost_bounded_in_temperature(reflection_evaluations):
     # (node x xi column) reflection evaluations of a 40-point gold profile:
     # J(z) at the wall grows as 1/T, the cost does not
-    def counted(*args, **kwargs):
-        rs, rp = reflection_coefficients(*args, **kwargs)
-        evaluations.append(rs.size)
-        return rs, rp
-
-    monkeypatch.setattr(cavitycp.greens, "reflection_coefficients", counted)
     cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
     zs = np.array(_z_grid(A2, 40) + [0.0])
     cost = {}
     for temperature in (10.0, 0.1):
-        evaluations = []
+        reflection_evaluations.clear()
         nonresonant_potential(zs, LIH, cav, ThermalEnvironment(temperature),
                               QuadratureSpec(rel_tol=1e-9))
-        cost[temperature] = sum(evaluations)
+        cost[temperature] = sum(reflection_evaluations)
     assert cost[0.1] <= 3 * cost[10.0]
 
 

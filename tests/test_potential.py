@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
+import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B
-from cavitycp.greens import CavityGeometry, PlateGeometry
+from cavitycp.greens import (CavityGeometry, GreenTraceParts, PlateGeometry,
+                             cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack)
@@ -293,3 +295,70 @@ def test_batched_plate_matches_scalar(mirror, env300, quad_fast):
         assert np.all(np.abs(batch - single)
                       <= 10.0 * quad_fast.rel_tol * np.max(np.abs(single))), \
             name
+
+
+SEEDED_CASES = {
+    "gold-nu1": (HalfSpace(GOLD_DRUDE), 1),
+    "gold-nu2": (HalfSpace(GOLD_DRUDE), 2),
+    "sapphire_stack-nu2": (
+        Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)), 2),
+    **{f"constant_r-nu{nu}": (ConstantR(1.0 - 1e-5), nu) for nu in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("mirror, nu", SEEDED_CASES.values(),
+                         ids=SEEDED_CASES.keys())
+def test_depth_refined_pass_reuses_first_pass(mirror, nu, env300, quad,
+                                              reflection_evaluations,
+                                              monkeypatch):
+    # potential_depth's trace at the refined extrema (and, for nu = 1, the
+    # edge) starts from its trace at the seeds: no reflection evaluations,
+    # and the values of an unseeded trace at the same positions
+    traces = []
+
+    def recorded(*args, **kwargs):
+        before = sum(reflection_evaluations)
+        parts = cavity_trace_realfreq(*args, **kwargs)
+        traces.append((args, kwargs, parts,
+                       sum(reflection_evaluations) - before))
+        return parts
+
+    monkeypatch.setattr(cavitycp.potential, "cavity_trace_realfreq",
+                        recorded)
+    potential_depth(LIH, mirror, nu, env300, quad)
+    (_, _, first, first_cost), (args, kwargs, refined, cost) = traces
+    assert kwargs.pop("start") is first
+    assert first_cost > 0 and cost == 0
+    unseeded = cavity_trace_realfreq(*args, **kwargs).propagating
+    assert np.all(np.abs(refined.propagating - unseeded)
+                  <= 10.0 * quad.rel_tol * np.abs(unseeded))
+
+
+def test_seeded_trace_misses(quad, reflection_evaluations):
+    # a seed from another omega or geometry is refused; at positions far
+    # from the seed's, the missing nodes are evaluated and every position
+    # still converges to the unseeded value
+    gold = HalfSpace(GOLD_DRUDE)
+    for geometry, z0, zs in (
+            (CavityGeometry(8.0 * LAM, gold), 0.0,
+             np.array([0.2 * LAM, 3.99 * LAM])),
+            (PlateGeometry(gold), LAM / 8.0, np.array([LAM / 8.0, 5 * LAM]))):
+        seed = cavity_trace_realfreq(z0, W_LIH, geometry, quad,
+                                     evanescent=False)
+        for omega, other in ((1.01 * W_LIH, geometry),
+                             (W_LIH, CavityGeometry(4.0 * LAM, gold)),
+                             (W_LIH, PlateGeometry(ConstantR(0.9)))):
+            with pytest.raises(ValueError, match="start"):
+                cavity_trace_realfreq(LAM / 8.0, omega, other, quad,
+                                      start=seed)
+        reflection_evaluations.clear()
+        seeded = cavity_trace_realfreq(zs, W_LIH, geometry, quad,
+                                       evanescent=False, start=seed)
+        assert sum(reflection_evaluations) > 0
+        unseeded = cavity_trace_realfreq(zs, W_LIH, geometry, quad,
+                                         evanescent=False)
+        assert np.all(np.abs(seeded.propagating - unseeded.propagating)
+                      <= 10.0 * quad.rel_tol * np.abs(unseeded.propagating))
+    with pytest.raises(ValueError, match="start"):
+        cavity_trace_realfreq(LAM / 8.0, W_LIH, geometry, quad,
+                              start=GreenTraceParts(0j, 0j))

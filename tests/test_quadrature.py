@@ -52,6 +52,8 @@ def test_budget_exhaustion_raises_with_estimate():
         adaptive_integrate(f, 0.0, 3.0, spec)
     assert np.isfinite(exc.value.estimate)
     assert exc.value.error > 0
+    assert exc.value.splits == exc.value.max_subdivisions == 3
+    assert exc.value.error_ratio > 1
 
 
 def test_empty_interval_rejected():
