@@ -51,8 +51,11 @@ def _emit(rows, header, args):
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows],
-                          indent=2) + "\n"
+        # RFC 8259 JSON has no NaN or Infinity: non-finite floats are null
+        text = json.dumps([{k: None if isinstance(v, float)
+                            and not math.isfinite(v) else v
+                            for k, v in zip(header, row)} for row in rows],
+                          indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -107,8 +110,12 @@ def _grid(lo, hi, points):
 
 
 def _z_grid(width, points):
+    """points evenly spaced positions across the cavity, a/1000 from each
+    wall, exactly antisymmetric (z[i] == -z[-1 - i], centre 0.0 for odd
+    points), so that mirror positions fold onto one evaluation."""
     edge = width / 2.0 - width / 1000.0
-    return _grid(-edge, edge, points)
+    half = _grid(-edge, edge, points)[:points // 2]
+    return half + [0.0] * (points % 2) + [-z for z in reversed(half)]
 
 
 def cmd_profile(args) -> int:

@@ -117,6 +117,23 @@ def _positions(z, inside, what):
     return np.ndim(z) == 0, zs
 
 
+def _fold(geometry, zs):
+    """(reps, index): reps[index] equals the positions zs up to sign.  In a
+    cavity reps holds each distinct |z| once, with the sign of its first
+    occurrence in zs, so a quantity even in z computed at reps unfolds to zs
+    as [index].  A PlateGeometry's distances are their own reps.
+
+    The fold relies on L = R, one mirror for both walls: the paths
+    {a - 2z, a + 2z}, the evanescent cutoff and x_c(z) then depend on |z|
+    alone and cos(2 beta z) is even, so the entries at +-z are equal bit for
+    bit.  A cavity with different left and right mirrors must not fold."""
+    if geometry.width is None:
+        return zs, slice(None)
+    _, first, index = np.unique(np.abs(zs), return_index=True,
+                                return_inverse=True)
+    return zs[first], index
+
+
 @dataclass
 class GreenTraceParts:
     """Propagating and evanescent contributions to Tr G (units 1/m); complex
@@ -203,11 +220,12 @@ def _by_columns(rows, zs, block):
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
     """(propagating, evanescent, rule, samples): the trace at real omega at
-    each position of the array zs.  samples is (omega, geometry, S, final
-    panel edges, F by node) of the propagating integral; an earlier trace's
-    samples as seed stand in for S, the resonance breakpoints and every
-    reflection evaluation they hold, and gain this trace's new nodes.  See
-    cavity_trace_realfreq."""
+    each position of the array zs, evaluated once per _fold representative.
+    samples is (omega, geometry, S, final panel edges, F by node) of the
+    propagating integral; an earlier trace's samples as seed stand in for S,
+    the resonance breakpoints and every reflection evaluation they hold, and
+    gain this trace's new nodes.  See cavity_trace_realfreq."""
+    zs, index = _fold(geometry, zs)
     mirror, width = geometry.mirror, geometry.width
     wc = omega / C
     kappa_max = _CUTOFF / geometry.decay_lengths(zs).min(axis=0)
@@ -279,7 +297,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                                      breakpoints=x_c.tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
-    return prop, evan, (nodes, rule_f), samples
+        evan = evan[index]
+    return prop[index], evan, (nodes, rule_f), samples
 
 
 def cavity_trace_realfreq(z, omega: float, cavity,
@@ -290,7 +309,8 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
     z is a position or a 1-D array of positions; for an array, every part
     is an array with one entry per position, each converged to its own
-    tolerance.  The z-independent kernel F(beta) = K(beta) node_phase(beta)
+    tolerance; in a cavity each distinct |z| is evaluated once, so +-z get
+    equal entries.  The z-independent kernel F(beta) = K(beta) node_phase(beta)
     of the propagating integral int F(beta) position_phase(beta, z) d beta
     (and its evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is
     evaluated once per quadrature node for all positions.  With

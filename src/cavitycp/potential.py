@@ -32,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, PlateGeometry, \
+from .greens import _CUTOFF, CavityGeometry, PlateGeometry, _fold, \
     cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
@@ -113,7 +113,9 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
     """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position of
     the array zs (see the module docstring).  A position with J(z) > J0
     replaces sum_{j >= J0} F_j by (1/xi_1) int F dxi from xi_m, m = J0 - 1,
-    to at least xi_m + 40 c / gap, plus _END_WEIGHTS on its exact terms."""
+    to at least xi_m + 40 c / gap, plus _END_WEIGHTS on its exact terms.
+    Both sums run once per greens._fold representative of zs."""
+    zs, index = _fold(geometry, zs)
     xi1 = matsubara_frequency(1, env)
     gap = geometry.decay_lengths(zs).min(axis=0)
     span = _CUTOFF * C / gap
@@ -130,7 +132,7 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
         u[tail] = _tail_integral(geometry, zs[tail], alpha, xi[-1],
                                  span[tail], spec) / xi1
     u += imagfreq_trace_sum(geometry, zs, xi, weights, spec)
-    return MU_0 * K_B * env.temperature * u
+    return MU_0 * K_B * env.temperature * u[index]
 
 
 def _tail_integral(geometry, zs, alpha, lo, span, spec: QuadratureSpec):
@@ -160,7 +162,8 @@ def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
     min(J(z), J0) terms, the half-weight static j = 0 term included.  Past J0 = 64 the
     rest is an Euler-Maclaurin tail: one xi integral over the positions that
     need it, plus Gregory end weights on their last exact terms.  Both
-    integrals meet spec.rel_tol, so the cost is bounded as T -> 0.
+    integrals meet spec.rel_tol, so the cost is bounded as T -> 0.  In a
+    cavity each distinct |z| is summed once, so +-z get equal entries.
     """
     scalar, zs = cavity.check_position(z)
     u = _nonresonant(cavity, zs, lambda xi: polarizability_imag(mol, xi),

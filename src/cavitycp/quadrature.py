@@ -77,21 +77,26 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best estimate found (one
-    entry per component for a vector-valued integrand), the bisections used
-    of max_subdivisions, and the worst component's error over tolerance."""
+    """Subdivision budget exhausted; carries the best estimate found and its
+    error (one entry per component for a vector-valued integrand), the
+    bisections used of max_subdivisions, and the worst component's error over
+    tolerance.  The message is one line on that worst component."""
 
-    def __init__(self, estimate, error, splits, max_subdivisions,
-                 error_ratio):
+    def __init__(self, estimate, error, tolerance, splits, max_subdivisions):
+        ratio = np.ravel(error / tolerance)
+        worst = int(np.argmax(ratio))
+        where = "" if np.ndim(estimate) == 0 \
+            else f"component {worst} of {ratio.size}, "
         super().__init__(
-            f"quadrature failed to converge: estimate {estimate}, "
-            f"error {np.max(error):.3e}; {splits} of {max_subdivisions} "
-            f"subdivisions used, worst error/tolerance {error_ratio:.3g}")
+            f"quadrature failed to converge: {where}estimate "
+            f"{np.ravel(estimate)[worst]:.6g}, error "
+            f"{np.ravel(error)[worst]:.3e}; {splits} of {max_subdivisions} "
+            f"subdivisions used, worst error/tolerance {ratio[worst]:.3g}")
         self.estimate = estimate
         self.error = error
         self.splits = splits
         self.max_subdivisions = max_subdivisions
-        self.error_ratio = error_ratio
+        self.error_ratio = ratio[worst]
 
 
 class QuadratureResult(tuple):
@@ -203,6 +208,6 @@ def adaptive_integrate(
     if scalar:
         total, total_err = total[0], total_err[0]
     if not converged:
-        raise QuadratureError(total, total_err, splits, spec.max_subdivisions,
-                              np.max(total_err / tol))
+        raise QuadratureError(total, total_err, tol, splits,
+                              spec.max_subdivisions)
     return QuadratureResult(total, total_err, a, b)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -10,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+import cavitycp.greens
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.cli import main
+from cavitycp.cli import _z_grid, main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
                              load_registry, parse_quantity)
 from cavitycp.constants import C
@@ -168,6 +170,23 @@ def test_cli_out_file_and_json(capsys, tmp_path):
     assert data[0]["kind"] == "well_depth"
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_json_is_strict(capsys):
+    # non-finite columns (nu = 1 has no minimum; asym without --delta has no
+    # depths) are null, so strict RFC 8259 parsers read the output
+    for argv, column, nulls in (
+            (["depth", "--mirror", "gold", "--nu", "1"], "z_min_m", 1),
+            (["asym", "--nu-max", "3"], "depth_series_J", 2)):
+        code, out, _ = run_cli(["--format", "json", "--rel-tol", "1e-7"]
+                               + argv, capsys)
+        assert code == 0
+        rows = json.loads(out, parse_constant=_no_constant)
+        assert sum(r[column] is None for r in rows) == nulls
+
+
 def test_cli_global_flags_after_subcommand(capsys, tmp_path):
     cfg = tmp_path / "mirror.cfg"
     cfg.write_text("[mirror:half_gold]\ntype = constant_r\nr = 0.5\n")
@@ -179,6 +198,58 @@ def test_cli_global_flags_after_subcommand(capsys, tmp_path):
     assert run_cli(cmd + flags + ["--out", str(after)], capsys)[0] == 0
     assert after.read_bytes() == before.read_bytes()
     assert json.loads(after.read_text())[0]["z_m"] < 0
+
+
+@pytest.mark.parametrize("points", [2, 3, 40, 200, 201])
+def test_z_grid_is_antisymmetric(points):
+    # mirror positions are exact negatives, so a cavity folds them onto one
+    # evaluation
+    a = 6.752092737680181e-4
+    z = np.array(_z_grid(a, points))
+    assert len(z) == points
+    assert np.all(np.diff(z) > 0)
+    assert np.array_equal(z, -z[::-1])
+    if points % 2:
+        assert z[points // 2] == 0.0
+    edge = a / 2.0 - a / 1000.0
+    assert abs(z[0] + edge) <= 1e-15 * a
+    assert abs(z[-1] - edge) <= 1e-15 * a
+
+
+def _rounds(trace_columns):
+    """(nodes, columns) per run of position_phase calls with equal node
+    counts: one run per integrand call of a propagating trace, split into
+    position blocks (consecutive calls of equal size merge)."""
+    return [(n, sum(len(p) for _, p in calls))
+            for n, calls in itertools.groupby(trace_columns,
+                                              key=lambda c: c[0])]
+
+
+@pytest.mark.parametrize("command, folded, unfolded", [
+    ("profile", 101, 201), ("heating", 100, 200)])
+def test_cli_grid_folds_to_half_the_columns(command, folded, unfolded,
+                                            capsys, monkeypatch,
+                                            trace_columns):
+    # scan-gold's 200-point grids (the profile adds its centre): the same
+    # rounds on the same nodes as without the fold, each on half the
+    # columns, and the same output within a few ulp of each column's max
+    argv = [command, "--mirror", "gold", "--width", "resonance:2",
+            "--points", "200"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rounds = _rounds(trace_columns)
+    trace_columns.clear()
+    monkeypatch.setattr(cavitycp.greens, "_fold",
+                        lambda geometry, zs: (zs, slice(None)))
+    code, out_unfolded, _ = run_cli(argv, capsys)
+    assert code == 0
+    rounds_unfolded = _rounds(trace_columns)
+    assert all(c % folded == 0 for _, c in rounds)
+    assert [(n, c // folded) for n, c in rounds] \
+        == [(n, c // unfolded) for n, c in rounds_unfolded]
+    got, want = (np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+                 for text in (out, out_unfolded))
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=0))
 
 
 def test_cli_profile_resonance_width(capsys):
@@ -338,17 +409,21 @@ def test_cli_exit_numerical(capsys, monkeypatch):
         climod, "_quad_spec",
         lambda args: climod.QuadratureSpec(rel_tol=1e-15,
                                            max_subdivisions=2))
-    code, _, err = run_cli(
-        ["depth", "--mirror", "gold", "--nu", "2"], capsys)
-    assert code == 3
-    assert err.startswith("numerical failure: quadrature failed to converge")
-    # where the budget went: bisections used of the budget, and the worst
-    # component's error over its tolerance
-    budget = re.search(r"(\d+) of (\d+) subdivisions used, worst "
-                       r"error/tolerance (\S+)$", err.strip())
-    assert budget is not None, err
-    assert int(budget[1]) == int(budget[2]) == 2
-    assert float(budget[3]) > 1.0
+    for argv in (["depth", "--mirror", "gold", "--nu", "2"],
+                 ["profile", "--width", "resonance:2", "--points", "200"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: quadrature failed to "
+                              "converge")
+        # one line on the worst component, however many the integral has
+        assert len(err.splitlines()) == 1, err
+        # where the budget went: bisections used of the budget, and the
+        # worst component's error over its tolerance
+        budget = re.search(r"(\d+) of (\d+) subdivisions used, worst "
+                           r"error/tolerance (\S+)$", err.strip())
+        assert budget is not None, err
+        assert int(budget[1]) == int(budget[2]) == 2
+        assert float(budget[3]) > 1.0
 
 
 def test_cli_threads_env(capsys, monkeypatch):

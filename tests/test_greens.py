@@ -12,7 +12,7 @@ import pytest
 
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, PlateGeometry,
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _fold,
                              _grazing_coefficient, cavity_trace_imagfreq,
                              cavity_trace_realfreq, single_plate_trace_parts,
                              transverse_beta, zero_frequency_trace_limit)
@@ -269,3 +269,52 @@ def test_grazing_coefficient_step_independent(mirror, nu):
     s_coarse = _grazing_coefficient(mirror, W_LIH, a, step=1e-5)
     assert s_default != 0
     assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)
+
+
+# --- parity fold: a cavity evaluates each distinct |z| once ------------------
+
+FOLD_MIRRORS = [HalfSpace(GOLD_DRUDE), STACK, ConstantR(0.9)]
+FOLD_IDS = ["gold", "sapphire_stack", "constant_r"]
+# unordered, with +-z pairs, the centre and one unpaired position
+FOLD_ZS = np.array([2e-4, -1e-5, 0.0, -2e-4, 1e-5, 3.1e-4])
+FOLD_REPS = np.array([0.0, -1e-5, 2e-4, 3.1e-4])
+
+
+@pytest.mark.parametrize("mirror", FOLD_MIRRORS, ids=FOLD_IDS)
+def test_fold_realfreq_symmetric_positions(mirror, quad_fast, trace_columns):
+    # +-z entries are equal bit for bit, every entry is its scalar call's
+    # value, and each round evaluates the distinct |z| once, at the sign of
+    # their first occurrence
+    cav = _resonant_cavity(mirror, 2)
+    batch = cavity_trace_realfreq(FOLD_ZS, W_LIH, cav, quad_fast)
+    assert trace_columns
+    assert all(np.array_equal(p, FOLD_REPS) for _, p in trace_columns)
+    single = [cavity_trace_realfreq(float(z), W_LIH, cav, quad_fast)
+              for z in FOLD_ZS]
+    for part in ("propagating", "evanescent"):
+        got = getattr(batch, part)
+        want = np.array([getattr(s, part) for s in single])
+        assert np.array_equal(got[[0, 1]], got[[3, 4]]), part
+        assert np.all(np.abs(got - want)
+                      <= 10.0 * quad_fast.rel_tol * np.abs(want).max()), part
+
+
+def test_fold_keeps_scalar_sign(gold, quad_fast, trace_columns):
+    # a scalar call at -z still evaluates at -z, so the parity tests compare
+    # two independent evaluations
+    cav = _resonant_cavity(gold, 2)
+    cavity_trace_realfreq(-1e-5, W_LIH, cav, quad_fast)
+    assert trace_columns
+    assert all(np.array_equal(p, [-1e-5]) for _, p in trace_columns)
+
+
+def test_fold_leaves_plate_distances(gold, quad_fast, trace_columns):
+    # a plate's distances are not folded, repeated ones included
+    plate = PlateGeometry(gold)
+    ds = np.array([2e-5, 1e-5, 2e-5])
+    reps, index = _fold(plate, ds)
+    assert np.array_equal(reps[index], ds) and len(reps) == 3
+    parts = cavity_trace_realfreq(ds, W_LIH, plate, quad_fast)
+    assert parts.propagating.shape == ds.shape
+    assert trace_columns
+    assert all(np.array_equal(p, ds) for _, p in trace_columns)

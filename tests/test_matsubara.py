@@ -19,7 +19,8 @@ from cavitycp import LIH, ThermalEnvironment
 from cavitycp.cli import _z_grid
 from cavitycp.constants import C, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
-                             cavity_trace_imagfreq, cavity_trace_realfreq)
+                             cavity_trace_imagfreq, cavity_trace_realfreq,
+                             imagfreq_trace_sum)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack,
                                 Vacuum, quarter_wave_stack,
                                 reflection_coefficients,
@@ -321,3 +322,36 @@ def test_zero_temperature_limit():
                                     FAST)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= TOL * np.abs(want))
+
+
+# --- parity fold: a cavity sums each distinct |z| once -----------------------
+
+@pytest.mark.parametrize("mirror", ["gold", "sapphire_stack", "constant_r"])
+def test_fold_nonresonant_symmetric_positions(mirror, monkeypatch):
+    # at 10 K the wall pair needs the Euler-Maclaurin tail: the head sum
+    # and the tail run on one position per distinct |z|, +-z entries are
+    # equal bit for bit and every entry is its scalar call's value
+    env = ThermalEnvironment(10.0)
+    cav = CavityGeometry(width=A2, mirror=HYBRID_MIRRORS[mirror])
+    wall = _wall_positions(cav, env, [3 * _J0])[0]
+    zs = np.array([wall, -1e-5, 0.0, -wall, 1e-5, 2e-4])
+    seen = []
+
+    def recorded(geometry, z, *args, **kwargs):
+        seen.append(np.array(z))
+        return imagfreq_trace_sum(geometry, z, *args, **kwargs)
+
+    monkeypatch.setattr(cavitycp.potential, "imagfreq_trace_sum", recorded)
+    got = nonresonant_potential(zs, LIH, cav, env, FAST)
+    head = np.array([0.0, -1e-5, 2e-4, wall])
+    assert any(np.array_equal(z, head) for z in seen)
+    assert all(np.array_equal(z, head) or np.array_equal(z, [wall])
+               for z in seen)
+    assert np.array_equal(got[[0, 1]], got[[3, 4]])
+    want = np.array([nonresonant_potential(float(z), LIH, cav, env, FAST)
+                     for z in zs])
+    assert np.all(np.abs(got - want) <= TOL * np.abs(want).max())
+    # a scalar call at -z still sums at -z
+    seen.clear()
+    nonresonant_potential(-1e-5, LIH, cav, env, FAST)
+    assert seen and all(np.array_equal(z, [-1e-5]) for z in seen)
