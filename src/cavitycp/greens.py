@@ -29,15 +29,16 @@ per-node and a per-term part.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
     static_limit_reflection, transverse_wavenumber
-from .quadrature import QuadratureSpec, adaptive_integrate
+from .quadrature import QuadratureError, QuadratureSpec, adaptive_integrate
 
 __all__ = [
     "CavityGeometry", "PlateGeometry", "GreenTraceParts", "transverse_beta",
@@ -134,15 +135,23 @@ def _fold(geometry, zs):
     return zs[first], index
 
 
+@contextmanager
+def _unfolded(index):
+    """Re-raise a QuadratureError over _fold's reps at the caller's rows."""
+    try:
+        yield
+    except QuadratureError as err:
+        raise QuadratureError(err.estimate[index], err.error[index],
+                              err.tolerance[index], err.splits,
+                              err.max_subdivisions) from err
+
+
 @dataclass
 class GreenTraceParts:
     """Propagating and evanescent contributions to Tr G (units 1/m); complex
-    numbers, or complex arrays for an array of positions.  rule, and
-    samples for start=, are set by cavity_trace_realfreq (see there)."""
+    numbers, or complex arrays for an array of positions."""
     propagating: Any
     evanescent: Any
-    rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    samples: Any = None
 
     @property
     def total(self) -> complex:
@@ -167,8 +176,7 @@ def _bracket(rs, rp, omega2, beta2, phase):
 def _kernel(beta, omega: float, mirror: MirrorSpec, width: Optional[float]):
     """K = B / (4 pi i omega^2) at real omega along complex beta: beta real
     for propagating waves, beta = i kappa for evanescent ones."""
-    k_perp = np.sqrt(np.maximum(((omega / C) ** 2 - beta * beta).real, 0.0))
-    rs, rp = reflection_coefficients(mirror, omega, k_perp, beta=beta)
+    rs, rp = reflection_coefficients(mirror, omega, beta=beta)
     phase = None if width is None else np.exp(2j * beta * width)
     return _bracket(rs, rp, omega**2, beta * beta, phase) \
         / (4j * np.pi * omega**2)
@@ -219,12 +227,16 @@ def _by_columns(rows, zs, block):
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
-    """(propagating, evanescent, rule, samples): the trace at real omega at
-    each position of the array zs, evaluated once per _fold representative.
-    samples is (omega, geometry, S, final panel edges, F by node) of the
-    propagating integral; an earlier trace's samples as seed stand in for S,
-    the resonance breakpoints and every reflection evaluation they hold, and
-    gain this trace's new nodes.  See cavity_trace_realfreq."""
+    """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
+    parts at the array zs, evaluated once per _fold rep; evanescent is None
+    unless asked for.  rule is (beta, w F), the propagating integral's final
+    Kronrod nodes and weights times F: in a cavity Re sum(w F cos(2 beta z))
+    is Re Tr G_pr(z) up to a constant in z, so derivatives in z need no new
+    reflection evaluations.  samples is (S, final panel edges, F by node).
+    As the seed of a propagating trace at the same omega and geometry, they
+    start its adaptive pass from those panels and stand in for S, the
+    resonance breakpoints and every F they hold; only nodes the seed lacks
+    are evaluated (and added to it), and every position meets rel_tol."""
     zs, index = _fold(geometry, zs)
     mirror, width = geometry.mirror, geometry.width
     wc = omega / C
@@ -232,7 +244,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # the grazing subtraction runs over [0, x_c(z)] for each position
     x_c = np.minimum(wc, kappa_max)
     if seed is not None:
-        _, _, s_coef, bps, kernel = seed
+        s_coef, bps, kernel = seed
     elif width is None:
         # D_sigma = 1: no resonances and no grazing singularity
         s_coef, bps, kernel = 0.0, [], {}
@@ -246,16 +258,14 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             else s_coef * np.exp(-x * width) / x
 
     def node_kernel(beta):
-        """F(beta) = K(beta) node_phase(beta), recorded in kernel.  A seeded
-        trace looks F up there and evaluates only the nodes it lacks."""
-        new = beta if seed is None \
-            else np.array([b for b in beta.tolist() if b not in kernel])
+        """F(beta) = K(beta) node_phase(beta), looked up in kernel; only the
+        nodes kernel lacks (all of them, unless seeded) are evaluated."""
+        new = np.array([b for b in beta.tolist() if b not in kernel])
         if len(new):
             f = _kernel(new + 0j, omega, mirror, width) \
                 * geometry.node_phase(new)
             kernel.update(zip(new.tolist(), f.tolist()))
-        return f if seed is None \
-            else np.array([kernel[b] for b in beta.tolist()])
+        return np.array([kernel[b] for b in beta.tolist()])
 
     def f_prop(beta):
         f = node_kernel(beta)
@@ -269,10 +279,11 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # precision; start at a small floor and add the residual's (essentially
     # constant) rectangle contribution for [0, x_lo].
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
-    result = adaptive_integrate(f_prop, x_lo, wc, spec,
-                                breakpoints=bps + x_c.tolist())
+    with _unfolded(index):
+        result = adaptive_integrate(f_prop, x_lo, wc, spec,
+                                    breakpoints=bps + x_c.tolist())
     prop = result[0]
-    samples = (omega, geometry, s_coef, result.panels[0].tolist(), kernel)
+    samples = (s_coef, result.panels[0].tolist(), kernel)
     nodes, weights = result.rule()
     rule_f = weights * np.array([kernel[b] for b in nodes.tolist()])
     if x_lo > 0:
@@ -293,8 +304,9 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.
-        evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max.max(), spec,
-                                     breakpoints=x_c.tolist())
+        with _unfolded(index):
+            evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max.max(), spec,
+                                         breakpoints=x_c.tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
@@ -302,8 +314,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
 
 
 def cavity_trace_realfreq(z, omega: float, cavity,
-                          spec: QuadratureSpec = QuadratureSpec(),
-                          evanescent: bool = True, start=None):
+                          spec: QuadratureSpec = QuadratureSpec()):
     """Tr G at real frequency, split into propagating/evanescent parts.
 
     cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
@@ -313,37 +324,13 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     equal entries.  The z-independent kernel F(beta) = K(beta) node_phase(beta)
     of the propagating integral int F(beta) position_phase(beta, z) d beta
     (and its evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is
-    evaluated once per quadrature node for all positions.  With
-    evanescent=False the evanescent field is None.
-
-    The result's rule holds (beta, w F): the nodes and Kronrod weights of
-    the propagating integral's final panels times F.  In a cavity,
-    Re sum(w F cos(2 beta z)) reproduces Re Tr G_pr(z) at any z up to the
-    z-independent grazing subtraction, so derivatives in z need no new
-    reflection evaluations.
-
-    start, an earlier result at the same omega and cavity (ValueError
-    otherwise), seeds the propagating integral: its adaptive pass starts
-    from start's final panels and takes F from start's samples wherever it
-    has them, including the grazing coefficient S.  Only nodes start lacks,
-    where a panel must split further or a position adds an edge, cost
-    reflection evaluations, and every position still meets spec.rel_tol.
-    The evanescent integral is never seeded.
+    evaluated once per quadrature node for all positions.
     """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
     scalar, zs = cavity.check_position(z)
-    seed = None if start is None else start.samples
-    if start is not None and (seed is None or seed[:2] != (omega, cavity)):
-        raise ValueError("start must be a real-frequency trace at the same "
-                         "omega and cavity")
-    prop, evan, rule, samples = _realfreq_trace(zs, omega, cavity, spec,
-                                                evanescent, seed)
-    if scalar:
-        prop = complex(prop[0])
-        evan = None if evan is None else complex(evan[0])
-    return GreenTraceParts(propagating=prop, evanescent=evan, rule=rule,
-                           samples=samples)
+    parts = _realfreq_trace(zs, omega, cavity, spec, True)[:2]
+    return GreenTraceParts(*(complex(p[0]) if scalar else p for p in parts))
 
 
 def imagfreq_trace_sum(geometry, zs, xi, weights,
@@ -388,9 +375,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         if static:
             rs[:, 0], rp[:, 0] = static_limit_reflection(mirror, s)
         if len(xi) > static:
-            k = np.sqrt(s[:, None] * (kappa[:, static:] + xi[static:] / C))
             rs[:, static:], rp[:, static:] = reflection_coefficients(
-                mirror, 1j * xi[static:], k, beta=1j * kappa[:, static:])
+                mirror, 1j * xi[static:], beta=1j * kappa[:, static:])
         phase = None if width is None else np.exp(-2.0 * kappa * width)
         bracket = _bracket(rs, rp, -xi**2, -kappa**2, phase)
         if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):

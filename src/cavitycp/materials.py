@@ -263,18 +263,20 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     return rs, rp
 
 
-def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp,
+def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp=None,
                             beta=None):
     """(r_s, r_p) for any mirror variant; vectorized over k_perp and omega,
     which broadcast against each other.
 
     beta, if given, is the exact vacuum transverse wavenumber (see
-    fresnel_halfspace).
+    fresnel_halfspace); k_perp is then not read and may be left out.
     """
-    k_perp = np.asarray(k_perp, dtype=float)
+    if k_perp is None and beta is None:
+        raise ValueError("reflection_coefficients needs k_perp or beta")
     if isinstance(mirror, ConstantR):
-        r = np.full(np.broadcast_shapes(k_perp.shape, np.shape(omega)),
-                    mirror.r, dtype=complex)
+        shape = np.shape(k_perp if beta is None else beta)
+        r = np.full(np.broadcast_shapes(shape, np.shape(omega)), mirror.r,
+                    dtype=complex)
         return -r, r
     layers = mirror.layers if isinstance(mirror, Stack) \
         else (Layer(mirror.material, None),)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
 from .greens import _CUTOFF, CavityGeometry, PlateGeometry, _fold, \
-    cavity_trace_realfreq, imagfreq_trace_sum
+    _realfreq_trace, _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -114,7 +114,8 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
     the array zs (see the module docstring).  A position with J(z) > J0
     replaces sum_{j >= J0} F_j by (1/xi_1) int F dxi from xi_m, m = J0 - 1,
     to at least xi_m + 40 c / gap, plus _END_WEIGHTS on its exact terms.
-    Both sums run once per greens._fold representative of zs."""
+    Both sums run once per greens._fold rep of zs.  A QuadratureError of
+    the exact sum indexes zs; the tail's integrals keep their own indexing."""
     zs, index = _fold(geometry, zs)
     xi1 = matsubara_frequency(1, env)
     gap = geometry.decay_lengths(zs).min(axis=0)
@@ -131,7 +132,8 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
         weights[tail] *= 1.0 + _END_WEIGHTS
         u[tail] = _tail_integral(geometry, zs[tail], alpha, xi[-1],
                                  span[tail], spec) / xi1
-    u += imagfreq_trace_sum(geometry, zs, xi, weights, spec)
+    with _unfolded(index):
+        u += imagfreq_trace_sum(geometry, zs, xi, weights, spec)
     return MU_0 * K_B * env.temperature * u[index]
 
 
@@ -156,14 +158,11 @@ def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
                           spec: QuadratureSpec = QuadratureSpec()):
     """Matsubara-sum (non-resonant) potential in a cavity or at a plate.
 
-    z is a position or a 1-D array of positions (array out).  Position z
-    needs J(z) = 2 + ceil(40 c / (xi_1 gap)) terms (an e^-40 truncation).
-    All positions share one wavenumber integral over their first
-    min(J(z), J0) terms, the half-weight static j = 0 term included.  Past J0 = 64 the
-    rest is an Euler-Maclaurin tail: one xi integral over the positions that
-    need it, plus Gregory end weights on their last exact terms.  Both
-    integrals meet spec.rel_tol, so the cost is bounded as T -> 0.  In a
-    cavity each distinct |z| is summed once, so +-z get equal entries.
+    z is a position or a 1-D array of positions (array out).  All positions
+    share one wavenumber integral over their first min(J(z), J0) terms and
+    one Euler-Maclaurin tail integral for the rest (see the module
+    docstring); both meet spec.rel_tol, so the cost is bounded as T -> 0.
+    In a cavity each distinct |z| is summed once, so +-z get equal entries.
     """
     scalar, zs = cavity.check_position(z)
     u = _nonresonant(cavity, zs, lambda xi: polarizability_imag(mol, xi),
@@ -171,21 +170,30 @@ def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
     return float(u[0]) if scalar else u
 
 
+def _line_sum(z, lines, cavity, spec: QuadratureSpec):
+    """(sum_k w_k Tr G_pr(omega_k), sum_k w_k Tr G_ev(omega_k)) at z over
+    the (omega_k, w_k) pairs of lines, one trace per distinct omega_k."""
+    parts = {omega: cavity_trace_realfreq(z, omega, cavity, spec)
+             for omega in dict.fromkeys(omega for omega, _ in lines)}
+    return (sum(w * parts[omega].propagating for omega, w in lines),
+            sum(w * parts[omega].evanescent for omega, w in lines))
+
+
+def _ground_lines(mol: Molecule, env: ThermalEnvironment):
+    """(omega, (mu0/3) omega^2 n(omega) d^2) per ground-state transition."""
+    return [(t.omega, MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env)
+             * t.d_squared) for t in mol.transitions]
+
+
 def resonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
                        spec: QuadratureSpec = QuadratureSpec()):
     """(U_pr, U_ev): the resonant potential in a cavity or at a plate.
 
     z may be a 1-D array of positions; each part is then an array, from one
-    batched trace per transition.
+    batched trace per transition frequency.
     """
-    u_pr = u_ev = 0.0
-    for t in mol.transitions:
-        weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
-            * t.d_squared
-        parts = cavity_trace_realfreq(z, t.omega, cavity, spec)
-        u_pr += weight * parts.propagating.real
-        u_ev += weight * parts.evanescent.real
-    return u_pr, u_ev
+    u_pr, u_ev = _line_sum(z, _ground_lines(mol, env), cavity, spec)
+    return u_pr.real, u_ev.real
 
 
 def potential_components(z: float, mol: Molecule, cavity,
@@ -225,7 +233,8 @@ def general_state_potential(z, scheme: LevelScheme,
                             env: ThermalEnvironment,
                             spec: QuadratureSpec = QuadratureSpec()):
     """Potential of an incoherent mixture of states, cavity or plate.  z is
-    a position (float out) or a 1-D array of them (array out)."""
+    a position (float out) or a 1-D array of them (array out).  Absorption
+    and emission lines at equal |w_kn| share one trace."""
     populations = list(populations)
     if len(populations) != len(scheme.energies):
         raise ValueError("one population per level required")
@@ -248,18 +257,14 @@ def general_state_potential(z, scheme: LevelScheme,
              for p_n, pairs in levels for d2, w_kn in pairs),
             np.zeros_like(xi))
 
+    # absorption of a thermal photon (w_kn > 0) weighs n(w), stimulated
+    # + spontaneous emission -(n(w) + 1)
+    lines = [(abs(w_kn), p_n * (MU_0 / 3.0 * w_kn**2 * d2 * math.copysign(
+        photon_number(abs(w_kn), env) + (w_kn < 0), w_kn)))
+        for p_n, pairs in levels for d2, w_kn in pairs]
     scalar, zs = cavity.check_position(z)
-    total = _nonresonant(cavity, zs, alpha, env, spec)
-    for p_n, pairs in levels:
-        for d2, w_kn in pairs:
-            w_abs = abs(w_kn)
-            if w_kn > 0:   # absorption from a thermal photon
-                weight = photon_number(w_abs, env)
-            else:          # stimulated + spontaneous emission
-                weight = -(photon_number(w_abs, env) + 1.0)
-            parts = cavity_trace_realfreq(zs, w_abs, cavity, spec)
-            total += p_n * (MU_0 / 3.0 * w_abs**2 * weight * d2
-                            * parts.total.real)
+    u_pr, u_ev = _line_sum(zs, lines, cavity, spec)
+    total = _nonresonant(cavity, zs, alpha, env, spec) + (u_pr + u_ev).real
     return float(total[0]) if scalar else total
 
 
@@ -273,7 +278,7 @@ def resonance_width(transition: Transition, nu: int) -> float:
 def _newton_extrema(rule, seeds, maximum, half_width, edge, xtol):
     """Stationary points of u(z) = Re sum(w F cos(2 beta z)) near the seeds.
 
-    rule is (beta, w F) from cavity_trace_realfreq.  Newton steps on
+    rule is (beta, w F) from greens._realfreq_trace.  Newton steps on
     u'(z) = -Re sum(2 beta w F sin(2 beta z)) and u''(z) run for all seeds at
     once.  maximum[i] selects a maximum or a minimum for seed i; a point
     whose curvature has the wrong sign, or that leaves seed +- half_width or
@@ -308,17 +313,15 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     nu-th resonance of the molecule's first transition.
 
     The extrema are seeded on the grid z = -nu lam/4 + (mu - 1/2) lam/2
-    (maxima) and z = -nu lam/4 + mu lam/2 (minima), and found in three steps:
-    one propagating-only trace at all seeds; Newton steps on the derivative
-    of the trace over that pass's nodes and kernel values (no new reflection
-    evaluations); one error-controlled propagating trace at the refined
-    extrema, which gives the reported values.  That trace starts from the
-    first one's panels, kernel samples and grazing coefficient
-    (cavity_trace_realfreq's start), so a depth costs one pass of reflection
-    evaluations, plus any nodes a further split needs.  Newton runs on the
-    trace, not on the photon-weighted potential, so a vanishing photon
-    number still locates the extrema.  An extremum of the wrong kind, or outside seed
-    +- lam/8 or the +-(a/2 - a/1000) edge, raises ArithmeticError.
+    (maxima) and z = -nu lam/4 + mu lam/2 (minima).  Newton steps on the
+    rule of one propagating trace at the seeds find them with no new
+    reflection evaluations (on the trace, not on the photon-weighted
+    potential, so a vanishing photon number still locates them).  A second
+    trace at the refined extrema, seeded with the first one's samples, gives
+    the reported values: a depth costs one pass of reflection evaluations,
+    plus any nodes a further split needs.  An extremum of the wrong kind, or
+    outside seed +- lam/8 or the +-(a/2 - a/1000) edge, raises
+    ArithmeticError.
 
     Delta U_nu = U[(nu-3) lam/4] - U[(nu-2) lam/4] with refined positions.
     For nu = 1 the report carries the central peak height U(0) - U(edge)
@@ -330,22 +333,20 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     cavity = CavityGeometry(width=a, mirror=mirror)
     edge = 0.5 * a - a / 1000.0
 
-    weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env) \
-        * t.d_squared
-
+    _, weight = _ground_lines(mol, env)[0]
     seeds = [-nu * lam / 4.0 + (mu - 0.5) * lam / 2.0
              for mu in range(1, nu + 1)]
     seeds += [-nu * lam / 4.0 + mu * lam / 2.0 for mu in range(1, nu)]
     maximum = [True] * nu + [False] * (nu - 1)
-    first = cavity_trace_realfreq(np.array(seeds), t.omega, cavity, spec,
-                                  evanescent=False)
-    z = _newton_extrema(first.rule, seeds, maximum, lam / 8.0, edge,
+    # the seeds and refined extrema lie inside the cavity, and t.omega > 0
+    _, _, rule, samples = _realfreq_trace(np.array(seeds), t.omega, cavity,
+                                          spec, False)
+    z = _newton_extrema(rule, seeds, maximum, lam / 8.0, edge,
                         _NEWTON_XTOL * a)
     if nu == 1:
         z = np.append(z, edge)
-    final = cavity_trace_realfreq(z, t.omega, cavity, spec, evanescent=False,
-                                  start=first)
-    values = [weight * float(u) for u in final.propagating.real]
+    final = _realfreq_trace(z, t.omega, cavity, spec, False, samples)[0]
+    values = [weight * float(u) for u in final.real]
     positions = [float(x) for x in z]
     max_pos, max_val = positions[:nu], values[:nu]
     min_pos, min_val = positions[nu:2 * nu - 1], values[nu:2 * nu - 1]
@@ -382,11 +383,7 @@ def heating_rate_profile(z, mol: Molecule, cavity, env: ThermalEnvironment,
     """Gamma(z) = Gamma_0 + change from Im Tr G, in a cavity or at a plate.
 
     z may be a 1-D array of positions, giving an array of rates from one
-    batched trace per transition.
+    batched trace per transition frequency.
     """
-    gamma = heating_rate_free(mol, env)
-    for t in mol.transitions:
-        gamma += (2.0 * MU_0 / (3.0 * HBAR)) * t.d_squared * t.omega**2 \
-            * photon_number(t.omega, env) \
-            * cavity_trace_realfreq(z, t.omega, cavity, spec).total.imag
-    return gamma
+    u_pr, u_ev = _line_sum(z, _ground_lines(mol, env), cavity, spec)
+    return heating_rate_free(mol, env) + 2.0 / HBAR * (u_pr + u_ev).imag

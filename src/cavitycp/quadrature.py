@@ -77,9 +77,9 @@ class QuadratureSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best estimate found and its
-    error (one entry per component for a vector-valued integrand), the
-    bisections used of max_subdivisions, and the worst component's error over
+    """Subdivision budget exhausted; carries the best estimate, its error
+    and tolerance (per component for a vector integrand), the bisections
+    used of max_subdivisions, and the worst component's error over
     tolerance.  The message is one line on that worst component."""
 
     def __init__(self, estimate, error, tolerance, splits, max_subdivisions):
@@ -92,10 +92,8 @@ class QuadratureError(RuntimeError):
             f"{np.ravel(estimate)[worst]:.6g}, error "
             f"{np.ravel(error)[worst]:.3e}; {splits} of {max_subdivisions} "
             f"subdivisions used, worst error/tolerance {ratio[worst]:.3g}")
-        self.estimate = estimate
-        self.error = error
-        self.splits = splits
-        self.max_subdivisions = max_subdivisions
+        self.estimate, self.error, self.tolerance = estimate, error, tolerance
+        self.splits, self.max_subdivisions = splits, max_subdivisions
         self.error_ratio = ratio[worst]
 
 

@@ -409,14 +409,21 @@ def test_cli_exit_numerical(capsys, monkeypatch):
         climod, "_quad_spec",
         lambda args: climod.QuadratureSpec(rel_tol=1e-15,
                                            max_subdivisions=2))
-    for argv in (["depth", "--mirror", "gold", "--nu", "2"],
-                 ["profile", "--width", "resonance:2", "--points", "200"]):
+    # a grid's worst component names a row of the caller's grid: 200 rows
+    # plus the z = 0 offset for profile, 200 for heating, though each
+    # cavity trace evaluates only the distinct |z|
+    for argv, rows in (
+            (["depth", "--mirror", "gold", "--nu", "2"], None),
+            (["profile", "--width", "resonance:2", "--points", "200"], 201),
+            (["heating", "--width", "resonance:2", "--points", "200"], 200)):
         code, _, err = run_cli(argv, capsys)
         assert code == 3
         assert err.startswith("numerical failure: quadrature failed to "
                               "converge")
         # one line on the worst component, however many the integral has
         assert len(err.splitlines()) == 1, err
+        if rows is not None:
+            assert f" of {rows}, " in err, err
         # where the budget went: bisections used of the budget, and the
         # worst component's error over its tolerance
         budget = re.search(r"(\d+) of (\d+) subdivisions used, worst "

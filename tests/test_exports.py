@@ -30,3 +30,20 @@ def test_package_imports_resolve():
              for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(cavitycp, n)] == []
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "__init__"])
+def test_no_dead_imports(name):
+    # every name a module imports is used in it or re-exported by __all__;
+    # __init__.py only re-exports, and is not a module of MODULES
+    path = Path(cavitycp.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"cavitycp.{name}"),
+                           "__all__", ()))
+    assert sorted(imported - used - exported) == []

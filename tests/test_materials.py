@@ -248,6 +248,32 @@ def test_reflection_coefficients_dispatch(rng):
     assert np.allclose(rs_h, rs_f) and np.allclose(rp_h, rp_f)
 
 
+@pytest.mark.parametrize("mirror", [
+    HalfSpace(GOLD_DRUDE),
+    Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)),
+    ConstantR(0.9)], ids=["gold", "sapphire_stack", "constant_r"])
+def test_reflection_from_beta_alone(mirror):
+    # given beta, k_perp is not read: leaving it out changes no bit and no
+    # shape, at real omega (through grazing) and at imaginary omega for one
+    # and for an array of xi
+    wc = W_LIH / C
+    k = np.linspace(0.0, 3.0 * wc, 31)
+    beta = np.sqrt(wc**2 - k**2 + 0j)
+    beta[10] = 0.0
+    kappa = np.sqrt(k[:, None] ** 2 + (np.array([1.0, 30.0]) * wc) ** 2)
+    for freq, k_perp, b in ((W_LIH, k, beta),
+                            (1j * W_LIH, k, 1j * np.sqrt(k**2 + wc**2)),
+                            (1j * W_LIH * np.array([1.0, 30.0]), k[:, None],
+                             1j * kappa)):
+        for got, want in zip(reflection_coefficients(mirror, freq, beta=b),
+                             reflection_coefficients(mirror, freq, k_perp,
+                                                     beta=b)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="k_perp or beta"):
+        reflection_coefficients(mirror, W_LIH)
+
+
 # --- reference: the per-layer recursion --------------------------------------
 # The form the library used before it evaluated each distinct medium once:
 # eps_j and beta_j per layer, a Fresnel pair per interface and a phase per

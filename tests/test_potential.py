@@ -12,8 +12,8 @@ import pytest
 
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.constants import HBAR, K_B
-from cavitycp.greens import (CavityGeometry, GreenTraceParts, PlateGeometry,
+from cavitycp.constants import HBAR, K_B, MU_0
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _realfreq_trace,
                              cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
@@ -203,6 +203,65 @@ def test_general_state_batched_matches_scalar(env300, quad_fast):
                       <= 10.0 * quad_fast.rel_tol * np.max(np.abs(single)))
 
 
+def test_line_sums_trace_each_frequency_once(env300, quad_fast,
+                                             monkeypatch):
+    # a two-level mixture has an absorption line (from level 0) and an
+    # emission line (from level 1) at the same |w_kn|: they share one trace,
+    # and the potential equals the per-pair sum
+    scheme = LevelScheme(energies=(0.0, W_LIH), d_squared={(0, 1): D2_LIH})
+    cav = CavityGeometry(width=resonance_width(LIH.transitions[0], 2),
+                         mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.linspace(-0.45, 0.45, 7) * cav.width
+    traced = []
+
+    def counted(z, omega, *args):
+        traced.append(omega)
+        return cavity_trace_realfreq(z, omega, *args)
+
+    monkeypatch.setattr(cavitycp.potential, "cavity_trace_realfreq", counted)
+    got = general_state_potential(zs, scheme, (0.7, 0.3), cav, env300,
+                                  quad_fast)
+    assert traced == [W_LIH]
+    tr = cavity_trace_realfreq(zs, W_LIH, cav, quad_fast).total.real
+    n = photon_number(W_LIH, env300)
+    want = 0.4 * nonresonant_potential(zs, LIH, cav, env300, quad_fast) \
+        + 0.7 * (MU_0 / 3.0 * W_LIH**2 * n * D2_LIH * tr) \
+        + 0.3 * (MU_0 / 3.0 * W_LIH**2 * -(n + 1.0) * D2_LIH * tr)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want)))
+
+
+def test_line_sums_match_per_transition_loop(env300, quad_fast):
+    # two transitions: the batched parts equal a loop over the transitions
+    # (U_pr, U_ev exactly; Gamma to rounding), and each scalar call gives a
+    # float equal to its entry of the batch
+    mol = Molecule("two-line", (Transition(W_LIH, D2_LIH),
+                                Transition(1.7 * W_LIH, 0.5 * D2_LIH)))
+    cav = CavityGeometry(width=resonance_width(LIH.transitions[0], 2),
+                         mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.linspace(-0.45, 0.45, 7) * cav.width
+    u_pr = u_ev = gamma = 0.0
+    for t in mol.transitions:
+        weight = MU_0 / 3.0 * t.omega**2 * photon_number(t.omega, env300) \
+            * t.d_squared
+        parts = cavity_trace_realfreq(zs, t.omega, cav, quad_fast)
+        u_pr += weight * parts.propagating.real
+        u_ev += weight * parts.evanescent.real
+        gamma += 2.0 / HBAR * weight * parts.total.imag
+    gamma += heating_rate_free(mol, env300)
+    got_pr, got_ev = resonant_potential(zs, mol, cav, env300, quad_fast)
+    assert np.array_equal(got_pr, u_pr) and np.array_equal(got_ev, u_ev)
+    got = heating_rate_profile(zs, mol, cav, env300, quad_fast)
+    assert np.all(np.abs(got - gamma) <= 1e-15 * np.max(np.abs(gamma)))
+    for i, z in enumerate(zs.tolist()):
+        for batch, single in zip(
+                (got_pr, got_ev, got),
+                (*resonant_potential(z, mol, cav, env300, quad_fast),
+                 heating_rate_profile(z, mol, cav, env300, quad_fast))):
+            assert isinstance(single, float)
+            assert abs(single - batch[i]) \
+                <= 10.0 * quad_fast.rel_tol * np.max(np.abs(batch))
+
+
 def test_general_state_validation(env300, quad):
     scheme = LevelScheme(energies=(0.0, W_LIH), d_squared={(0, 1): D2_LIH})
     cav = CavityGeometry(width=1e-4, mirror=ConstantR(0.5))
@@ -312,53 +371,40 @@ def test_depth_refined_pass_reuses_first_pass(mirror, nu, env300, quad,
                                               reflection_evaluations,
                                               monkeypatch):
     # potential_depth's trace at the refined extrema (and, for nu = 1, the
-    # edge) starts from its trace at the seeds: no reflection evaluations,
-    # and the values of an unseeded trace at the same positions
+    # edge) is seeded with its trace at the seeds: no reflection
+    # evaluations, and the values of an unseeded trace at the same positions
     traces = []
 
-    def recorded(*args, **kwargs):
+    def recorded(zs, omega, geometry, spec, evanescent, seed=None):
         before = sum(reflection_evaluations)
-        parts = cavity_trace_realfreq(*args, **kwargs)
-        traces.append((args, kwargs, parts,
+        out = _realfreq_trace(zs, omega, geometry, spec, evanescent, seed)
+        traces.append(((zs, omega, geometry, spec, evanescent), seed, out,
                        sum(reflection_evaluations) - before))
-        return parts
+        return out
 
-    monkeypatch.setattr(cavitycp.potential, "cavity_trace_realfreq",
-                        recorded)
+    monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
     potential_depth(LIH, mirror, nu, env300, quad)
-    (_, _, first, first_cost), (args, kwargs, refined, cost) = traces
-    assert kwargs.pop("start") is first
+    (_, _, first, first_cost), (args, seed, refined, cost) = traces
+    assert seed is first[3]
     assert first_cost > 0 and cost == 0
-    unseeded = cavity_trace_realfreq(*args, **kwargs).propagating
-    assert np.all(np.abs(refined.propagating - unseeded)
+    unseeded = _realfreq_trace(*args)[0]
+    assert np.all(np.abs(refined[0] - unseeded)
                   <= 10.0 * quad.rel_tol * np.abs(unseeded))
 
 
 def test_seeded_trace_misses(quad, reflection_evaluations):
-    # a seed from another omega or geometry is refused; at positions far
-    # from the seed's, the missing nodes are evaluated and every position
-    # still converges to the unseeded value
+    # at positions far from the seed's, the missing nodes are evaluated and
+    # every position still converges to the unseeded value
     gold = HalfSpace(GOLD_DRUDE)
     for geometry, z0, zs in (
             (CavityGeometry(8.0 * LAM, gold), 0.0,
              np.array([0.2 * LAM, 3.99 * LAM])),
             (PlateGeometry(gold), LAM / 8.0, np.array([LAM / 8.0, 5 * LAM]))):
-        seed = cavity_trace_realfreq(z0, W_LIH, geometry, quad,
-                                     evanescent=False)
-        for omega, other in ((1.01 * W_LIH, geometry),
-                             (W_LIH, CavityGeometry(4.0 * LAM, gold)),
-                             (W_LIH, PlateGeometry(ConstantR(0.9)))):
-            with pytest.raises(ValueError, match="start"):
-                cavity_trace_realfreq(LAM / 8.0, omega, other, quad,
-                                      start=seed)
+        _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
+                                        quad, False)
         reflection_evaluations.clear()
-        seeded = cavity_trace_realfreq(zs, W_LIH, geometry, quad,
-                                       evanescent=False, start=seed)
+        seeded = _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)[0]
         assert sum(reflection_evaluations) > 0
-        unseeded = cavity_trace_realfreq(zs, W_LIH, geometry, quad,
-                                         evanescent=False)
-        assert np.all(np.abs(seeded.propagating - unseeded.propagating)
-                      <= 10.0 * quad.rel_tol * np.abs(unseeded.propagating))
-    with pytest.raises(ValueError, match="start"):
-        cavity_trace_realfreq(LAM / 8.0, W_LIH, geometry, quad,
-                              start=GreenTraceParts(0j, 0j))
+        unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
+        assert np.all(np.abs(seeded - unseeded)
+                      <= 10.0 * quad.rel_tol * np.abs(unseeded))
