@@ -77,26 +77,31 @@ def _lookup(table, name, kind):
     return table[name]
 
 
+def _quantity(text, units, flag):
+    """parse_quantity(text) > 0, its unit one of units or none."""
+    unit = text.strip().lstrip("+-.0123456789eE")
+    if unit not in ("",) + units:
+        raise ConfigError(f"{flag} takes {'/'.join(units)}, not {unit!r}")
+    value = parse_quantity(text)
+    if not value > 0:
+        raise ConfigError(f"{flag} must be positive, got {text!r}")
+    return value
+
+
 def _resolve_width(text, molecule):
     if text.startswith("resonance:"):
         nu = int(text.split(":", 1)[1])
         return resonance_width(molecule.transitions[0], nu)
-    width = parse_quantity(text)
-    if width <= 0:
-        raise ConfigError(f"cavity width must be positive, got {text!r}")
-    return width
-
-
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=args.rel_tol)
+    return _quantity(text, ("nm", "um", "mm", "cm", "m"), "--width")
 
 
 def _setup(args):
     """(registry, molecule, thermal environment, quadrature spec) of args."""
     reg = _registry(args)
     return (reg, _lookup(reg.molecules, args.molecule, "molecule"),
-            ThermalEnvironment(parse_quantity(args.temperature)),
-            _quad_spec(args))
+            ThermalEnvironment(_quantity(args.temperature, ("K",),
+                                         "--temperature")),
+            QuadratureSpec(rel_tol=args.rel_tol))
 
 
 def _grid(lo, hi, points):

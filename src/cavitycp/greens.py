@@ -2,13 +2,16 @@
 
 One bracket serves every trace.  Times omega^2 it reads
 B = 2 c^2 beta^2 r_p/D_p - omega^2 sum_sigma r_sigma/D_sigma, with beta on the
-Im >= 0 branch, D_sigma = 1 - r_sigma^2 e^{2 i beta a} between identical
-mirrors at z = +-a/2 and D_sigma = 1 for a single plate.  The trace is
+Im >= 0 branch and D_sigma = 1 - r_sigma^2 e^{2 i beta a}.  The trace is
 int dk_perp (k_perp/beta) B/(4 pi i omega^2) sum_p e^{i beta L_p} over the
 paths L = (a - 2z, a + 2z) of a CavityGeometry and L = (2d,) at distance d
-from a PlateGeometry.  Every function batches over either's positions; the
-two differ only in D_sigma and in how they factor the propagating phase
-sum_p e^{i beta L_p} into node_phase and position_phase.
+from a PlateGeometry.  Every function batches over either's positions and
+runs one path for both: the geometry supplies D_sigma's round trip
+(e^{2 i beta a} in a cavity, 0 at a plate, so that D_sigma = 1 exactly), the
+factors node_phase and position_phase of the propagating phase
+sum_p e^{i beta L_p}, its fold of the positions (each distinct |z| once in a
+cavity, the identity at a plate) and its resonance seed (the grazing
+coefficient S and the resonance breakpoints; 0 and none at a plate).
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -16,22 +19,21 @@ cavity of frequency-dependent mirrors both parts are individually
 log-divergent at grazing incidence (r_sigma -> -1, D_sigma -> 0 as beta -> 0);
 the divergent piece is position-independent and cancels between the two
 parts.  Following the convention of dropping position-independent terms, each
-part subtracts the same singular term S e^{-x a}/x over a shared range, which
-leaves every emitted quantity finite, keeps the two parts' sum exactly equal
-to the full (finite) trace, and changes each part only by a constant in z.
+part subtracts the same singular term S e^{-x a}/x over one range [0, x_c]
+shared by every position of the trace, which leaves every emitted quantity
+finite, keeps the two parts' sum exactly equal to the full (finite) trace,
+and changes each part by a constant in z exactly.
 
 At imaginary frequency omega = i xi, beta = i kappa, the bracket is real; the
-static term xi = 0 takes the static reflection coefficients.  Every Matsubara
-term and position is integrated at once (imagfreq_trace_sum), over
-s = kappa - xi/c rather than k_perp, so that e^{-kappa L} factors into a
-per-node and a per-term part.
+static term xi = 0 takes the static reflection coefficients.
+imagfreq_trace_sum integrates every Matsubara term and position at once.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -75,6 +77,10 @@ class CavityGeometry:
         """(a - 2z, a + 2z) at positions zs: the paths L_p."""
         return np.array([self.width - 2.0 * zs, self.width + 2.0 * zs])
 
+    def round_trip(self, kappa):
+        """e^{-2 kappa a}, i.e. D_sigma's e^{2 i beta a} at beta = i kappa."""
+        return np.exp(-2.0 * kappa * self.width)
+
     def node_phase(self, beta):
         """2 e^{i beta a}, the z-independent factor of sum_p e^{i beta L_p}."""
         return 2.0 * np.exp(1j * beta * self.width)
@@ -83,12 +89,25 @@ class CavityGeometry:
         """cos(2 beta z), the rest of it: one real cos per (node, z)."""
         return np.cos(2.0 * np.outer(beta, zs))
 
+    def fold(self, zs):
+        """(reps, index): each distinct |z| of zs once, at the sign of its
+        first occurrence, and reps[index] = zs up to sign.  Exact for one
+        mirror on both walls: the paths a -+ 2z and cos(2 beta z) are even
+        in z, so +-z get equal entries bit for bit."""
+        _, first, index = np.unique(np.abs(zs), return_index=True,
+                                    return_inverse=True)
+        return zs[first], index
+
+    def resonance_seed(self, omega):
+        """(S, breakpoints) of a propagating trace at omega."""
+        return _grazing_coefficient(self, omega), \
+            _resonance_breakpoints(self, omega)
+
 
 @dataclass(frozen=True)
 class PlateGeometry:
     """A single plate; its positions are distances d > 0 from it."""
     mirror: MirrorSpec
-    width = None    # no second wall: D_sigma = 1
 
     def check_position(self, d):
         """As CavityGeometry.check_position, for distances d > 0."""
@@ -98,6 +117,10 @@ class PlateGeometry:
         """(2d,) at distances ds: the one path L_p."""
         return np.array([2.0 * ds])
 
+    def round_trip(self, kappa):
+        """0: no second wall, so D_sigma = 1."""
+        return 0.0
+
     def node_phase(self, beta):
         """1: the plate's phase depends on d alone."""
         return 1.0
@@ -105,6 +128,14 @@ class PlateGeometry:
     def position_phase(self, beta, ds):
         """e^{2 i beta d} per (node, distance)."""
         return np.exp(2j * np.outer(beta, ds))
+
+    def fold(self, ds):
+        """(ds, all of them): a plate's distances are their own reps."""
+        return ds, slice(None)
+
+    def resonance_seed(self, omega):
+        """(0, []): D_sigma = 1 has no resonance and no 1/beta term."""
+        return 0.0, []
 
 
 def _positions(z, inside, what):
@@ -118,26 +149,9 @@ def _positions(z, inside, what):
     return np.ndim(z) == 0, zs
 
 
-def _fold(geometry, zs):
-    """(reps, index): reps[index] equals the positions zs up to sign.  In a
-    cavity reps holds each distinct |z| once, with the sign of its first
-    occurrence in zs, so a quantity even in z computed at reps unfolds to zs
-    as [index].  A PlateGeometry's distances are their own reps.
-
-    The fold relies on L = R, one mirror for both walls: the paths
-    {a - 2z, a + 2z}, the evanescent cutoff and x_c(z) then depend on |z|
-    alone and cos(2 beta z) is even, so the entries at +-z are equal bit for
-    bit.  A cavity with different left and right mirrors must not fold."""
-    if geometry.width is None:
-        return zs, slice(None)
-    _, first, index = np.unique(np.abs(zs), return_index=True,
-                                return_inverse=True)
-    return zs[first], index
-
-
 @contextmanager
 def _unfolded(index):
-    """Re-raise a QuadratureError over _fold's reps at the caller's rows."""
+    """Re-raise a QuadratureError over a fold's reps at the caller's rows."""
     try:
         yield
     except QuadratureError as err:
@@ -165,29 +179,26 @@ def transverse_beta(omega: complex, k_perp):
 
 def _bracket(rs, rp, omega2, beta2, phase):
     """B = 2 c^2 beta^2 r_p/D_p - omega^2 (r_s/D_s + r_p/D_p) from omega^2 and
-    beta^2, with D_sigma = 1 - r_sigma^2 phase, phase = e^{2 i beta a}, in a
-    cavity and D_sigma = 1 for a single plate (phase None)."""
-    if phase is not None:
-        rs = rs / (1.0 - rs * rs * phase)
-        rp = rp / (1.0 - rp * rp * phase)
+    beta^2, with D_sigma = 1 - r_sigma^2 phase, phase a round_trip."""
+    rs = rs / (1.0 - rs * rs * phase)
+    rp = rp / (1.0 - rp * rp * phase)
     return 2.0 * C**2 * beta2 * rp - omega2 * (rs + rp)
 
 
-def _kernel(beta, omega: float, mirror: MirrorSpec, width: Optional[float]):
+def _kernel(beta, omega: float, geometry):
     """K = B / (4 pi i omega^2) at real omega along complex beta: beta real
     for propagating waves, beta = i kappa for evanescent ones."""
-    rs, rp = reflection_coefficients(mirror, omega, beta=beta)
-    phase = None if width is None else np.exp(2j * beta * width)
-    return _bracket(rs, rp, omega**2, beta * beta, phase) \
-        / (4j * np.pi * omega**2)
+    rs, rp = reflection_coefficients(geometry.mirror, omega, beta=beta)
+    return _bracket(rs, rp, omega**2, beta * beta,
+                    geometry.round_trip(-1j * beta)) / (4j * np.pi * omega**2)
 
 
-def _resonance_breakpoints(mirror: MirrorSpec, omega: float, a: float):
+def _resonance_breakpoints(cavity: CavityGeometry, omega: float):
     """Panel edges for the propagating beta integral: one at each multiple
     of pi/a (where D_sigma is smallest) plus geometric refinement when the
     resonance is sharp, i.e. |1 - r_p^2|/2 at normal incidence is small."""
-    wc = omega / C
-    _, rp0 = reflection_coefficients(mirror, omega, np.array([0.0]))
+    wc, a = omega / C, cavity.width
+    _, rp0 = reflection_coefficients(cavity.mirror, omega, np.array([0.0]))
     delta_eff = 0.5 * abs(1.0 - complex(rp0[0]) ** 2)
     points = []
     for m in range(1, int(np.floor(wc * a / np.pi + 1e-9)) + 1):
@@ -201,78 +212,65 @@ def _resonance_breakpoints(mirror: MirrorSpec, omega: float, a: float):
     return points
 
 
-def _grazing_coefficient(mirror: MirrorSpec, omega: float, a: float,
-                         step: float = 1e-6) -> complex:
+def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
     """S = lim_{beta->0} 2 beta K(beta), the 1/beta grazing singularity of a
     cavity's propagating integrand.  2 beta K is analytic at beta = 0; two
     Richardson steps from beta_0 = step * w/c cancel its O(beta_0) error (a
     1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for gold at
     beta_0 = 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
-    if isinstance(mirror, ConstantR):
+    if isinstance(cavity.mirror, ConstantR):
         return 0.0 + 0.0j
     beta = step * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
-    s = 2.0 * beta * _kernel(beta, omega, mirror, a)
+    s = 2.0 * beta * _kernel(beta, omega, cavity)
     return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
 
 
-def _by_columns(rows, zs, block):
-    """(rows, len(zs)) complex array filled block(z_cols, cols) at a time, so
-    the (nodes x z) temporaries of one block stay near 1 MB."""
-    out = np.empty((rows, len(zs)), dtype=complex)
+def _by_columns(f, zs, phase, shift):
+    """f[:, None] * phase(zs) + shift[:, None], filled a block of columns at
+    a time so that the (nodes x z) temporaries of one block stay near 1 MB."""
+    out = np.empty((len(f), len(zs)), dtype=complex)
     for start in range(0, len(zs), _BLOCK):
         cols = slice(start, start + _BLOCK)
-        out[:, cols] = block(zs[cols], cols)
+        out[:, cols] = f[:, None] * phase(zs[cols]) + shift[:, None]
     return out
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
     """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
-    parts at the array zs, evaluated once per _fold rep; evanescent is None
-    unless asked for.  rule is (beta, w F), the propagating integral's final
-    Kronrod nodes and weights times F: in a cavity Re sum(w F cos(2 beta z))
-    is Re Tr G_pr(z) up to a constant in z, so derivatives in z need no new
-    reflection evaluations.  samples is (S, final panel edges, F by node).
-    As the seed of a propagating trace at the same omega and geometry, they
-    start its adaptive pass from those panels and stand in for S, the
-    resonance breakpoints and every F they hold; only nodes the seed lacks
-    are evaluated (and added to it), and every position meets rel_tol."""
-    zs, index = _fold(geometry, zs)
-    mirror, width = geometry.mirror, geometry.width
-    wc = omega / C
-    kappa_max = _CUTOFF / geometry.decay_lengths(zs).min(axis=0)
-    # the grazing subtraction runs over [0, x_c(z)] for each position
-    x_c = np.minimum(wc, kappa_max)
-    if seed is not None:
-        s_coef, bps, kernel = seed
-    elif width is None:
-        # D_sigma = 1: no resonances and no grazing singularity
-        s_coef, bps, kernel = 0.0, [], {}
-    else:
-        s_coef, bps, kernel = _grazing_coefficient(mirror, omega, width), \
-            _resonance_breakpoints(mirror, omega, width), {}
+    parts at the array zs, evaluated once per geometry.fold rep; evanescent
+    is None unless asked for.  Both parts subtract S e^{-x a}/x below one
+    x_c = min(w/c, widest evanescent cutoff) for all positions, so the split
+    changes each part by a constant in z exactly.  rule is (beta, w F), the
+    propagating integral's final Kronrod nodes and weights times F: in a
+    cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a constant in z,
+    so derivatives in z need no new reflection evaluations.  samples is
+    (S, final panel edges, F by node).  As the seed of a propagating trace
+    at the same omega and geometry, they start its adaptive pass from those
+    panels and stand in for the geometry's resonance_seed and every F they
+    hold; only nodes the seed lacks are evaluated (and added to it), and
+    every position meets rel_tol."""
+    zs, index = geometry.fold(zs)
+    wc, kappa_max = omega / C, _CUTOFF / geometry.decay_lengths(zs).min()
+    x_c = min(wc, kappa_max)
+    s_coef, bps, kernel = seed or (*geometry.resonance_seed(omega), {})
 
     def grazing(x):
-        """S e^{-x a}/x, subtracted below each position's x_c."""
-        return np.zeros_like(x) if width is None \
-            else s_coef * np.exp(-x * width) / x
+        """S e^{-x a}/x up to x_c, else 0; e^{-x a} = round_trip(x/2)."""
+        return s_coef * geometry.round_trip(0.5 * x) / x * (x <= x_c)
 
     def node_kernel(beta):
         """F(beta) = K(beta) node_phase(beta), looked up in kernel; only the
         nodes kernel lacks (all of them, unless seeded) are evaluated."""
         new = np.array([b for b in beta.tolist() if b not in kernel])
         if len(new):
-            f = _kernel(new + 0j, omega, mirror, width) \
-                * geometry.node_phase(new)
+            f = _kernel(new + 0j, omega, geometry) * geometry.node_phase(new)
             kernel.update(zip(new.tolist(), f.tolist()))
         return np.array([kernel[b] for b in beta.tolist()])
 
     def f_prop(beta):
-        f = node_kernel(beta)
-        sub = grazing(beta)
-        return _by_columns(len(beta), zs, lambda z_cols, cols: (
-            f[:, None] * geometry.position_phase(beta, z_cols)
-            - sub[:, None] * (beta[:, None] <= x_c[cols])))
+        return _by_columns(node_kernel(beta), zs, lambda z: (
+            geometry.position_phase(beta, z)), -grazing(beta))
 
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
@@ -281,7 +279,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
     with _unfolded(index):
         result = adaptive_integrate(f_prop, x_lo, wc, spec,
-                                    breakpoints=bps + x_c.tolist())
+                                    breakpoints=bps + [x_c])
     prop = result[0]
     samples = (s_coef, result.panels[0].tolist(), kernel)
     nodes, weights = result.rule()
@@ -295,18 +293,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     evan = None
     if evanescent:
         def f_evan(kappa):
-            g = -1j * _kernel(1j * kappa, omega, mirror, width)
-            sub = grazing(kappa)
-            return _by_columns(len(kappa), zs, lambda z_cols, cols: (
-                g[:, None] * sum(np.exp(-np.outer(kappa, lp))
-                                 for lp in geometry.decay_lengths(z_cols))
-                + sub[:, None] * (kappa[:, None] <= x_c[cols])))
+            g = -1j * _kernel(1j * kappa, omega, geometry)
+            return _by_columns(g, zs, lambda z: sum(
+                np.exp(-np.outer(kappa, lp))
+                for lp in geometry.decay_lengths(z)), grazing(kappa))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.
         with _unfolded(index):
-            evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max.max(), spec,
-                                         breakpoints=x_c.tolist())
+            evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
+                                         breakpoints=[x_c])
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
@@ -321,10 +317,8 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     z is a position or a 1-D array of positions; for an array, every part
     is an array with one entry per position, each converged to its own
     tolerance; in a cavity each distinct |z| is evaluated once, so +-z get
-    equal entries.  The z-independent kernel F(beta) = K(beta) node_phase(beta)
-    of the propagating integral int F(beta) position_phase(beta, z) d beta
-    (and its evanescent analogue -i K(i kappa) sum_p e^{-kappa L_p}) is
-    evaluated once per quadrature node for all positions.
+    equal entries.  The z-independent part of either integrand is evaluated
+    once per quadrature node for all positions.
     """
     if not omega > 0:
         raise ValueError("cavity_trace_realfreq requires omega > 0")
@@ -359,7 +353,6 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     """
     lengths = geometry.decay_lengths(np.asarray(zs, dtype=float))
     xi = np.asarray(xi, dtype=float)
-    mirror, width = geometry.mirror, geometry.width
     static = int(xi[0] == 0.0)
     q = _CUTOFF / lengths.min(axis=0)
     weights = np.broadcast_to(np.asarray(weights, dtype=float),
@@ -373,12 +366,12 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         rs = np.empty(kappa.shape, dtype=complex)
         rp = np.empty_like(rs)
         if static:
-            rs[:, 0], rp[:, 0] = static_limit_reflection(mirror, s)
+            rs[:, 0], rp[:, 0] = static_limit_reflection(geometry.mirror, s)
         if len(xi) > static:
             rs[:, static:], rp[:, static:] = reflection_coefficients(
-                mirror, 1j * xi[static:], beta=1j * kappa[:, static:])
-        phase = None if width is None else np.exp(-2.0 * kappa * width)
-        bracket = _bracket(rs, rp, -xi**2, -kappa**2, phase)
+                geometry.mirror, 1j * xi[static:], beta=1j * kappa[:, static:])
+        bracket = _bracket(rs, rp, -xi**2, -kappa**2,
+                           geometry.round_trip(kappa))
         if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):
             raise ArithmeticError("imaginary-frequency trace acquired a "
                                   "spurious imaginary part")

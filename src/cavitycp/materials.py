@@ -215,6 +215,8 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
                        n_pairs: int, omega0: float):
     """N pairs (a then b) of in-medium quarter-wave layers, terminated by a
     semi-infinite slab of mat_a."""
+    if n_pairs < 0:
+        raise ValueError(f"quarter-wave stack needs pairs >= 0, got {n_pairs}")
     layers = []
     for _ in range(n_pairs):
         for mat in (mat_a, mat_b):

@@ -32,7 +32,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, PlateGeometry, _fold, \
+from .greens import _CUTOFF, CavityGeometry, PlateGeometry, \
     _realfreq_trace, _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
@@ -114,9 +114,9 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
     the array zs (see the module docstring).  A position with J(z) > J0
     replaces sum_{j >= J0} F_j by (1/xi_1) int F dxi from xi_m, m = J0 - 1,
     to at least xi_m + 40 c / gap, plus _END_WEIGHTS on its exact terms.
-    Both sums run once per greens._fold rep of zs.  A QuadratureError of
+    Both sums run once per geometry.fold rep of zs.  A QuadratureError of
     the exact sum indexes zs; the tail's integrals keep their own indexing."""
-    zs, index = _fold(geometry, zs)
+    zs, index = geometry.fold(zs)
     xi1 = matsubara_frequency(1, env)
     gap = geometry.decay_lengths(zs).min(axis=0)
     span = _CUTOFF * C / gap

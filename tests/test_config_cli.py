@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-import cavitycp.greens
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.cli import _z_grid, main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
@@ -239,8 +238,8 @@ def test_cli_grid_folds_to_half_the_columns(command, folded, unfolded,
     assert code == 0
     rounds = _rounds(trace_columns)
     trace_columns.clear()
-    monkeypatch.setattr(cavitycp.greens, "_fold",
-                        lambda geometry, zs: (zs, slice(None)))
+    monkeypatch.setattr(CavityGeometry, "fold",
+                        lambda self, zs: (zs, slice(None)))
     code, out_unfolded, _ = run_cli(argv, capsys)
     assert code == 0
     rounds_unfolded = _rounds(trace_columns)
@@ -402,13 +401,46 @@ def test_cli_exit_config_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, unit", [
+    (["profile", "--width", "0.0007K", "--temperature", "300"], "'K'"),
+    (["profile", "--width", "0.7mm", "--temperature", "300m"], "'m'"),
+    (["heating", "--width", "resonance:2", "--temperature", "300um"],
+     "'um'"),
+    (["heating", "--single-plate", "--width", "1K"], "'K'")])
+def test_cli_rejects_units_of_the_wrong_dimension(argv, unit, capsys):
+    # --width takes a length or resonance:N, --temperature kelvin; a bare
+    # number is accepted by both
+    code, out, err = run_cli(argv + ["--points", "3"], capsys)
+    assert code == 2 and out == ""
+    assert unit in err and err.count("\n") == 1
+
+
+def test_cli_accepts_units_of_the_right_dimension(capsys):
+    for width, temperature in (("0.0007", "300K"), ("700um", "300"),
+                               ("0.07cm", "300.K")):
+        code, out, _ = run_cli(["--rel-tol", "1e-6", "profile", "--width",
+                                width, "--temperature", temperature,
+                                "--points", "3"], capsys)
+        assert code == 0 and out.count("\n") == 4
+
+
+def test_cli_negative_stack_pairs_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "mirror.cfg"
+    cfg.write_text("[mirror:neg]\ntype = quarter_wave\n"
+                   "material_a = sapphire_300K\nmaterial_b = vacuum\n"
+                   "pairs = -3\ndesign_frequency = 2.78973e12\n")
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--mirror",
+                              "neg", "--nu", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "[mirror:neg]" in err and "pairs" in err
+
+
 def test_cli_exit_numerical(capsys, monkeypatch):
     # an impossible tolerance exhausts the subdivision budget
     import cavitycp.cli as climod
     monkeypatch.setattr(
-        climod, "_quad_spec",
-        lambda args: climod.QuadratureSpec(rel_tol=1e-15,
-                                           max_subdivisions=2))
+        climod, "QuadratureSpec",
+        lambda rel_tol: QuadratureSpec(rel_tol=1e-15, max_subdivisions=2))
     # a grid's worst component names a row of the caller's grid: 200 rows
     # plus the z = 0 offset for profile, 200 for heating, though each
     # cavity trace evaluates only the distinct |z|

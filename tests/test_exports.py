@@ -47,3 +47,31 @@ def test_no_dead_imports(name):
     exported = set(getattr(importlib.import_module(f"cavitycp.{name}"),
                            "__all__", ()))
     assert sorted(imported - used - exported) == []
+
+
+def _private_names(tree):
+    """Module-level private functions and constants of a module's tree."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_no_dead_private_helpers():
+    # every module-level private function or constant of the package is
+    # used somewhere in it besides its definition, so a helper that a
+    # refactor moved or replaced cannot stay behind
+    trees = {path.name: ast.parse(path.read_text()) for path in
+             sorted(Path(cavitycp.__file__).parent.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    private = [f"{module}:{name}" for module, tree in trees.items()
+               for name in _private_names(tree)
+               if name.startswith("_") and not name.startswith("__")]
+    assert private
+    assert [p for p in private if p.split(":")[1] not in used] == []

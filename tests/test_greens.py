@@ -12,7 +12,7 @@ import pytest
 
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _fold,
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              _grazing_coefficient, cavity_trace_imagfreq,
                              cavity_trace_realfreq, single_plate_trace_parts,
                              transverse_beta, zero_frequency_trace_limit)
@@ -264,9 +264,9 @@ def test_single_plate_matches_reference(mirror, d_over_lam, quad):
 def test_grazing_coefficient_step_independent(mirror, nu):
     # S is a limit beta -> 0: the default step beta_0 = 1e-6 w/c and a
     # ten times larger one agree
-    a = nu * LAM / 2.0
-    s_default = _grazing_coefficient(mirror, W_LIH, a)
-    s_coarse = _grazing_coefficient(mirror, W_LIH, a, step=1e-5)
+    cav = _resonant_cavity(mirror, nu)
+    s_default, _ = cav.resonance_seed(W_LIH)
+    s_coarse = _grazing_coefficient(cav, W_LIH, step=1e-5)
     assert s_default != 0
     assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)
 
@@ -312,9 +312,26 @@ def test_fold_leaves_plate_distances(gold, quad_fast, trace_columns):
     # a plate's distances are not folded, repeated ones included
     plate = PlateGeometry(gold)
     ds = np.array([2e-5, 1e-5, 2e-5])
-    reps, index = _fold(plate, ds)
+    reps, index = plate.fold(ds)
     assert np.array_equal(reps[index], ds) and len(reps) == 3
     parts = cavity_trace_realfreq(ds, W_LIH, plate, quad_fast)
     assert parts.propagating.shape == ds.shape
     assert trace_columns
     assert all(np.array_equal(p, ds) for _, p in trace_columns)
+
+
+def test_batch_matches_scalar_where_cutoff_is_below_light_line(gold, quad):
+    # in a gold resonance:16 cavity 40/(a - 2|z|) < w/c near the centre, so
+    # a scalar call there and a batch with a near-wall position subtract the
+    # grazing term over different ranges; the parts still agree, and +-z
+    # entries of the batch are equal bit for bit
+    cav = _resonant_cavity(gold, 16)
+    zs = np.array([0.0, LAM, -LAM, 3.99 * LAM])
+    batch = cavity_trace_realfreq(zs, W_LIH, cav, quad)
+    single = [cavity_trace_realfreq(float(z), W_LIH, cav, quad) for z in zs]
+    for part in ("propagating", "evanescent"):
+        got = getattr(batch, part)
+        want = np.array([getattr(s, part) for s in single])
+        assert got[1] == got[2], part
+        assert np.all(np.abs(got - want)
+                      <= 10.0 * quad.rel_tol * np.abs(want)), part

@@ -167,6 +167,15 @@ def test_quarter_wave_stack_geometry():
     assert layers[1].thickness == pytest.approx(d_vac, rel=1e-12)
 
 
+def test_quarter_wave_stack_rejects_negative_pairs():
+    # zero pairs is the bare half-space; a negative count is an error, not
+    # another way to write it
+    assert quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 0, W_LIH) \
+        == (Layer(SAPPHIRE_300K, None),)
+    with pytest.raises(ValueError, match="pairs"):
+        quarter_wave_stack(SAPPHIRE_300K, Vacuum(), -3, W_LIH)
+
+
 SAPPHIRE_STACK_REF = [
     # (material, n_pairs, 1 - Re r_p at normal incidence, design frequency)
     (SAPPHIRE_300K, 8, 5.525524931493386e-06),

@@ -393,13 +393,13 @@ def test_depth_refined_pass_reuses_first_pass(mirror, nu, env300, quad,
 
 
 def test_seeded_trace_misses(quad, reflection_evaluations):
-    # at positions far from the seed's, the missing nodes are evaluated and
-    # every position still converges to the unseeded value
-    gold = HalfSpace(GOLD_DRUDE)
+    # at positions the seed's panels resolve too coarsely, the missing nodes
+    # are evaluated and every position still converges to the unseeded value
     for geometry, z0, zs in (
-            (CavityGeometry(8.0 * LAM, gold), 0.0,
-             np.array([0.2 * LAM, 3.99 * LAM])),
-            (PlateGeometry(gold), LAM / 8.0, np.array([LAM / 8.0, 5 * LAM]))):
+            (CavityGeometry(LAM, ConstantR(0.5)), 0.0,
+             np.array([-0.45, 0.3, 0.45]) * LAM),
+            (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
+             np.array([LAM / 8.0, 5 * LAM]))):
         _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
                                         quad, False)
         reflection_evaluations.clear()
@@ -408,3 +408,19 @@ def test_seeded_trace_misses(quad, reflection_evaluations):
         unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
         assert np.all(np.abs(seeded - unseeded)
                       <= 10.0 * quad.rel_tol * np.abs(unseeded))
+
+
+def test_seeded_trace_shares_grazing_range(quad, reflection_evaluations):
+    # in an 8 lam gold cavity x_c = 40/(a - 2|z|) < w/c at the centre, but
+    # every position of a trace shares one grazing range: the seed at z = 0
+    # already holds every node a pass at off-centre positions needs
+    geometry = CavityGeometry(8.0 * LAM, HalfSpace(GOLD_DRUDE))
+    zs = np.array([0.2 * LAM, 3.99 * LAM])
+    _, _, _, seed = _realfreq_trace(np.array([0.0]), W_LIH, geometry, quad,
+                                    False)
+    reflection_evaluations.clear()
+    seeded = _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)[0]
+    assert sum(reflection_evaluations) == 0
+    unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
+    assert np.all(np.abs(seeded - unseeded)
+                  <= 10.0 * quad.rel_tol * np.abs(unseeded))
