@@ -1,15 +1,17 @@
 """Permittivity models and wall reflection coefficients.
 
-Covers half-space Fresnel reflection, recursive multilayer (Bragg) stacks,
-the constant-reflectivity idealization r_p = -r_s = r, and the static
-(zero-frequency) limits needed by the j = 0 Matsubara term.  All square
-roots (beta, beta_j, sqrt(eps)) are taken with non-negative imaginary part;
-purely real positive radicands take the positive real root.
+A layered mirror is a `Stack`, whose one-layer case is `HalfSpace(model)`;
+`ConstantR` is the idealization r_p = -r_s = r.  A Stack numbers its media
+once, when built, and `reflection_coefficients`, the one entry for r_s and
+r_p, runs the back-to-front (Abeles) recursion over those numbers.
+`static_limit_reflection` gives the omega -> 0 limits needed by the j = 0
+Matsubara term.  Square roots (beta, beta_j, sqrt(eps)) take Im >= 0, and
+the positive root of a positive real radicand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
@@ -19,7 +21,7 @@ from .constants import C
 __all__ = [
     "Drude", "ConstantLossy", "Vacuum", "PermittivityModel",
     "Layer", "HalfSpace", "Stack", "ConstantR", "MirrorSpec",
-    "permittivity_at", "fresnel_halfspace", "multilayer_reflection",
+    "permittivity_at", "multilayer_reflection",
     "quarter_wave_stack", "static_limit_reflection",
     "reflection_coefficients", "sqrt_upper",
 ]
@@ -32,9 +34,10 @@ class Drude:
     damping: float           # rad/s
 
     def __post_init__(self):
-        if not (self.plasma_frequency > 0 and self.damping > 0):
-            raise ValueError("Drude requires positive plasma frequency "
-                             "and damping")
+        if not (0 < self.plasma_frequency < np.inf
+                and 0 < self.damping < np.inf):
+            raise ValueError("Drude requires finite positive plasma "
+                             "frequency and damping")
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,15 @@ class ConstantLossy:
     constant eps_real: a lossless, dispersion-free approximation, since a
     constant complex eps has no causal continuation.  It affects only the
     Matsubara (non-resonant) sums, and drops a relative eps_imag/eps_real.
+    A passive medium has eps(i xi) >= 1, so eps_real must be.
     """
     eps_real: float
     eps_imag: float = 0.0
 
     def __post_init__(self):
-        if self.eps_imag < 0:
-            raise ValueError("eps_imag must be non-negative (passivity)")
+        if not (1 <= self.eps_real < np.inf and 0 <= self.eps_imag < np.inf):
+            raise ValueError("ConstantLossy requires finite eps_real >= 1 "
+                             "and eps_imag >= 0 (passivity)")
 
 
 @dataclass(frozen=True)
@@ -69,18 +74,22 @@ class Layer:
     thickness: Union[float, None]
 
     def __post_init__(self):
-        if self.thickness is not None and not self.thickness > 0:
-            raise ValueError("layer thickness must be positive")
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    material: PermittivityModel
+        if self.thickness is not None and not 0 < self.thickness < np.inf:
+            raise ValueError("layer thickness must be positive and finite")
 
 
 @dataclass(frozen=True)
 class Stack:
+    """Vacuum | layers[0] | ... | layers[-1], the last layer semi-infinite.
+
+    Numbered once: materials holds the distinct materials in order of
+    appearance, and media[i + 1] = j says layers[i] is of materials[j - 1];
+    media[0] = 0 is the vacuum in front.  Equality and hashing use layers.
+    """
     layers: Tuple[Layer, ...]
+    materials: Tuple[PermittivityModel, ...] = field(
+        init=False, repr=False, compare=False)
+    media: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -89,6 +98,18 @@ class Stack:
             raise ValueError("final stack layer must be semi-infinite")
         if any(l.thickness is None for l in self.layers[:-1]):
             raise ValueError("only the final layer may be semi-infinite")
+        number = {}  # material -> medium number
+        media = [number.setdefault(l.material, len(number) + 1)
+                 for l in self.layers]
+        object.__setattr__(self, "materials", tuple(number))
+        object.__setattr__(self, "media", (0, *media))
+
+
+class HalfSpace(Stack):
+    """Vacuum in front of one semi-infinite material: the one-layer Stack."""
+
+    def __init__(self, material: PermittivityModel):
+        super().__init__((Layer(material, None),))
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,7 @@ class ConstantR:
             raise ValueError("ConstantR requires 0 <= r < 1")
 
 
-MirrorSpec = Union[HalfSpace, Stack, ConstantR]
+MirrorSpec = Union[Stack, ConstantR]
 
 
 def permittivity_at(model: PermittivityModel, omega):
@@ -129,23 +150,18 @@ def transverse_wavenumber(eps, omega, k_perp):
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
-def _recursion(eps, betas, layers, thickness):
-    """(r_s, r_p) of vacuum | layers[0] | ... | layers[-1] in one pass.  eps
-    and betas map each material, and None for the vacuum in front, to its
-    permittivity and beta_j; thickness[j] is what 2i beta_j multiplies in
-    the phase of finite layer j.  Back to front,
-    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j) with
-    e_j = e^{2i beta_j d_j}, from the Fresnel pair of the deepest interface.
-    r_p uses eps_i/eps_j: eps_j = inf (perfect reflector) gives 1.  Each
-    distinct interface (pair of materials) gets its Fresnel pair once, and
-    each distinct Layer (material, thickness) its phase once, so a Bragg
-    stack of two materials costs three Fresnel pairs and two phases.
+def _recursion(mirror: Stack, eps, betas, thickness):
+    """(r_s, r_p) of vacuum | mirror.layers[0] | ... | mirror.layers[n],
+    n = len(thickness), in one pass.  eps[j], betas[j]: permittivity and
+    beta_j of medium j (mirror.media); thickness[i] is what 2i beta_j
+    multiplies in the phase of finite layer i.  Back to front,
+    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j), e_j =
+    e^{2i beta_j d_j}; r_p uses eps_i/eps_j (eps_j = inf gives 1).  Each
+    distinct pair of media gets its Fresnel pair once, and each distinct
+    (medium, thickness) its phase once: a Bragg stack of two materials
+    costs three Fresnel pairs and two phases.
     """
-    # materials hash slowly: number them once, and key on the numbers
-    index = {m: j for j, m in enumerate(eps)}
-    eps, betas = list(eps.values()), [betas[m] for m in index]
-    media = [index[None]] + [index[l.material] for l in layers]
-    pairs, phases = {}, {}
+    media, pairs, phases = mirror.media, {}, {}
 
     def fresnel(i):
         key = media[i], media[i + 1]
@@ -156,7 +172,7 @@ def _recursion(eps, betas, layers, thickness):
 
     rs, rp = fresnel(len(thickness))
     for i in range(len(thickness) - 1, -1, -1):
-        key = media[i + 1], layers[i].thickness
+        key = media[i + 1], mirror.layers[i].thickness
         if key not in phases:
             phases[key] = np.exp(2j * betas[key[0]] * thickness[i])
         phase = phases[key]
@@ -166,45 +182,10 @@ def _recursion(eps, betas, layers, thickness):
     return rs, rp
 
 
-def _reflection(eps, layers, omega: complex, k_perp, beta):
-    """_recursion at frequency omega for layers behind vacuum, eps mapping
-    each of their materials to its permittivity; beta as in
-    fresnel_halfspace.  beta_j is evaluated once per material.  At
-    beta = 0, where vacuum-index layers give 0/0, the limit is
-    r_s = r_p = -1 if any eps != 1, else 0.
-    """
-    beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
-        else np.asarray(beta, dtype=complex)
-    grazing = beta == 0
-    if grazing.any():
-        rs, rp = _reflection(eps, layers, omega, k_perp,
-                             np.where(grazing, 1.0, beta))
-        mirror = np.any([e != 1.0 for e in np.broadcast_arrays(
-            *eps.values())], axis=0)
-        limit = np.where(mirror, -1.0, 0.0)
-        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
-    betas = {m: sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
-             for m, e in eps.items()}
-    return _recursion({None: 1.0, **eps}, {None: beta, **betas}, layers,
-                      [l.thickness for l in layers[:-1]])
-
-
-def fresnel_halfspace(eps: complex, omega: complex, k_perp, beta=None):
-    """(r_s, r_p) for vacuum / half-space of permittivity eps.
-
-    Vectorized over k_perp.  beta is the vacuum transverse wavenumber and
-    beta_t the in-medium one, both on the Im >= 0 branch.  Callers that
-    integrate over beta may pass it directly; recomputing it from k_perp
-    loses all precision near grazing incidence (beta -> 0).
-    """
-    # one medium: any key but None names it
-    return _reflection({0: eps}, (Layer(0, None),), omega, k_perp, beta)
-
-
 def multilayer_reflection(layers, omega: complex, k_perp, polarization: str,
                           beta=None):
-    """Reflection coefficient of a layered stack fronted by vacuum (see
-    _recursion); beta as in fresnel_halfspace."""
+    """Reflection coefficient of Stack(layers) in one polarization; the
+    arguments as in reflection_coefficients."""
     if polarization not in ("s", "p"):
         raise ValueError(f"polarization must be 's' or 'p', got {polarization!r}")
     return reflection_coefficients(Stack(tuple(layers)), omega, k_perp,
@@ -215,6 +196,9 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
                        n_pairs: int, omega0: float):
     """N pairs (a then b) of in-medium quarter-wave layers, terminated by a
     semi-infinite slab of mat_a."""
+    if not 0 < omega0 < np.inf:
+        raise ValueError("quarter-wave stack needs a finite positive design "
+                         f"frequency, got {omega0}")
     if n_pairs < 0:
         raise ValueError(f"quarter-wave stack needs pairs >= 0, got {n_pairs}")
     layers = []
@@ -228,21 +212,13 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
     return tuple(layers)
 
 
-def _static_eps(model: PermittivityModel) -> float:
-    if isinstance(model, Drude):
-        return np.inf
-    if isinstance(model, Vacuum):
-        return 1.0
-    return model.eps_real
-
-
 def static_limit_reflection(mirror: MirrorSpec, k_perp):
     """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients,
     floats for a scalar k_perp and arrays of its shape for an array.
 
-    A half-space or stack runs _recursion with eps_j(0) and beta_j = i k_perp
-    in every medium.  The Fresnel pairs depend on ratios of the beta_j only,
-    so it runs with beta_j = 1 and thicknesses i k_perp d_j (phases
+    A Stack runs _recursion with eps_j(0) and beta_j = i k_perp in every
+    medium.  The Fresnel pairs depend on ratios of the beta_j only, so it
+    runs with beta_j = 1 and thicknesses i k_perp d_j (phases
     e^{-2 k_perp d_j}), which keeps k_perp = 0 finite.  r_s vanishes; a
     Drude layer (eps(0) = inf) reflects perfectly, so the stack ends there.
     """
@@ -250,15 +226,13 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     if isinstance(mirror, ConstantR):
         rs, rp = -mirror.r, mirror.r
     else:
-        layers = mirror.layers if isinstance(mirror, Stack) \
-            else (Layer(mirror.material, None),)
-        drude = [isinstance(l.material, Drude) for l in layers]
-        if any(drude):
-            layers = layers[:drude.index(True) + 1]
-        eps = {None: 1.0, **{l.material: _static_eps(l.material)
-                             for l in layers}}
-        rs, rp = _recursion(eps, dict.fromkeys(eps, 1.0), layers,
-                            [1j * k_perp * l.thickness for l in layers[:-1]])
+        eps = [1.0] + [np.inf if isinstance(m, Drude) else 1.0
+                       if isinstance(m, Vacuum) else m.eps_real
+                       for m in mirror.materials]
+        drude = [eps[j] == np.inf for j in mirror.media[1:]]
+        end = drude.index(True) if any(drude) else -1
+        rs, rp = _recursion(mirror, eps, [1.0] * len(eps), [
+            1j * k_perp * l.thickness for l in mirror.layers[:end]])
     rs, rp = (np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
     if k_perp.ndim == 0:
         return float(rs), float(rp)
@@ -267,11 +241,15 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
 
 def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp=None,
                             beta=None):
-    """(r_s, r_p) for any mirror variant; vectorized over k_perp and omega,
-    which broadcast against each other.
+    """(r_s, r_p) for any mirror; vectorized over k_perp and omega, which
+    broadcast against each other.
 
-    beta, if given, is the exact vacuum transverse wavenumber (see
-    fresnel_halfspace); k_perp is then not read and may be left out.
+    beta, if given, is the exact vacuum transverse wavenumber (Im >= 0);
+    k_perp is then not read.  Callers integrating over beta should pass it:
+    from k_perp it loses all precision near grazing incidence (beta -> 0).
+    eps and beta_j = sqrt(beta^2 + (eps_j - 1) omega^2/c^2) are taken once
+    per distinct material.  At beta = 0, where vacuum-index layers give
+    0/0, the limit is r_s = r_p = -1 if any eps != 1, else 0.
     """
     if k_perp is None and beta is None:
         raise ValueError("reflection_coefficients needs k_perp or beta")
@@ -280,8 +258,18 @@ def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp=None,
         r = np.full(np.broadcast_shapes(shape, np.shape(omega)), mirror.r,
                     dtype=complex)
         return -r, r
-    layers = mirror.layers if isinstance(mirror, Stack) \
-        else (Layer(mirror.material, None),)
-    eps = {m: permittivity_at(m, omega)
-           for m in dict.fromkeys(l.material for l in layers)}
-    return _reflection(eps, layers, omega, k_perp, beta)
+    beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
+        else np.asarray(beta, dtype=complex)
+    grazing = beta == 0
+    if grazing.any():
+        beta = np.where(grazing, 1.0, beta)
+    eps = [1.0] + [permittivity_at(m, omega) for m in mirror.materials]
+    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
+                      for e in eps[1:]]
+    rs, rp = _recursion(mirror, eps, betas,
+                        [l.thickness for l in mirror.layers[:-1]])
+    if not grazing.any():
+        return rs, rp
+    limit = np.where(np.any([e != 1.0 for e in np.broadcast_arrays(*eps[1:])],
+                            axis=0), -1.0, 0.0)
+    return np.where(grazing, limit, rs), np.where(grazing, limit, rp)

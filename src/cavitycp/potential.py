@@ -348,27 +348,18 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     final = _realfreq_trace(z, t.omega, cavity, spec, False, samples)[0]
     values = [weight * float(u) for u in final.real]
     positions = [float(x) for x in z]
-    max_pos, max_val = positions[:nu], values[:nu]
-    min_pos, min_val = positions[nu:2 * nu - 1], values[nu:2 * nu - 1]
-
-    if nu == 1:
-        depth = max_val[0] - values[-1]
-        pair = max_pos[0], positions[-1]
-    else:
-        # deepest minimum sits at (nu-2) lam/4, its lower adjacent maximum
-        # at (nu-3) lam/4; pick the refined extrema closest to those points
-        i_min = min(range(len(min_pos)),
-                    key=lambda i: abs(min_pos[i] - (nu - 2) * lam / 4.0))
-        i_max = min(range(len(max_pos)),
-                    key=lambda i: abs(max_pos[i] - (nu - 3) * lam / 4.0))
-        depth = max_val[i_max] - min_val[i_min]
-        pair = max_pos[i_max], min_pos[i_min]
-    return ExtremumReport(nu=nu, width=a, maxima_positions=tuple(max_pos),
-                          maxima_values=tuple(max_val),
-                          minima_positions=tuple(min_pos),
-                          minima_values=tuple(min_val),
-                          depth=depth, is_well_depth=nu > 1,
-                          depth_positions=pair)
+    # each extremum stays within lam/8 of its seed (seeds lam/2 apart), so
+    # the deepest minimum, at (nu-2) lam/4, is the last one, and its lower
+    # adjacent maximum, at (nu-3) lam/4, the second-to-last maximum; for
+    # nu = 1 the pair is the peak and the edge
+    i = max(nu - 2, 0)
+    return ExtremumReport(
+        nu=nu, width=a, maxima_positions=tuple(positions[:nu]),
+        maxima_values=tuple(values[:nu]),
+        minima_positions=tuple(positions[nu:2 * nu - 1]),
+        minima_values=tuple(values[nu:2 * nu - 1]),
+        depth=values[i] - values[-1], is_well_depth=nu > 1,
+        depth_positions=(positions[i], positions[-1]))
 
 
 def heating_rate_free(mol: Molecule, env: ThermalEnvironment) -> float:

@@ -435,6 +435,48 @@ def test_cli_negative_stack_pairs_is_a_config_error(capsys, tmp_path):
     assert "[mirror:neg]" in err and "pairs" in err
 
 
+def test_cli_bragg_rejects_zero_design_frequency(capsys, recwarn):
+    code, out, err = run_cli(
+        ["bragg", "--material-a", "sapphire_300K", "--material-b", "vacuum",
+         "--n-max", "2", "--design-frequency", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "design frequency" in err
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("omega0", ["0", "nan", "inf"])
+def test_cli_stack_design_frequency_is_a_config_error(omega0, capsys,
+                                                      tmp_path, recwarn):
+    # 0 gave a nan estimate (exit 3); nan and inf exited 2 only after
+    # RuntimeWarnings, blaming the layer thickness
+    cfg = tmp_path / "mirror.cfg"
+    cfg.write_text("[mirror:qw]\ntype = quarter_wave\n"
+                   "material_a = sapphire_300K\nmaterial_b = vacuum\n"
+                   f"pairs = 2\ndesign_frequency = {omega0}\n")
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--mirror",
+                              "qw", "--nu", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "[mirror:qw]" in err and "design frequency" in err
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("fields", [
+    "model = constant\neps_real = 0",      # complex division by zero
+    "model = constant\neps_real = 0.5",    # active: quadrature budget spent
+    "model = constant\neps_real = nan",    # nan estimate
+    "model = drude\nplasma_frequency = inf\ndamping = 5.32e13"],
+    ids=["eps_real_0", "eps_real_half", "eps_real_nan", "plasma_inf"])
+def test_cli_non_passive_material_is_a_config_error(fields, capsys,
+                                                    tmp_path):
+    cfg = tmp_path / "material.cfg"
+    cfg.write_text(f"[material:bad]\n{fields}\n"
+                   "[mirror:wall]\ntype = halfspace\nmaterial = bad\n")
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--mirror",
+                              "wall", "--nu", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "[material:bad]" in err
+
+
 def test_cli_exit_numerical(capsys, monkeypatch):
     # an impossible tolerance exhausts the subdivision budget
     import cavitycp.cli as climod

@@ -8,14 +8,19 @@ import pytest
 
 from cavitycp.constants import C
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude, HalfSpace,
-                                Layer, Stack, Vacuum, fresnel_halfspace,
-                                multilayer_reflection, permittivity_at,
-                                quarter_wave_stack, reflection_coefficients,
+                                Layer, Stack, Vacuum, multilayer_reflection,
+                                permittivity_at, quarter_wave_stack,
+                                reflection_coefficients,
                                 static_limit_reflection, sqrt_upper,
                                 transverse_wavenumber)
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 
 W_LIH = 2.78973e12
+
+
+def fresnel(material, k_perp, beta=None):
+    """(r_s, r_p) of vacuum / a half-space of material at W_LIH."""
+    return reflection_coefficients(HalfSpace(material), W_LIH, k_perp, beta)
 
 
 def test_drude_permittivity():
@@ -56,8 +61,64 @@ def test_model_validation():
         ConstantR(r=1.0)
     with pytest.raises(ValueError):
         Layer(Vacuum(), thickness=0.0)
+    for thickness in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Layer(Vacuum(), thickness)
     with pytest.raises(ValueError):
         Stack((Layer(Vacuum(), 1e-6),))  # no semi-infinite terminator
+
+
+@pytest.mark.parametrize("eps_real, eps_imag", [
+    (0.0, 0.0), (0.5, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+    (2.0, math.nan), (2.0, math.inf)])
+def test_constant_lossy_requires_finite_passive_eps(eps_real, eps_imag):
+    # eps_real is also eps(i xi), and a passive medium has eps(i xi) >= 1
+    with pytest.raises(ValueError, match="passivity"):
+        ConstantLossy(eps_real, eps_imag)
+
+
+@pytest.mark.parametrize("plasma_frequency, damping", [
+    (math.inf, 5.32e13), (math.nan, 5.32e13), (1.37e16, math.inf)])
+def test_drude_requires_finite_positive_parameters(plasma_frequency, damping):
+    with pytest.raises(ValueError, match="finite positive"):
+        Drude(plasma_frequency, damping)
+
+
+def test_halfspace_is_the_one_layer_stack():
+    half = HalfSpace(GOLD_DRUDE)
+    assert isinstance(half, Stack)
+    assert half.layers == (Layer(GOLD_DRUDE, None),)
+    assert half == HalfSpace(Drude(1.37e16, 5.32e13))
+    assert hash(half) == hash(HalfSpace(Drude(1.37e16, 5.32e13)))
+    assert (half.materials, half.media) == ((GOLD_DRUDE,), (0, 1))
+
+
+def test_stack_numbers_its_media_once():
+    # distinct materials in order of appearance; medium 0 is the vacuum in
+    # front, so a Vacuum() layer is a medium of its own
+    stack = Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 2, W_LIH))
+    assert stack.materials == (SAPPHIRE_300K, Vacuum())
+    assert stack.media == (0, 1, 2, 1, 2, 1)
+    # the numbering takes no part in equality
+    assert stack == Stack(stack.layers) and "media" not in repr(stack)
+
+
+@pytest.mark.parametrize("mirror", [
+    Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)),
+    HalfSpace(GOLD_DRUDE)], ids=["sapphire_stack", "gold"])
+def test_reflection_hashes_no_material(mirror, monkeypatch):
+    # a Stack numbers its media when built, so a reflection call keys on
+    # those numbers and never hashes a frozen material or Layer
+    calls = []
+    for cls in (Drude, ConstantLossy, Vacuum, Layer):
+        def counted(self, _hash=cls.__hash__):
+            calls.append(type(self).__name__)
+            return _hash(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    k = np.linspace(0.0, 2.0 * W_LIH / C, 20)
+    reflection_coefficients(mirror, W_LIH, k)
+    static_limit_reflection(mirror, k)
+    assert calls == []
 
 
 def test_sqrt_upper_branch(rng):
@@ -80,7 +141,7 @@ def test_fresnel_normal_incidence():
     # beta_t = n w/c convention used here.
     eps = 10.0 + 1e-4j
     n = cmath.sqrt(eps)
-    rs, rp = fresnel_halfspace(eps, W_LIH, np.array([0.0]))
+    rs, rp = fresnel(SAPPHIRE_300K, np.array([0.0]))
     assert rs[0] == pytest.approx((1.0 - n) / (1.0 + n), rel=1e-12)
     assert rp[0] == pytest.approx((eps - n) / (eps + n), rel=1e-12)
 
@@ -90,7 +151,7 @@ def test_fresnel_vacuum_is_transparent():
     # 0/0 there for a medium identical to vacuum
     k = np.concatenate((np.linspace(0.0, 0.99 * W_LIH / C, 5),
                         np.linspace(1.01, 2.0, 5) * W_LIH / C))
-    rs, rp = fresnel_halfspace(1.0 + 0.0j, W_LIH, k)
+    rs, rp = fresnel(Vacuum(), k)
     assert np.allclose(rs, 0.0)
     assert np.allclose(rp, 0.0)
 
@@ -98,15 +159,14 @@ def test_fresnel_vacuum_is_transparent():
 def test_fresnel_passivity(rng):
     # |r| <= 1 for passive media at real frequency, propagating incidence.
     k = rng.uniform(0.0, 0.999 * W_LIH / C, size=300)
-    for eps in (permittivity_at(GOLD_DRUDE, W_LIH), 10.0 + 1e-4j, 2.0 + 0.5j):
-        rs, rp = fresnel_halfspace(eps, W_LIH, k)
+    for material in (GOLD_DRUDE, SAPPHIRE_300K, ConstantLossy(2.0, 0.5)):
+        rs, rp = fresnel(material, k)
         assert np.all(np.abs(rs) <= 1.0 + 1e-12)
         assert np.all(np.abs(rp) <= 1.0 + 1e-12)
 
 
 def test_fresnel_grazing_incidence():
-    rs, rp = fresnel_halfspace(10.0 + 0.0j, W_LIH,
-                               np.array([W_LIH / C]))
+    rs, rp = fresnel(ConstantLossy(10.0), np.array([W_LIH / C]))
     assert rs[0] == pytest.approx(-1.0, abs=1e-9)
     assert rp[0] == pytest.approx(-1.0, abs=1e-9)
 
@@ -117,13 +177,13 @@ def test_fresnel_beta_argument_precision():
     wc = W_LIH / C
     beta = 1e-3 * wc
     k = math.sqrt(wc * wc - beta * beta)
-    rs_a, _ = fresnel_halfspace(10.0 + 0.0j, W_LIH, np.array([k]))
-    rs_b, _ = fresnel_halfspace(10.0 + 0.0j, W_LIH, np.array([k]),
-                                beta=np.array([beta + 0j]))
+    rs_a, _ = fresnel(ConstantLossy(10.0), np.array([k]))
+    rs_b, _ = fresnel(ConstantLossy(10.0), np.array([k]),
+                      beta=np.array([beta + 0j]))
     assert rs_a[0] == pytest.approx(rs_b[0], rel=1e-9)
     beta = 1e-12 * wc  # k_perp route has lost all information here
-    _, rp = fresnel_halfspace(10.0 + 0.0j, W_LIH, np.array([wc]),
-                              beta=np.array([beta + 0j]))
+    _, rp = fresnel(ConstantLossy(10.0), np.array([wc]),
+                    beta=np.array([beta + 0j]))
     assert abs(rp[0] + 1.0) == pytest.approx(
         abs(2.0 * 10.0 * beta / (cmath.sqrt(9.0 + 0j) * wc)), rel=1e-6)
 
@@ -131,7 +191,7 @@ def test_fresnel_beta_argument_precision():
 def test_multilayer_single_interface_reduces_to_fresnel():
     layers = (Layer(SAPPHIRE_300K, None),)
     k = np.linspace(0.0, 0.9 * W_LIH / C, 5)
-    rs, rp = fresnel_halfspace(10.0 + 1e-4j, W_LIH, k)
+    rs, rp = fresnel(SAPPHIRE_300K, k)
     assert np.allclose(multilayer_reflection(layers, W_LIH, k, "s"), rs)
     assert np.allclose(multilayer_reflection(layers, W_LIH, k, "p"), rp)
 
@@ -142,7 +202,7 @@ def test_multilayer_vacuum_layer_is_phase_only():
     layers = (Layer(Vacuum(), d), Layer(SAPPHIRE_300K, None))
     k = np.array([0.3 * W_LIH / C])
     beta = transverse_wavenumber(1.0, W_LIH, k)
-    _, rp0 = fresnel_halfspace(10.0 + 1e-4j, W_LIH, k)
+    _, rp0 = fresnel(SAPPHIRE_300K, k)
     rp = multilayer_reflection(layers, W_LIH, k, "p")
     assert rp[0] == pytest.approx(rp0[0] * np.exp(2j * beta[0] * d),
                                   rel=1e-12)
@@ -165,6 +225,15 @@ def test_quarter_wave_stack_geometry():
     d_vac = math.pi * C / (2.0 * W_LIH)
     assert layers[0].thickness == pytest.approx(d_sap, rel=1e-12)
     assert layers[1].thickness == pytest.approx(d_vac, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega0", [0.0, -W_LIH, math.nan, math.inf])
+def test_quarter_wave_stack_rejects_design_frequency(omega0, recwarn):
+    # checked before anything is evaluated: no layer, and no RuntimeWarning
+    for n_pairs in (0, 2):
+        with pytest.raises(ValueError, match="design frequency"):
+            quarter_wave_stack(SAPPHIRE_300K, Vacuum(), n_pairs, omega0)
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 def test_quarter_wave_stack_rejects_negative_pairs():
@@ -252,8 +321,7 @@ def test_reflection_coefficients_dispatch(rng):
     assert np.allclose(rs, -0.7)
     assert np.allclose(rp, 0.7)
     rs_h, rp_h = reflection_coefficients(HalfSpace(GOLD_DRUDE), W_LIH, k)
-    rs_f, rp_f = fresnel_halfspace(permittivity_at(GOLD_DRUDE, W_LIH),
-                                   W_LIH, k)
+    rs_f, rp_f = reflection_per_layer(HalfSpace(GOLD_DRUDE), W_LIH, k)
     assert np.allclose(rs_h, rs_f) and np.allclose(rp_h, rp_f)
 
 
