@@ -146,13 +146,10 @@ def _build_molecule(name, fields, transitions, header_line) -> Molecule:
             raise ConfigError(f"line {lineno}: transition needs exactly "
                               f"'omega d_squared'")
         try:
-            omega, d2 = float(parts[0]), float(parts[1])
+            parsed.append(Transition(omega=float(parts[0]),
+                                     d_squared=float(parts[1])))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        if omega <= 0 or d2 <= 0:
-            raise ConfigError(f"line {lineno}: transition values must be "
-                              f"positive")
-        parsed.append(Transition(omega=omega, d_squared=d2))
     parsed.sort(key=lambda t: t.omega)
     return Molecule(name=name, transitions=tuple(parsed))
 

@@ -11,7 +11,10 @@ runs one path for both: the geometry supplies D_sigma's round trip
 factors node_phase and position_phase of the propagating phase
 sum_p e^{i beta L_p}, its fold of the positions (each distinct |z| once in a
 cavity, the identity at a plate) and its resonance seed (the grazing
-coefficient S and the resonance breakpoints; 0 and none at a plate).
+coefficient S and panel edges at the located modes; 0 and none at a plate).
+Every trace integral starts on panels that resolve its known scales: those
+modes, and geometric lattices (quadrature._ladder) at the grazing end and
+over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -40,7 +43,8 @@ import numpy as np
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
     static_limit_reflection, transverse_wavenumber
-from .quadrature import QuadratureError, QuadratureSpec, adaptive_integrate
+from .quadrature import QuadratureError, QuadratureSpec, _ladder, \
+    adaptive_integrate
 
 __all__ = [
     "CavityGeometry", "PlateGeometry", "GreenTraceParts", "transverse_beta",
@@ -193,23 +197,55 @@ def _kernel(beta, omega: float, geometry):
                     geometry.round_trip(-1j * beta)) / (4j * np.pi * omega**2)
 
 
+def _cavity_modes(cavity: CavityGeometry, omega: float):
+    """(beta, gamma, sigma) of each mode, sigma 0 for s and 1 for p: a zero
+    of the phase of r_sigma^2 e^{2 i beta a}, bracketed by one scan of 8
+    points per pi/a up to w/c + pi/2a, then Newton steps (one reflection
+    call for all) until the phase is 1e-3 of the mode's half-width
+    gamma = (1 - |r|^2)/(|r|^2 |d phase/d beta|), or gamma exceeds pi/2a."""
+    a = cavity.width
+
+    def phase(t, sigma):
+        """(|r_sigma|^2, phase, its slope in t) at beta = pi t / a."""
+        u = np.stack((t, t + 1e-6))
+        rs, rp = reflection_coefficients(cavity.mirror, omega,
+                                         beta=np.pi * u / a + 0j)
+        r2 = np.where(sigma, rp, rs) ** 2
+        z = r2 * np.exp(2j * np.pi * (u - np.round(u)))
+        return np.abs(r2[0]), np.angle(z[0]), \
+            np.angle(z[1] * z[0].conj()) / 1e-6
+
+    grid = np.arange(1.0, 8.0 * omega / C * a / np.pi + 5.0) / 8.0
+    _, g, _ = phase(grid + np.zeros((2, 1)), np.arange(2)[:, None])
+    sigma, j = np.nonzero(((g[:, :-1] <= 0) != (g[:, 1:] <= 0))
+                          & (np.abs(np.diff(g)) < np.pi))
+    t = grid[j] - g[sigma, j] * (grid[j + 1] - grid[j]) \
+        / (g[sigma, j + 1] - g[sigma, j])
+    for _ in range(8):
+        r2, g, slope = phase(t, sigma)
+        busy = (np.abs(g) * r2 > 1e-3 * (1.0 - r2)) \
+            & (2.0 * (1.0 - r2) < r2 * np.abs(slope))
+        if not busy.any():
+            break
+        t = t - np.where(busy, g, 0.0) / np.where(busy, slope, 1.0)
+    return np.pi * t / a, (1.0 - r2) * np.pi / (a * r2 * np.abs(slope)), sigma
+
+
 def _resonance_breakpoints(cavity: CavityGeometry, omega: float):
-    """Panel edges for the propagating beta integral: one at each multiple
-    of pi/a (where D_sigma is smallest) plus geometric refinement when the
-    resonance is sharp, i.e. |1 - r_p^2|/2 at normal incidence is small."""
-    wc, a = omega / C, cavity.width
-    _, rp0 = reflection_coefficients(cavity.mirror, omega, np.array([0.0]))
-    delta_eff = 0.5 * abs(1.0 - complex(rp0[0]) ** 2)
-    points = []
-    for m in range(1, int(np.floor(wc * a / np.pi + 1e-9)) + 1):
-        bm = min(np.pi * m / a, wc)
-        points.append(bm)
-        if delta_eff < 0.05:
-            off = min(np.sqrt(delta_eff) * wc, 0.02 * wc)
-            while off > max(delta_eff * wc / 20.0, 1e-13 * wc):
-                points += [bm - off, bm + off]
-                off *= 0.5
-    return points
+    """Sorted panel edges inside (0, w/c) for the propagating integral: each
+    of the _cavity_modes, and edges gamma 2^k off it out to pi/2a or to the
+    midpoint of a nearer mode (a metal's s and p modes sit a few widths
+    apart); none off a mode whose gamma exceeds pi/2a."""
+    beta, gamma, _ = _cavity_modes(cavity, omega)
+    order = np.argsort(beta)
+    beta, gamma = beta[order], gamma[order]
+    reach, side = 0.5 * np.pi / cavity.width, np.array([[-1.0], [1.0]])
+    gaps = 0.5 * np.diff(beta, prepend=-np.inf, append=np.inf)
+    stop = side * np.clip(np.stack((gaps[:-1], gaps[1:])), gamma, reach)
+    sharp = (0 < gamma) & (gamma < reach)
+    edges = np.append(beta, _ladder(beta[sharp], side * gamma[sharp],
+                                    stop[:, sharp], 2.0))
+    return sorted(set(edges[(edges > 0) & (edges < omega / C)].tolist()))
 
 
 def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
@@ -275,11 +311,14 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
-    # constant) rectangle contribution for [0, x_lo].
+    # constant) rectangle contribution for [0, x_lo].  r_sigma leaves its
+    # grazing limit on scales down to w/(c sqrt|eps|): edges 4^k 1e-6 w/c.
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
+    lattice = [x_c] + ([] if isinstance(geometry.mirror, ConstantR) else
+                       _ladder(0.0, 4e-6 * wc, x_c, 4.0).tolist())
     with _unfolded(index):
         result = adaptive_integrate(f_prop, x_lo, wc, spec,
-                                    breakpoints=bps + [x_c])
+                                    breakpoints=bps + lattice)
     prop = result[0]
     samples = (s_coef, result.panels[0].tolist(), kernel)
     nodes, weights = result.rule()
@@ -299,10 +338,12 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                 for lp in geometry.decay_lengths(z)), grazing(kappa))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
-        # position's integrand is below e^-40 of its peak.
+        # position's integrand is below e^-40 of its peak.  Edges x_c 2^k
+        # resolve each decay, and hold each position's own edges.
         with _unfolded(index):
-            evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
-                                         breakpoints=[x_c])
+            evan, _ = adaptive_integrate(
+                f_evan, x_lo, kappa_max, spec, breakpoints=lattice + _ladder(
+                    0.0, 2.0 * x_c, kappa_max, 2.0).tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
@@ -393,11 +434,10 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                                   for m, d in zip(shifts, decays))
         return vals.reshape(len(s), -1)
 
-    # Panel edges halve from the widest cutoff down to the narrowest, so
-    # every position's decay scale is resolved by the first panels.
-    edges = q.max() * 0.5 ** np.arange(1, 1 + int(np.log2(q.max() / q.min())))
-    val, _ = adaptive_integrate(f, 0.0, q.max(), spec,
-                                breakpoints=edges.tolist())
+    # Panel edges halve from the widest cutoff down to 1/16 of the
+    # narrowest, so every position's decay is resolved by the first panels.
+    val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
+        0.0, 0.5 * q.max(), q.min() / 16.0, 0.5))
     return val.reshape((len(xi), len(q)) if per_term else len(q)) \
         / (4.0 * np.pi)
 

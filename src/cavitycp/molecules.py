@@ -24,10 +24,10 @@ class Transition:
     d_squared: float   # C^2 m^2, summed over the degenerate manifold
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("transition frequency must be positive")
-        if not self.d_squared > 0:
-            raise ValueError("d_squared must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("transition frequency must lie in (0, inf)")
+        if not 0 < self.d_squared < math.inf:
+            raise ValueError("d_squared must lie in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class ThermalEnvironment:
     temperature: float  # K
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must lie in (0, inf)")
 
 
 # Rotational transition of LiH, summed over the first excited manifold.

@@ -37,7 +37,7 @@ from .greens import _CUTOFF, CavityGeometry, PlateGeometry, \
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
-from .quadrature import QuadratureSpec, adaptive_integrate
+from .quadrature import QuadratureSpec, _ladder, adaptive_integrate
 
 __all__ = [
     "PotentialComponents", "ExtremumReport", "LevelScheme",
@@ -147,11 +147,8 @@ def _tail_integral(geometry, zs, alpha, lo, span, spec: QuadratureSpec):
         return imagfreq_trace_sum(geometry, zs, x, alpha(x), spec,
                                   per_term=True)
 
-    hi = span.max()
-    edges = lo + hi * 0.5 ** np.arange(1, 5 + int(np.log2(hi / span.min())))
-    val, _ = adaptive_integrate(f, lo, lo + hi, spec,
-                                breakpoints=edges.tolist())
-    return val
+    return adaptive_integrate(f, lo, lo + span.max(), spec, breakpoints=(
+        _ladder(lo, 0.5 * span.max(), span.min() / 16.0, 0.5)))[0]
 
 
 def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,

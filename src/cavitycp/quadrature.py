@@ -68,10 +68,10 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be non-negative")
+        if not 0 < self.rel_tol < 1:
+            raise ValueError("rel_tol must lie in (0, 1)")
+        if not 0 <= self.abs_tol < np.inf:
+            raise ValueError("abs_tol must lie in [0, inf)")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -151,6 +151,17 @@ def _to_split(err, excess, tol):
     if len(chosen) == 1:
         return chosen
     return chosen[np.argsort(-(err[chosen] / tol).max(axis=1), kind="stable")]
+
+
+def _ladder(origin, start, stop, ratio):
+    """Panel edges origin + start ratio^k, k = 0, 1, ..., until |start|
+    ratio^k passes |stop|, per element of the broadcast arrays: they resolve
+    every scale from |start| to |stop| off origin (ratio < 1 descends)."""
+    origin, start, stop = np.broadcast_arrays(origin, start, stop)
+    n = int(np.max(np.log(stop / start) / np.log(ratio), initial=-1.0)) + 2
+    steps = start[..., None] * ratio ** np.arange(n)
+    return (origin[..., None] + steps)[
+        (np.abs(stop)[..., None] - np.abs(steps)) * (ratio - 1.0) >= 0]
 
 
 def adaptive_integrate(

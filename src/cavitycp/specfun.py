@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, adaptive_integrate
+from .quadrature import QuadratureSpec, _ladder, adaptive_integrate
 
 __all__ = ["digamma", "hurwitz_zeta3", "lerch_phi"]
 
@@ -73,11 +73,11 @@ def lerch_phi(delta: float, b: float) -> np.ndarray:
             f"lerch_phi requires b > 0 and 0 < delta <= 1, got {b}, {delta}")
     gap = delta * (2.0 - delta)
     hi = 50.0 / b
-    breakpoints = gap * 4.0 ** np.arange(int(math.log(hi / gap, 4.0)) + 1)
 
     def integrand(t):
         w = np.exp(-b * t) / (gap * np.exp(-t) - np.expm1(-t))
         return w[:, None] * t[:, None] ** np.arange(3)
 
-    val, _ = adaptive_integrate(integrand, 0.0, hi, _LERCH_SPEC, breakpoints)
+    val, _ = adaptive_integrate(integrand, 0.0, hi, _LERCH_SPEC,
+                                _ladder(0.0, gap, hi, 4.0))
     return val * np.array([1.0, 1.0, 0.5])

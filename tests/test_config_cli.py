@@ -460,6 +460,30 @@ def test_cli_stack_design_frequency_is_a_config_error(omega0, capsys,
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+@pytest.mark.parametrize("transition, what", [
+    ("2.78973e12 inf", "d_squared"),          # printed depth_J = inf
+    ("inf 3.847e-58", "transition frequency"),  # blamed the cavity width
+    ("nan 3.847e-58", "transition frequency")],  # no line context
+    ids=["d2_inf", "omega_inf", "omega_nan"])
+def test_cli_non_finite_molecule_is_a_config_error(transition, what, capsys,
+                                                   tmp_path):
+    cfg = tmp_path / "molecule.cfg"
+    cfg.write_text(f"[molecule:X]\ntransition = {transition}\n")
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--molecule",
+                              "X", "--nu", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "line 2" in err and what in err
+
+
+@pytest.mark.parametrize("rel_tol", ["inf", "1e300", "2"])
+def test_cli_rejects_meaningless_rel_tol(rel_tol, capsys):
+    # inf, 1e300 and 2 printed depths from unrefined panels
+    code, out, err = run_cli(["--rel-tol", rel_tol, "depth", "--nu", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "rel_tol" in err
+
+
 @pytest.mark.parametrize("fields", [
     "model = constant\neps_real = 0",      # complex division by zero
     "model = constant\neps_real = 0.5",    # active: quadrature budget spent

@@ -1,0 +1,47 @@
+"""Integrand calls per benchmark workload: a machine-independent guard on
+how many adaptive rounds the seed-0 commands of perfbench/workloads.py
+need.  Each call of quadrature._panels is one integrand call (one batched
+reflection evaluation and its Python overhead), whatever its panel count.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import cavitycp.quadrature as quadrature
+from cavitycp.cli import main
+
+_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+# Calls with first panels at the located cavity modes and on the grazing and
+# decay lattices: 9 + 7, 13, 4 and 54 (48 of them the asym series oracle's
+# Lerch integrals).  With panels at beta a = pi m and halving edges only,
+# the same commands made 28 + 22, 38, 22 and 74.
+MAX_CALLS = {"scan-gold": 19, "matsubara-cold": 16, "depth-bragg": 5,
+             "asym-sharp": 60}
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_integrand_calls_per_workload(workload, monkeypatch):
+    calls = []
+    panels = quadrature._panels
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    reference = workloads.load_reference()
+    for cmd in workloads.commands(workload, 0):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(cmd.argv) == 0
+        assert workloads.check(cmd, out.getvalue(), reference) == []
+    assert 0 < len(calls) <= MAX_CALLS[workload]

@@ -93,6 +93,15 @@ def test_molecule_validation():
                               Transition(1e12, 1e-58)))
 
 
+def test_molecule_data_must_be_finite():
+    with pytest.raises(ValueError, match="transition frequency"):
+        Transition(omega=math.inf, d_squared=1e-58)
+    with pytest.raises(ValueError, match="d_squared"):
+        Transition(omega=1e12, d_squared=math.inf)
+    with pytest.raises(ValueError, match="temperature"):
+        ThermalEnvironment(math.inf)
+
+
 def test_builtin_registry():
     mols = builtin_molecules()
     assert mols["LiH"] is LIH

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitycp.quadrature import (QuadratureError, QuadratureSpec,
+from cavitycp.quadrature import (QuadratureError, QuadratureSpec, _ladder,
                                  adaptive_integrate)
 
 
@@ -68,6 +68,28 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
+
+
+def test_ladder_is_geometric_up_to_its_stop():
+    # panel edges for a known scale range: ascending and descending, inclusive of an exact stop, per element
+    assert _ladder(0.0, 1.0, 8.0, 2.0).tolist() == [1.0, 2.0, 4.0, 8.0]
+    assert _ladder(1.0, 8.0, 1.0, 0.5).tolist() == [9.0, 5.0, 3.0, 2.0]
+    got = _ladder(np.array([10.0, 10.0]), np.array([-1.0, 1.0]),
+                  np.array([-3.0, 5.0]), 2.0)
+    assert got.tolist() == [9.0, 8.0, 11.0, 12.0, 14.0]
+    assert _ladder(0.0, 2.0, 1.0, 2.0).size == 0
+
+
+@pytest.mark.parametrize("rel_tol", [1.0, 2.0, 1e300, math.inf, math.nan])
+def test_spec_rejects_meaningless_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        QuadratureSpec(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("abs_tol", [math.inf, math.nan])
+def test_spec_rejects_non_finite_abs_tol(abs_tol):
+    with pytest.raises(ValueError, match="abs_tol"):
+        QuadratureSpec(abs_tol=abs_tol)
 
 
 def test_defaults():
