@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import EULER_GAMMA, ZETA_3
 from .specfun import digamma, hurwitz_zeta3, lerch_phi
 
@@ -48,7 +50,7 @@ class ConstantRCavity:
         object.__setattr__(self, "delta", 1.0 - self.r)
 
 
-def I_phi_series(cfg: ConstantRCavity, phi: float) -> float:
+def I_phi_series(cfg: ConstantRCavity, phi):
     """Exact series for the constant-r propagating integral I(phi), 1/m^3,
     for |phi| < 1/2 (I_half_closed gives phi = 1/2):
     I(phi) = r/(2 pi nu^3 lam^3) * sum_j r^(2j) [y(j+1/2+phi) + y(j+1/2-phi)]
@@ -57,20 +59,18 @@ def I_phi_series(cfg: ConstantRCavity, phi: float) -> float:
     and S = sin(2 pi nu (j + b)) do not depend on j, so with lerch_phi
     sum_j r^(2j) y(j + b) = (2C - 2) Phi(r^2, 3, b)
     - 4 nu^2 pi^2 C Phi(r^2, 1, b) + 4 nu pi S Phi(r^2, 2, b).
+    An array phi gives an array of its shape from one lerch_phi call.
     """
-    if not abs(phi) < 0.5:
+    phi = np.abs(np.asarray(phi, dtype=float))  # I(-phi) == I(phi) exactly
+    if not np.all(phi < 0.5):
         raise ValueError(f"I_phi_series requires |phi| < 1/2, got {phi}")
     nu = cfg.nu
-
-    def half(b):
-        c, s = math.cos(2 * math.pi * nu * b), math.sin(2 * math.pi * nu * b)
-        phi1, phi2, phi3 = lerch_phi(cfg.delta, b)
-        return (2 * c - 2) * phi3 - 4 * (nu * math.pi)**2 * c * phi1 \
-            + 4 * nu * math.pi * s * phi2
-
-    # one addition of the two halves keeps I(phi) == I(-phi) exact
-    return cfg.r / (2.0 * math.pi * nu**3 * cfg.lam**3) \
-        * (half(0.5 + phi) + half(0.5 - phi))
+    b = np.stack((0.5 + phi, 0.5 - phi))
+    c, s = np.cos(2 * math.pi * nu * b), np.sin(2 * math.pi * nu * b)
+    p = lerch_phi(cfg.delta, b)
+    half = (2 * c - 2) * p[..., 2] - 4 * (nu * math.pi)**2 * c * p[..., 0] \
+        + 4 * nu * math.pi * s * p[..., 1]
+    return cfg.r / (2.0 * math.pi * nu**3 * cfg.lam**3) * (half[0] + half[1])
 
 
 def I_half_closed(r: float, a: float) -> float:

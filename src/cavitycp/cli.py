@@ -100,8 +100,7 @@ def _setup(args):
     reg = _registry(args)
     return (reg, _lookup(reg.molecules, args.molecule, "molecule"),
             ThermalEnvironment(_quantity(args.temperature, ("K",),
-                                         "--temperature")),
-            QuadratureSpec(rel_tol=args.rel_tol))
+                                         "--temperature")), args.spec)
 
 
 def _grid(lo, hi, points):
@@ -208,8 +207,7 @@ def cmd_asym(args) -> int:
     lam = 2.0 * math.pi * C / t.omega
     coupling = photon_number(t.omega, env) * t.d_squared / (3.0 * EPSILON_0)
     nus = list(range(args.nu_min, args.nu_max + 1))
-    deltas = [float(s) for s in args.delta.split(",") if s.strip()] \
-        if args.delta else []
+    deltas = [float(s) for s in args.delta.split(",") if s.strip()]
     if not nus:
         raise ConfigError("empty nu range")
     if any(nu < 2 for nu in nus):
@@ -224,9 +222,9 @@ def cmd_asym(args) -> int:
             continue
         for delta in deltas:
             cfg = asymptotics.ConstantRCavity(r=1.0 - delta, nu=nu, lam=lam)
-            series = coupling * (
-                asymptotics.I_phi_series(cfg, 0.5 - 1.5 / nu)
-                - asymptotics.I_phi_series(cfg, 0.5 - 1.0 / nu))
+            i_max, i_min = asymptotics.I_phi_series(
+                cfg, [0.5 - 1.5 / nu, 0.5 - 1.0 / nu]).tolist()
+            series = coupling * (i_max - i_min)
             rep = potential_depth(mol, ConstantR(1.0 - delta), nu, env, spec)
             rows.append((nu, delta, rep.depth, series,
                          asymptotics.depth_scaling(nu, delta, lam, coupling),
@@ -315,6 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        args.spec = QuadratureSpec(rel_tol=args.rel_tol)
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,8 +48,9 @@ class ThermalEnvironment:
     temperature: float  # K
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must lie in (0, inf)")
+        if not 0 < matsubara_frequency(1, self) < math.inf:
+            raise ValueError(f"temperature {self.temperature} K must keep "
+                             "xi_1 = 2 pi k_B T / hbar in (0, inf)")
 
 
 # Rotational transition of LiH, summed over the first excited manifold.

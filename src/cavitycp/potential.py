@@ -276,17 +276,19 @@ def _newton_extrema(rule, seeds, maximum, half_width, edge, xtol):
     """Stationary points of u(z) = Re sum(w F cos(2 beta z)) near the seeds.
 
     rule is (beta, w F) from greens._realfreq_trace.  Newton steps on
-    u'(z) = -Re sum(2 beta w F sin(2 beta z)) and u''(z) run for all seeds at
-    once.  maximum[i] selects a maximum or a minimum for seed i; a point
-    whose curvature has the wrong sign, or that leaves seed +- half_width or
-    +-edge, raises ArithmeticError.
+    u'(z) = -sum(w1 sin(2 beta z)), w1 = 2 beta Re(w F), and on u''(z), with
+    w2 = 2 beta w1, run for all seeds at once.  maximum[i] selects a maximum
+    or a minimum for seed i; a point whose curvature has the wrong sign, or
+    that leaves seed +- half_width or +-edge, raises ArithmeticError.
     """
     beta, wf = rule
+    w1 = 2.0 * beta * wf.real
+    w2 = 2.0 * beta * w1
     z = np.array(seeds, dtype=float)
     for _ in range(_NEWTON_STEPS):
         arg = 2.0 * np.outer(beta, z)
-        slope = -((2.0 * beta * wf) @ np.sin(arg)).real
-        curvature = -((4.0 * beta**2 * wf) @ np.cos(arg)).real
+        slope = -(w1 @ np.sin(arg))
+        curvature = -(w2 @ np.cos(arg))
         step = slope / curvature
         z -= step
         if np.all(np.abs(step) <= xtol):

@@ -1,9 +1,9 @@
 """Special functions needed by the constant-reflectivity asymptotics.
 
 Digamma and zeta(3, b) come from series with recurrence lifting and
-Euler-Maclaurin tails, the Lerch transcendent from one adaptive integral:
-no external special-function dependency.  Target accuracy is 1e-12;
-physics-level comparisons elsewhere use far looser tolerances.
+Euler-Maclaurin tails, the Lerch transcendent at all its shifts b from one
+adaptive integral: no external special-function dependency.  Target accuracy
+is 1e-12; physics-level comparisons elsewhere use far looser tolerances.
 """
 
 from __future__ import annotations
@@ -60,24 +60,27 @@ def hurwitz_zeta3(b: float) -> float:
 _LERCH_SPEC = QuadratureSpec(rel_tol=1e-13)
 
 
-def lerch_phi(delta: float, b: float) -> np.ndarray:
+def lerch_phi(delta: float, b) -> np.ndarray:
     """Phi(r^2, s, b) = sum_{j>=0} r^(2j) (j + b)^-s for s = 1, 2, 3, with
     r = 1 - delta, 0 < delta <= 1 and b > 0, from one vector quadrature of
     Phi(z, s, b) = Gamma(s)^-1 int_0^inf t^(s-1) e^(-bt) / (1 - z e^(-t)) dt
     (Erdelyi et al., Higher Transcendental Functions I, 1.11).  Its
     denominator, (1 - r^2) e^(-t) - expm1(-t) with 1 - r^2 = delta (2 - delta),
-    is exact at its minimum t = 0; geometric breakpoints from 1 - r^2 upward
-    resolve the peak there, and past t = 50/b, e^(-bt) < e^-50."""
-    if not (b > 0 and 0 < delta <= 1):
+    is exact at its minimum t = 0; edges (1 - r^2) 2^k resolve the peak there,
+    and past t = 50/b, e^(-bt) < e^-50.  An array b gives shape b.shape + (3,)
+    from one integral to 50/min b, each (b, s) column at its own tolerance."""
+    b = np.asarray(b, dtype=float)
+    if not (np.all(b > 0) and 0 < delta <= 1):
         raise ValueError(
             f"lerch_phi requires b > 0 and 0 < delta <= 1, got {b}, {delta}")
     gap = delta * (2.0 - delta)
-    hi = 50.0 / b
+    hi = 50.0 / b.min()
 
     def integrand(t):
-        w = np.exp(-b * t) / (gap * np.exp(-t) - np.expm1(-t))
-        return w[:, None] * t[:, None] ** np.arange(3)
+        w = np.exp(np.multiply.outer(-t, b.ravel()))[:, :, None] \
+            / (gap * np.exp(-t) - np.expm1(-t))[:, None, None]
+        return (w * t[:, None, None] ** np.arange(3)).reshape(len(t), -1)
 
     val, _ = adaptive_integrate(integrand, 0.0, hi, _LERCH_SPEC,
-                                _ladder(0.0, gap, hi, 4.0))
-    return val * np.array([1.0, 1.0, 0.5])
+                                _ladder(0.0, gap, hi, 2.0))
+    return val.reshape(b.shape + (3,)) * np.array([1.0, 1.0, 0.5])

@@ -207,6 +207,23 @@ def test_series_even_in_phi():
         assert I_phi_series(cfg, phi) == I_phi_series(cfg, -phi)
 
 
+@pytest.mark.parametrize("delta", [0.5, 1e-3, 1e-5, 1e-8])
+def test_series_array_matches_scalar_calls(delta):
+    # one lerch_phi call for every element; the elements near a zero of I
+    # are matched on the scale of the largest
+    for nu in (2, 3, 4, 7):
+        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
+        phis = np.array((-0.37, -0.125, 0.0, 0.25, 0.45) + depth_phis(nu))
+        got = I_phi_series(cfg, phis)
+        assert got.shape == phis.shape
+        want = np.array([I_phi_series(cfg, phi) for phi in phis])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(I_phi_series(cfg, -phis), got)
+        assert all(I_phi_series(cfg, -phi) == I_phi_series(cfg, phi)
+                   for phi in phis)
+        assert I_phi_series(cfg, phis.reshape(7, 1)).shape == (7, 1)
+
+
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-6])
 def test_asymptotic_residuals(delta):
     # residual of the high-reflectivity limits vanishes like O(delta ln delta)

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,33 @@ def test_cli_rejects_meaningless_rel_tol(rel_tol, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert "rel_tol" in err
+
+
+def test_cli_checks_rel_tol_without_integrating(capsys):
+    # bragg builds no quadrature, and took --rel-tol inf with exit 0
+    code, out, err = run_cli(
+        ["--rel-tol", "inf", "bragg", "--material-a", "sapphire_300K",
+         "--material-b", "vacuum", "--n-max", "2",
+         "--design-frequency", "2.78973e12"], capsys)
+    assert code == 2 and out == ""
+    assert "rel_tol" in err
+
+
+@pytest.mark.parametrize("temperature, expected", [("1e300K", 2),
+                                                   ("1e30K", 0)])
+def test_cli_temperature_past_float_range(temperature, expected, capsys):
+    # at 1e300 K the first Matsubara frequency overflowed: RuntimeWarnings
+    # and exit 3 on a nan estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["profile", "--width", "resonance:2",
+                                  "--temperature", temperature,
+                                  "--points", "5"], capsys)
+    assert code == expected
+    if expected:
+        assert out == "" and "temperature 1e+300 K" in err
+    else:
+        assert err == "" and len(out.splitlines()) == 6
 
 
 @pytest.mark.parametrize("fields", [

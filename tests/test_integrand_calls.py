@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cavitycp.asymptotics as asymptotics
 import cavitycp.quadrature as quadrature
 from cavitycp.cli import main
 
@@ -21,11 +22,13 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 # Calls with first panels at the located cavity modes and on the grazing and
-# decay lattices: 9 + 7, 13, 4 and 54 (48 of them the asym series oracle's
-# Lerch integrals).  With panels at beta a = pi m and halving edges only,
-# the same commands made 28 + 22, 38, 22 and 74.
+# decay lattices: 9 + 7, 13, 4 and 15 (6 traces, and 3 x 3 for the asym
+# series oracle's one Lerch integral per row, on 2^k edges).  With 4^k Lerch
+# edges and one Lerch integral per b, asym-sharp made 54 calls; with panels
+# at beta a = pi m and halving edges only, the commands made 28 + 22, 38, 22
+# and 74.
 MAX_CALLS = {"scan-gold": 19, "matsubara-cold": 16, "depth-bragg": 5,
-             "asym-sharp": 60}
+             "asym-sharp": 17}
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -45,3 +48,19 @@ def test_integrand_calls_per_workload(workload, monkeypatch):
             assert main(cmd.argv) == 0
         assert workloads.check(cmd, out.getvalue(), reference) == []
     assert 0 < len(calls) <= MAX_CALLS[workload]
+
+
+def test_asym_makes_one_lerch_integral_per_row(monkeypatch):
+    calls = []
+    lerch_phi = asymptotics.lerch_phi
+
+    def counted(delta, b):
+        calls.append(delta)
+        return lerch_phi(delta, b)
+
+    monkeypatch.setattr(asymptotics, "lerch_phi", counted)
+    deltas = ["1e-3", "1e-4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["asym", "--nu-min", "2", "--nu-max", "4",
+                     "--delta", ",".join(deltas)]) == 0
+    assert len(calls) == 3 * len(deltas)

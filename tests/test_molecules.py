@@ -102,6 +102,13 @@ def test_molecule_data_must_be_finite():
         ThermalEnvironment(math.inf)
 
 
+def test_temperature_keeps_matsubara_frequency_finite():
+    # xi_1 = 2 pi k_B T / hbar overflows near T = 1e300 K
+    with pytest.raises(ValueError, match="temperature 1e\\+300 K"):
+        ThermalEnvironment(1e300)
+    assert math.isfinite(matsubara_frequency(1, ThermalEnvironment(1e30)))
+
+
 def test_builtin_registry():
     mols = builtin_molecules()
     assert mols["LiH"] is LIH

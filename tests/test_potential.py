@@ -74,6 +74,27 @@ def test_newton_extrema_rejects_wrong_kind_or_bracket():
         _newton_extrema(rule, [1.4], [False], 0.3, 1.5, 1e-14)
 
 
+def test_newton_extrema_one_node_rule():
+    # u(z) = cos(2 beta0 z): extrema at m pi / (2 beta0), maxima for even m
+    beta0, xtol = 2.5, 1e-13
+    ms = np.arange(-3, 4)
+    exact = ms * math.pi / (2.0 * beta0)
+    rule = (np.array([beta0]), np.array([0.7 - 3.0j]))
+    z = _newton_extrema(rule, exact + 0.06, ms % 2 == 0, 0.1, 2.0, xtol)
+    assert np.all(np.abs(z - exact) <= xtol)
+
+
+def test_newton_extrema_ignore_imaginary_weights():
+    # u(z) = Re sum(w F cos(2 beta z)) does not depend on Im(w F)
+    beta = np.linspace(0.5, 1.5, 9)
+    wf = np.exp(-beta) * (1.0 + 0.3j)
+    seeds, maximum = [0.1, 1.4], [True, False]
+    z = _newton_extrema((beta, wf), seeds, maximum, 0.5, 2.0, 1e-14)
+    for c in (1.0, -7.5e3, np.linspace(-2.0, 2.0, 9)):
+        assert np.array_equal(_newton_extrema(
+            (beta, wf + 1j * c), seeds, maximum, 0.5, 2.0, 1e-14), z)
+
+
 def test_nonresonant_finite_for_lossy_dielectric(env300, quad_fast):
     # ConstantLossy continues to the imaginary axis as eps_real
     mats = builtin_materials()

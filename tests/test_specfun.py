@@ -7,6 +7,7 @@ The Lerch transcendent is also checked live against mpmath where it is
 installed.
 """
 
+import numpy as np
 import pytest
 
 from cavitycp.specfun import digamma, hurwitz_zeta3, lerch_phi
@@ -88,12 +89,35 @@ def test_lerch_phi_delta_one():
 
 
 def test_lerch_phi_domain():
-    for b in (0.0, -0.5):
+    for b in (0.0, -0.5, [0.3, 0.0, 1.0], [0.3, -0.5], [[0.5], [-1e-300]]):
         with pytest.raises(ValueError):
             lerch_phi(0.5, b)
     for delta in (0.0, -1e-3, 1.5):
         with pytest.raises(ValueError):
             lerch_phi(delta, 1.0)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 1e-3, 1e-5, 1e-12])
+def test_lerch_phi_array_matches_scalar_calls(delta):
+    # one integral up to 50/min b for every column, against one per b
+    b = np.array([[0.05, 0.3, 1.0], [0.5, 2.0, 7.5]])
+    got = lerch_phi(delta, b)
+    assert got.shape == (2, 3, 3)
+    want = np.array([[lerch_phi(delta, x) for x in row] for row in b])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert lerch_phi(delta, 0.3).shape == (3,)
+    assert lerch_phi(delta, [0.3]).shape == (1, 3)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-12])
+def test_lerch_phi_array_vs_mpmath(delta):
+    mpmath = pytest.importorskip("mpmath")
+    b = np.linspace(0.05, 1.0, 6)
+    with mpmath.workdps(30):
+        z = (1 - mpmath.mpf(delta)) ** 2
+        ref = [[float(mpmath.lerchphi(z, s, x)) for s in (1, 2, 3)]
+               for x in b]
+    assert lerch_phi(delta, b) == pytest.approx(np.array(ref), rel=1e-13)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.5, 1e-2, 1e-5, 1e-8, 1e-12])
