@@ -4,18 +4,17 @@ ground-state polar molecules in planar cavities."""
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
 from .quadrature import QuadratureError, QuadratureSpec, adaptive_integrate
 from .materials import ConstantLossy, ConstantR, Drude, HalfSpace, Layer, \
-    Stack, Vacuum, multilayer_reflection, permittivity_at, quarter_wave_stack, \
+    Stack, Vacuum, permittivity_at, quarter_wave_stack, \
     reflection_coefficients, static_limit_reflection
 from .greens import CavityGeometry, GreenTraceParts, PlateGeometry, \
-    cavity_trace_imagfreq, cavity_trace_realfreq, transverse_beta, \
-    zero_frequency_trace_limit
+    cavity_trace_imagfreq, cavity_trace_realfreq, zero_frequency_trace_limit
 from .molecules import LIH, Molecule, ThermalEnvironment, Transition, \
-    builtin_molecules, load_molecules, matsubara_frequency, \
-    peak_photon_frequency, photon_number, polarizability_imag
+    builtin_molecules, matsubara_frequency, peak_photon_frequency, \
+    photon_number, polarizability_imag
 from .potential import ExtremumReport, LevelScheme, PotentialComponents, \
     general_state_potential, heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_components, potential_depth, \
-    resonance_width, resonant_potential, single_plate_components
+    resonance_width, resonant_potential
 from .asymptotics import ConstantRCavity, I_half_closed, I_phi_series, \
     depth_nu1_asym, depth_scaling, phi_asymptote, phi_nu
 from .config import ConfigError, Registry, load_registry, parse_quantity

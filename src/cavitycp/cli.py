@@ -17,7 +17,8 @@ import numpy as np
 from .config import ConfigError, Registry, load_registry, parse_quantity
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
-from .materials import ConstantR, multilayer_reflection, quarter_wave_stack
+from .materials import ConstantR, Stack, quarter_wave_stack, \
+    reflection_coefficients
 from .molecules import ThermalEnvironment, photon_number
 from .potential import heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_depth, resonance_width, \
@@ -170,9 +171,9 @@ def cmd_bragg(args) -> int:
     rows = []
     prev = None
     for n_pairs in range(args.n_min, args.n_max + 1):
-        layers = quarter_wave_stack(mat_a, mat_b, n_pairs, omega0)
-        r = complex(multilayer_reflection(layers, omega0, np.array([0.0]),
-                                          "p")[0])
+        stack = Stack(quarter_wave_stack(mat_a, mat_b, n_pairs, omega0))
+        _, rp = reflection_coefficients(stack, omega0, np.array([0.0]))
+        r = complex(rp[0])
         one_minus = 1.0 - r.real
         saturated = prev is not None and \
             abs(one_minus - prev) <= 0.01 * abs(prev)
@@ -250,27 +251,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cavitycp", parents=[common],
         description="Thermal Casimir-Polder potentials, well depths, and "
                     "heating rates for polar molecules in planar cavities.")
+    # shared flags: molecule subcommands, and cavity ones that add a mirror
+    molecule = argparse.ArgumentParser(add_help=False, parents=[common])
+    molecule.add_argument("--molecule", default="LiH")
+    molecule.add_argument("--temperature", default="300K")
+    cavity = argparse.ArgumentParser(add_help=False, parents=[molecule])
+    cavity.add_argument("--mirror", default="gold")
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, parents=[common])
 
-    p = add("profile", help="potential components on a z grid")
-    p.add_argument("--molecule", default="LiH")
-    p.add_argument("--mirror", default="gold")
+    p = add("profile", parents=[cavity],
+            help="potential components on a z grid")
     p.add_argument("--width", required=True,
                    help="cavity width (e.g. 500um) or resonance:NU")
-    p.add_argument("--temperature", default="300K")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--raw", action="store_true",
                    help="emit constant-dropped values without the "
                    "vanish-at-center shift")
     p.set_defaults(func=cmd_profile)
 
-    p = add("depth", help="well depths at cavity resonances")
-    p.add_argument("--molecule", default="LiH")
-    p.add_argument("--mirror", default="gold")
+    p = add("depth", parents=[cavity],
+            help="well depths at cavity resonances")
     p.add_argument("--nu", required=True, help="comma-separated resonance "
                    "orders")
-    p.add_argument("--temperature", default="300K")
     p.set_defaults(func=cmd_depth)
 
     p = add("bragg", help="Bragg mirror reflectivity vs layer count")
@@ -282,21 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stack design angular frequency, rad/s")
     p.set_defaults(func=cmd_bragg)
 
-    p = add("heating", help="heating-rate profile")
-    p.add_argument("--molecule", default="LiH")
-    p.add_argument("--mirror", default="gold")
+    p = add("heating", parents=[cavity], help="heating-rate profile")
     p.add_argument("--width", required=True)
-    p.add_argument("--temperature", default="300K")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--single-plate", action="store_true",
                    help="distance scan from a single plate instead of a "
                    "cavity profile")
     p.set_defaults(func=cmd_heating)
 
-    p = add("asym", help="compare quadrature depths with the "
-            "constant-reflectivity asymptotics")
-    p.add_argument("--molecule", default="LiH")
-    p.add_argument("--temperature", default="300K")
+    p = add("asym", parents=[molecule], help="compare quadrature depths "
+            "with the constant-reflectivity asymptotics")
     p.add_argument("--nu-min", type=int, default=2)
     p.add_argument("--nu-max", type=int, required=True)
     p.add_argument("--delta", default="",
@@ -315,7 +313,7 @@ def main(argv=None) -> int:
     try:
         args.spec = QuadratureSpec(rel_tol=args.rel_tol)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, ArithmeticError) as exc:

@@ -42,21 +42,21 @@ import numpy as np
 
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
-    static_limit_reflection, transverse_wavenumber
+    static_limit_reflection
 from .quadrature import QuadratureError, QuadratureSpec, _ladder, \
     adaptive_integrate
 
 __all__ = [
-    "CavityGeometry", "PlateGeometry", "GreenTraceParts", "transverse_beta",
+    "CavityGeometry", "PlateGeometry", "GreenTraceParts",
     "cavity_trace_imagfreq", "cavity_trace_realfreq",
-    "single_plate_trace_parts", "zero_frequency_trace_limit",
-    "imagfreq_trace_sum",
+    "zero_frequency_trace_limit", "imagfreq_trace_sum",
 ]
 
 # e^{-CUTOFF_DECADES} tail truncation for all evanescent-type integrals.
 _CUTOFF = 40.0
 # Positions per block of the (nodes x z) products of a batched trace.
 _BLOCK = 25
+_MAX_SCAN = 10**6  # most points of the _cavity_modes scan: ~42 m at LiH
 # Bytes per block of the (nodes x terms [x z]) temporaries of a Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
@@ -176,11 +176,6 @@ class GreenTraceParts:
         return self.propagating + self.evanescent
 
 
-def transverse_beta(omega: complex, k_perp):
-    """beta = sqrt(w^2/c^2 - k_perp^2) on the Im beta >= 0 branch."""
-    return transverse_wavenumber(1.0, omega, k_perp)
-
-
 def _bracket(rs, rp, omega2, beta2, phase):
     """B = 2 c^2 beta^2 r_p/D_p - omega^2 (r_s/D_s + r_p/D_p) from omega^2 and
     beta^2, with D_sigma = 1 - r_sigma^2 phase, phase a round_trip."""
@@ -204,6 +199,10 @@ def _cavity_modes(cavity: CavityGeometry, omega: float):
     call for all) until the phase is 1e-3 of the mode's half-width
     gamma = (1 - |r|^2)/(|r|^2 |d phase/d beta|), or gamma exceeds pi/2a."""
     a = cavity.width
+    points = 8.0 * omega / C * a / np.pi + 5.0
+    if not points <= _MAX_SCAN:
+        raise ValueError(f"cavity width {a:g} m needs a mode scan of "
+                         f"{points:.3g} points, more than {_MAX_SCAN:.0e}")
 
     def phase(t, sigma):
         """(|r_sigma|^2, phase, its slope in t) at beta = pi t / a."""
@@ -215,7 +214,7 @@ def _cavity_modes(cavity: CavityGeometry, omega: float):
         return np.abs(r2[0]), np.angle(z[0]), \
             np.angle(z[1] * z[0].conj()) / 1e-6
 
-    grid = np.arange(1.0, 8.0 * omega / C * a / np.pi + 5.0) / 8.0
+    grid = np.arange(1.0, points) / 8.0
     _, g, _ = phase(grid + np.zeros((2, 1)), np.arange(2)[:, None])
     sigma, j = np.nonzero(((g[:, :-1] <= 0) != (g[:, 1:] <= 0))
                           & (np.abs(np.diff(g)) < np.pi))
@@ -466,9 +465,3 @@ def zero_frequency_trace_limit(z, cavity,
     scalar, zs = cavity.check_position(z)
     tr = imagfreq_trace_sum(cavity, zs, [0.0], [1.0], spec)
     return float(tr[0]) if scalar else tr
-
-
-def single_plate_trace_parts(distance: float, omega: float, mirror: MirrorSpec,
-                             spec: QuadratureSpec = QuadratureSpec()):
-    """cavity_trace_realfreq at distance from a PlateGeometry(mirror)."""
-    return cavity_trace_realfreq(distance, omega, PlateGeometry(mirror), spec)

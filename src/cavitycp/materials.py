@@ -21,8 +21,7 @@ from .constants import C
 __all__ = [
     "Drude", "ConstantLossy", "Vacuum", "PermittivityModel",
     "Layer", "HalfSpace", "Stack", "ConstantR", "MirrorSpec",
-    "permittivity_at", "multilayer_reflection",
-    "quarter_wave_stack", "static_limit_reflection",
+    "permittivity_at", "quarter_wave_stack", "static_limit_reflection",
     "reflection_coefficients", "sqrt_upper",
 ]
 
@@ -180,16 +179,6 @@ def _recursion(mirror: Stack, eps, betas, thickness):
         rs = (us + rs * phase) / (1.0 + us * rs * phase)
         rp = (up + rp * phase) / (1.0 + up * rp * phase)
     return rs, rp
-
-
-def multilayer_reflection(layers, omega: complex, k_perp, polarization: str,
-                          beta=None):
-    """Reflection coefficient of Stack(layers) in one polarization; the
-    arguments as in reflection_coefficients."""
-    if polarization not in ("s", "p"):
-        raise ValueError(f"polarization must be 's' or 'p', got {polarization!r}")
-    return reflection_coefficients(Stack(tuple(layers)), omega, k_perp,
-                                   beta)["sp".index(polarization)]
 
 
 def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,

@@ -13,7 +13,7 @@ from .constants import HBAR, K_B
 __all__ = [
     "Transition", "Molecule", "ThermalEnvironment",
     "polarizability_imag", "photon_number", "matsubara_frequency",
-    "peak_photon_frequency", "builtin_molecules", "load_molecules", "LIH",
+    "peak_photon_frequency", "builtin_molecules", "LIH",
 ]
 
 
@@ -95,9 +95,3 @@ def peak_photon_frequency(env: ThermalEnvironment) -> float:
 
 def builtin_molecules() -> Dict[str, Molecule]:
     return {LIH.name: LIH}
-
-
-def load_molecules(config_source: str) -> Dict[str, Molecule]:
-    """Molecule registry from a config string, built-ins included."""
-    from .config import load_registry
-    return load_registry(config_source).molecules

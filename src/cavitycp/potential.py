@@ -32,8 +32,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, PlateGeometry, \
-    _realfreq_trace, _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
+from .greens import _CUTOFF, CavityGeometry, _realfreq_trace, _unfolded, \
+    cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -42,8 +42,8 @@ from .quadrature import QuadratureSpec, _ladder, adaptive_integrate
 __all__ = [
     "PotentialComponents", "ExtremumReport", "LevelScheme",
     "nonresonant_potential", "resonant_potential", "potential_components",
-    "single_plate_components", "general_state_potential", "resonance_width",
-    "potential_depth", "heating_rate_free", "heating_rate_profile",
+    "general_state_potential", "resonance_width", "potential_depth",
+    "heating_rate_free", "heating_rate_profile",
 ]
 
 # Matsubara terms every position sums exactly; a position needing more adds
@@ -200,14 +200,6 @@ def potential_components(z: float, mol: Molecule, cavity,
     u_nr = nonresonant_potential(z, mol, cavity, env, spec)
     u_pr, u_ev = resonant_potential(z, mol, cavity, env, spec)
     return PotentialComponents(z=z, U_nr=u_nr, U_pr=u_pr, U_ev=u_ev)
-
-
-def single_plate_components(distance: float, mol: Molecule,
-                            mirror: MirrorSpec, env: ThermalEnvironment,
-                            spec: QuadratureSpec = QuadratureSpec()):
-    """potential_components at distance from a PlateGeometry(mirror)."""
-    return potential_components(distance, mol, PlateGeometry(mirror), env,
-                                spec)
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,19 @@ from cavitycp.asymptotics import (ConstantRCavity, I_half_asym, I_half_closed,
                                   I_phi_series, I_zero_asym, depth_scaling,
                                   phi_asymptote, phi_nu)
 from cavitycp.constants import C, EPSILON_0, HBAR, K_B, MU_0
-from cavitycp.greens import (CavityGeometry, cavity_trace_imagfreq,
-                             cavity_trace_realfreq, single_plate_trace_parts,
-                             transverse_beta, zero_frequency_trace_limit)
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
+                             cavity_trace_imagfreq, cavity_trace_realfreq,
+                             zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantLossy, ConstantR, Stack, Vacuum,
-                                multilayer_reflection, quarter_wave_stack,
-                                sqrt_upper)
+                                quarter_wave_stack, reflection_coefficients,
+                                sqrt_upper, transverse_wavenumber)
 from cavitycp.molecules import (Molecule, Transition, peak_photon_frequency,
                                 photon_number, polarizability_imag)
 from cavitycp.potential import (LevelScheme, PotentialComponents,
                                 general_state_potential, heating_rate_free,
                                 heating_rate_profile, nonresonant_potential,
                                 potential_components, potential_depth,
-                                resonance_width, single_plate_components)
+                                resonance_width)
 from cavitycp.quadrature import QuadratureSpec
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 from tests.test_asymptotics import I_phi_quadrature
@@ -108,10 +108,11 @@ def test_criterion_04_enhancement_factor(gold):
     depth = u_max - u_min
     # single-plate oscillation at the same molecule-wall geometry: first
     # maximum (lam/4) minus first minimum (lam/2) of the total potential
-    sp_hi = single_plate_components(0.25 * LAM, LIH, gold, ENV300,
-                                    QUAD).U_total
-    sp_lo = single_plate_components(0.50 * LAM, LIH, gold, ENV300,
-                                    QUAD).U_total
+    plate = PlateGeometry(gold)
+    sp_hi = potential_components(0.25 * LAM, LIH, plate, ENV300,
+                                 QUAD).U_total
+    sp_lo = potential_components(0.50 * LAM, LIH, plate, ENV300,
+                                 QUAD).U_total
     ratio = depth / (sp_hi - sp_lo)
     ok = abs(ratio - 6.7) <= 0.67
     _report(4, ok, f"depth/amplitude = {ratio:.3f} vs 6.7 +/- 10%")
@@ -139,7 +140,8 @@ def test_criterion_05_effective_gold_reflectivity(gold):
 
 def _one_minus_re_r(mat_a, mat_b, n_pairs, omega):
     layers = quarter_wave_stack(mat_a, mat_b, n_pairs, omega)
-    r = complex(multilayer_reflection(layers, omega, np.array([0.0]), "p")[0])
+    _, rp = reflection_coefficients(Stack(layers), omega, np.array([0.0]))
+    r = complex(rp[0])
     return 1.0 - r.real
 
 
@@ -228,7 +230,7 @@ def test_criterion_10_property_suites():
     # 2. Im beta >= 0 on the physical branch (1000 random samples)
     omega = 10 ** rng.uniform(10, 16, size=1000)
     k = rng.uniform(0.0, 3.0, size=1000) * omega / C
-    beta = transverse_beta(omega.astype(complex), k)
+    beta = transverse_wavenumber(1.0, omega.astype(complex), k)
     w = rng.normal(size=1000) + 1j * rng.normal(size=1000)
     suites["im_beta"] = bool(np.all(beta.imag >= 0)
                              and np.all(sqrt_upper(w).imag >= 0))

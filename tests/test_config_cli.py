@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.cli import _z_grid, main
+from cavitycp.cli import _z_grid, build_parser, main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
                              load_registry, parse_quantity)
 from cavitycp.constants import C
 from cavitycp.greens import CavityGeometry
-from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack
+from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack, Vacuum, \
+    quarter_wave_stack, reflection_coefficients
 from cavitycp.potential import resonant_potential
 from cavitycp.quadrature import QuadratureSpec
 
@@ -290,6 +291,27 @@ def test_cli_bragg(capsys):
     assert vals[8] == pytest.approx(5.525524931493386e-06, rel=1e-6)
     assert all(a > b for a, b in zip(vals[1:], vals[2:]))
     assert rows[0]["saturated"] == "false"
+    # each row is, bit for bit, the normal-incidence r_p of the one
+    # reflectivity entry
+    sapphire = load_registry("").materials["sapphire_300K"]
+    for n, row in enumerate(rows):
+        _, rp = reflection_coefficients(
+            Stack(quarter_wave_stack(sapphire, Vacuum(), n, 2.78973e12)),
+            2.78973e12, np.array([0.0]))
+        r = complex(rp[0])
+        assert float(row["one_minus_re_r"]) == 1.0 - r.real
+        assert float(row["abs_r"]) == abs(r)
+
+
+def test_cli_shared_flags_keep_their_defaults():
+    parser = build_parser()
+    need = {"profile": ["--width", "1mm"], "depth": ["--nu", "2"],
+            "heating": ["--width", "1mm"], "asym": ["--nu-max", "3"]}
+    for command, argv in need.items():
+        args = parser.parse_args([command] + argv)
+        assert (args.molecule, args.temperature) == ("LiH", "300K")
+        assert vars(args).get("mirror") == \
+            (None if command == "asym" else "gold")
 
 
 def test_cli_heating(capsys):
@@ -400,6 +422,30 @@ def test_cli_exit_config_errors(capsys):
     # bad width
     code, _, _ = run_cli(["profile", "--width", "-3um"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_cli_unusable_path_is_a_config_error(flag, capsys, tmp_path):
+    # a directory where a file belongs exited 1 with an IsADirectoryError
+    # traceback
+    code, out, err = run_cli(
+        [flag, str(tmp_path), "bragg", "--material-a", "sapphire_300K",
+         "--material-b", "vacuum", "--n-max", "1", "--design-frequency",
+         "2.78973e12"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("width", ["1e10m", "1e30m"])
+def test_cli_mode_scan_too_large_is_a_config_error(width, capsys):
+    # 1e10 m asked numpy for a 1.68 PiB scan grid (exit 1, MemoryError);
+    # 1e30 m exited 2 with numpy's "Maximum allowed size exceeded"
+    code, out, err = run_cli(["heating", "--width", width, "--points", "3"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert f"cavity width {float(width[:-1]):g} m" in err
+    assert "mode scan" in err
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, unit", [

@@ -14,11 +14,11 @@ from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.constants import C, ZETA_3
 from cavitycp.greens import (CavityGeometry, PlateGeometry, _cavity_modes,
                              _grazing_coefficient, _resonance_breakpoints,
-                             cavity_trace_imagfreq,
-                             cavity_trace_realfreq, single_plate_trace_parts,
-                             transverse_beta, zero_frequency_trace_limit)
+                             cavity_trace_imagfreq, cavity_trace_realfreq,
+                             zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
-                                quarter_wave_stack, reflection_coefficients)
+                                quarter_wave_stack, reflection_coefficients,
+                                transverse_wavenumber)
 from cavitycp.quadrature import adaptive_integrate
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
@@ -33,7 +33,7 @@ def _resonant_cavity(mirror, nu):
 def test_transverse_beta_branch(rng):
     omega = rng.uniform(1e11, 1e15, size=300)
     k = rng.uniform(0.0, 3.0, size=300) * omega / C
-    beta = transverse_beta(omega.astype(complex), k)
+    beta = transverse_wavenumber(1.0, omega.astype(complex), k)
     assert np.all(beta.imag >= 0)
     # propagating region: real and positive
     prop = k < omega / C
@@ -202,7 +202,8 @@ def test_single_plate_imagfreq_real(gold, quad):
 
 
 def test_single_plate_constant_r_zero(quad):
-    parts = single_plate_trace_parts(1e-4, W_LIH, ConstantR(0.0), quad)
+    parts = cavity_trace_realfreq(1e-4, W_LIH, PlateGeometry(ConstantR(0.0)),
+                                  quad)
     assert parts.total == 0
 
 
@@ -250,8 +251,8 @@ PLATE_IDS = ["gold", "sapphire", "sapphire_stack", "constant_r"]
 @pytest.mark.parametrize("mirror", PLATE_MIRRORS, ids=PLATE_IDS)
 @pytest.mark.parametrize("d_over_lam", [1 / 8, 1 / 4, 1.0])
 def test_single_plate_matches_reference(mirror, d_over_lam, quad):
-    parts = single_plate_trace_parts(d_over_lam * LAM, W_LIH, mirror,
-                                     quad)
+    parts = cavity_trace_realfreq(d_over_lam * LAM, W_LIH,
+                                  PlateGeometry(mirror), quad)
     ref = _single_plate_parts_reference(d_over_lam * LAM, W_LIH, mirror,
                                         quad)
     tol = 10.0 * quad.rel_tol

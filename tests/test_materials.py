@@ -8,8 +8,8 @@ import pytest
 
 from cavitycp.constants import C
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude, HalfSpace,
-                                Layer, Stack, Vacuum, multilayer_reflection,
-                                permittivity_at, quarter_wave_stack,
+                                Layer, Stack, Vacuum, permittivity_at,
+                                quarter_wave_stack,
                                 reflection_coefficients,
                                 static_limit_reflection, sqrt_upper,
                                 transverse_wavenumber)
@@ -192,8 +192,9 @@ def test_multilayer_single_interface_reduces_to_fresnel():
     layers = (Layer(SAPPHIRE_300K, None),)
     k = np.linspace(0.0, 0.9 * W_LIH / C, 5)
     rs, rp = fresnel(SAPPHIRE_300K, k)
-    assert np.allclose(multilayer_reflection(layers, W_LIH, k, "s"), rs)
-    assert np.allclose(multilayer_reflection(layers, W_LIH, k, "p"), rp)
+    got = reflection_coefficients(Stack(layers), W_LIH, k)
+    assert np.allclose(got[0], rs)
+    assert np.allclose(got[1], rp)
 
 
 def test_multilayer_vacuum_layer_is_phase_only():
@@ -203,17 +204,18 @@ def test_multilayer_vacuum_layer_is_phase_only():
     k = np.array([0.3 * W_LIH / C])
     beta = transverse_wavenumber(1.0, W_LIH, k)
     _, rp0 = fresnel(SAPPHIRE_300K, k)
-    rp = multilayer_reflection(layers, W_LIH, k, "p")
+    _, rp = reflection_coefficients(Stack(layers), W_LIH, k)
     assert rp[0] == pytest.approx(rp0[0] * np.exp(2j * beta[0] * d),
                                   rel=1e-12)
 
 
 def test_multilayer_validation():
     with pytest.raises(ValueError):
-        multilayer_reflection((), W_LIH, np.array([0.0]), "s")
+        reflection_coefficients(Stack(()), W_LIH, np.array([0.0]))
+    # both polarizations come back, so the one argument left to get wrong
+    # is the missing wavenumber
     with pytest.raises(ValueError):
-        multilayer_reflection((Layer(Vacuum(), None),), W_LIH,
-                              np.array([0.0]), "x")
+        reflection_coefficients(Stack((Layer(Vacuum(), None),)), W_LIH)
 
 
 def test_quarter_wave_stack_geometry():
@@ -256,7 +258,7 @@ SAPPHIRE_STACK_REF = [
 @pytest.mark.parametrize("mat, n_pairs, ref", SAPPHIRE_STACK_REF)
 def test_sapphire_stack_reflectivity(mat, n_pairs, ref):
     layers = quarter_wave_stack(mat, Vacuum(), n_pairs, W_LIH)
-    rp = multilayer_reflection(layers, W_LIH, np.array([0.0]), "p")
+    _, rp = reflection_coefficients(Stack(layers), W_LIH, np.array([0.0]))
     assert 1.0 - rp[0].real == pytest.approx(ref, rel=1e-6)
 
 
@@ -266,8 +268,8 @@ def test_lossless_stack_reflectivity_grows():
     prev = 1.0
     for n in (10, 20, 30, 40):
         layers = quarter_wave_stack(lossless, other, n, W_LIH)
-        one_minus = 1.0 - multilayer_reflection(
-            layers, W_LIH, np.array([0.0]), "p")[0].real
+        one_minus = 1.0 - reflection_coefficients(
+            Stack(layers), W_LIH, np.array([0.0]))[1][0].real
         assert one_minus < prev
         prev = one_minus
 

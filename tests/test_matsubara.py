@@ -28,8 +28,8 @@ from cavitycp.materials import (ConstantR, HalfSpace, Stack,
 from cavitycp.molecules import (matsubara_frequency, photon_number,
                                 polarizability_imag)
 from cavitycp.potential import (_J0, LevelScheme, general_state_potential,
-                                nonresonant_potential, resonance_width,
-                                single_plate_components)
+                                nonresonant_potential, potential_components,
+                                resonance_width)
 from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
@@ -156,7 +156,8 @@ def test_nonresonant_matches_per_term_loop(case):
 def test_single_plate_matches_per_term_loop(env300):
     gold = HalfSpace(GOLD_DRUDE)
     for mirror, d in ((gold, 5e-5), (gold, 2e-6), (STACK, 3e-5)):
-        got = single_plate_components(d, LIH, mirror, env300, FAST).U_nr
+        got = potential_components(d, LIH, PlateGeometry(mirror), env300,
+                                   FAST).U_nr
         want = _ref_matsubara(
             env300, lambda xi: polarizability_imag(LIH, xi),
             lambda xi: _ref_plate_trace(d, xi, mirror, FAST))

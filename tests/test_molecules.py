@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cavitycp.constants import HBAR, K_B
+from cavitycp.config import load_registry
 from cavitycp.molecules import (LIH, Molecule, ThermalEnvironment, Transition,
-                                builtin_molecules, load_molecules,
-                                matsubara_frequency, peak_photon_frequency,
-                                photon_number, polarizability_imag)
+                                builtin_molecules, matsubara_frequency,
+                                peak_photon_frequency, photon_number,
+                                polarizability_imag)
 
 
 def test_lih_static_polarizability():
@@ -115,11 +116,11 @@ def test_builtin_registry():
 
 
 def test_load_molecules_roundtrip():
-    mols = load_molecules("""
+    mols = load_registry("""
 [molecule:NaCs]
 transition = 1.2e12 2.5e-58
 transition = 3.4e12 1.1e-58
-""")
+""").molecules
     assert "LiH" in mols
     nacs = mols["NaCs"]
     assert [t.omega for t in nacs.transitions] == [1.2e12, 3.4e12]
@@ -128,7 +129,7 @@ transition = 3.4e12 1.1e-58
 def test_load_molecules_error():
     from cavitycp.config import ConfigError
     with pytest.raises(ConfigError):
-        load_molecules("[molecule:bad]\ntransition = 1.0\n")
+        load_registry("[molecule:bad]\ntransition = 1.0\n").molecules
 
 
 def test_photon_number_vanishes_at_zero_temperature():

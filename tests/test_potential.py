@@ -23,8 +23,7 @@ from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
-                                resonant_potential, single_plate_components,
-                                _newton_extrema)
+                                resonant_potential, _newton_extrema)
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 from tests.test_greens import PLATE_IDS, PLATE_MIRRORS
@@ -168,7 +167,7 @@ def test_components_regression(gold, env300, quad):
 
 
 def test_single_plate_regression(gold, env300, quad):
-    pc = single_plate_components(5e-5, LIH, gold, env300, quad)
+    pc = potential_components(5e-5, LIH, PlateGeometry(gold), env300, quad)
     assert pc.U_nr == pytest.approx(-6.490356210471716e-35, rel=1e-6)
     assert pc.U_pr == pytest.approx(5.244541267396144e-36, rel=1e-6)
     assert pc.U_ev == pytest.approx(6.275165642556924e-35, rel=1e-6)
