@@ -18,7 +18,7 @@ from .config import ConfigError, Registry, load_registry, parse_quantity
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
 from .materials import ConstantR, Stack, quarter_wave_stack, \
-    reflection_coefficients
+    reflection_coefficients, transverse_wavenumber
 from .molecules import ThermalEnvironment, photon_number
 from .potential import heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_depth, resonance_width, \
@@ -168,11 +168,12 @@ def cmd_bragg(args) -> int:
     if args.n_min > args.n_max or args.n_min < 0:
         raise ConfigError("need 0 <= n-min <= n-max")
 
+    normal = transverse_wavenumber(1.0, omega0, np.array([0.0]))
     rows = []
     prev = None
     for n_pairs in range(args.n_min, args.n_max + 1):
         stack = Stack(quarter_wave_stack(mat_a, mat_b, n_pairs, omega0))
-        _, rp = reflection_coefficients(stack, omega0, np.array([0.0]))
+        _, rp = reflection_coefficients(stack, omega0, beta=normal)
         r = complex(rp[0])
         one_minus = 1.0 - r.real
         saturated = prev is not None and \

@@ -100,8 +100,7 @@ def _parse_sections(text: str) -> List[Tuple[str, str, Dict, List, int]]:
                 raise ConfigError(
                     f"line {lineno}: section header must look like "
                     f"[kind:NAME], got {raw.strip()!r}")
-            kind, name = line[1:-1].split(":", 1)
-            kind, name = kind.strip(), name.strip()
+            kind, name = (s.strip() for s in line[1:-1].split(":", 1))
             if kind not in ("molecule", "material", "mirror"):
                 raise ConfigError(f"line {lineno}: unknown section kind "
                                   f"{kind!r}")
@@ -119,107 +118,91 @@ def _parse_sections(text: str) -> List[Tuple[str, str, Dict, List, int]]:
         key, value = (s.strip() for s in line.split("=", 1))
         if key == "transition":
             current[3].append((lineno, value))
+        elif kind == "molecule":
+            raise ConfigError(f"[molecule:{name}] (line {lineno}): molecules "
+                              f"only accept 'transition' lines, got {key!r}")
         else:
             current[2][key] = (lineno, value)
     return sections
 
 
-def _require(fields: Dict, key: str, kind: str, name: str, header_line: int):
-    if key not in fields:
-        raise ConfigError(f"[{kind}:{name}] (line {header_line}): missing "
-                          f"required key {key!r}")
-    return fields[key][1]
-
-
-def _build_molecule(name, fields, transitions, header_line) -> Molecule:
-    if fields:
-        lineno, _ = next(iter(fields.values()))
-        raise ConfigError(f"line {lineno}: molecules only accept "
-                          f"'transition' lines")
-    if not transitions:
-        raise ConfigError(f"[molecule:{name}] (line {header_line}): needs at "
-                          f"least one transition line")
-    parsed = []
-    for lineno, value in transitions:
+def _build_molecule(name, transitions, at) -> Molecule:
+    def transition(value):
         parts = value.split()
         if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: transition needs exactly "
-                              f"'omega d_squared'")
-        try:
-            parsed.append(Transition(omega=float(parts[0]),
-                                     d_squared=float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    parsed.sort(key=lambda t: t.omega)
-    return Molecule(name=name, transitions=tuple(parsed))
+            raise ValueError("transition needs exactly 'omega d_squared'")
+        return Transition(omega=float(parts[0]), d_squared=float(parts[1]))
+
+    parsed = [at(lineno, transition, value) for lineno, value in transitions]
+    return Molecule(name, tuple(sorted(parsed, key=lambda t: t.omega)))
 
 
-def _build_material(name, fields, header_line) -> PermittivityModel:
-    model = _require(fields, "model", "material", name, header_line).lower()
-    try:
-        if model == "drude":
-            return Drude(
-                plasma_frequency=float(_require(fields, "plasma_frequency",
-                                                "material", name, header_line)),
-                damping=float(_require(fields, "damping", "material", name,
-                                       header_line)))
-        if model == "constant":
-            eps_imag = float(fields.get("eps_imag", (0, "0"))[1])
-            return ConstantLossy(
-                eps_real=float(_require(fields, "eps_real", "material", name,
-                                        header_line)),
-                eps_imag=eps_imag)
-        if model == "vacuum":
-            return Vacuum()
-    except ValueError as exc:
-        raise ConfigError(f"[material:{name}] (line {header_line}): {exc}") \
-            from None
-    raise ConfigError(f"[material:{name}] (line {header_line}): unknown "
-                      f"model {model!r}")
+def _build_material(require) -> PermittivityModel:
+    model = require("model").lower()
+    if model == "drude":
+        return Drude(plasma_frequency=require("plasma_frequency", float),
+                     damping=require("damping", float))
+    if model == "constant":
+        return ConstantLossy(eps_real=require("eps_real", float),
+                             eps_imag=require("eps_imag", float, 0.0))
+    if model == "vacuum":
+        return Vacuum()
+    raise ValueError(f"unknown model {model!r}")
 
 
-def _build_mirror(name, fields, header_line, materials) -> MirrorSpec:
-    kind = _require(fields, "type", "mirror", name, header_line).lower()
+def _build_mirror(require, materials) -> MirrorSpec:
+    kind = require("type").lower()
 
-    def material(key):
-        mat_name = _require(fields, key, "mirror", name, header_line)
+    def material(mat_name):
         if mat_name not in materials:
-            raise ConfigError(f"[mirror:{name}] (line {header_line}): "
-                              f"unknown material {mat_name!r}")
+            raise ValueError(f"unknown material {mat_name!r}")
         return materials[mat_name]
 
-    try:
-        if kind == "halfspace":
-            return HalfSpace(material("material"))
-        if kind == "constant_r":
-            return ConstantR(r=float(_require(fields, "r", "mirror", name,
-                                              header_line)))
-        if kind == "quarter_wave":
-            return Stack(quarter_wave_stack(
-                material("material_a"), material("material_b"),
-                int(_require(fields, "pairs", "mirror", name, header_line)),
-                float(_require(fields, "design_frequency", "mirror", name,
-                               header_line))))
-    except ValueError as exc:
-        raise ConfigError(f"[mirror:{name}] (line {header_line}): {exc}") \
-            from None
-    raise ConfigError(f"[mirror:{name}] (line {header_line}): unknown type "
-                      f"{kind!r}")
+    if kind == "halfspace":
+        return HalfSpace(require("material", material))
+    if kind == "constant_r":
+        return ConstantR(r=require("r", float))
+    if kind == "quarter_wave":
+        return Stack(quarter_wave_stack(
+            require("material_a", material), require("material_b", material),
+            require("pairs", int), require("design_frequency", float)))
+    raise ValueError(f"unknown type {kind!r}")
 
 
 def load_registry(text: str = "") -> Registry:
-    """Parse a config string into a registry, on top of the built-ins."""
+    """Parse a config string into a registry, on top of the built-ins.
+
+    An error in a section reads "[kind:NAME] (line N): ...", where line N
+    holds the value that does not convert, else the section header.
+    """
     reg = Registry()
     for kind, name, fields, transitions, header_line in _parse_sections(text):
+        def at(lineno, convert, *args):
+            """convert(*args), a ValueError given the context of lineno."""
+            try:
+                return convert(*args)
+            except ConfigError:  # has its context already
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"[{kind}:{name}] (line {lineno}): {exc}") \
+                    from None
+
+        def require(key, convert=str, default=None):
+            """convert(value of key, else default) at the key's line."""
+            lineno, value = fields.get(key, (header_line, default))
+            if value is None:
+                raise ValueError(f"missing required key {key!r}")
+            return at(lineno, convert, value)
+
         if kind == "molecule":
-            target, built = reg.molecules, _build_molecule(
-                name, fields, transitions, header_line)
+            target, built = reg.molecules, at(
+                header_line, _build_molecule, name, transitions, at)
         elif kind == "material":
-            target, built = reg.materials, _build_material(
-                name, fields, header_line)
+            target, built = reg.materials, at(
+                header_line, _build_material, require)
         else:
-            target, built = reg.mirrors, _build_mirror(
-                name, fields, header_line, reg.materials)
+            target, built = reg.mirrors, at(
+                header_line, _build_mirror, require, reg.materials)
         if name in target:
             warnings.warn(f"config overrides built-in {kind} {name!r}")
         target[name] = built

@@ -145,8 +145,9 @@ class PlateGeometry:
 def _positions(z, inside, what):
     """(scalar, zs) of z; ValueError unless z is 0-/1-D and inside(zs)."""
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    if zs.ndim != 1:
-        raise ValueError("z must be a position or a 1-D array of positions")
+    if zs.ndim != 1 or zs.size == 0:
+        raise ValueError("z must be a position or a nonempty 1-D array of "
+                         f"positions, got shape {zs.shape}")
     bad = ~inside(zs)
     if np.any(bad):
         raise ValueError(f"position z = {zs[bad][0]} {what}")
@@ -360,8 +361,8 @@ def cavity_trace_realfreq(z, omega: float, cavity,
     equal entries.  The z-independent part of either integrand is evaluated
     once per quadrature node for all positions.
     """
-    if not omega > 0:
-        raise ValueError("cavity_trace_realfreq requires omega > 0")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must lie in (0, inf), got {omega}")
     scalar, zs = cavity.check_position(z)
     parts = _realfreq_trace(zs, omega, cavity, spec, True)[:2]
     return GreenTraceParts(*(complex(p[0]) if scalar else p for p in parts))
@@ -371,7 +372,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                        spec: QuadratureSpec = QuadratureSpec(),
                        per_term: bool = False):
     """sum_j weights[i, j] xi_j^2 Tr G(i xi_j) at each position zs[i] of a
-    CavityGeometry or PlateGeometry.
+    CavityGeometry or PlateGeometry.  zs must pass geometry.check_position,
+    and each xi_j must be finite and >= 0, else ValueError.
 
     Position i's trace carries sum_p e^{-kappa L_p} over the geometry's
     decay_lengths.  xi[0] = 0 is the static limit.  weights holds one weight
@@ -391,8 +393,11 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     at s = CUTOFF / min_p L_p, where each of its terms has decayed by
     e^-CUTOFF.
     """
-    lengths = geometry.decay_lengths(np.asarray(zs, dtype=float))
+    lengths = geometry.decay_lengths(geometry.check_position(zs)[1])
     xi = np.asarray(xi, dtype=float)
+    bad = ~((xi >= 0) & (xi < np.inf))
+    if bad.any():
+        raise ValueError(f"xi = {xi[bad][0]} must be finite and >= 0")
     static = int(xi[0] == 0.0)
     q = _CUTOFF / lengths.min(axis=0)
     weights = np.broadcast_to(np.asarray(weights, dtype=float),
@@ -445,12 +450,11 @@ def cavity_trace_imagfreq(z, xi: float, cavity,
                           spec: QuadratureSpec = QuadratureSpec()):
     """Tr G at omega = i xi (real-valued), xi > 0; cavity or plate.  z is a
     position (float out) or a 1-D array of them (array out)."""
-    if not xi > 0:
-        raise ValueError("cavity_trace_imagfreq requires xi > 0; "
-                         "use zero_frequency_trace_limit for xi = 0")
-    scalar, zs = cavity.check_position(z)
-    tr = imagfreq_trace_sum(cavity, zs, [xi], [xi**-2], spec)
-    return float(tr[0]) if scalar else tr
+    if not 0 < xi < np.inf:
+        raise ValueError(f"cavity_trace_imagfreq requires 0 < xi < inf, got "
+                         f"{xi}; use zero_frequency_trace_limit for xi = 0")
+    tr = imagfreq_trace_sum(cavity, z, [xi], [xi**-2], spec)
+    return float(tr[0]) if np.ndim(z) == 0 else tr
 
 
 def zero_frequency_trace_limit(z, cavity,
@@ -462,6 +466,5 @@ def zero_frequency_trace_limit(z, cavity,
     -(c^2/pi) * int_0^inf dk k^2 r_p(0)/(1 - r_p(0)^2 e^{-2 k a})
     * e^{-k a} cosh(2 k z).  Negative for r_p(0) > 0 (attractive wall term).
     """
-    scalar, zs = cavity.check_position(z)
-    tr = imagfreq_trace_sum(cavity, zs, [0.0], [1.0], spec)
-    return float(tr[0]) if scalar else tr
+    tr = imagfreq_trace_sum(cavity, z, [0.0], [1.0], spec)
+    return float(tr[0]) if np.ndim(z) == 0 else tr

@@ -22,7 +22,7 @@ __all__ = [
     "Drude", "ConstantLossy", "Vacuum", "PermittivityModel",
     "Layer", "HalfSpace", "Stack", "ConstantR", "MirrorSpec",
     "permittivity_at", "quarter_wave_stack", "static_limit_reflection",
-    "reflection_coefficients", "sqrt_upper",
+    "reflection_coefficients", "sqrt_upper", "transverse_wavenumber",
 ]
 
 
@@ -228,27 +228,21 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     return rs, rp
 
 
-def reflection_coefficients(mirror: MirrorSpec, omega: complex, k_perp=None,
-                            beta=None):
-    """(r_s, r_p) for any mirror; vectorized over k_perp and omega, which
-    broadcast against each other.
+def reflection_coefficients(mirror: MirrorSpec, omega: complex, *, beta):
+    """(r_s, r_p) for any mirror at the exact vacuum transverse wavenumber
+    beta (Im >= 0); beta and omega broadcast against each other.
 
-    beta, if given, is the exact vacuum transverse wavenumber (Im >= 0);
-    k_perp is then not read.  Callers integrating over beta should pass it:
-    from k_perp it loses all precision near grazing incidence (beta -> 0).
-    eps and beta_j = sqrt(beta^2 + (eps_j - 1) omega^2/c^2) are taken once
-    per distinct material.  At beta = 0, where vacuum-index layers give
-    0/0, the limit is r_s = r_p = -1 if any eps != 1, else 0.
+    transverse_wavenumber(1.0, omega, k_perp) is beta at k_perp, but loses
+    all precision near grazing incidence (beta -> 0).  eps and beta_j =
+    sqrt(beta^2 + (eps_j - 1) omega^2/c^2) are taken once per distinct
+    material.  At beta = 0, where vacuum-index layers give 0/0, the limit
+    is r_s = r_p = -1 if any eps != 1, else 0.
     """
-    if k_perp is None and beta is None:
-        raise ValueError("reflection_coefficients needs k_perp or beta")
     if isinstance(mirror, ConstantR):
-        shape = np.shape(k_perp if beta is None else beta)
-        r = np.full(np.broadcast_shapes(shape, np.shape(omega)), mirror.r,
-                    dtype=complex)
+        r = np.full(np.broadcast_shapes(np.shape(beta), np.shape(omega)),
+                    mirror.r, dtype=complex)
         return -r, r
-    beta = transverse_wavenumber(1.0, omega, k_perp) if beta is None \
-        else np.asarray(beta, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
     grazing = beta == 0
     if grazing.any():
         beta = np.where(grazing, 1.0, beta)

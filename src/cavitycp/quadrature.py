@@ -9,7 +9,7 @@ intervals by explicit exponential cutoffs chosen at the call site.
 
 Each panel carries QUADPACK's error estimate |Kronrod - Gauss| per component
 (Piessens et al., QUADPACK, 1983), and every component k must meet its own
-tolerance max(rel_tol |I_k|, abs_tol).  As in scipy's quad_vec, each round
+tolerance max(rel_tol |I_k|, 1e-300).  As in scipy's quad_vec, each round
 bisects a batch of panels and evaluates all their halves in one integrand
 call: for every component still above tolerance, the fewest largest-error
 panels whose errors together cover its excess.  When a single panel carries
@@ -57,6 +57,8 @@ _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 # Kronrod rule and Kronrod-minus-Gauss error rule, applied in one product.
 _RULES = np.stack((_WK, _WK - _WGFULL))
+# Tolerance floor, above the rounding noise of error estimates near underflow.
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,11 @@ class QuadratureSpec:
     """Accuracy/budget policy for adaptive integration."""
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-300
     max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0 <= self.abs_tol < np.inf:
-            raise ValueError("abs_tol must lie in [0, inf)")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -192,7 +191,7 @@ def adaptive_integrate(
     while True:
         total = val.sum(axis=0)
         total_err = err.sum(axis=0)
-        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        tol = np.maximum(spec.rel_tol * np.abs(total), _TINY)
         converged = (total_err <= tol).all()
         if converged or splits >= spec.max_subdivisions or \
                 not np.isfinite(total_err).all():

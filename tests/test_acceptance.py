@@ -140,7 +140,8 @@ def test_criterion_05_effective_gold_reflectivity(gold):
 
 def _one_minus_re_r(mat_a, mat_b, n_pairs, omega):
     layers = quarter_wave_stack(mat_a, mat_b, n_pairs, omega)
-    _, rp = reflection_coefficients(Stack(layers), omega, np.array([0.0]))
+    _, rp = reflection_coefficients(Stack(layers), omega, beta=(
+        transverse_wavenumber(1.0, omega, np.array([0.0]))))
     r = complex(rp[0])
     return 1.0 - r.real
 

@@ -19,7 +19,7 @@ from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
 from cavitycp.constants import C
 from cavitycp.greens import CavityGeometry
 from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack, Vacuum, \
-    quarter_wave_stack, reflection_coefficients
+    quarter_wave_stack, reflection_coefficients, transverse_wavenumber
 from cavitycp.potential import resonant_potential
 from cavitycp.quadrature import QuadratureSpec
 
@@ -93,6 +93,34 @@ def test_config_error_line_context():
         load_registry("[material:x]\nmodel = drude\n")
     with pytest.raises(ConfigError, match="unknown material"):
         load_registry("[mirror:m]\ntype = halfspace\nmaterial = nope\n")
+    # a section's error names the section once, and the line at fault: the
+    # line of a value that does not convert, else the section header
+    for text, message in [
+        ("[material:m]\nmodel = drude\nplasma_frequency = 1e16\n",
+         "[material:m] (line 1): missing required key 'damping'"),
+        ("[mirror:w]\ntype = constant_r\n",
+         "[mirror:w] (line 1): missing required key 'r'"),
+        ("[mirror:w]\ntype = halfspace\nmaterial = nope\n",
+         "[mirror:w] (line 3): unknown material 'nope'"),
+        ("[material:m]\nmodel = plastic\n",
+         "[material:m] (line 1): unknown model 'plastic'"),
+        ("[mirror:w]\ntype = curved\n",
+         "[mirror:w] (line 1): unknown type 'curved'"),
+        ("[material:m]\nmodel = constant\neps_real = 0.5\n",
+         "[material:m] (line 1): ConstantLossy requires finite eps_real >= 1 "
+         "and eps_imag >= 0 (passivity)"),
+        ("[material:m]\nmodel = constant\neps_real = abc\n",
+         "[material:m] (line 3): could not convert string to float: 'abc'"),
+        ("[molecule:x]\ntransition = 1e12 1e-58\nomega = 5\n",
+         "[molecule:x] (line 3): molecules only accept 'transition' lines, "
+         "got 'omega'"),
+        ("[molecule:x]\ntransition = 1e12 1e-58\ntransition = 2e12\n",
+         "[molecule:x] (line 3): transition needs exactly 'omega d_squared'"),
+        ("[molecule:x]\n",
+         "[molecule:x] (line 1): molecule needs at least one transition")]:
+        with pytest.raises(ConfigError) as exc:
+            load_registry(text)
+        assert str(exc.value) == message
 
 
 def test_config_override_warns():
@@ -297,7 +325,8 @@ def test_cli_bragg(capsys):
     for n, row in enumerate(rows):
         _, rp = reflection_coefficients(
             Stack(quarter_wave_stack(sapphire, Vacuum(), n, 2.78973e12)),
-            2.78973e12, np.array([0.0]))
+            2.78973e12,
+            beta=transverse_wavenumber(1.0, 2.78973e12, np.array([0.0])))
         r = complex(rp[0])
         assert float(row["one_minus_re_r"]) == 1.0 - r.real
         assert float(row["abs_r"]) == abs(r)

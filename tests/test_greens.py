@@ -15,10 +15,12 @@ from cavitycp.constants import C, ZETA_3
 from cavitycp.greens import (CavityGeometry, PlateGeometry, _cavity_modes,
                              _grazing_coefficient, _resonance_breakpoints,
                              cavity_trace_imagfreq, cavity_trace_realfreq,
-                             zero_frequency_trace_limit)
+                             imagfreq_trace_sum, zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack, reflection_coefficients,
                                 transverse_wavenumber)
+from cavitycp.molecules import LIH, ThermalEnvironment
+from cavitycp.potential import heating_rate_profile, nonresonant_potential
 from cavitycp.quadrature import adaptive_integrate
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
@@ -221,6 +223,45 @@ def test_domain_errors(gold, quad):
             plate.check_position(bad)
 
 
+_CAV = CavityGeometry(width=1e-4, mirror=HalfSpace(GOLD_DRUDE))
+_PLATE = PlateGeometry(HalfSpace(GOLD_DRUDE))
+_XI = [0.0, 2.0e13]
+
+
+@pytest.mark.parametrize("call, message", [
+    # an OverflowError (numerical exit), the wall being half a cavity away
+    (lambda: imagfreq_trace_sum(_CAV, [5e-5], _XI, 1.0), "z = 5e-05"),
+    # an "empty integration interval" over the negative cutoff
+    (lambda: imagfreq_trace_sum(_CAV, [2e-4], _XI, 1.0), "z = 0.0002"),
+    (lambda: imagfreq_trace_sum(_CAV, [np.nan], _XI, 1.0), "z = nan"),
+    # accepted silently
+    (lambda: imagfreq_trace_sum(_CAV, np.zeros((2, 2)), _XI, 1.0),
+     r"shape \(2, 2\)"),
+    # a "spurious imaginary part" ArithmeticError
+    (lambda: imagfreq_trace_sum(_CAV, [0.0], [0.0, -2e13], 1.0),
+     "xi = -20000000000000.0"),
+    (lambda: imagfreq_trace_sum(_CAV, [0.0], [0.0, np.inf], 1.0), "xi = inf"),
+    # RuntimeWarnings: divide by zero in log, invalid value in multiply
+    (lambda: cavity_trace_realfreq(1e-5, np.inf, _PLATE), "got inf"),
+    (lambda: cavity_trace_imagfreq(1e-5, np.inf, _PLATE), "got inf"),
+    # numpy's "zero-size array to reduction operation minimum"
+    (lambda: cavity_trace_realfreq(np.array([]), W_LIH, _CAV),
+     r"shape \(0,\)"),
+    (lambda: heating_rate_profile(np.array([]), LIH, _CAV,
+                                  ThermalEnvironment(300.0)), r"shape \(0,\)"),
+    (lambda: nonresonant_potential(np.array([]), LIH, _CAV,
+                                   ThermalEnvironment(300.0)),
+     r"shape \(0,\)")],
+    ids=["z_at_wall", "z_outside", "z_nan", "z_2d", "xi_negative", "xi_inf",
+         "realfreq_omega_inf", "imagfreq_xi_inf", "realfreq_empty",
+         "heating_empty", "nonresonant_empty"])
+def test_trace_entries_check_input_at_the_door(call, message):
+    # bad input fails with a one-line ValueError naming the bad value
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert "\n" not in str(exc.value)
+
+
 # --- reference: the single plate's own integrand ----------------------------
 # The form the library used before the single plate became the D_sigma = 1
 # case of the cavity's real-frequency path: its own integrand over beta and
@@ -230,9 +271,7 @@ def _single_plate_parts_reference(distance, omega, mirror, spec):
     wc = omega / C
 
     def f(beta):
-        k_perp = np.sqrt(np.maximum((wc**2 - beta**2).real, 0.0))
-        rs, rp = reflection_coefficients(mirror, omega, k_perp,
-                                         beta=beta + 0j)
+        rs, rp = reflection_coefficients(mirror, omega, beta=beta + 0j)
         bracket = rs + rp - 2.0 * (C * beta / omega) ** 2 * rp
         return 1j / (4.0 * np.pi) * bracket * np.exp(2j * beta * distance)
 

@@ -18,9 +18,11 @@ from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 W_LIH = 2.78973e12
 
 
-def fresnel(material, k_perp, beta=None):
+def fresnel(material, k_perp):
     """(r_s, r_p) of vacuum / a half-space of material at W_LIH."""
-    return reflection_coefficients(HalfSpace(material), W_LIH, k_perp, beta)
+    return reflection_coefficients(
+        HalfSpace(material), W_LIH,
+        beta=transverse_wavenumber(1.0, W_LIH, k_perp))
 
 
 def test_drude_permittivity():
@@ -116,7 +118,8 @@ def test_reflection_hashes_no_material(mirror, monkeypatch):
             return _hash(self)
         monkeypatch.setattr(cls, "__hash__", counted)
     k = np.linspace(0.0, 2.0 * W_LIH / C, 20)
-    reflection_coefficients(mirror, W_LIH, k)
+    reflection_coefficients(mirror, W_LIH,
+                            beta=transverse_wavenumber(1.0, W_LIH, k))
     static_limit_reflection(mirror, k)
     assert calls == []
 
@@ -177,13 +180,12 @@ def test_fresnel_beta_argument_precision():
     wc = W_LIH / C
     beta = 1e-3 * wc
     k = math.sqrt(wc * wc - beta * beta)
+    half = HalfSpace(ConstantLossy(10.0))
     rs_a, _ = fresnel(ConstantLossy(10.0), np.array([k]))
-    rs_b, _ = fresnel(ConstantLossy(10.0), np.array([k]),
-                      beta=np.array([beta + 0j]))
+    rs_b, _ = reflection_coefficients(half, W_LIH, beta=np.array([beta + 0j]))
     assert rs_a[0] == pytest.approx(rs_b[0], rel=1e-9)
     beta = 1e-12 * wc  # k_perp route has lost all information here
-    _, rp = fresnel(ConstantLossy(10.0), np.array([wc]),
-                    beta=np.array([beta + 0j]))
+    _, rp = reflection_coefficients(half, W_LIH, beta=np.array([beta + 0j]))
     assert abs(rp[0] + 1.0) == pytest.approx(
         abs(2.0 * 10.0 * beta / (cmath.sqrt(9.0 + 0j) * wc)), rel=1e-6)
 
@@ -192,7 +194,8 @@ def test_multilayer_single_interface_reduces_to_fresnel():
     layers = (Layer(SAPPHIRE_300K, None),)
     k = np.linspace(0.0, 0.9 * W_LIH / C, 5)
     rs, rp = fresnel(SAPPHIRE_300K, k)
-    got = reflection_coefficients(Stack(layers), W_LIH, k)
+    got = reflection_coefficients(Stack(layers), W_LIH,
+                                  beta=transverse_wavenumber(1.0, W_LIH, k))
     assert np.allclose(got[0], rs)
     assert np.allclose(got[1], rp)
 
@@ -204,18 +207,15 @@ def test_multilayer_vacuum_layer_is_phase_only():
     k = np.array([0.3 * W_LIH / C])
     beta = transverse_wavenumber(1.0, W_LIH, k)
     _, rp0 = fresnel(SAPPHIRE_300K, k)
-    _, rp = reflection_coefficients(Stack(layers), W_LIH, k)
+    _, rp = reflection_coefficients(Stack(layers), W_LIH, beta=beta)
     assert rp[0] == pytest.approx(rp0[0] * np.exp(2j * beta[0] * d),
                                   rel=1e-12)
 
 
 def test_multilayer_validation():
     with pytest.raises(ValueError):
-        reflection_coefficients(Stack(()), W_LIH, np.array([0.0]))
-    # both polarizations come back, so the one argument left to get wrong
-    # is the missing wavenumber
-    with pytest.raises(ValueError):
-        reflection_coefficients(Stack((Layer(Vacuum(), None),)), W_LIH)
+        reflection_coefficients(Stack(()), W_LIH, beta=transverse_wavenumber(
+            1.0, W_LIH, np.array([0.0])))
 
 
 def test_quarter_wave_stack_geometry():
@@ -258,7 +258,9 @@ SAPPHIRE_STACK_REF = [
 @pytest.mark.parametrize("mat, n_pairs, ref", SAPPHIRE_STACK_REF)
 def test_sapphire_stack_reflectivity(mat, n_pairs, ref):
     layers = quarter_wave_stack(mat, Vacuum(), n_pairs, W_LIH)
-    _, rp = reflection_coefficients(Stack(layers), W_LIH, np.array([0.0]))
+    _, rp = reflection_coefficients(
+        Stack(layers), W_LIH,
+        beta=transverse_wavenumber(1.0, W_LIH, np.array([0.0])))
     assert 1.0 - rp[0].real == pytest.approx(ref, rel=1e-6)
 
 
@@ -269,7 +271,8 @@ def test_lossless_stack_reflectivity_grows():
     for n in (10, 20, 30, 40):
         layers = quarter_wave_stack(lossless, other, n, W_LIH)
         one_minus = 1.0 - reflection_coefficients(
-            Stack(layers), W_LIH, np.array([0.0]))[1][0].real
+            Stack(layers), W_LIH,
+            beta=transverse_wavenumber(1.0, W_LIH, np.array([0.0])))[1][0].real
         assert one_minus < prev
         prev = one_minus
 
@@ -319,10 +322,12 @@ def test_static_limit_array_equals_scalar(mirror):
 
 def test_reflection_coefficients_dispatch(rng):
     k = rng.uniform(0.0, 2.0 * W_LIH / C, size=50)
-    rs, rp = reflection_coefficients(ConstantR(0.7), W_LIH, k)
+    beta = transverse_wavenumber(1.0, W_LIH, k)
+    rs, rp = reflection_coefficients(ConstantR(0.7), W_LIH, beta=beta)
     assert np.allclose(rs, -0.7)
     assert np.allclose(rp, 0.7)
-    rs_h, rp_h = reflection_coefficients(HalfSpace(GOLD_DRUDE), W_LIH, k)
+    rs_h, rp_h = reflection_coefficients(HalfSpace(GOLD_DRUDE), W_LIH,
+                                         beta=beta)
     rs_f, rp_f = reflection_per_layer(HalfSpace(GOLD_DRUDE), W_LIH, k)
     assert np.allclose(rs_h, rs_f) and np.allclose(rp_h, rp_f)
 
@@ -331,25 +336,13 @@ def test_reflection_coefficients_dispatch(rng):
     HalfSpace(GOLD_DRUDE),
     Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)),
     ConstantR(0.9)], ids=["gold", "sapphire_stack", "constant_r"])
-def test_reflection_from_beta_alone(mirror):
-    # given beta, k_perp is not read: leaving it out changes no bit and no
-    # shape, at real omega (through grazing) and at imaginary omega for one
-    # and for an array of xi
-    wc = W_LIH / C
-    k = np.linspace(0.0, 3.0 * wc, 31)
-    beta = np.sqrt(wc**2 - k**2 + 0j)
-    beta[10] = 0.0
-    kappa = np.sqrt(k[:, None] ** 2 + (np.array([1.0, 30.0]) * wc) ** 2)
-    for freq, k_perp, b in ((W_LIH, k, beta),
-                            (1j * W_LIH, k, 1j * np.sqrt(k**2 + wc**2)),
-                            (1j * W_LIH * np.array([1.0, 30.0]), k[:, None],
-                             1j * kappa)):
-        for got, want in zip(reflection_coefficients(mirror, freq, beta=b),
-                             reflection_coefficients(mirror, freq, k_perp,
-                                                     beta=b)):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-    with pytest.raises(ValueError, match="k_perp or beta"):
+def test_reflection_takes_beta_by_keyword_only(mirror):
+    # a positional third argument raises instead of being read as beta,
+    # and beta has no default
+    k = np.array([0.0, 0.5 * W_LIH / C])
+    with pytest.raises(TypeError):
+        reflection_coefficients(mirror, W_LIH, k)
+    with pytest.raises(TypeError):
         reflection_coefficients(mirror, W_LIH)
 
 
@@ -425,7 +418,8 @@ def _assert_per_medium_equals_per_layer(mirror, omega):
     cases = [(omega, k, None), (omega, k, beta), (1j * omega, k, None),
              (1j * omega * np.array([1.0, 30.0]), k[:, None], 1j * kappa)]
     for freq, k_perp, b in cases:
-        got = reflection_coefficients(mirror, freq, k_perp, beta=b)
+        got = reflection_coefficients(mirror, freq, beta=transverse_wavenumber(
+            1.0, freq, k_perp) if b is None else b)
         want = reflection_per_layer(mirror, freq, k_perp, beta=b)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)

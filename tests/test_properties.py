@@ -10,7 +10,8 @@ from cavitycp.constants import C  # noqa: E402
 from cavitycp.materials import (ConstantLossy, Drude, HalfSpace,  # noqa: E402
                                 Layer, Stack, Vacuum, permittivity_at,
                                 quarter_wave_stack, reflection_coefficients,
-                                sqrt_upper, static_limit_reflection)
+                                sqrt_upper, static_limit_reflection,
+                                transverse_wavenumber)
 
 W_LIH = 2.78973e12
 
@@ -34,7 +35,8 @@ def test_passive_propagating_reflection_bounded(m, w, sin_theta):
     # |r_sigma| <= 1 for propagating waves (k_perp < w/c) off passive media;
     # exact grazing incidence is test_exact_grazing_incidence below
     k = np.array([sin_theta * w / C])
-    for r in reflection_coefficients(m, w, k):
+    for r in reflection_coefficients(m, w,
+                                     beta=transverse_wavenumber(1.0, w, k)):
         assert abs(r[0]) <= 1.0 + 1e-12
 
 
@@ -50,7 +52,8 @@ def test_passive_propagating_reflection_bounded(m, w, sin_theta):
 def test_exact_grazing_incidence(m, limit):
     # at k_perp = w/c (beta = 0) vacuum-index layers would give 0/0; the
     # limit is -1 behind any eps != 1 interface and 0 for pure vacuum
-    for r in reflection_coefficients(m, W_LIH, np.array([W_LIH / C])):
+    for r in reflection_coefficients(m, W_LIH, beta=transverse_wavenumber(
+            1.0, W_LIH, np.array([W_LIH / C]))):
         assert r[0] == limit
 
 
@@ -61,7 +64,7 @@ def test_imaginary_axis_rp_in_unit_interval(m, x, k_scale):
     # kappa >= xi/c on the imaginary axis; r_p(i xi) is real in [0, 1)
     k = np.array([k_scale * x / C])
     kappa = np.sqrt(k**2 + (x / C) ** 2)
-    _, rp = reflection_coefficients(m, 1j * x, k, beta=1j * kappa)
+    _, rp = reflection_coefficients(m, 1j * x, beta=1j * kappa)
     assert abs(rp[0].imag) <= 1e-12 * abs(rp[0].real)
     assert 0.0 <= rp[0].real < 1.0
 
@@ -71,8 +74,9 @@ def test_halfspace_equals_one_layer_stack(mat, w, k_scale, k_static):
     half, one = HalfSpace(mat), Stack((Layer(mat, None),))
     k = np.array([k_scale * w / C])
     for freq in (w, 1j * w):
-        for a, b in zip(reflection_coefficients(half, freq, k),
-                        reflection_coefficients(one, freq, k)):
+        beta = transverse_wavenumber(1.0, freq, k)
+        for a, b in zip(reflection_coefficients(half, freq, beta=beta),
+                        reflection_coefficients(one, freq, beta=beta)):
             assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-15)
     assert static_limit_reflection(half, k_static) \
         == static_limit_reflection(one, k_static)
@@ -83,10 +87,10 @@ def test_halfspace_equals_one_layer_stack(mat, w, k_scale, k_static):
 def test_array_xi_reflection_equals_per_xi(m, xis, ks):
     xis, k = np.array(xis), np.array(ks)
     kappa = np.sqrt(k[:, None] ** 2 + (xis / C) ** 2)
-    rs, rp = reflection_coefficients(m, 1j * xis, k[:, None], beta=1j * kappa)
+    rs, rp = reflection_coefficients(m, 1j * xis, beta=1j * kappa)
     assert rs.shape == rp.shape == kappa.shape
     for j, x in enumerate(xis):
-        rs_j, rp_j = reflection_coefficients(m, 1j * x, k, beta=1j * kappa[:, j])
+        rs_j, rp_j = reflection_coefficients(m, 1j * x, beta=1j * kappa[:, j])
         np.testing.assert_allclose(rs[:, j], rs_j, rtol=1e-13, atol=1e-300)
         np.testing.assert_allclose(rp[:, j], rp_j, rtol=1e-13, atol=1e-300)
 
@@ -126,7 +130,7 @@ def test_merged_recursion_matches_per_polarization(m, w, k_scale, imaginary):
     freq = 1j * w if imaginary else w
     beta = 1j * np.sqrt(k**2 + (w / C) ** 2) if imaginary \
         else np.sqrt((w / C) ** 2 - k**2 + 0j)
-    for pol, r in zip("sp", reflection_coefficients(m, freq, k, beta=beta)):
+    for pol, r in zip("sp", reflection_coefficients(m, freq, beta=beta)):
         ref = _per_polarization(m, freq, k, beta, pol)
         assert r[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
 
@@ -144,7 +148,7 @@ def test_static_limit_is_imaginary_axis_limit(m, k):
     # remaining O(xi^2/(k c)^2) difference is far below 1e-9
     xi = 1e-8 * k * C
     kappa = np.sqrt(k**2 + (xi / C) ** 2)
-    dynamic = reflection_coefficients(m, 1j * xi, np.array([k]),
+    dynamic = reflection_coefficients(m, 1j * xi,
                                       beta=np.array([1j * kappa]))
     for r0, r in zip(static_limit_reflection(m, k), dynamic):
         assert abs(r[0] - r0) <= 1e-9 * max(abs(r0), 1.0)
