@@ -22,10 +22,10 @@ cavity of frequency-dependent mirrors both parts are individually
 log-divergent at grazing incidence (r_sigma -> -1, D_sigma -> 0 as beta -> 0);
 the divergent piece is position-independent and cancels between the two
 parts.  Following the convention of dropping position-independent terms, each
-part subtracts the same singular term S e^{-x a}/x over one range [0, x_c]
-shared by every position of the trace, which leaves every emitted quantity
-finite, keeps the two parts' sum exactly equal to the full (finite) trace,
-and changes each part by a constant in z exactly.
+part subtracts the same singular term S e^{-x a}/x over x <= w/c, which
+leaves every emitted quantity finite, keeps the two parts' sum equal to the
+full (finite) trace up to the e^-CUTOFF truncation, and changes each part by
+a constant in z exactly.
 
 At imaginary frequency omega = i xi, beta = i kappa, the bracket is real; the
 static term xi = 0 takes the static reflection coefficients.
@@ -43,8 +43,8 @@ import numpy as np
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
     static_limit_reflection
-from .quadrature import QuadratureError, QuadratureSpec, _ladder, \
-    adaptive_integrate
+from .quadrature import _MAX_SUBDIVISIONS, QuadratureError, QuadratureSpec, \
+    _ladder, adaptive_integrate
 
 __all__ = [
     "CavityGeometry", "PlateGeometry", "GreenTraceParts",
@@ -54,10 +54,8 @@ __all__ = [
 
 # e^{-CUTOFF_DECADES} tail truncation for all evanescent-type integrals.
 _CUTOFF = 40.0
-# Positions per block of the (nodes x z) products of a batched trace.
-_BLOCK = 25
 _MAX_SCAN = 10**6  # most points of the _cavity_modes scan: ~42 m at LiH
-# Bytes per block of the (nodes x terms [x z]) temporaries of a Matsubara sum.
+# Bytes per block of the temporaries of a batched trace or Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -161,8 +159,7 @@ def _unfolded(index):
         yield
     except QuadratureError as err:
         raise QuadratureError(err.estimate[index], err.error[index],
-                              err.tolerance[index], err.splits,
-                              err.max_subdivisions) from err
+                              err.tolerance[index], err.splits) from err
 
 
 @dataclass
@@ -235,14 +232,19 @@ def _resonance_breakpoints(cavity: CavityGeometry, omega: float):
     """Sorted panel edges inside (0, w/c) for the propagating integral: each
     of the _cavity_modes, and edges gamma 2^k off it out to pi/2a or to the
     midpoint of a nearer mode (a metal's s and p modes sit a few widths
-    apart); none off a mode whose gamma exceeds pi/2a."""
+    apart); none off a mode whose gamma exceeds pi/2a.  Sharp modes beyond
+    the subdivision budget raise ArithmeticError before any edge is built."""
     beta, gamma, _ = _cavity_modes(cavity, omega)
     order = np.argsort(beta)
     beta, gamma = beta[order], gamma[order]
     reach, side = 0.5 * np.pi / cavity.width, np.array([[-1.0], [1.0]])
+    sharp = (0 < gamma) & (gamma < reach)
+    if sharp.sum() > _MAX_SUBDIVISIONS:
+        raise ArithmeticError(f"cavity width {cavity.width:g} m has "
+                              f"{sharp.sum()} sharp modes, more than the "
+                              f"budget of {_MAX_SUBDIVISIONS} subdivisions")
     gaps = 0.5 * np.diff(beta, prepend=-np.inf, append=np.inf)
     stop = side * np.clip(np.stack((gaps[:-1], gaps[1:])), gamma, reach)
-    sharp = (0 < gamma) & (gamma < reach)
     edges = np.append(beta, _ladder(beta[sharp], side * gamma[sharp],
                                     stop[:, sharp], 2.0))
     return sorted(set(edges[(edges > 0) & (edges < omega / C)].tolist()))
@@ -263,10 +265,11 @@ def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
 
 def _by_columns(f, zs, phase, shift):
     """f[:, None] * phase(zs) + shift[:, None], filled a block of columns at
-    a time so that the (nodes x z) temporaries of one block stay near 1 MB."""
+    a time so that each block's temporaries stay within _BLOCK_BYTES."""
     out = np.empty((len(f), len(zs)), dtype=complex)
-    for start in range(0, len(zs), _BLOCK):
-        cols = slice(start, start + _BLOCK)
+    step = max(1, _BLOCK_BYTES // (16 * len(f)))
+    for start in range(0, len(zs), step):
+        cols = slice(start, start + step)
         out[:, cols] = f[:, None] * phase(zs[cols]) + shift[:, None]
     return out
 
@@ -275,25 +278,23 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
     """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
     parts at the array zs, evaluated once per geometry.fold rep; evanescent
-    is None unless asked for.  Both parts subtract S e^{-x a}/x below one
-    x_c = min(w/c, widest evanescent cutoff) for all positions, so the split
-    changes each part by a constant in z exactly.  rule is (beta, w F), the
-    propagating integral's final Kronrod nodes and weights times F: in a
-    cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a constant in z,
-    so derivatives in z need no new reflection evaluations.  samples is
-    (S, final panel edges, F by node).  As the seed of a propagating trace
-    at the same omega and geometry, they start its adaptive pass from those
-    panels and stand in for the geometry's resonance_seed and every F they
-    hold; only nodes the seed lacks are evaluated (and added to it), and
-    every position meets rel_tol."""
+    is None unless asked for.  Both parts subtract S e^{-x a}/x below w/c,
+    so the split changes each part by a constant in z exactly.  rule is
+    (beta, w F), the propagating integral's final Kronrod nodes and weights
+    times F: in a cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a
+    constant in z, so derivatives in z need no new reflection evaluations.
+    samples is (S, final panel edges, F by node).  As the seed of a
+    propagating trace at the same omega and geometry, they start its
+    adaptive pass from those panels and stand in for the geometry's
+    resonance_seed and every F they hold; only nodes the seed lacks are
+    evaluated (and added to it), and every position meets rel_tol."""
     zs, index = geometry.fold(zs)
-    wc, kappa_max = omega / C, _CUTOFF / geometry.decay_lengths(zs).min()
-    x_c = min(wc, kappa_max)
+    wc = omega / C
     s_coef, bps, kernel = seed or (*geometry.resonance_seed(omega), {})
 
     def grazing(x):
-        """S e^{-x a}/x up to x_c, else 0; e^{-x a} = round_trip(x/2)."""
-        return s_coef * geometry.round_trip(0.5 * x) / x * (x <= x_c)
+        """S e^{-x a}/x up to w/c, else 0; e^{-x a} = round_trip(x/2)."""
+        return s_coef * geometry.round_trip(0.5 * x) / x * (x <= wc)
 
     def node_kernel(beta):
         """F(beta) = K(beta) node_phase(beta), looked up in kernel; only the
@@ -314,8 +315,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # constant) rectangle contribution for [0, x_lo].  r_sigma leaves its
     # grazing limit on scales down to w/(c sqrt|eps|): edges 4^k 1e-6 w/c.
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
-    lattice = [x_c] + ([] if isinstance(geometry.mirror, ConstantR) else
-                       _ladder(0.0, 4e-6 * wc, x_c, 4.0).tolist())
+    lattice = [] if isinstance(geometry.mirror, ConstantR) else \
+        _ladder(0.0, 4e-6 * wc, wc, 4.0).tolist()
     with _unfolded(index):
         result = adaptive_integrate(f_prop, x_lo, wc, spec,
                                     breakpoints=bps + lattice)
@@ -338,12 +339,13 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                 for lp in geometry.decay_lengths(z)), grazing(kappa))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
-        # position's integrand is below e^-40 of its peak.  Edges x_c 2^k
-        # resolve each decay, and hold each position's own edges.
+        # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
+        # from the light line resolve each decay.
+        kappa_max = _CUTOFF / geometry.decay_lengths(zs).min()
         with _unfolded(index):
             evan, _ = adaptive_integrate(
                 f_evan, x_lo, kappa_max, spec, breakpoints=lattice + _ladder(
-                    0.0, 2.0 * x_c, kappa_max, 2.0).tolist())
+                    0.0, wc, kappa_max, 2.0).tolist())
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]

@@ -336,6 +336,8 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
                         _NEWTON_XTOL * a)
     if nu == 1:
         z = np.append(z, edge)
+    # the second pass stays adaptive: on the first pass's panels a refined
+    # extremum's error/tolerance reaches 0.9996 (8-pair Bragg stack, nu = 10)
     final = _realfreq_trace(z, t.omega, cavity, spec, False, samples)[0]
     values = [weight * float(u) for u in final.real]
     positions = [float(x) for x in z]

@@ -59,29 +59,27 @@ _WGFULL[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 _RULES = np.stack((_WK, _WK - _WGFULL))
 # Tolerance floor, above the rounding noise of error estimates near underflow.
 _TINY = 1e-300
+_MAX_SUBDIVISIONS = 2000  # bisections per adaptive_integrate call
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy/budget policy for adaptive integration."""
+    """Relative tolerance every component of an integral must meet."""
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0 < self.rel_tol < 1:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best estimate, its error
     and tolerance (per component for a vector integrand), the bisections
-    used of max_subdivisions, and the worst component's error over
-    tolerance.  The message is one line on that worst component."""
+    used, and the worst component's error over tolerance.  The message is
+    one line on that worst component."""
 
-    def __init__(self, estimate, error, tolerance, splits, max_subdivisions):
+    def __init__(self, estimate, error, tolerance, splits):
         ratio = np.ravel(error / tolerance)
         worst = int(np.argmax(ratio))
         where = "" if np.ndim(estimate) == 0 \
@@ -89,11 +87,10 @@ class QuadratureError(RuntimeError):
         super().__init__(
             f"quadrature failed to converge: {where}estimate "
             f"{np.ravel(estimate)[worst]:.6g}, error "
-            f"{np.ravel(error)[worst]:.3e}; {splits} of {max_subdivisions} "
+            f"{np.ravel(error)[worst]:.3e}; {splits} of {_MAX_SUBDIVISIONS} "
             f"subdivisions used, worst error/tolerance {ratio[worst]:.3g}")
         self.estimate, self.error, self.tolerance = estimate, error, tolerance
-        self.splits, self.max_subdivisions = splits, max_subdivisions
-        self.error_ratio = ratio[worst]
+        self.splits, self.error_ratio = splits, ratio[worst]
 
 
 class QuadratureResult(tuple):
@@ -177,7 +174,7 @@ def adaptive_integrate(
     (value, error_estimate) as a QuadratureResult; for a vector integrand
     both are arrays of length m.  Optional interior breakpoints seed the
     initial panel list (useful when the caller knows where sharp features
-    sit).  Raises QuadratureError if max_subdivisions bisections are used
+    sit).  Raises QuadratureError if _MAX_SUBDIVISIONS bisections are used
     before every component meets its tolerance.
     """
     if not lo < hi:
@@ -193,11 +190,11 @@ def adaptive_integrate(
         total_err = err.sum(axis=0)
         tol = np.maximum(spec.rel_tol * np.abs(total), _TINY)
         converged = (total_err <= tol).all()
-        if converged or splits >= spec.max_subdivisions or \
+        if converged or splits >= _MAX_SUBDIVISIONS or \
                 not np.isfinite(total_err).all():
             break
         split = _to_split(err, total_err - tol, tol)
-        split = split[:spec.max_subdivisions - splits]
+        split = split[:_MAX_SUBDIVISIONS - splits]
         # each split panel keeps its slot for its left half; the right
         # halves are appended
         left, right = a[split], b[split]
@@ -216,6 +213,5 @@ def adaptive_integrate(
     if scalar:
         total, total_err = total[0], total_err[0]
     if not converged:
-        raise QuadratureError(total, total_err, tol, splits,
-                              spec.max_subdivisions)
+        raise QuadratureError(total, total_err, tol, splits)
     return QuadratureResult(total, total_err, a, b)

@@ -90,7 +90,7 @@ def I_phi_quadrature(r, nu, a, phi):
             bps.append(center)
     val, _ = adaptive_integrate(
         f, 0.0, 2.0 * math.pi * nu,
-        QuadratureSpec(rel_tol=1e-11, max_subdivisions=6000),
+        QuadratureSpec(rel_tol=1e-11),
         breakpoints=sorted(bps))
     return r / (8.0 * math.pi * a**3) * complex(val).imag
 

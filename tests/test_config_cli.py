@@ -477,6 +477,18 @@ def test_cli_mode_scan_too_large_is_a_config_error(width, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
 
 
+def test_cli_wide_gold_cavity_fails_fast(capsys):
+    # a 1 m gold cavity has 5921 sharp modes, more than the subdivision
+    # budget: it spent ~2 s and ~300 MB building mode edges before failing
+    start = time.perf_counter()
+    code, out, err = run_cli(["profile", "--width", "1m", "--points", "3"],
+                             capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: cavity width 1 m has 5921 sharp "
+                   "modes, more than the budget of 2000 subdivisions\n")
+
+
 @pytest.mark.parametrize("argv, unit", [
     (["profile", "--width", "0.0007K", "--temperature", "300"], "'K'"),
     (["profile", "--width", "0.7mm", "--temperature", "300m"], "'m'"),
@@ -605,11 +617,12 @@ def test_cli_non_passive_material_is_a_config_error(fields, capsys,
 
 
 def test_cli_exit_numerical(capsys, monkeypatch):
-    # an impossible tolerance exhausts the subdivision budget
+    # an impossible tolerance exhausts a budget of two subdivisions
     import cavitycp.cli as climod
-    monkeypatch.setattr(
-        climod, "QuadratureSpec",
-        lambda rel_tol: QuadratureSpec(rel_tol=1e-15, max_subdivisions=2))
+    import cavitycp.quadrature
+    monkeypatch.setattr(climod, "QuadratureSpec",
+                        lambda rel_tol: QuadratureSpec(rel_tol=1e-15))
+    monkeypatch.setattr(cavitycp.quadrature, "_MAX_SUBDIVISIONS", 2)
     # a grid's worst component names a row of the caller's grid: 200 rows
     # plus the z = 0 offset for profile, 200 for heating, though each
     # cavity trace evaluates only the distinct |z|

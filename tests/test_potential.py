@@ -376,13 +376,15 @@ def test_batched_plate_matches_scalar(mirror, env300, quad_fast):
             name
 
 
-SEEDED_CASES = {
-    "gold-nu1": (HalfSpace(GOLD_DRUDE), 1),
-    "gold-nu2": (HalfSpace(GOLD_DRUDE), 2),
-    "sapphire_stack-nu2": (
-        Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8, W_LIH)), 2),
-    **{f"constant_r-nu{nu}": (ConstantR(1.0 - 1e-5), nu) for nu in (2, 3, 4)},
+SEEDED_MIRRORS = {
+    "gold": HalfSpace(GOLD_DRUDE),
+    "sapphire_stack": Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8,
+                                               W_LIH)),
+    "constant_r": ConstantR(1.0 - 1e-5),
 }
+SEEDED_CASES = {f"{name}-nu{nu}": (mirror, nu)
+                for name, mirror in SEEDED_MIRRORS.items()
+                for nu in range(1, 11)}
 
 
 @pytest.mark.parametrize("mirror, nu", SEEDED_CASES.values(),
@@ -431,9 +433,10 @@ def test_seeded_trace_misses(quad, reflection_evaluations):
 
 
 def test_seeded_trace_shares_grazing_range(quad, reflection_evaluations):
-    # in an 8 lam gold cavity x_c = 40/(a - 2|z|) < w/c at the centre, but
-    # every position of a trace shares one grazing range: the seed at z = 0
-    # already holds every node a pass at off-centre positions needs
+    # in an 8 lam gold cavity the evanescent cutoff 40/(a - 2|z|) lies below
+    # w/c at the centre, yet the grazing range is w/c at every position: the
+    # seed at z = 0 already holds every node a pass at off-centre positions
+    # needs
     geometry = CavityGeometry(8.0 * LAM, HalfSpace(GOLD_DRUDE))
     zs = np.array([0.2 * LAM, 3.99 * LAM])
     _, _, _, seed = _realfreq_trace(np.array([0.0]), W_LIH, geometry, quad,

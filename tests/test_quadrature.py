@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import cavitycp.quadrature
 from cavitycp.quadrature import (QuadratureError, QuadratureSpec, _ladder,
                                  adaptive_integrate)
 
@@ -43,17 +44,18 @@ def test_decaying_exponential():
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
-def test_budget_exhaustion_raises_with_estimate():
-    spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=3)
+def test_budget_exhaustion_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(cavitycp.quadrature, "_MAX_SUBDIVISIONS", 3)
 
     def f(x):
         return np.sqrt(np.abs(np.sin(40.0 * x)))
 
     with pytest.raises(QuadratureError) as exc:
-        adaptive_integrate(f, 0.0, 3.0, spec)
+        adaptive_integrate(f, 0.0, 3.0, QuadratureSpec(rel_tol=1e-15))
     assert np.isfinite(exc.value.estimate)
     assert exc.value.error > 0
-    assert exc.value.splits == exc.value.max_subdivisions == 3
+    assert exc.value.splits == 3
+    assert "3 of 3 subdivisions used" in str(exc.value)
     assert exc.value.error_ratio > 1
 
 
@@ -65,8 +67,6 @@ def test_empty_interval_rejected():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def test_ladder_is_geometric_up_to_its_stop():
@@ -86,12 +86,12 @@ def test_spec_rejects_meaningless_rel_tol(rel_tol):
 
 
 def test_defaults():
-    # a spec holds these two settings only; the tolerance floor is fixed
+    # a spec holds the tolerance only; the subdivision budget and the
+    # tolerance floor are fixed
     spec = QuadratureSpec()
     assert spec.rel_tol == 1e-9
-    assert spec.max_subdivisions == 2000
-    assert [f.name for f in dataclasses.fields(spec)] == [
-        "rel_tol", "max_subdivisions"]
+    assert tuple(f.name for f in dataclasses.fields(spec)) == ("rel_tol",)
+    assert cavitycp.quadrature._MAX_SUBDIVISIONS == 2000
 
 
 def test_vector_matches_scalar_components():
@@ -108,11 +108,12 @@ def test_vector_matches_scalar_components():
         assert val == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
-def test_vector_budget_exhaustion_raises():
+def test_vector_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(cavitycp.quadrature, "_MAX_SUBDIVISIONS", 2)
     ks = np.array([1.0, 40.0])
     with pytest.raises(QuadratureError) as exc:
         adaptive_integrate(lambda x: np.cos(np.outer(x, ks)), 0.0, math.pi,
-                           QuadratureSpec(rel_tol=1e-15, max_subdivisions=2))
+                           QuadratureSpec(rel_tol=1e-15))
     assert exc.value.estimate.shape == (2,)
     assert np.all(np.isfinite(exc.value.estimate))
 
