@@ -283,27 +283,33 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     (beta, w F), the propagating integral's final Kronrod nodes and weights
     times F: in a cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a
     constant in z, so derivatives in z need no new reflection evaluations.
-    samples is (S, final panel edges, F by node).  As the seed of a
-    propagating trace at the same omega and geometry, they start its
-    adaptive pass from those panels and stand in for the geometry's
-    resonance_seed and every F they hold; only nodes the seed lacks are
-    evaluated (and added to it), and every position meets rel_tol."""
+    samples is (S, final panel edges, [nodes ascending, F at them]).  As
+    the seed of a propagating trace at the same omega and geometry, they
+    start its adaptive pass from those panels and stand in for the
+    geometry's resonance_seed and every F they hold; only nodes the seed
+    lacks are evaluated (and merged in), and every position meets rel_tol."""
     zs, index = geometry.fold(zs)
     wc = omega / C
-    s_coef, bps, kernel = seed or (*geometry.resonance_seed(omega), {})
+    s_coef, bps, store = seed or (*geometry.resonance_seed(omega),
+                                  [np.empty(0)] * 2)
 
     def grazing(x):
         """S e^{-x a}/x up to w/c, else 0; e^{-x a} = round_trip(x/2)."""
         return s_coef * geometry.round_trip(0.5 * x) / x * (x <= wc)
 
     def node_kernel(beta):
-        """F(beta) = K(beta) node_phase(beta), looked up in kernel; only the
-        nodes kernel lacks (all of them, unless seeded) are evaluated."""
-        new = np.array([b for b in beta.tolist() if b not in kernel])
+        """F(beta) = K(beta) node_phase(beta), looked up in the store; the
+        nodes it lacks (all, unless seeded) are evaluated once and merged."""
+        at = np.searchsorted(store[0], beta)
+        new = np.sort(beta[np.append(store[0], np.nan)[at] != beta])
+        new = new[np.diff(new, prepend=np.nan) != 0]
         if len(new):
             f = _kernel(new + 0j, omega, geometry) * geometry.node_phase(new)
-            kernel.update(zip(new.tolist(), f.tolist()))
-        return np.array([kernel[b] for b in beta.tolist()])
+            nodes = np.concatenate((store[0], new))
+            order = np.argsort(nodes)
+            store[:] = nodes[order], np.concatenate((store[1], f))[order]
+            at = np.searchsorted(store[0], beta)
+        return store[1][at]
 
     def f_prop(beta):
         return _by_columns(node_kernel(beta), zs, lambda z: (
@@ -321,14 +327,14 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         result = adaptive_integrate(f_prop, x_lo, wc, spec,
                                     breakpoints=bps + lattice)
     prop = result[0]
-    samples = (s_coef, result.panels[0].tolist(), kernel)
+    samples = (s_coef, result.panels[0].tolist(), store)
     nodes, weights = result.rule()
-    rule_f = weights * np.array([kernel[b] for b in nodes.tolist()])
+    rule_f = weights * node_kernel(nodes)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])
         prop = prop + f_prop(mid)[0] * x_lo
         nodes = np.append(nodes, mid)
-        rule_f = np.append(rule_f, kernel[mid[0]] * x_lo)
+        rule_f = np.append(rule_f, node_kernel(mid) * x_lo)
 
     evan = None
     if evanescent:

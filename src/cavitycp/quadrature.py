@@ -9,12 +9,13 @@ intervals by explicit exponential cutoffs chosen at the call site.
 
 Each panel carries QUADPACK's error estimate |Kronrod - Gauss| per component
 (Piessens et al., QUADPACK, 1983), and every component k must meet its own
-tolerance max(rel_tol |I_k|, 1e-300).  As in scipy's quad_vec, each round
-bisects a batch of panels and evaluates all their halves in one integrand
-call: for every component still above tolerance, the fewest largest-error
-panels whose errors together cover its excess.  When a single panel carries
-most of the error this is the one-panel-at-a-time scheme; when the error is
-spread it saves one integrand call per panel.
+tolerance max(rel_tol |I_k|, 50 eps sum_panels |value_k|, 1e-300); the middle
+term, QUADPACK's rounding floor, lets a zero integral converge.  As in scipy's
+quad_vec, each round bisects a batch of panels and evaluates all their halves
+in one integrand call: for every component still above tolerance, the fewest
+largest-error panels whose errors together cover its excess.  When a single
+panel carries most of the error this is the one-panel-at-a-time scheme; when
+the error is spread it saves one integrand call per panel.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 # Kronrod rule and Kronrod-minus-Gauss error rule, applied in one product.
 _RULES = np.stack((_WK, _WK - _WGFULL))
-# Tolerance floor, above the rounding noise of error estimates near underflow.
+# Tolerance floors, at the rounding level of sum_panels |value| (QUADPACK's
+# 50 epmach resabs) and above the rounding noise of estimates near underflow.
+_ROUNDING = 50.0 * np.finfo(float).eps
 _TINY = 1e-300
 _MAX_SUBDIVISIONS = 2000  # bisections per adaptive_integrate call
 
@@ -188,7 +191,8 @@ def adaptive_integrate(
     while True:
         total = val.sum(axis=0)
         total_err = err.sum(axis=0)
-        tol = np.maximum(spec.rel_tol * np.abs(total), _TINY)
+        tol = np.maximum(spec.rel_tol * np.abs(total), np.maximum(
+            _ROUNDING * np.abs(val).sum(axis=0), _TINY))
         converged = (total_err <= tol).all()
         if converged or splits >= _MAX_SUBDIVISIONS or \
                 not np.isfinite(total_err).all():

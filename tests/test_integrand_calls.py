@@ -1,7 +1,9 @@
-"""Integrand calls per benchmark workload: a machine-independent guard on
-how many adaptive rounds the seed-0 commands of perfbench/workloads.py
-need.  Each call of quadrature._panels is one integrand call (one batched
-reflection evaluation and its Python overhead), whatever its panel count.
+"""Integrand calls and reflection evaluations per benchmark workload:
+machine-independent guards on how many adaptive rounds the seed-0 commands
+of perfbench/workloads.py need, and on how many (node, omega) pairs their
+trace kernels pass to reflection_coefficients.  Each call of
+quadrature._panels is one integrand call (one batched reflection evaluation
+and its Python overhead), whatever its panel count.
 """
 
 import contextlib
@@ -29,6 +31,22 @@ _SPEC.loader.exec_module(workloads)
 # and 74.
 MAX_CALLS = {"scan-gold": 19, "matsubara-cold": 16, "depth-bragg": 5,
              "asym-sharp": 17}
+# (node, omega) pairs passed to reflection_coefficients by the trace kernels;
+# the seeded second pass of each depth looks every node up in the first
+# pass's samples and evaluates none.
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 11451, "matsubara-cold": 23613,
+                              "depth-bragg": 1549, "asym-sharp": 4557}
+
+
+def _run_checked(workload):
+    """Run the workload's seed-0 commands; each exits 0 and matches the
+    frozen reference."""
+    reference = workloads.load_reference()
+    for cmd in workloads.commands(workload, 0):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(cmd.argv) == 0
+        assert workloads.check(cmd, out.getvalue(), reference) == []
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -41,13 +59,16 @@ def test_integrand_calls_per_workload(workload, monkeypatch):
         return panels(f, lo, hi)
 
     monkeypatch.setattr(quadrature, "_panels", counted)
-    reference = workloads.load_reference()
-    for cmd in workloads.commands(workload, 0):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(cmd.argv) == 0
-        assert workloads.check(cmd, out.getvalue(), reference) == []
+    _run_checked(workload)
     assert 0 < len(calls) <= MAX_CALLS[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_reflection_evaluations_per_workload(workload,
+                                             reflection_evaluations):
+    _run_checked(workload)
+    assert 0 < sum(reflection_evaluations) \
+        <= MAX_REFLECTION_EVALUATIONS[workload]
 
 
 def test_asym_makes_one_lerch_integral_per_row(monkeypatch):

@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.constants import HBAR, K_B, MU_0
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _realfreq_trace,
-                             cavity_trace_realfreq)
+from cavitycp.constants import C, HBAR, K_B, MU_0
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _kernel,
+                             _realfreq_trace, cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack)
@@ -430,6 +431,66 @@ def test_seeded_trace_misses(quad, reflection_evaluations):
         unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
         assert np.all(np.abs(seeded - unseeded)
                       <= 10.0 * quad.rel_tol * np.abs(unseeded))
+
+
+def _node_values(beta, geometry):
+    """F = K node_phase at the nodes beta, evaluated directly."""
+    return _kernel(beta + 0j, W_LIH, geometry) * geometry.node_phase(beta)
+
+
+def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
+                                    monkeypatch):
+    # the propagating integrand looks F up in the pass's sorted store: for
+    # shuffled nodes, part stored and part new (one of them twice), it
+    # returns a direct evaluation's values bit for bit, evaluates each new
+    # node once, and leaves the store sorted and aligned
+    geometry = CavityGeometry(LAM, ConstantR(0.9))
+    integrands = []
+    integrate = cavitycp.greens.adaptive_integrate
+
+    def recorded(f, *args, **kwargs):
+        integrands.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(cavitycp.greens, "adaptive_integrate", recorded)
+    _, _, _, (_, _, store) = _realfreq_trace(np.array([0.0]), W_LIH,
+                                             geometry, quad, False)
+    f_prop, = integrands
+    stored = rng.choice(store[0], 40, replace=False)
+    new = rng.uniform(0.0, W_LIH / C, 25)
+    beta = rng.permutation(np.concatenate((stored, new, new[:1])))
+    expected = _node_values(beta, geometry)
+    size = len(store[0])
+    reflection_evaluations.clear()
+    # at z = 0, cos(2 beta z) = 1, and a ConstantR mirror has no grazing
+    # term, so the integrand is F itself
+    assert np.array_equal(f_prop(beta)[:, 0], expected)
+    assert sum(reflection_evaluations) == len(new)
+    assert len(store[0]) == len(store[1]) == size + len(new)
+    assert np.all(np.diff(store[0]) > 0)
+    assert np.array_equal(store[1], _node_values(store[0], geometry))
+
+
+@pytest.mark.parametrize("geometry, z0, zs", [
+    (CavityGeometry(LAM, ConstantR(0.5)), 0.0,
+     np.array([-0.45, 0.3, 0.45]) * LAM),
+    (CavityGeometry(3.0 * LAM, HalfSpace(GOLD_DRUDE)), 0.0,
+     np.array([0.9 * LAM])),
+    (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
+     np.array([LAM / 8.0, 5 * LAM]))], ids=["constant-r", "gold", "plate"])
+def test_seeded_pass_merges_misses_into_sorted_store(geometry, z0, zs, quad,
+                                                     reflection_evaluations):
+    # a seeded pass with misses evaluates each missing node once and merges
+    # it into the seed's sorted (nodes, F) arrays, keeping every stored node
+    _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry, quad,
+                                    False)
+    before = seed[2][0].copy()
+    reflection_evaluations.clear()
+    _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)
+    nodes, values = seed[2]
+    assert sum(reflection_evaluations) == len(nodes) - len(before) > 0
+    assert np.all(np.diff(nodes) > 0) and np.isin(before, nodes).all()
+    assert np.array_equal(values, _node_values(nodes, geometry))
 
 
 def test_seeded_trace_shares_grazing_range(quad, reflection_evaluations):

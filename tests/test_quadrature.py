@@ -118,6 +118,24 @@ def test_vector_budget_exhaustion_raises(monkeypatch):
     assert np.all(np.isfinite(exc.value.estimate))
 
 
+def test_zero_integral_converges_at_rounding_level():
+    # an integral that cancels to zero has no relative tolerance to meet;
+    # 50 eps sum_panels |value| stands in for it, so the first panels pass
+    result = adaptive_integrate(np.sin, -1.0, 1.0, breakpoints=[0.3])
+    val, err = result
+    assert abs(val) < 1e-15 and err < 1e-14
+    assert len(result.panels[0]) == 2
+    # per component: the zero one converges, the other keeps rel_tol
+    result = adaptive_integrate(
+        lambda x: np.stack((np.sin(x), np.cos(x)), axis=1), -1.0, 1.0,
+        breakpoints=[0.3])
+    (zero, two_sin1), (err0, err1) = result
+    assert abs(zero) < 1e-15 and err0 < 1e-14
+    assert two_sin1 == pytest.approx(2.0 * math.sin(1.0), rel=1e-14)
+    assert err1 <= 1e-9 * two_sin1
+    assert len(result.panels[0]) == 2
+
+
 def test_rule_reproduces_integral():
     # the final panels' rule, applied to the integrand, gives the result
     result = adaptive_integrate(lambda x: np.exp(50j * x), 0.0, 1.0)
