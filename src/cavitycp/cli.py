@@ -36,27 +36,28 @@ _GLOBAL_DEFAULTS = {"config": None, "out": None, "format": "csv",
                     "rel_tol": 1e-9}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _csv(rows, header) -> str:
+    """CSV text, one %-template per tuple of row types: floats as %.17g,
+    bools as true/false, anything else by str."""
+    lines, templates = [",".join(header)], {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.17g" if issubclass(k, float) else "%s" for k in kinds)
+        if bool in kinds:
+            row = [("true" if v else "false") if k is bool else v
+                   for k, v in zip(kinds, row)]
+        lines.append(templates[kinds] % tuple(row))
+    return "\n".join(lines) + "\n"
 
 
 def _emit(rows, header, args):
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        # RFC 8259 JSON has no NaN or Infinity: non-finite floats are null
-        text = json.dumps([{k: None if isinstance(v, float)
-                            and not math.isfinite(v) else v
-                            for k, v in zip(header, row)} for row in rows],
-                          indent=2, allow_nan=False) + "\n"
+    # JSON: RFC 8259 has no NaN or Infinity, so non-finite floats are null
+    text = _csv(rows, header) if args.format == "csv" else json.dumps(
+        [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+          for k, v in zip(header, row)} for row in rows],
+        indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -153,7 +154,7 @@ def cmd_depth(args) -> int:
         rep = potential_depth(mol, mirror, nu, env, spec)
         z_min = rep.depth_positions[1] if rep.is_well_depth else math.nan
         rows.append((nu, rep.width, rep.depth, z_min,
-                     ";".join(_fmt(z) for z in rep.maxima_positions),
+                     ";".join("%.17g" % z for z in rep.maxima_positions),
                      "well_depth" if rep.is_well_depth else "peak_height"))
     _emit(rows, ["nu", "a_m", "depth_J", "z_min_m", "z_maxima_m", "kind"],
           args)

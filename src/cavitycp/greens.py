@@ -10,11 +10,14 @@ runs one path for both: the geometry supplies D_sigma's round trip
 (e^{2 i beta a} in a cavity, 0 at a plate, so that D_sigma = 1 exactly), the
 factors node_phase and position_phase of the propagating phase
 sum_p e^{i beta L_p}, its fold of the positions (each distinct |z| once in a
-cavity, the identity at a plate) and its resonance seed (the grazing
-coefficient S and panel edges at the located modes; 0 and none at a plate).
-Every trace integral starts on panels that resolve its known scales: those
-modes, and geometric lattices (quadrature._ladder) at the grazing end and
-over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.
+cavity, the identity at a plate), their span and its resonance seed (the
+grazing coefficient S and panel edges at the located modes; 0 and none at a
+plate).  Every trace integral starts on panels that resolve its known scales:
+those modes, and geometric lattices (quadrature._ladder) at the grazing end
+and over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.
+A scan's propagating part runs at Chebyshev nodes in z over the span when
+they are fewer than its positions: each node meets rel_tol of its value, each
+position Lambda_K rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -100,6 +103,10 @@ class CavityGeometry:
                                     return_inverse=True)
         return zs[first], index
 
+    def span(self, zs):
+        """(0, max|z|), centre and half-width: the fold halves its nodes."""
+        return 0.0, np.abs(zs).max()
+
     def resonance_seed(self, omega):
         """(S, breakpoints) of a propagating trace at omega."""
         return _grazing_coefficient(self, omega), \
@@ -135,6 +142,10 @@ class PlateGeometry:
         """(ds, all of them): a plate's distances are their own reps."""
         return ds, slice(None)
 
+    def span(self, ds):
+        """Centre and half-width of [min d, max d]."""
+        return 0.5 * (ds.max() + ds.min()), 0.5 * (ds.max() - ds.min())
+
     def resonance_seed(self, omega):
         """(0, []): D_sigma = 1 has no resonance and no 1/beta term."""
         return 0.0, []
@@ -153,13 +164,15 @@ def _positions(z, inside, what):
 
 
 @contextmanager
-def _unfolded(index):
-    """Re-raise a QuadratureError over a fold's reps at the caller's rows."""
+def _unfolded(index, interp=None):
+    """Re-raise a QuadratureError at the caller's rows, via interp if given."""
     try:
         yield
     except QuadratureError as err:
-        raise QuadratureError(err.estimate[index], err.error[index],
-                              err.tolerance[index], err.splits) from err
+        parts = err.estimate, err.error, err.tolerance
+        if interp is not None:
+            parts = interp @ parts[0], *(abs(interp) @ p for p in parts[1:])
+        raise QuadratureError(*(p[index] for p in parts), err.splits) from err
 
 
 @dataclass
@@ -274,22 +287,47 @@ def _by_columns(f, zs, phase, shift):
     return out
 
 
+def _z_interpolation(zs, wc, geometry):
+    """(cols, R): the propagating columns for the fold reps zs, and R with
+    R @ value(cols) = value(zs); or (zs, None).  Band-limited as beta <= w/c,
+    the integrand is interpolated to rounding on geometry.span(zs) by K =
+    ceil(M + 12 M^(1/3)) + 2 first-kind Chebyshev points, M = w/c times the
+    span.  They are the columns if the fold (at most halving) leaves fewer."""
+    centre, half = geometry.span(zs)
+    k = int(np.ceil(2 * half * wc + 12.0 * np.cbrt(2 * half * wc))) + 2
+    if (k + 1) // 2 >= len(zs):
+        return zs, None
+    theta = (np.arange(k) + 0.5) * np.pi / k
+    x = np.cos(theta[:k // 2])  # mirrored, so +-x are exact negatives
+    x = centre + half * np.concatenate((x, [0.0] * (k % 2), -x[::-1]))
+    cols, index = geometry.fold(x)
+    if len(cols) >= len(zs):
+        return zs, None
+    d = zs[:, None] - x
+    with np.errstate(divide="ignore"):
+        r = np.where((d == 0).any(axis=1, keepdims=True), d == 0,
+                     (-1.0) ** np.arange(k) * np.sin(theta) / d)
+    return cols, (r / r.sum(axis=1, keepdims=True)) @ np.eye(len(cols))[index]
+
+
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
     """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
-    parts at the array zs, evaluated once per geometry.fold rep; evanescent
-    is None unless asked for.  Both parts subtract S e^{-x a}/x below w/c,
-    so the split changes each part by a constant in z exactly.  rule is
-    (beta, w F), the propagating integral's final Kronrod nodes and weights
-    times F: in a cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a
-    constant in z, so derivatives in z need no new reflection evaluations.
-    samples is (S, final panel edges, [nodes ascending, F at them]).  As
-    the seed of a propagating trace at the same omega and geometry, they
-    start its adaptive pass from those panels and stand in for the
-    geometry's resonance_seed and every F they hold; only nodes the seed
-    lacks are evaluated (and merged in), and every position meets rel_tol."""
+    parts at the array zs, evaluated once per geometry.fold rep (the
+    propagating one at _z_interpolation's columns); evanescent is None
+    unless asked for.  Both parts subtract S e^{-x a}/x below w/c, so the
+    split changes each part by a constant in z exactly.  rule is (beta, w F),
+    the propagating integral's final Kronrod nodes and weights times F: in a
+    cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a constant in
+    z, so derivatives in z need no new reflection evaluations.  samples is
+    (S, final panel edges, [nodes ascending, F at them]).  As the seed of a
+    propagating trace at the same omega and geometry, they start its
+    adaptive pass from those panels and stand in for the geometry's
+    resonance_seed and every F they hold; only nodes the seed lacks are
+    evaluated (and merged in), and every position meets rel_tol."""
     zs, index = geometry.fold(zs)
     wc = omega / C
+    cols, interp = _z_interpolation(zs, wc, geometry)
     s_coef, bps, store = seed or (*geometry.resonance_seed(omega),
                                   [np.empty(0)] * 2)
 
@@ -312,7 +350,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         return store[1][at]
 
     def f_prop(beta):
-        return _by_columns(node_kernel(beta), zs, lambda z: (
+        return _by_columns(node_kernel(beta), cols, lambda z: (
             geometry.position_phase(beta, z)), -grazing(beta))
 
     # The regularized integrands are finite and slowly varying at grazing
@@ -323,7 +361,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
     lattice = [] if isinstance(geometry.mirror, ConstantR) else \
         _ladder(0.0, 4e-6 * wc, wc, 4.0).tolist()
-    with _unfolded(index):
+    with _unfolded(index, interp):
         result = adaptive_integrate(f_prop, x_lo, wc, spec,
                                     breakpoints=bps + lattice)
     prop = result[0]
@@ -355,6 +393,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
+    prop = prop if interp is None else interp @ prop
     return prop[index], evan, (nodes, rule_f), samples
 
 
@@ -364,10 +403,10 @@ def cavity_trace_realfreq(z, omega: float, cavity,
 
     cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
     z is a position or a 1-D array of positions; for an array, every part
-    is an array with one entry per position, each converged to its own
-    tolerance; in a cavity each distinct |z| is evaluated once, so +-z get
-    equal entries.  The z-independent part of either integrand is evaluated
-    once per quadrature node for all positions.
+    is an array with one entry per position, each converged to rel_tol of
+    its value (a scan's propagating part: of its column's max); in a cavity
+    each distinct |z| is evaluated once, so +-z get equal entries.  The
+    z-independent part of either integrand is evaluated once per node.
     """
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must lie in (0, inf), got {omega}")

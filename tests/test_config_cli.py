@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.cli import _z_grid, build_parser, main
+from cavitycp.cli import _csv, _z_grid, build_parser, main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
                              load_registry, parse_quantity)
 from cavitycp.constants import C
@@ -229,6 +229,32 @@ def test_cli_global_flags_after_subcommand(capsys, tmp_path):
     assert json.loads(after.read_text())[0]["z_m"] < 0
 
 
+def _joined(value):
+    """One CSV cell as written by format(value, ".17g") per float."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_csv_templates_match_per_value_format(rng):
+    # one %-template per row prints what one format() call per value did:
+    # non-finite floats, signed zero, subnormals, numpy floats, bools, ints
+    # (bools first: a bool is an int) and strings
+    rows = [(math.nan, math.inf, -math.inf, -0.0, 5e-324),
+            (True, False, 3, -7, "peak_height"),
+            (0.1, 1.0, 1e300, -2.5e-17, "1e-05;2"),
+            (np.float64(0.1), 2**70, 0.0, "100%", None)]
+    rows += [tuple(x) for x in rng.normal(size=(20, 5)) * 1e-30]
+    header = ["a", "b", "c", "d", "e"]
+    want = "".join(",".join(map(_joined, row)) + "\n"
+                   for row in [header] + rows)
+    assert _csv(rows, header) == want
+
+
 @pytest.mark.parametrize("points", [2, 3, 40, 200, 201])
 def test_z_grid_is_antisymmetric(points):
     # mirror positions are exact negatives, so a cavity folds them onto one
@@ -254,14 +280,16 @@ def _rounds(trace_columns):
                                               key=lambda c: c[0])]
 
 
-@pytest.mark.parametrize("command, folded, unfolded", [
-    ("profile", 101, 201), ("heating", 100, 200)])
-def test_cli_grid_folds_to_half_the_columns(command, folded, unfolded,
-                                            capsys, monkeypatch,
-                                            trace_columns):
-    # scan-gold's 200-point grids (the profile adds its centre): the same
-    # rounds on the same nodes as without the fold, each on half the
-    # columns, and the same output within a few ulp of each column's max
+@pytest.mark.parametrize("command", ["profile", "heating"])
+def test_cli_grid_folds_the_chebyshev_nodes_in_half(command, capsys,
+                                                    monkeypatch,
+                                                    trace_columns):
+    # scan-gold's 200-point grids (the profile adds its centre): the
+    # propagating trace runs at the grid span's 31 Chebyshev nodes in z, and
+    # the fold takes them to 16 columns, centre included.  The same rounds
+    # on the same beta nodes as without the fold, and the same output within
+    # a few ulp of each column's max
+    folded, unfolded = 16, 31
     argv = [command, "--mirror", "gold", "--width", "resonance:2",
             "--points", "200"]
     code, out, _ = run_cli(argv, capsys)
@@ -274,6 +302,7 @@ def test_cli_grid_folds_to_half_the_columns(command, folded, unfolded,
     assert code == 0
     rounds_unfolded = _rounds(trace_columns)
     assert all(c % folded == 0 for _, c in rounds)
+    assert all(c % unfolded == 0 for _, c in rounds_unfolded)
     assert [(n, c // folded) for n, c in rounds] \
         == [(n, c // unfolded) for n, c in rounds_unfolded]
     got, want = (np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)

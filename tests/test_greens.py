@@ -10,18 +10,24 @@ import math
 import numpy as np
 import pytest
 
+import cavitycp.greens as greens
+import cavitycp.quadrature as quadrature
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
+from cavitycp.cli import _z_grid
 from cavitycp.constants import C, ZETA_3
 from cavitycp.greens import (CavityGeometry, PlateGeometry, _cavity_modes,
-                             _grazing_coefficient, _resonance_breakpoints,
+                             _grazing_coefficient, _realfreq_trace,
+                             _resonance_breakpoints, _z_interpolation,
                              cavity_trace_imagfreq, cavity_trace_realfreq,
                              imagfreq_trace_sum, zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack, reflection_coefficients,
                                 transverse_wavenumber)
 from cavitycp.molecules import LIH, ThermalEnvironment
-from cavitycp.potential import heating_rate_profile, nonresonant_potential
-from cavitycp.quadrature import adaptive_integrate
+from cavitycp.potential import heating_rate_profile, nonresonant_potential, \
+    potential_depth
+from cavitycp.quadrature import QuadratureError, QuadratureSpec, \
+    adaptive_integrate
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
 W_LIH = 2.78973e12
@@ -376,6 +382,138 @@ def test_batch_matches_scalar_where_cutoff_is_below_light_line(gold, quad):
         assert got[1] == got[2], part
         assert np.all(np.abs(got - want)
                       <= 10.0 * quad.rel_tol * np.abs(want)), part
+
+
+# --- a scan's propagating trace at Chebyshev nodes in z ----------------------
+
+def _direct(monkeypatch):
+    """Evaluate every propagating trace at its positions themselves."""
+    monkeypatch.setattr(greens, "_z_interpolation",
+                        lambda zs, wc, geometry: (zs, None))
+
+
+def _chebyshev_count(zs, geometry):
+    """K = ceil(M + 12 M^(1/3)) + 2 for the span of zs, before the fold."""
+    _, half = geometry.span(zs)
+    m = 2.0 * half * W_LIH / C
+    return math.ceil(m + 12.0 * m ** (1.0 / 3.0)) + 2
+
+
+@pytest.mark.parametrize("mirror, nu", [
+    (HalfSpace(GOLD_DRUDE), 1), (HalfSpace(GOLD_DRUDE), 2),
+    (HalfSpace(GOLD_DRUDE), 10), (HalfSpace(GOLD_DRUDE), 16),
+    (HalfSpace(GOLD_DRUDE), 40), (STACK, 2), (STACK, 8),
+    (ConstantR(1.0 - 1e-5), 4), (ConstantR(1.0 - 1e-7), 2)],
+    ids=["gold-1", "gold-2", "gold-10", "gold-16", "gold-40", "stack-2",
+         "stack-8", "r-1e-5-4", "r-1e-7-2"])
+def test_interpolated_trace_matches_direct(mirror, nu, quad, monkeypatch,
+                                           trace_columns):
+    # a 201-point grid folds to 101 positions, more than the span's folded
+    # Chebyshev nodes even at nu = 40 (189 -> 95); each position is within
+    # 10 rel_tol of the column max of its directly integrated value
+    cav = _resonant_cavity(mirror, nu)
+    zs = np.array(_z_grid(cav.width, 201))
+    got = _realfreq_trace(zs, W_LIH, cav, quad, False)[0]
+    cols, _ = _z_interpolation(cav.fold(zs)[0], W_LIH / C, cav)
+    assert len(cols) == (_chebyshev_count(zs, cav) + 1) // 2 < 101
+    assert all(np.isin(p, cols).all() for _, p in trace_columns)
+    _direct(monkeypatch)
+    want = _realfreq_trace(zs, W_LIH, cav, quad, False)[0]
+    assert np.array_equal(got[:100], got[:100:-1])
+    assert np.all(np.abs(got - want)
+                  <= 10.0 * quad.rel_tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("points", [40, 200, 201])
+@pytest.mark.parametrize("nu", [1, 2, 10, 40])
+def test_chebyshev_nodes_are_exactly_symmetric(points, nu, monkeypatch):
+    # unfolded, the K nodes are exact negatives of each other, with 0.0 at
+    # the centre for odd K, so the fold keeps ceil(K/2) of them; the
+    # barycentric matrix interpolates cos(2 beta z) at every beta <= w/c
+    cav = _resonant_cavity(ConstantR(0.9), nu)
+    zs = np.array(_z_grid(cav.width, points))
+    k = _chebyshev_count(zs, cav)
+    if (k + 1) // 2 >= len(cav.fold(zs)[0]):
+        assert _z_interpolation(cav.fold(zs)[0], W_LIH / C, cav)[1] is None
+        return
+    cols, interp = _z_interpolation(cav.fold(zs)[0], W_LIH / C, cav)
+    assert len(cols) == (k + 1) // 2
+    beta = np.linspace(0.0, W_LIH / C, 97)
+    reps = cav.fold(zs)[0]
+    assert np.abs(interp @ np.cos(2.0 * np.outer(cols, beta))
+                  - np.cos(2.0 * np.outer(reps, beta))).max() < 1e-13
+    monkeypatch.setattr(CavityGeometry, "fold",
+                        lambda self, zs: (zs, slice(None)))
+    nodes, _ = _z_interpolation(zs, W_LIH / C, cav)
+    assert len(nodes) == k
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert k % 2 == 0 or nodes[k // 2] == 0.0
+
+
+def test_plate_distance_grid_is_interpolated(gold, quad, monkeypatch,
+                                             trace_columns):
+    # heating --single-plate's 400 distances from lam/100 to 1 mm: the plate
+    # does not fold, and its span [d_min, d_max] needs 37 nodes
+    plate = PlateGeometry(gold)
+    ds = np.linspace(LAM / 100.0, 1e-3, 400)
+    got = _realfreq_trace(ds, W_LIH, plate, quad, False)[0]
+    cols, _ = _z_interpolation(ds, W_LIH / C, plate)
+    assert len(cols) == _chebyshev_count(ds, plate) == 37
+    assert cols.min() > ds[0] and cols.max() < ds[-1]
+    assert all(np.isin(p, cols).all() for _, p in trace_columns)
+    _direct(monkeypatch)
+    want = _realfreq_trace(ds, W_LIH, plate, quad, False)[0]
+    assert np.all(np.abs(got - want)
+                  <= 10.0 * quad.rel_tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("points, direct", [(3, True), (31, True),
+                                            (32, True), (33, False)])
+def test_small_batches_take_the_direct_path(points, direct, gold, quad_fast,
+                                            trace_columns):
+    # at resonance:2 the span's 31 Chebyshev nodes fold to 16: up to 16
+    # folded positions are their own columns, 17 use the nodes
+    cav = _resonant_cavity(gold, 2)
+    zs = np.array(_z_grid(cav.width, points))
+    reps = cav.fold(zs)[0]
+    _realfreq_trace(zs, W_LIH, cav, quad_fast, False)
+    cols = reps if direct else \
+        _z_interpolation(reps, W_LIH / C, cav)[0]
+    assert len(cols) == min(len(reps), 16)
+    assert trace_columns
+    assert all(np.isin(p, cols).all() for _, p in trace_columns)
+    assert np.isin(cols, np.concatenate([p for _, p in trace_columns])).all()
+
+
+def test_interpolated_failure_names_the_callers_rows(gold, quad,
+                                                    monkeypatch):
+    # a QuadratureError of the interpolated integral maps its estimate
+    # through R and its error and tolerance through |R|: one entry per
+    # caller's position, +-z alike, the estimate near the converged trace
+    cav = _resonant_cavity(gold, 2)
+    zs = np.array(_z_grid(cav.width, 200))
+    want = _realfreq_trace(zs, W_LIH, cav, quad, False)[0]
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+    with pytest.raises(QuadratureError, match=" of 200, ") as info:
+        _realfreq_trace(zs, W_LIH, cav, QuadratureSpec(1e-15), False)
+    err = info.value
+    for part in (err.estimate, err.error, err.tolerance):
+        assert part.shape == zs.shape
+        assert np.array_equal(part, part[::-1])
+    assert np.all(err.error >= 0) and np.all(err.tolerance > 0)
+    assert np.abs(err.estimate - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_depth_positions_are_their_own_columns(gold, env300, quad,
+                                               trace_columns):
+    # potential_depth traces its seeds and then its refined extrema (each
+    # |z| once): never more positions than Chebyshev nodes, so it keeps the
+    # direct path
+    rep = potential_depth(LIH, gold, 10, env300, quad)
+    refined = np.abs(rep.maxima_positions + rep.minima_positions)
+    seen = np.abs(np.concatenate([p for _, p in trace_columns]))
+    assert np.isin(refined, seen).all()
+    assert len(np.unique(seen)) <= 2 * len(refined)
 
 
 # --- panel edges: located modes and geometric lattices -----------------------

@@ -1,7 +1,8 @@
-"""Integrand calls and reflection evaluations per benchmark workload:
-machine-independent guards on how many adaptive rounds the seed-0 commands
-of perfbench/workloads.py need, and on how many (node, omega) pairs their
-trace kernels pass to reflection_coefficients.  Each call of
+"""Integrand calls, reflection evaluations and propagating columns per
+benchmark workload: machine-independent guards on how many adaptive rounds
+the seed-0 commands of perfbench/workloads.py need, on how many (node,
+omega) pairs their trace kernels pass to reflection_coefficients, and on
+how many (node, position) products their propagating traces form.  Each call of
 quadrature._panels is one integrand call (one batched reflection evaluation
 and its Python overhead), whatever its panel count.
 """
@@ -36,6 +37,12 @@ MAX_CALLS = {"scan-gold": 19, "matsubara-cold": 16, "depth-bragg": 5,
 # pass's samples and evaluates none.
 MAX_REFLECTION_EVALUATIONS = {"scan-gold": 11451, "matsubara-cold": 23613,
                               "depth-bragg": 1549, "asym-sharp": 4557}
+# (node, position) products of the propagating traces' cos(2 beta z)
+# columns.  A profile or heating scan evaluates its trace at 16 folded
+# Chebyshev nodes in z, not at its 101 or 21 folded positions (187 131 and
+# 19 551 products before); a depth's few positions are its own columns.
+MAX_PROPAGATING_PRODUCTS = {"scan-gold": 29792, "matsubara-cold": 14896,
+                            "depth-bragg": 6980, "asym-sharp": 32910}
 
 
 def _run_checked(workload):
@@ -69,6 +76,13 @@ def test_reflection_evaluations_per_workload(workload,
     _run_checked(workload)
     assert 0 < sum(reflection_evaluations) \
         <= MAX_REFLECTION_EVALUATIONS[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_propagating_products_per_workload(workload, trace_columns):
+    _run_checked(workload)
+    assert 0 < sum(n * len(p) for n, p in trace_columns) \
+        <= MAX_PROPAGATING_PRODUCTS[workload]
 
 
 def test_asym_makes_one_lerch_integral_per_row(monkeypatch):
