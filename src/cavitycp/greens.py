@@ -8,16 +8,18 @@ paths L = (a - 2z, a + 2z) of a CavityGeometry and L = (2d,) at distance d
 from a PlateGeometry.  Every function batches over either's positions and
 runs one path for both: the geometry supplies D_sigma's round trip
 (e^{2 i beta a} in a cavity, 0 at a plate, so that D_sigma = 1 exactly), the
-factors node_phase and position_phase of the propagating phase
-sum_p e^{i beta L_p}, its fold of the positions (each distinct |z| once in a
-cavity, the identity at a plate), their span and its resonance seed (the
-grazing coefficient S and panel edges at the located modes; 0 and none at a
-plate).  Every trace integral starts on panels that resolve its known scales:
-those modes, and geometric lattices (quadrature._ladder) at the grazing end
-and over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.
-A scan's propagating part runs at Chebyshev nodes in z over the span when
-they are fewer than its positions: each node meets rel_tol of its value, each
-position Lambda_K rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
+paths, its fold of the positions (each distinct |z| once in a cavity, the
+identity at a plate), their span and its resonance seed (the grazing
+coefficient S and a 2^k ladder toward w/c for the tuned mode; 0 and none at
+a plate).  The propagating part runs on an arch above the real beta axis,
+which passes every pole of 1/D_sigma, so no cavity mode needs locating.
+Every trace integral starts on panels that resolve its known scales: that
+ladder, uniform edges along the arch, and geometric lattices
+(quadrature._ladder) at the grazing end and over the decay of e^{-kappa L}
+in the evanescent and Matsubara integrals.  A scan's propagating part runs
+at Chebyshev nodes in z over the span when they are fewer than its
+positions: each node meets rel_tol of its value, each position Lambda_K
+rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -46,7 +48,7 @@ import numpy as np
 from .constants import C
 from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
     static_limit_reflection
-from .quadrature import _MAX_SUBDIVISIONS, QuadratureError, QuadratureSpec, \
+from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
     _ladder, adaptive_integrate
 
 __all__ = [
@@ -57,7 +59,14 @@ __all__ = [
 
 # e^{-CUTOFF_DECADES} tail truncation for all evanescent-type integrals.
 _CUTOFF = 40.0
-_MAX_SCAN = 10**6  # most points of the _cavity_modes scan: ~42 m at LiH
+# Height of the propagating integral's arch above the real beta axis, in
+# units of w/c (see _realfreq_trace).
+_ARCH = 0.3
+# Largest phase x_lo L that the [0, x_lo] rectangle of the real-frequency
+# trace may take as constant: at 1/4 rad (a 13.4 m cavity at LiH) its
+# z-differences stay within 1e-11 of the contour reference's, at 1/2 within
+# 1e-9 only.
+_MAX_RECTANGLE_PHASE = 0.25
 # Bytes per block of the temporaries of a batched trace or Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
@@ -86,19 +95,11 @@ class CavityGeometry:
         """e^{-2 kappa a}, i.e. D_sigma's e^{2 i beta a} at beta = i kappa."""
         return np.exp(-2.0 * kappa * self.width)
 
-    def node_phase(self, beta):
-        """2 e^{i beta a}, the z-independent factor of sum_p e^{i beta L_p}."""
-        return 2.0 * np.exp(1j * beta * self.width)
-
-    def position_phase(self, beta, zs):
-        """cos(2 beta z), the rest of it: one real cos per (node, z)."""
-        return np.cos(2.0 * np.outer(beta, zs))
-
     def fold(self, zs):
         """(reps, index): each distinct |z| of zs once, at the sign of its
         first occurrence, and reps[index] = zs up to sign.  Exact for one
-        mirror on both walls: the paths a -+ 2z and cos(2 beta z) are even
-        in z, so +-z get equal entries bit for bit."""
+        mirror on both walls: the paths a -+ 2z swap under z -> -z, so +-z
+        get equal entries bit for bit."""
         _, first, index = np.unique(np.abs(zs), return_index=True,
                                     return_inverse=True)
         return zs[first], index
@@ -108,9 +109,12 @@ class CavityGeometry:
         return 0.0, np.abs(zs).max()
 
     def resonance_seed(self, omega):
-        """(S, breakpoints) of a propagating trace at omega."""
+        """(S, edges) of a propagating trace at omega: the grazing
+        coefficient, and panel edges w/c - 1e-9 (w/c) 2^k up to w/c - w/2c
+        for the tuned mode, whose pole nears the arch's end at w/c."""
+        wc = omega / C
         return _grazing_coefficient(self, omega), \
-            _resonance_breakpoints(self, omega)
+            _ladder(wc, -1e-9 * wc, -0.5 * wc, 2.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,6 @@ class PlateGeometry:
     def round_trip(self, kappa):
         """0: no second wall, so D_sigma = 1."""
         return 0.0
-
-    def node_phase(self, beta):
-        """1: the plate's phase depends on d alone."""
-        return 1.0
-
-    def position_phase(self, beta, ds):
-        """e^{2 i beta d} per (node, distance)."""
-        return np.exp(2j * np.outer(beta, ds))
 
     def fold(self, ds):
         """(ds, all of them): a plate's distances are their own reps."""
@@ -203,66 +199,6 @@ def _kernel(beta, omega: float, geometry):
                     geometry.round_trip(-1j * beta)) / (4j * np.pi * omega**2)
 
 
-def _cavity_modes(cavity: CavityGeometry, omega: float):
-    """(beta, gamma, sigma) of each mode, sigma 0 for s and 1 for p: a zero
-    of the phase of r_sigma^2 e^{2 i beta a}, bracketed by one scan of 8
-    points per pi/a up to w/c + pi/2a, then Newton steps (one reflection
-    call for all) until the phase is 1e-3 of the mode's half-width
-    gamma = (1 - |r|^2)/(|r|^2 |d phase/d beta|), or gamma exceeds pi/2a."""
-    a = cavity.width
-    points = 8.0 * omega / C * a / np.pi + 5.0
-    if not points <= _MAX_SCAN:
-        raise ValueError(f"cavity width {a:g} m needs a mode scan of "
-                         f"{points:.3g} points, more than {_MAX_SCAN:.0e}")
-
-    def phase(t, sigma):
-        """(|r_sigma|^2, phase, its slope in t) at beta = pi t / a."""
-        u = np.stack((t, t + 1e-6))
-        rs, rp = reflection_coefficients(cavity.mirror, omega,
-                                         beta=np.pi * u / a + 0j)
-        r2 = np.where(sigma, rp, rs) ** 2
-        z = r2 * np.exp(2j * np.pi * (u - np.round(u)))
-        return np.abs(r2[0]), np.angle(z[0]), \
-            np.angle(z[1] * z[0].conj()) / 1e-6
-
-    grid = np.arange(1.0, points) / 8.0
-    _, g, _ = phase(grid + np.zeros((2, 1)), np.arange(2)[:, None])
-    sigma, j = np.nonzero(((g[:, :-1] <= 0) != (g[:, 1:] <= 0))
-                          & (np.abs(np.diff(g)) < np.pi))
-    t = grid[j] - g[sigma, j] * (grid[j + 1] - grid[j]) \
-        / (g[sigma, j + 1] - g[sigma, j])
-    for _ in range(8):
-        r2, g, slope = phase(t, sigma)
-        busy = (np.abs(g) * r2 > 1e-3 * (1.0 - r2)) \
-            & (2.0 * (1.0 - r2) < r2 * np.abs(slope))
-        if not busy.any():
-            break
-        t = t - np.where(busy, g, 0.0) / np.where(busy, slope, 1.0)
-    return np.pi * t / a, (1.0 - r2) * np.pi / (a * r2 * np.abs(slope)), sigma
-
-
-def _resonance_breakpoints(cavity: CavityGeometry, omega: float):
-    """Sorted panel edges inside (0, w/c) for the propagating integral: each
-    of the _cavity_modes, and edges gamma 2^k off it out to pi/2a or to the
-    midpoint of a nearer mode (a metal's s and p modes sit a few widths
-    apart); none off a mode whose gamma exceeds pi/2a.  Sharp modes beyond
-    the subdivision budget raise ArithmeticError before any edge is built."""
-    beta, gamma, _ = _cavity_modes(cavity, omega)
-    order = np.argsort(beta)
-    beta, gamma = beta[order], gamma[order]
-    reach, side = 0.5 * np.pi / cavity.width, np.array([[-1.0], [1.0]])
-    sharp = (0 < gamma) & (gamma < reach)
-    if sharp.sum() > _MAX_SUBDIVISIONS:
-        raise ArithmeticError(f"cavity width {cavity.width:g} m has "
-                              f"{sharp.sum()} sharp modes, more than the "
-                              f"budget of {_MAX_SUBDIVISIONS} subdivisions")
-    gaps = 0.5 * np.diff(beta, prepend=-np.inf, append=np.inf)
-    stop = side * np.clip(np.stack((gaps[:-1], gaps[1:])), gamma, reach)
-    edges = np.append(beta, _ladder(beta[sharp], side * gamma[sharp],
-                                    stop[:, sharp], 2.0))
-    return sorted(set(edges[(edges > 0) & (edges < omega / C)].tolist()))
-
-
 def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
     """S = lim_{beta->0} 2 beta K(beta), the 1/beta grazing singularity of a
     cavity's propagating integrand.  2 beta K is analytic at beta = 0; two
@@ -310,69 +246,114 @@ def _z_interpolation(zs, wc, geometry):
     return cols, (r / r.sum(axis=1, keepdims=True)) @ np.eye(len(cols))[index]
 
 
+def _check_paths(longest, wc, x_lo, spec: QuadratureSpec):
+    """ValueError unless e^{i beta L} is resolved on the longest path L:
+    its phase, rounded to eps (w/c) L, within rel_tol (or the integrator's
+    rounding floor 50 eps), and its change x_lo L across the [0, x_lo]
+    rectangle, which takes it as constant, at most _MAX_RECTANGLE_PHASE."""
+    eps = np.finfo(float).eps
+    limit = min(max(spec.rel_tol, _ROUNDING) / (eps * wc),
+                _MAX_RECTANGLE_PHASE / x_lo if x_lo else np.inf)
+    if not longest <= limit:
+        raise ValueError(f"a path of {longest:.3g} m (a + 2|z| in a cavity, "
+                         f"2d at a plate) exceeds the {limit:.3g} m the "
+                         f"real-frequency trace resolves at w/c = "
+                         f"{wc:.6g} 1/m")
+
+
+def _arch(t, wc, x_lo):
+    """(beta, dbeta/dt) at t: beta = t + i h wc sin(pi (t - x_lo)/(wc - x_lo))
+    over [x_lo, wc], h = _ARCH, and beta = t below x_lo (the rectangle's)."""
+    rise = np.pi / (wc - x_lo)
+    angle = rise * np.maximum(t - x_lo, 0.0)
+    return t + 1j * _ARCH * wc * np.sin(angle), \
+        1.0 + 1j * _ARCH * wc * rise * np.cos(angle)
+
+
+def _paths(beta, zs, geometry):
+    """sum_p e^{i beta L_p} per (node, position) over the geometry's
+    decay_lengths at zs: each path bounded on and above the real beta axis."""
+    return sum(np.exp(1j * np.outer(beta, lp))
+               for lp in geometry.decay_lengths(zs))
+
+
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent, seed=None):
     """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
     parts at the array zs, evaluated once per geometry.fold rep (the
     propagating one at _z_interpolation's columns); evanescent is None
     unless asked for.  Both parts subtract S e^{-x a}/x below w/c, so the
-    split changes each part by a constant in z exactly.  rule is (beta, w F),
-    the propagating integral's final Kronrod nodes and weights times F: in a
-    cavity Re sum(w F cos(2 beta z)) is Re Tr G_pr(z) up to a constant in
-    z, so derivatives in z need no new reflection evaluations.  samples is
-    (S, final panel edges, [nodes ascending, F at them]).  As the seed of a
-    propagating trace at the same omega and geometry, they start its
-    adaptive pass from those panels and stand in for the geometry's
-    resonance_seed and every F they hold; only nodes the seed lacks are
-    evaluated (and merged in), and every position meets rel_tol."""
+    split changes each part by a constant in z exactly.
+
+    The propagating integral over real beta in [x_lo, w/c] runs instead on
+    the arch beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), t in
+    [x_lo, w/c], h = _ARCH: the poles of 1/D_sigma lie below the real axis
+    (|r_sigma| < 1), so the arch passes none and nothing needs locating; on
+    it the paths decay as e^{-L Im beta}.  rule is (beta, w beta' K), the
+    final Kronrod nodes on the arch and weights times dbeta/dt and the
+    kernel K: Re sum(w beta' K sum_p e^{i beta L_p}) is Re Tr G_pr up to a
+    constant in z, so derivatives in z need no new reflection evaluations.
+    samples is (S, final panel edges in t, [t ascending, K at them]).  As
+    the seed of a propagating trace at the same omega and geometry, they
+    start its adaptive pass from those panels and stand in for the
+    geometry's resonance_seed and every K they hold; only nodes the seed
+    lacks are evaluated (and merged in), and every position meets rel_tol.
+    """
     zs, index = geometry.fold(zs)
     wc = omega / C
     cols, interp = _z_interpolation(zs, wc, geometry)
     s_coef, bps, store = seed or (*geometry.resonance_seed(omega),
                                   [np.empty(0)] * 2)
-
-    def grazing(x):
-        """S e^{-x a}/x up to w/c, else 0; e^{-x a} = round_trip(x/2)."""
-        return s_coef * geometry.round_trip(0.5 * x) / x * (x <= wc)
-
-    def node_kernel(beta):
-        """F(beta) = K(beta) node_phase(beta), looked up in the store; the
-        nodes it lacks (all, unless seeded) are evaluated once and merged."""
-        at = np.searchsorted(store[0], beta)
-        new = np.sort(beta[np.append(store[0], np.nan)[at] != beta])
-        new = new[np.diff(new, prepend=np.nan) != 0]
-        if len(new):
-            f = _kernel(new + 0j, omega, geometry) * geometry.node_phase(new)
-            nodes = np.concatenate((store[0], new))
-            order = np.argsort(nodes)
-            store[:] = nodes[order], np.concatenate((store[1], f))[order]
-            at = np.searchsorted(store[0], beta)
-        return store[1][at]
-
-    def f_prop(beta):
-        return _by_columns(node_kernel(beta), cols, lambda z: (
-            geometry.position_phase(beta, z)), -grazing(beta))
-
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
     # constant) rectangle contribution for [0, x_lo].  r_sigma leaves its
     # grazing limit on scales down to w/(c sqrt|eps|): edges 4^k 1e-6 w/c.
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
+    _check_paths(geometry.decay_lengths(zs).max(), wc, x_lo, spec)
     lattice = [] if isinstance(geometry.mirror, ConstantR) else \
         _ladder(0.0, 4e-6 * wc, wc, 4.0).tolist()
+
+    def grazing(x):
+        """S e^{-x a}/x, e^{-x a} = round_trip(x/2), for real or complex x."""
+        return s_coef * geometry.round_trip(0.5 * x) / x
+
+    def node_kernel(t):
+        """K(beta(t)), looked up in the store; the nodes it lacks (all,
+        unless seeded) are evaluated once and merged."""
+        at = np.searchsorted(store[0], t)
+        new = np.sort(t[np.append(store[0], np.nan)[at] != t])
+        new = new[np.diff(new, prepend=np.nan) != 0]
+        if len(new):
+            k = _kernel(_arch(new, wc, x_lo)[0], omega, geometry)
+            nodes = np.concatenate((store[0], new))
+            order = np.argsort(nodes)
+            store[:] = nodes[order], np.concatenate((store[1], k))[order]
+            at = np.searchsorted(store[0], t)
+        return store[1][at]
+
+    def columns(t, beta, weight):
+        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at t."""
+        return _by_columns(node_kernel(t) * weight, cols, lambda z: (
+            _paths(beta, z, geometry)), -grazing(beta) * weight)
+
+    def f_prop(t):
+        return columns(t, *_arch(t, wc, x_lo))
+
     with _unfolded(index, interp):
-        result = adaptive_integrate(f_prop, x_lo, wc, spec,
-                                    breakpoints=bps + lattice)
+        result = adaptive_integrate(
+            f_prop, x_lo, wc, spec, breakpoints=bps + lattice
+            + (np.arange(1, 8) * wc / 8.0).tolist())
     prop = result[0]
     samples = (s_coef, result.panels[0].tolist(), store)
     nodes, weights = result.rule()
-    rule_f = weights * node_kernel(nodes)
+    beta, slope = _arch(nodes, wc, x_lo)
+    rule = beta, weights * slope * node_kernel(nodes)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])
-        prop = prop + f_prop(mid)[0] * x_lo
-        nodes = np.append(nodes, mid)
-        rule_f = np.append(rule_f, node_kernel(mid) * x_lo)
+        prop = prop + columns(mid, mid, x_lo)[0]
+        rule = tuple(np.append(r, m) for r, m in
+                     zip(rule, (mid, x_lo * node_kernel(mid))))
 
     evan = None
     if evanescent:
@@ -380,7 +361,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             g = -1j * _kernel(1j * kappa, omega, geometry)
             return _by_columns(g, zs, lambda z: sum(
                 np.exp(-np.outer(kappa, lp))
-                for lp in geometry.decay_lengths(z)), grazing(kappa))
+                for lp in geometry.decay_lengths(z)),
+                grazing(kappa) * (kappa <= wc))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
@@ -394,7 +376,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
     prop = prop if interp is None else interp @ prop
-    return prop[index], evan, (nodes, rule_f), samples
+    return prop[index], evan, rule, samples
 
 
 def cavity_trace_realfreq(z, omega: float, cavity,

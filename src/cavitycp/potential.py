@@ -264,23 +264,26 @@ def resonance_width(transition: Transition, nu: int) -> float:
     return nu * math.pi * C / transition.omega
 
 
-def _newton_extrema(rule, seeds, maximum, half_width, edge, xtol):
-    """Stationary points of u(z) = Re sum(w F cos(2 beta z)) near the seeds.
+def _newton_extrema(rule, width, seeds, maximum, half_width, edge, xtol):
+    """Stationary points of u(z) = Re sum(W (e_- + e_+)) near the seeds,
+    e_-+ = e^{i beta (a -+ 2z)} the two paths of a cavity of width a.
 
-    rule is (beta, w F) from greens._realfreq_trace.  Newton steps on
-    u'(z) = -sum(w1 sin(2 beta z)), w1 = 2 beta Re(w F), and on u''(z), with
-    w2 = 2 beta w1, run for all seeds at once.  maximum[i] selects a maximum
-    or a minimum for seed i; a point whose curvature has the wrong sign, or
-    that leaves seed +- half_width or +-edge, raises ArithmeticError.
+    rule is (beta, W) from greens._realfreq_trace, both complex.  Newton
+    steps on u'(z) = Re sum(2 i beta W (e_+ - e_-)) and on u''(z) =
+    -Re sum(4 beta^2 W (e_- + e_+)) run for all seeds at once.  maximum[i]
+    selects a maximum or a minimum for seed i; a point whose curvature has
+    the wrong sign, or that leaves seed +- half_width or +-edge, raises
+    ArithmeticError.  At width 0, u(z) = 2 Re sum(W cos(2 beta z)).
     """
-    beta, wf = rule
-    w1 = 2.0 * beta * wf.real
-    w2 = 2.0 * beta * w1
+    beta, w = rule
+    w1 = 2j * beta * w
+    w2 = 2j * beta * w1
     z = np.array(seeds, dtype=float)
     for _ in range(_NEWTON_STEPS):
-        arg = 2.0 * np.outer(beta, z)
-        slope = -(w1 @ np.sin(arg))
-        curvature = -(w2 @ np.cos(arg))
+        minus, plus = (np.exp(1j * np.outer(beta, width + s * z))
+                       for s in (-2.0, 2.0))
+        slope = (w1 @ (plus - minus)).real
+        curvature = (w2 @ (minus + plus)).real
         step = slope / curvature
         z -= step
         if np.all(np.abs(step) <= xtol):
@@ -332,7 +335,7 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     # the seeds and refined extrema lie inside the cavity, and t.omega > 0
     _, _, rule, samples = _realfreq_trace(np.array(seeds), t.omega, cavity,
                                           spec, False)
-    z = _newton_extrema(rule, seeds, maximum, lam / 8.0, edge,
+    z = _newton_extrema(rule, a, seeds, maximum, lam / 8.0, edge,
                         _NEWTON_XTOL * a)
     if nu == 1:
         z = np.append(z, edge)

@@ -6,7 +6,6 @@ import pytest
 import cavitycp.greens
 from cavitycp import (ConstantLossy, Drude, HalfSpace, LIH,
                       ThermalEnvironment, Vacuum)
-from cavitycp.greens import CavityGeometry, PlateGeometry
 from cavitycp.materials import reflection_coefficients
 from cavitycp.quadrature import QuadratureSpec
 
@@ -68,17 +67,17 @@ def reflection_evaluations(monkeypatch):
 
 @pytest.fixture()
 def trace_columns(monkeypatch):
-    """(nodes, positions) of each position_phase call of a CavityGeometry
-    or PlateGeometry during the test, in call order: the (node x position)
-    products of the propagating traces, positions being the array of z (or
-    d) the call got."""
+    """(nodes, positions) of each greens._paths call during the test, in
+    call order: the (node x position) products of the propagating traces,
+    positions being the array of z (or d) the call got."""
     calls = []
-    for geometry in (CavityGeometry, PlateGeometry):
-        def counted(self, beta, zs, phase=geometry.position_phase):
-            calls.append((len(beta), np.array(zs)))
-            return phase(self, beta, zs)
+    paths = cavitycp.greens._paths
 
-        monkeypatch.setattr(geometry, "position_phase", counted)
+    def counted(beta, zs, geometry):
+        calls.append((len(beta), np.array(zs)))
+        return paths(beta, zs, geometry)
+
+    monkeypatch.setattr(cavitycp.greens, "_paths", counted)
     return calls
 
 

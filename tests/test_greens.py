@@ -15,11 +15,11 @@ import cavitycp.quadrature as quadrature
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.cli import _z_grid
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _cavity_modes,
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              _grazing_coefficient, _realfreq_trace,
-                             _resonance_breakpoints, _z_interpolation,
-                             cavity_trace_imagfreq, cavity_trace_realfreq,
-                             imagfreq_trace_sum, zero_frequency_trace_limit)
+                             _z_interpolation, cavity_trace_imagfreq,
+                             cavity_trace_realfreq, imagfreq_trace_sum,
+                             zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack, reflection_coefficients,
                                 transverse_wavenumber)
@@ -514,50 +514,3 @@ def test_depth_positions_are_their_own_columns(gold, env300, quad,
     seen = np.abs(np.concatenate([p for _, p in trace_columns]))
     assert np.isin(refined, seen).all()
     assert len(np.unique(seen)) <= 2 * len(refined)
-
-
-# --- panel edges: located modes and geometric lattices -----------------------
-
-def test_bragg_mode_is_located_off_pi_over_a():
-    # the mirror's angle-dependent phase moves the 8-pair sapphire/vacuum
-    # nu = 2 cavity's first s mode from beta a = pi to where |D_s| is least
-    cav = _resonant_cavity(STACK, 2)
-    beta, gamma, sigma = _cavity_modes(cav, W_LIH)
-    grid = np.linspace(4600.0, 4900.0, 300001)
-    rs, _ = reflection_coefficients(STACK, W_LIH, beta=grid + 0j)
-    d_s = np.abs(1.0 - rs**2 * np.exp(2j * grid * cav.width))
-    least = grid[np.argmin(d_s)]
-    s_modes = sigma == 0
-    i = np.argmin(np.abs(beta[s_modes] - least))
-    mode, width = beta[s_modes][i], gamma[s_modes][i]
-    assert abs(mode - least) <= width
-    assert mode == pytest.approx(4770.88, abs=0.01)
-    assert abs(mode - math.pi / cav.width) > 1e4 * width
-
-
-@pytest.mark.parametrize("nu", [1, 2, 5])
-def test_constant_r_modes_sit_at_pi_m_over_a(nu):
-    cav = _resonant_cavity(ConstantR(0.9), nu)
-    beta, gamma, sigma = _cavity_modes(cav, W_LIH)
-    m = np.arange(1, nu + 1)
-    for polarisation in (0, 1):
-        assert np.array_equal(beta[sigma == polarisation],
-                              np.pi * m / cav.width)
-    assert np.all(gamma > 0)
-
-
-def test_constant_r_zero_puts_no_ladder(recwarn):
-    cav = _resonant_cavity(ConstantR(0.0), 5)
-    assert _resonance_breakpoints(cav, W_LIH) == []
-    assert not [w for w in recwarn if w.category is RuntimeWarning]
-
-
-@pytest.mark.parametrize("mirror", FOLD_MIRRORS + [ConstantR(1.0 - 1e-5)],
-                         ids=FOLD_IDS + ["constant_r_sharp"])
-@pytest.mark.parametrize("nu", [1, 2, 5])
-def test_resonance_breakpoints_sorted_unique_inside(mirror, nu):
-    cav = _resonant_cavity(mirror, nu)
-    wc = W_LIH / C
-    edges = np.array(_resonance_breakpoints(cav, W_LIH))
-    assert np.all(np.diff(edges) > 0)
-    assert edges[0] > 1e-6 * wc and edges[-1] < wc

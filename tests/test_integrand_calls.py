@@ -24,25 +24,28 @@ _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
 workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
-# Calls with first panels at the located cavity modes and on the grazing and
-# decay lattices: 9 + 7, 13, 4 and 15 (6 traces, and 3 x 3 for the asym
-# series oracle's one Lerch integral per row, on 2^k edges).  With 4^k Lerch
-# edges and one Lerch integral per b, asym-sharp made 54 calls; with panels
-# at beta a = pi m and halving edges only, the commands made 28 + 22, 38, 22
-# and 74.
-MAX_CALLS = {"scan-gold": 19, "matsubara-cold": 16, "depth-bragg": 5,
-             "asym-sharp": 17}
+# Calls with first panels on the propagating arch's uniform edges, its 2^k
+# ladder toward w/c and the grazing and decay lattices: 9 + 7, 13, 2 and 15
+# (6 traces, and 3 x 3 for the asym series oracle's one Lerch integral per
+# row, on 2^k edges).  With panels at the located modes of the real beta
+# axis they were 9 + 7, 13, 4 and 15; with 4^k Lerch edges and one Lerch
+# integral per b, asym-sharp made 54 calls; with panels at beta a = pi m and
+# halving edges only, the commands made 28 + 22, 38, 22 and 74.
+MAX_CALLS = {"scan-gold": 16, "matsubara-cold": 13, "depth-bragg": 2,
+             "asym-sharp": 15}
 # (node, omega) pairs passed to reflection_coefficients by the trace kernels;
 # the seeded second pass of each depth looks every node up in the first
-# pass's samples and evaluates none.
-MAX_REFLECTION_EVALUATIONS = {"scan-gold": 11451, "matsubara-cold": 23613,
-                              "depth-bragg": 1549, "asym-sharp": 4557}
-# (node, position) products of the propagating traces' cos(2 beta z)
-# columns.  A profile or heating scan evaluates its trace at 16 folded
-# Chebyshev nodes in z, not at its 101 or 21 folded positions (187 131 and
-# 19 551 products before); a depth's few positions are its own columns.
-MAX_PROPAGATING_PRODUCTS = {"scan-gold": 29792, "matsubara-cold": 14896,
-                            "depth-bragg": 6980, "asym-sharp": 32910}
+# pass's samples and evaluates none.  On the real axis: 11 451, 23 613,
+# 1 549 and 4 557.
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10915, "matsubara-cold": 23345,
+                              "depth-bragg": 694, "asym-sharp": 1665}
+# (node, position) products of the propagating traces' path phases
+# sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
+# folded Chebyshev nodes in z, not at its 101 or 21 folded positions; a
+# depth's few positions are its own columns.  On the real axis, with one
+# cos(2 beta z) per product: 29 792, 14 896, 6 980 and 32 910.
+MAX_PROPAGATING_PRODUCTS = {"scan-gold": 24032, "matsubara-cold": 12016,
+                            "depth-bragg": 3455, "asym-sharp": 12210}
 
 
 def _run_checked(workload):

@@ -14,12 +14,13 @@ import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import C, HBAR, K_B, MU_0
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _kernel,
-                             _realfreq_trace, cavity_trace_realfreq)
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _arch, _kernel,
+                             _paths, _realfreq_trace, cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack)
 from cavitycp.molecules import Molecule, Transition, photon_number
+from cavitycp.quadrature import QuadratureSpec
 from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
                                 nonresonant_potential, potential_components,
@@ -62,37 +63,41 @@ def test_gold_nu2_minimum_at_centre(gold, env300, quad):
 
 
 def test_newton_extrema_rejects_wrong_kind_or_bracket():
-    # u(z) = cos(2 z): maximum at 0, minima at +-pi/2
+    # width 0: u(z) = 2 cos(2 z), maximum at 0, minima at +-pi/2
     rule = (np.array([1.0]), np.array([1.0 + 0.0j]))
-    z = _newton_extrema(rule, [0.1, 1.4], [True, False], 0.3, 2.0, 1e-14)
+    z = _newton_extrema(rule, 0.0, [0.1, 1.4], [True, False], 0.3, 2.0,
+                        1e-14)
     assert z == pytest.approx([0.0, math.pi / 2.0], abs=1e-12)
     with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, [0.1], [False], 0.3, 2.0, 1e-14)
+        _newton_extrema(rule, 0.0, [0.1], [False], 0.3, 2.0, 1e-14)
     with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, [0.1], [True], 0.05, 2.0, 1e-14)
+        _newton_extrema(rule, 0.0, [0.1], [True], 0.05, 2.0, 1e-14)
     with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, [1.4], [False], 0.3, 1.5, 1e-14)
+        _newton_extrema(rule, 0.0, [1.4], [False], 0.3, 1.5, 1e-14)
 
 
 def test_newton_extrema_one_node_rule():
-    # u(z) = cos(2 beta0 z): extrema at m pi / (2 beta0), maxima for even m
+    # width 0: u(z) = 1.4 cos(2 beta0 z), extrema at m pi / (2 beta0),
+    # maxima for even m
     beta0, xtol = 2.5, 1e-13
     ms = np.arange(-3, 4)
     exact = ms * math.pi / (2.0 * beta0)
     rule = (np.array([beta0]), np.array([0.7 - 3.0j]))
-    z = _newton_extrema(rule, exact + 0.06, ms % 2 == 0, 0.1, 2.0, xtol)
+    z = _newton_extrema(rule, 0.0, exact + 0.06, ms % 2 == 0, 0.1, 2.0,
+                        xtol)
     assert np.all(np.abs(z - exact) <= xtol)
 
 
 def test_newton_extrema_ignore_imaginary_weights():
-    # u(z) = Re sum(w F cos(2 beta z)) does not depend on Im(w F)
+    # on real nodes at width 0, u(z) = 2 Re sum(W cos(2 beta z)) does not
+    # depend on Im(W)
     beta = np.linspace(0.5, 1.5, 9)
     wf = np.exp(-beta) * (1.0 + 0.3j)
     seeds, maximum = [0.1, 1.4], [True, False]
-    z = _newton_extrema((beta, wf), seeds, maximum, 0.5, 2.0, 1e-14)
+    z = _newton_extrema((beta, wf), 0.0, seeds, maximum, 0.5, 2.0, 1e-14)
     for c in (1.0, -7.5e3, np.linspace(-2.0, 2.0, 9)):
         assert np.array_equal(_newton_extrema(
-            (beta, wf + 1j * c), seeds, maximum, 0.5, 2.0, 1e-14), z)
+            (beta, wf + 1j * c), 0.0, seeds, maximum, 0.5, 2.0, 1e-14), z)
 
 
 def test_nonresonant_finite_for_lossy_dielectric(env300, quad_fast):
@@ -419,8 +424,8 @@ def test_seeded_trace_misses(quad, reflection_evaluations):
     # at positions the seed's panels resolve too coarsely, the missing nodes
     # are evaluated and every position still converges to the unseeded value
     for geometry, z0, zs in (
-            (CavityGeometry(LAM, ConstantR(0.5)), 0.0,
-             np.array([-0.45, 0.3, 0.45]) * LAM),
+            (CavityGeometry(3.0 * LAM, ConstantR(0.99)), 0.0,
+             np.array([-0.45, 0.3, 0.45]) * 3.0 * LAM),
             (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
              np.array([LAM / 8.0, 5 * LAM]))):
         _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
@@ -433,14 +438,17 @@ def test_seeded_trace_misses(quad, reflection_evaluations):
                       <= 10.0 * quad.rel_tol * np.abs(unseeded))
 
 
-def _node_values(beta, geometry):
-    """F = K node_phase at the nodes beta, evaluated directly."""
-    return _kernel(beta + 0j, W_LIH, geometry) * geometry.node_phase(beta)
+def _node_values(t, geometry):
+    """K at the arch nodes t, evaluated directly (x_lo = 1e-6 w/c where
+    the geometry has a grazing term, else 0)."""
+    wc = W_LIH / C
+    x_lo = 1e-6 * wc if geometry.resonance_seed(W_LIH)[0] != 0 else 0.0
+    return _kernel(_arch(t, wc, x_lo)[0], W_LIH, geometry)
 
 
 def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
                                     monkeypatch):
-    # the propagating integrand looks F up in the pass's sorted store: for
+    # the propagating integrand looks K up in the pass's sorted store: for
     # shuffled nodes, part stored and part new (one of them twice), it
     # returns a direct evaluation's values bit for bit, evaluates each new
     # node once, and leaves the store sorted and aligned
@@ -458,13 +466,15 @@ def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
     f_prop, = integrands
     stored = rng.choice(store[0], 40, replace=False)
     new = rng.uniform(0.0, W_LIH / C, 25)
-    beta = rng.permutation(np.concatenate((stored, new, new[:1])))
-    expected = _node_values(beta, geometry)
+    t = rng.permutation(np.concatenate((stored, new, new[:1])))
+    beta, slope = _arch(t, W_LIH / C, 0.0)
+    expected = (_node_values(t, geometry) * slope)[:, None] \
+        * _paths(beta, np.zeros(1), geometry)
     size = len(store[0])
     reflection_evaluations.clear()
-    # at z = 0, cos(2 beta z) = 1, and a ConstantR mirror has no grazing
-    # term, so the integrand is F itself
-    assert np.array_equal(f_prop(beta)[:, 0], expected)
+    # a ConstantR mirror has no grazing term, so the integrand is
+    # K dbeta/dt sum_p e^{i beta L_p}
+    assert np.array_equal(f_prop(t), expected)
     assert sum(reflection_evaluations) == len(new)
     assert len(store[0]) == len(store[1]) == size + len(new)
     assert np.all(np.diff(store[0]) > 0)
@@ -472,8 +482,8 @@ def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
 
 
 @pytest.mark.parametrize("geometry, z0, zs", [
-    (CavityGeometry(LAM, ConstantR(0.5)), 0.0,
-     np.array([-0.45, 0.3, 0.45]) * LAM),
+    (CavityGeometry(3.0 * LAM, ConstantR(0.99)), 0.0,
+     np.array([-0.45, 0.3, 0.45]) * 3.0 * LAM),
     (CavityGeometry(3.0 * LAM, HalfSpace(GOLD_DRUDE)), 0.0,
      np.array([0.9 * LAM])),
     (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
@@ -481,9 +491,11 @@ def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
 def test_seeded_pass_merges_misses_into_sorted_store(geometry, z0, zs, quad,
                                                      reflection_evaluations):
     # a seeded pass with misses evaluates each missing node once and merges
-    # it into the seed's sorted (nodes, F) arrays, keeping every stored node
-    _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry, quad,
-                                    False)
+    # it into the seed's sorted (nodes, K) arrays, keeping every stored
+    # node; the seed, from a looser tolerance, lacks nodes even where the
+    # arch resolves a cavity's every position from its centre's panels
+    _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
+                                    QuadratureSpec(1e-6), False)
     before = seed[2][0].copy()
     reflection_evaluations.clear()
     _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)
