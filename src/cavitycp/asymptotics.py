@@ -59,12 +59,18 @@ def I_phi_series(cfg: ConstantRCavity, phi):
     and S = sin(2 pi nu (j + b)) do not depend on j, so with lerch_phi
     sum_j r^(2j) y(j + b) = (2C - 2) Phi(r^2, 3, b)
     - 4 nu^2 pi^2 C Phi(r^2, 1, b) + 4 nu pi S Phi(r^2, 2, b).
-    An array phi gives an array of its shape from one lerch_phi call.
+    An array phi gives an array of its shape from one lerch_phi call.  cfg
+    may also be a sequence of cavities of one r and lam, phi[i] for cfg[i].
     """
+    if isinstance(cfg, ConstantRCavity):
+        return I_phi_series([cfg], np.asarray(phi)[None])[0]
     phi = np.abs(np.asarray(phi, dtype=float))  # I(-phi) == I(phi) exactly
     if not np.all(phi < 0.5):
         raise ValueError(f"I_phi_series requires |phi| < 1/2, got {phi}")
-    nu = cfg.nu
+    if len({(c.r, c.lam) for c in cfg}) != 1:
+        raise ValueError("I_phi_series takes cavities of one r and lam")
+    nu = np.reshape([c.nu for c in cfg], (-1,) + (1,) * (phi.ndim - 1))
+    cfg = cfg[0]
     b = np.stack((0.5 + phi, 0.5 - phi))
     c, s = np.cos(2 * math.pi * nu * b), np.sin(2 * math.pi * nu * b)
     p = lerch_phi(cfg.delta, b)

@@ -216,6 +216,11 @@ def cmd_asym(args) -> int:
     if any(nu < 2 for nu in nus):
         raise ConfigError("asym requires nu >= 2")
 
+    # the series of every nu from one Lerch integral per delta
+    series = {delta: asymptotics.I_phi_series(
+        [asymptotics.ConstantRCavity(r=1.0 - delta, nu=nu, lam=lam)
+         for nu in nus], [[0.5 - 1.5 / nu, 0.5 - 1.0 / nu] for nu in nus])
+        for delta in deltas}
     rows = []
     for nu in nus:
         phi = asymptotics.phi_nu(nu)
@@ -224,12 +229,9 @@ def cmd_asym(args) -> int:
                          phi, asymptotics.phi_asymptote(nu)))
             continue
         for delta in deltas:
-            cfg = asymptotics.ConstantRCavity(r=1.0 - delta, nu=nu, lam=lam)
-            i_max, i_min = asymptotics.I_phi_series(
-                cfg, [0.5 - 1.5 / nu, 0.5 - 1.0 / nu]).tolist()
-            series = coupling * (i_max - i_min)
+            i_max, i_min = series[delta][nu - nus[0]].tolist()
             rep = potential_depth(mol, ConstantR(1.0 - delta), nu, env, spec)
-            rows.append((nu, delta, rep.depth, series,
+            rows.append((nu, delta, rep.depth, coupling * (i_max - i_min),
                          asymptotics.depth_scaling(nu, delta, lam, coupling),
                          phi, asymptotics.phi_asymptote(nu)))
     _emit(rows, ["nu", "delta", "depth_quadrature_J", "depth_series_J",
@@ -237,6 +239,7 @@ def cmd_asym(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built at the first call; a parse leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     # global flags, accepted before and after the subcommand (defaults:
     # _GLOBAL_DEFAULTS, the namespace main() parses into)
@@ -306,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = build_parser().parse_args(
             argv, namespace=argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

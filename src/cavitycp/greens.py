@@ -223,27 +223,46 @@ def _by_columns(f, zs, phase, shift):
     return out
 
 
+def _chebyshev(k, centre, half, at=None):
+    """(x, R): k first-kind Chebyshev points x over centre +- half, at exact
+    negatives about the centre, and R @ p(x) = p(at) for p of degree < k
+    (None without at): barycentric weights (-1)^j sin((2j+1) pi/2k) (Berrut
+    & Trefethen, SIAM Rev. 46, 501 (2004)); a row hitting a point exactly
+    takes its value."""
+    theta = (np.arange(k) + 0.5) * np.pi / k
+    x = np.cos(theta[:k // 2])
+    x = centre + half * np.concatenate((x, [0.0] * (k % 2), -x[::-1]))
+    if at is None:
+        return x, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.subtract.outer(at, x)
+        np.divide((-1.0) ** np.arange(k) * np.sin(theta), r, out=r)
+        total = r.sum(axis=1, keepdims=True)
+        r /= total
+    hit = np.isinf(total[:, 0])  # then r is inf/inf = nan there, 0 elsewhere
+    r[hit] = np.isnan(r[hit])
+    return x, r
+
+
+def _chebyshev_count(m):
+    """ceil(M + 12 M^(1/3)) + 2 points resolve bandwidth M to rounding."""
+    return int(np.ceil(m + 12.0 * np.cbrt(m))) + 2
+
+
 def _z_interpolation(zs, wc, geometry):
     """(cols, R): the propagating columns for the fold reps zs, and R with
     R @ value(cols) = value(zs); or (zs, None).  Band-limited as beta <= w/c,
-    the integrand is interpolated to rounding on geometry.span(zs) by K =
-    ceil(M + 12 M^(1/3)) + 2 first-kind Chebyshev points, M = w/c times the
-    span.  They are the columns if the fold (at most halving) leaves fewer."""
+    the integrand is interpolated to rounding on geometry.span(zs) by
+    _chebyshev_count(M) points, M = w/c times the span.  They are the
+    columns if the fold (at most halving) leaves fewer."""
     centre, half = geometry.span(zs)
-    k = int(np.ceil(2 * half * wc + 12.0 * np.cbrt(2 * half * wc))) + 2
+    k = _chebyshev_count(2 * half * wc)
     if (k + 1) // 2 >= len(zs):
         return zs, None
-    theta = (np.arange(k) + 0.5) * np.pi / k
-    x = np.cos(theta[:k // 2])  # mirrored, so +-x are exact negatives
-    x = centre + half * np.concatenate((x, [0.0] * (k % 2), -x[::-1]))
-    cols, index = geometry.fold(x)
+    cols, index = geometry.fold(_chebyshev(k, centre, half)[0])
     if len(cols) >= len(zs):
         return zs, None
-    d = zs[:, None] - x
-    with np.errstate(divide="ignore"):
-        r = np.where((d == 0).any(axis=1, keepdims=True), d == 0,
-                     (-1.0) ** np.arange(k) * np.sin(theta) / d)
-    return cols, (r / r.sum(axis=1, keepdims=True)) @ np.eye(len(cols))[index]
+    return cols, _chebyshev(k, centre, half, zs)[1] @ np.eye(len(cols))[index]
 
 
 def _check_paths(longest, wc, x_lo, spec: QuadratureSpec):
@@ -289,15 +308,18 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     the arch beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), t in
     [x_lo, w/c], h = _ARCH: the poles of 1/D_sigma lie below the real axis
     (|r_sigma| < 1), so the arch passes none and nothing needs locating; on
-    it the paths decay as e^{-L Im beta}.  rule is (beta, w beta' K), the
-    final Kronrod nodes on the arch and weights times dbeta/dt and the
-    kernel K: Re sum(w beta' K sum_p e^{i beta L_p}) is Re Tr G_pr up to a
-    constant in z, so derivatives in z need no new reflection evaluations.
-    samples is (S, final panel edges in t, [t ascending, K at them]).  As
-    the seed of a propagating trace at the same omega and geometry, they
-    start its adaptive pass from those panels and stand in for the
-    geometry's resonance_seed and every K they hold; only nodes the seed
-    lacks are evaluated (and merged in), and every position meets rel_tol.
+    it the paths decay as e^{-L Im beta}.  rule(L), built when called, is
+    (beta, W) with Re sum(W sum_p e^{i beta L_p}) = Re Tr G_pr up to a
+    constant in z for paths L_p <= L, so z-derivatives need no new
+    reflection evaluations: W = w beta' K on the final nodes t_j, moved to
+    _chebyshev_count(M) Chebyshev points t_k as W_k = sum_j W_j R_jk (R from
+    the t_k to the t_j) when fewer, M = (w/c)(L/2)(1 + pi h) the bandwidth
+    of e^{i beta(t) L}; the [0, x_lo] rectangle's node stays.  samples is
+    (S, final panel edges in t, [t ascending, K at them]).  As the seed of a
+    propagating trace at the same omega and geometry, they start its
+    adaptive pass from those panels and stand in for the geometry's
+    resonance_seed and every K they hold; only nodes the seed lacks are
+    evaluated (and merged in), and every position meets rel_tol.
     """
     zs, index = geometry.fold(zs)
     wc = omega / C
@@ -346,14 +368,20 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             + (np.arange(1, 8) * wc / 8.0).tolist())
     prop = result[0]
     samples = (s_coef, result.panels[0].tolist(), store)
-    nodes, weights = result.rule()
-    beta, slope = _arch(nodes, wc, x_lo)
-    rule = beta, weights * slope * node_kernel(nodes)
+    mid = np.array([0.5 * x_lo] if x_lo > 0 else [])  # the rectangle's node
     if x_lo > 0:
-        mid = np.array([0.5 * x_lo])
         prop = prop + columns(mid, mid, x_lo)[0]
-        rule = tuple(np.append(r, m) for r, m in
-                     zip(rule, (mid, x_lo * node_kernel(mid))))
+
+    def rule(longest):
+        """(beta, W) for paths up to longest (see above)."""
+        t, w = result.rule()
+        w = w * _arch(t, wc, x_lo)[1] * node_kernel(t)
+        k = _chebyshev_count(0.5 * longest * wc * (1.0 + np.pi * _ARCH))
+        if k < len(t):
+            t, r = _chebyshev(k, 0.5 * (wc + x_lo), 0.5 * (wc - x_lo), t)
+            w = w @ r
+        return np.append(_arch(t, wc, x_lo)[0], mid), \
+            np.append(w, x_lo * node_kernel(mid))
 
     evan = None
     if evanescent:

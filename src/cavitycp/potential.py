@@ -268,11 +268,12 @@ def _newton_extrema(rule, width, seeds, maximum, half_width, edge, xtol):
     """Stationary points of u(z) = Re sum(W (e_- + e_+)) near the seeds,
     e_-+ = e^{i beta (a -+ 2z)} the two paths of a cavity of width a.
 
-    rule is (beta, W) from greens._realfreq_trace, both complex.  Newton
-    steps on u'(z) = Re sum(2 i beta W (e_+ - e_-)) and on u''(z) =
-    -Re sum(4 beta^2 W (e_- + e_+)) run for all seeds at once.  maximum[i]
-    selects a maximum or a minimum for seed i; a point whose curvature has
-    the wrong sign, or that leaves seed +- half_width or +-edge, raises
+    rule is (beta, W) from greens._realfreq_trace's rule(2 a), both
+    complex, on ~40-110 Chebyshev points at nu = 2-10.  Newton steps on
+    u'(z) = Re sum(2 i beta W (e_+ - e_-)) and on u''(z) = -Re sum(4 beta^2
+    W (e_- + e_+)) run for all seeds at once.  maximum[i] selects a maximum
+    or a minimum for seed i; a point whose curvature has the wrong sign, or
+    that leaves seed +- half_width or +-edge, raises
     ArithmeticError.  At width 0, u(z) = 2 Re sum(W cos(2 beta z)).
     """
     beta, w = rule
@@ -308,8 +309,8 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
 
     The extrema are seeded on the grid z = -nu lam/4 + (mu - 1/2) lam/2
     (maxima) and z = -nu lam/4 + mu lam/2 (minima).  Newton steps on the
-    rule of one propagating trace at the seeds find them with no new
-    reflection evaluations (on the trace, not on the photon-weighted
+    compressed rule of one propagating trace at the seeds find them with
+    no new reflection evaluations (on the trace, not on the photon-weighted
     potential, so a vanishing photon number still locates them).  A second
     trace at the refined extrema, seeded with the first one's samples, gives
     the reported values: a depth costs one pass of reflection evaluations,
@@ -335,7 +336,7 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     # the seeds and refined extrema lie inside the cavity, and t.omega > 0
     _, _, rule, samples = _realfreq_trace(np.array(seeds), t.omega, cavity,
                                           spec, False)
-    z = _newton_extrema(rule, a, seeds, maximum, lam / 8.0, edge,
+    z = _newton_extrema(rule(2.0 * a), a, seeds, maximum, lam / 8.0, edge,
                         _NEWTON_XTOL * a)
     if nu == 1:
         z = np.append(z, edge)

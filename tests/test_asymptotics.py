@@ -224,6 +224,22 @@ def test_series_array_matches_scalar_calls(delta):
         assert I_phi_series(cfg, phis.reshape(7, 1)).shape == (7, 1)
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-8])
+def test_series_over_cavities_matches_per_cavity_calls(delta):
+    # one lerch_phi call for every resonance order at one r and lam
+    nus = (2, 3, 4, 7)
+    cfgs = [ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM) for nu in nus]
+    phis = np.array([depth_phis(nu) for nu in nus])
+    got = I_phi_series(cfgs, phis)
+    assert got.shape == phis.shape
+    for cfg, phi, row in zip(cfgs, phis, got):
+        want = I_phi_series(cfg, phi)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        I_phi_series([cfgs[0], ConstantRCavity(r=0.5, nu=2, lam=LAM)],
+                     phis[:2])
+
+
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-6])
 def test_asymptotic_residuals(delta):
     # residual of the high-reflectivity limits vanishes like O(delta ln delta)

@@ -372,6 +372,38 @@ def test_cli_shared_flags_keep_their_defaults():
             (None if command == "asym" else "gold")
 
 
+def test_cli_reused_parser_prints_what_separate_parses_print(tmp_path,
+                                                             capsys):
+    """build_parser() runs once per process; consecutive main() calls that
+    set and then drop a flag print what each prints on a fresh parser."""
+    out = tmp_path / "out.csv"
+    base = ["--rel-tol", "1e-6"]
+    profile = ["profile", "--width", "resonance:1", "--points", "3"]
+    heating = ["heating", "--width", "resonance:1", "--points", "3"]
+    runs = [base + profile + ["--raw"], base + profile,
+            base + ["--out", str(out)] + profile, base + profile,
+            base + ["--format", "json"] + profile, base + profile,
+            base + heating + ["--single-plate"], base + heating]
+
+    def run(argv):
+        code, text, err = run_cli(argv, capsys)
+        if out.exists():
+            text += out.read_text()
+            out.unlink()
+        return code, text, err
+
+    reused = [run(argv) for argv in runs]
+    separate = []
+    for argv in runs:
+        build_parser.cache_clear()
+        separate.append(run(argv))
+    assert reused == separate
+    assert all(code == 0 for code, _, _ in reused)
+    # each flag changes the output, and --out writes what stdout gets
+    texts = [text for _, text, _ in reused]
+    assert texts[2] == texts[1] and len(set(texts)) == 5
+
+
 def test_cli_heating(capsys):
     code, out, _ = run_cli(
         ["--rel-tol", "1e-6", "heating", "--width", "resonance:1",

@@ -15,7 +15,7 @@ import cavitycp.quadrature as quadrature
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
 from cavitycp.cli import _z_grid
 from cavitycp.constants import C, ZETA_3
-from cavitycp.greens import (CavityGeometry, PlateGeometry,
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
                              _grazing_coefficient, _realfreq_trace,
                              _z_interpolation, cavity_trace_imagfreq,
                              cavity_trace_realfreq, imagfreq_trace_sum,
@@ -448,6 +448,15 @@ def test_chebyshev_nodes_are_exactly_symmetric(points, nu, monkeypatch):
     assert len(nodes) == k
     assert np.array_equal(nodes, -nodes[::-1])
     assert k % 2 == 0 or nodes[k // 2] == 0.0
+
+
+def test_chebyshev_row_hitting_a_point_takes_its_value():
+    # odd K puts a point at the centre; a row there is that point's unit
+    # row, the others interpolate every polynomial of degree < K
+    at = np.array([0.5, 0.8, -0.5])
+    x, r = _chebyshev(7, 0.5, 2.0, at)
+    assert x[3] == 0.5 and np.array_equal(r[0], np.eye(7)[3])
+    assert np.abs(r @ x**6 - at**6).max() < 1e-14
 
 
 def test_plate_distance_grid_is_interpolated(gold, quad, monkeypatch,

@@ -1,8 +1,9 @@
 """Integrand calls, reflection evaluations and propagating columns per
 benchmark workload: machine-independent guards on how many adaptive rounds
 the seed-0 commands of perfbench/workloads.py need, on how many (node,
-omega) pairs their trace kernels pass to reflection_coefficients, and on
-how many (node, position) products their propagating traces form.  Each call of
+omega) pairs their trace kernels pass to reflection_coefficients, on how
+many (node, position) products their propagating traces form, and on how
+many (rule node, seed) pairs their depths' Newton steps take.  Each call of
 quadrature._panels is one integrand call (one batched reflection evaluation
 and its Python overhead), whatever its panel count.
 """
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cavitycp.asymptotics as asymptotics
+import cavitycp.potential as potential
 import cavitycp.quadrature as quadrature
 from cavitycp.cli import main
 
@@ -25,14 +27,16 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
-# ladder toward w/c and the grazing and decay lattices: 9 + 7, 13, 2 and 15
-# (6 traces, and 3 x 3 for the asym series oracle's one Lerch integral per
-# row, on 2^k edges).  With panels at the located modes of the real beta
-# axis they were 9 + 7, 13, 4 and 15; with 4^k Lerch edges and one Lerch
-# integral per b, asym-sharp made 54 calls; with panels at beta a = pi m and
-# halving edges only, the commands made 28 + 22, 38, 22 and 74.
+# ladder toward w/c and the grazing and decay lattices: 9 + 7, 13, 2 and 9
+# (6 traces, and 3 for the asym series oracle's one Lerch integral per
+# delta over every row's shifts b, on 2^k edges).  With one Lerch integral
+# per row, asym-sharp made 15 calls (3 x 3 for the oracle); with panels at
+# the located modes of the real beta axis they were 9 + 7, 13, 4 and 15;
+# with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
+# calls; with panels at beta a = pi m and halving edges only, the commands
+# made 28 + 22, 38, 22 and 74.
 MAX_CALLS = {"scan-gold": 16, "matsubara-cold": 13, "depth-bragg": 2,
-             "asym-sharp": 15}
+             "asym-sharp": 9}
 # (node, omega) pairs passed to reflection_coefficients by the trace kernels;
 # the seeded second pass of each depth looks every node up in the first
 # pass's samples and evaluates none.  On the real axis: 11 451, 23 613,
@@ -46,6 +50,13 @@ MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10915, "matsubara-cold": 23345,
 # cos(2 beta z) per product: 29 792, 14 896, 6 980 and 32 910.
 MAX_PROPAGATING_PRODUCTS = {"scan-gold": 24032, "matsubara-cold": 12016,
                             "depth-bragg": 3455, "asym-sharp": 12210}
+# (rule node, seed) pairs of the Newton steps on well-depth extrema, summed
+# over a workload's depths: each depth's rule is Chebyshev-compressed in the
+# arch parameter, 43 points at nu = 2 (gold, Bragg), 42, 52 and 62 at
+# constant r and nu = 2, 3, 4.  A scan builds no rule.  On the full Kronrod
+# rule: 0, 0, 2 073 and 8 325.
+MAX_NEWTON_NODES = {"scan-gold": 0, "matsubara-cold": 0, "depth-bragg": 129,
+                    "asym-sharp": 820}
 
 
 def _run_checked(workload):
@@ -88,7 +99,28 @@ def test_propagating_products_per_workload(workload, trace_columns):
         <= MAX_PROPAGATING_PRODUCTS[workload]
 
 
-def test_asym_makes_one_lerch_integral_per_row(monkeypatch):
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_newton_nodes_per_workload(workload, monkeypatch):
+    sizes, rules = [], []
+    newton = potential._newton_extrema
+    build = quadrature.QuadratureResult.rule
+
+    def counted(rule, width, seeds, *args):
+        sizes.append(len(rule[0]) * len(seeds))
+        return newton(rule, width, seeds, *args)
+
+    def built(result):
+        rules.append(result)
+        return build(result)
+
+    monkeypatch.setattr(potential, "_newton_extrema", counted)
+    monkeypatch.setattr(quadrature.QuadratureResult, "rule", built)
+    _run_checked(workload)
+    assert len(rules) == len(sizes)
+    assert sum(sizes) <= MAX_NEWTON_NODES[workload]
+
+
+def test_asym_makes_one_lerch_integral_per_delta(monkeypatch):
     calls = []
     lerch_phi = asymptotics.lerch_phi
 
@@ -101,4 +133,4 @@ def test_asym_makes_one_lerch_integral_per_row(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["asym", "--nu-min", "2", "--nu-max", "4",
                      "--delta", ",".join(deltas)]) == 0
-    assert len(calls) == 3 * len(deltas)
+    assert calls == pytest.approx([float(d) for d in deltas], rel=1e-12)

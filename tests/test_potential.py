@@ -27,7 +27,7 @@ from cavitycp.potential import (LevelScheme, general_state_potential,
                                 potential_depth, resonance_width,
                                 resonant_potential, _newton_extrema)
 
-from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 from tests.test_greens import PLATE_IDS, PLATE_MIRRORS
 
 W_LIH = LIH.transitions[0].omega
@@ -98,6 +98,82 @@ def test_newton_extrema_ignore_imaginary_weights():
     for c in (1.0, -7.5e3, np.linspace(-2.0, 2.0, 9)):
         assert np.array_equal(_newton_extrema(
             (beta, wf + 1j * c), 0.0, seeds, maximum, 0.5, 2.0, 1e-14), z)
+
+
+COMPRESSION_MIRRORS = {
+    "gold": HalfSpace(GOLD_DRUDE),
+    "sapphire_stack": Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 8,
+                                               W_LIH)),
+    "r1e-5": ConstantR(1.0 - 1e-5), "r1e-7": ConstantR(1.0 - 1e-7),
+    "r1e-8": ConstantR(1.0 - 1e-8),
+    "sapphire_77K_20_pairs": Stack(quarter_wave_stack(SAPPHIRE_77K, Vacuum(),
+                                                      20, W_LIH)),
+}
+COMPRESSION_CASES = {f"{name}-nu{nu}": (COMPRESSION_MIRRORS[name], nu)
+                     for name, nus in [
+                         ("gold", (2, 10, 40)), ("sapphire_stack", (1, 2, 10)),
+                         ("r1e-5", (2, 10)), ("r1e-7", (2, 10)),
+                         ("r1e-8", (2, 4)),
+                         ("sapphire_77K_20_pairs", (2, 6, 10))]
+                     for nu in nus}
+
+
+@pytest.mark.parametrize("mirror, nu", COMPRESSION_CASES.values(),
+                         ids=COMPRESSION_CASES.keys())
+def test_compressed_depth_rule_matches_full_rule(mirror, nu, env300, quad,
+                                                 monkeypatch):
+    # potential_depth's Newton steps run on the first trace's rule moved to
+    # Chebyshev points in the arch parameter; the full Kronrod rule, which
+    # rule() passes through for paths too long to compress, gives the same
+    # u(z), u'(z) and refined extrema
+    rules, newton = [], []
+
+    def recorded(*args):
+        out = _realfreq_trace(*args)
+        rules.append(out[2])
+        return out
+
+    def refined(rule, *args):
+        newton.append((rule, args, _newton_extrema(rule, *args)))
+        return newton[-1][2]
+
+    monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
+    monkeypatch.setattr(cavitycp.potential, "_newton_extrema", refined)
+    potential_depth(LIH, mirror, nu, env300, quad)
+    (compressed, args, z), = newton
+    a = args[0]
+    full = rules[0](1e6 * a)
+    assert len(compressed[0]) < len(full[0])
+    zs = np.linspace(-0.5, 0.5, 201) * a
+
+    def u_and_slope(rule):
+        beta, w = rule
+        minus, plus = (np.exp(1j * np.outer(beta, a + s * zs))
+                       for s in (-2.0, 2.0))
+        return (w @ (minus + plus)).real, (2j * beta * w @ (plus - minus)).real
+
+    for got, want in zip(u_and_slope(compressed), u_and_slope(full)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(_newton_extrema(full, *args) - z)) <= 1e-14 * a
+
+
+def test_depth_rule_passes_through_unless_points_are_fewer(quad):
+    # for paths too long for fewer Chebyshev points than Kronrod nodes the
+    # rule is the trace's own: 15 nodes per final panel, on the arch; with
+    # no grazing term (constant r) both forms give the trace's values
+    cav = CavityGeometry(resonance_width(LIH.transitions[0], 2),
+                         ConstantR(1.0 - 1e-5))
+    zs = np.array([0.0, 0.1, 0.3]) * cav.width
+    prop, _, rule, (_, edges, store) = _realfreq_trace(zs, W_LIH, cav, quad,
+                                                       False)
+    full, compressed = rule(1e6 * cav.width), rule(2.0 * cav.width)
+    assert len(full[0]) == 15 * len(edges)
+    assert np.isin(full[0].real, store[0]).all()
+    assert np.array_equal(full[0], _arch(full[0].real, W_LIH / C, 0.0)[0])
+    assert len(compressed[0]) == 42
+    for beta, w in (full, compressed):
+        assert np.max(np.abs(w @ _paths(beta, zs, cav) - prop)) \
+            <= 1e-13 * np.max(np.abs(prop))
 
 
 def test_nonresonant_finite_for_lossy_dielectric(env300, quad_fast):
