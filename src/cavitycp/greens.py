@@ -10,16 +10,16 @@ runs one path for both: the geometry supplies D_sigma's round trip
 (e^{2 i beta a} in a cavity, 0 at a plate, so that D_sigma = 1 exactly), the
 paths, its fold of the positions (each distinct |z| once in a cavity, the
 identity at a plate), their span and its resonance seed (the grazing
-coefficient S and a 2^k ladder toward w/c for the tuned mode; 0 and none at
-a plate).  The propagating part runs on an arch above the real beta axis,
-which passes every pole of 1/D_sigma, so no cavity mode needs locating.
-Every trace integral starts on panels that resolve its known scales: that
-ladder, uniform edges along the arch, and geometric lattices
-(quadrature._ladder) at the grazing end and over the decay of e^{-kappa L}
-in the evanescent and Matsubara integrals.  A scan's propagating part runs
-at Chebyshev nodes in z over the span when they are fewer than its
-positions: each node meets rel_tol of its value, each position Lambda_K
-rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
+coefficient S and a 2^k ladder toward w/c for the tuned mode, from 1/8 of its
+pole's depth; 0 and none at a plate).  The propagating part runs on an arch
+above the real beta axis, which passes every pole of 1/D_sigma, so no cavity
+mode needs locating.  Every trace integral starts on panels that resolve its
+known scales: that ladder, uniform edges along the arch, and geometric
+lattices (quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and
+over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.  A
+scan's propagating part runs at Chebyshev nodes in z over the span when they
+are fewer than its positions: each node meets rel_tol of its value, each
+position Lambda_K rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -32,9 +32,10 @@ leaves every emitted quantity finite, keeps the two parts' sum equal to the
 full (finite) trace up to the e^-CUTOFF truncation, and changes each part by
 a constant in z exactly.
 
-At imaginary frequency omega = i xi, beta = i kappa, the bracket is real; the
-static term xi = 0 takes the static reflection coefficients.
-imagfreq_trace_sum integrates every Matsubara term and position at once.
+At imaginary frequency omega = i xi, beta = i kappa, the bracket is real and
+evaluated in float64; the static term xi = 0 takes the static reflection
+coefficients.  imagfreq_trace_sum integrates every Matsubara term and
+position at once.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from typing import Any
 import numpy as np
 
 from .constants import C
-from .materials import ConstantR, MirrorSpec, reflection_coefficients, \
-    static_limit_reflection
+from .materials import ConstantR, MirrorSpec, _imaginary_axis, \
+    permittivity_at, reflection_coefficients, static_limit_reflection
 from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
     _ladder, adaptive_integrate
 
@@ -110,11 +111,14 @@ class CavityGeometry:
 
     def resonance_seed(self, omega):
         """(S, edges) of a propagating trace at omega: the grazing
-        coefficient, and panel edges w/c - 1e-9 (w/c) 2^k up to w/c - w/2c
-        for the tuned mode, whose pole nears the arch's end at w/c."""
+        coefficient, and edges w/c - x_0 2^k up to w/c - w/2c for the tuned
+        mode, whose pole lies d = -ln max_sigma |r_sigma(w/c)| / a below the
+        arch's end at w/c: x_0 = max(1e-9 w/c, d/8), none if r = 0."""
         wc = omega / C
+        r = np.abs(reflection_coefficients(self.mirror, omega, beta=wc)).max()
+        x_0 = max(1e-9 * wc, -np.log(r) / (8.0 * self.width)) if r else wc
         return _grazing_coefficient(self, omega), \
-            _ladder(wc, -1e-9 * wc, -0.5 * wc, 2.0).tolist()
+            _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,16 @@ def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
     beta = step * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
     s = 2.0 * beta * _kernel(beta, omega, cavity)
     return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
+
+
+def _grazing_lattice(mirror, omega):
+    """Edges 4^k x_0 to w/c, x_0 = max(4e-6 w/c, w/(4 c sqrt max_j |eps_j|)),
+    where r_sigma leaves its grazing limit; none for a constant r."""
+    if isinstance(mirror, ConstantR):
+        return []
+    eps = max(abs(permittivity_at(m, omega)) for m in mirror.materials)
+    wc = omega / C
+    return _ladder(0.0, max(4e-6, 0.25 / np.sqrt(eps)) * wc, wc, 4.0).tolist()
 
 
 def _by_columns(f, zs, phase, shift):
@@ -329,12 +343,10 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
-    # constant) rectangle contribution for [0, x_lo].  r_sigma leaves its
-    # grazing limit on scales down to w/(c sqrt|eps|): edges 4^k 1e-6 w/c.
+    # constant) rectangle contribution for [0, x_lo].
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
     _check_paths(geometry.decay_lengths(zs).max(), wc, x_lo, spec)
-    lattice = [] if isinstance(geometry.mirror, ConstantR) else \
-        _ladder(0.0, 4e-6 * wc, wc, 4.0).tolist()
+    lattice = _grazing_lattice(geometry.mirror, omega)
 
     def grazing(x):
         """S e^{-x a}/x, e^{-x a} = round_trip(x/2), for real or complex x."""
@@ -463,21 +475,15 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
 
     def kernel(s):
-        """bracket_j at kappa_j = s + xi_j/c, (nodes, terms)."""
+        """bracket_j at kappa_j = s + xi_j/c, (nodes, terms), in float64."""
         kappa = s[:, None] + xi / C
-        rs = np.empty(kappa.shape, dtype=complex)
-        rp = np.empty_like(rs)
+        rs, rp = np.empty((2, *kappa.shape))
         if static:
             rs[:, 0], rp[:, 0] = static_limit_reflection(geometry.mirror, s)
         if len(xi) > static:
-            rs[:, static:], rp[:, static:] = reflection_coefficients(
-                geometry.mirror, 1j * xi[static:], beta=1j * kappa[:, static:])
-        bracket = _bracket(rs, rp, -xi**2, -kappa**2,
-                           geometry.round_trip(kappa))
-        if np.any(np.abs(bracket.imag) > 1e-10 * np.abs(bracket.real)):
-            raise ArithmeticError("imaginary-frequency trace acquired a "
-                                  "spurious imaginary part")
-        return bracket.real
+            rs[:, static:], rp[:, static:] = _imaginary_axis(
+                geometry.mirror, xi[static:], kappa[:, static:])
+        return _bracket(rs, rp, -xi**2, -kappa**2, geometry.round_trip(kappa))
 
     def f(s):
         decays = [np.exp(-np.outer(s, lp)) for lp in lengths]

@@ -149,16 +149,16 @@ def transverse_wavenumber(eps, omega, k_perp):
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
-def _recursion(mirror: Stack, eps, betas, thickness):
+def _recursion(mirror: Stack, eps, betas, exponents):
     """(r_s, r_p) of vacuum | mirror.layers[0] | ... | mirror.layers[n],
-    n = len(thickness), in one pass.  eps[j], betas[j]: permittivity and
-    beta_j of medium j (mirror.media); thickness[i] is what 2i beta_j
-    multiplies in the phase of finite layer i.  Back to front,
-    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j), e_j =
-    e^{2i beta_j d_j}; r_p uses eps_i/eps_j (eps_j = inf gives 1).  Each
-    distinct pair of media gets its Fresnel pair once, and each distinct
-    (medium, thickness) its phase once: a Bragg stack of two materials
-    costs three Fresnel pairs and two phases.
+    n = len(exponents), in one pass.  eps[j], betas[j]: permittivity and
+    beta_j of medium j (mirror.media); finite layer i has phase e_j =
+    e^{betas[j] exponents[i]}, exponent 2i d_i with beta_j or -2 d_i with
+    kappa_j = -i beta_j (the Fresnel ratios read the same).  Back to front,
+    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j); r_p uses
+    eps_i/eps_j (eps_j = inf gives 1).  Each distinct pair of media gets its
+    Fresnel pair once, and each distinct (medium, thickness) its phase once:
+    a Bragg stack of two materials costs three Fresnel pairs and two phases.
     """
     media, pairs, phases = mirror.media, {}, {}
 
@@ -169,11 +169,11 @@ def _recursion(mirror: Stack, eps, betas, thickness):
             pairs[key] = (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
         return pairs[key]
 
-    rs, rp = fresnel(len(thickness))
-    for i in range(len(thickness) - 1, -1, -1):
+    rs, rp = fresnel(len(exponents))
+    for i in range(len(exponents) - 1, -1, -1):
         key = media[i + 1], mirror.layers[i].thickness
         if key not in phases:
-            phases[key] = np.exp(2j * betas[key[0]] * thickness[i])
+            phases[key] = np.exp(betas[key[0]] * exponents[i])
         phase = phases[key]
         us, up = fresnel(i)
         rs = (us + rs * phase) / (1.0 + us * rs * phase)
@@ -205,10 +205,10 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients,
     floats for a scalar k_perp and arrays of its shape for an array.
 
-    A Stack runs _recursion with eps_j(0) and beta_j = i k_perp in every
-    medium.  The Fresnel pairs depend on ratios of the beta_j only, so it
-    runs with beta_j = 1 and thicknesses i k_perp d_j (phases
-    e^{-2 k_perp d_j}), which keeps k_perp = 0 finite.  r_s vanishes; a
+    A Stack runs _recursion with eps_j(0) and kappa_j = k_perp in every
+    medium.  The Fresnel pairs depend on ratios of the kappa_j only, so it
+    runs with kappa_j = 1 and exponents -2 k_perp d_j + 0i (complex, so r(0)
+    keeps its rounding), which keeps k_perp = 0 finite.  r_s vanishes; a
     Drude layer (eps(0) = inf) reflects perfectly, so the stack ends there.
     """
     k_perp = np.asarray(k_perp, dtype=float)
@@ -221,7 +221,7 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
         drude = [eps[j] == np.inf for j in mirror.media[1:]]
         end = drude.index(True) if any(drude) else -1
         rs, rp = _recursion(mirror, eps, [1.0] * len(eps), [
-            1j * k_perp * l.thickness for l in mirror.layers[:end]])
+            -2.0 * k_perp * l.thickness + 0j for l in mirror.layers[:end]])
     rs, rp = (np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
     if k_perp.ndim == 0:
         return float(rs), float(rp)
@@ -250,9 +250,23 @@ def reflection_coefficients(mirror: MirrorSpec, omega: complex, *, beta):
     betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
                       for e in eps[1:]]
     rs, rp = _recursion(mirror, eps, betas,
-                        [l.thickness for l in mirror.layers[:-1]])
+                        [2j * l.thickness for l in mirror.layers[:-1]])
     if not grazing.any():
         return rs, rp
     limit = np.where(np.any([e != 1.0 for e in np.broadcast_arrays(*eps[1:])],
                             axis=0), -1.0, 0.0)
     return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
+
+
+def _imaginary_axis(mirror: MirrorSpec, xi, kappa):
+    """reflection_coefficients(mirror, 1j * xi, beta=1j * kappa) in float64,
+    for xi > 0 and kappa > 0 that broadcast: eps_j(i xi) >= 1 is real, and so
+    is kappa_j = sqrt(kappa^2 + (eps_j - 1) xi^2/c^2) >= kappa."""
+    if isinstance(mirror, ConstantR):
+        r = np.full(np.broadcast(kappa, xi).shape, mirror.r)
+        return -r, r
+    eps = [1.0] + [permittivity_at(m, 1j * xi).real for m in mirror.materials]
+    kappas = [kappa] + [np.sqrt(kappa * kappa + (e - 1.0) * (xi / C)**2)
+                        for e in eps[1:]]
+    return _recursion(mirror, eps, kappas,
+                      [-2.0 * l.thickness for l in mirror.layers[:-1]])

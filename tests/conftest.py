@@ -6,7 +6,7 @@ import pytest
 import cavitycp.greens
 from cavitycp import (ConstantLossy, Drude, HalfSpace, LIH,
                       ThermalEnvironment, Vacuum)
-from cavitycp.materials import reflection_coefficients
+from cavitycp.materials import _imaginary_axis, reflection_coefficients
 from cavitycp.quadrature import QuadratureSpec
 
 try:
@@ -52,16 +52,22 @@ def quad_fast():
 
 @pytest.fixture()
 def reflection_evaluations(monkeypatch):
-    """The (node x omega column) sizes of the reflection_coefficients calls
-    the trace kernels make during the test, in call order."""
+    """The (node x omega column) sizes of the reflection evaluations the
+    trace kernels make during the test, in call order: complex ones on the
+    real axis (reflection_coefficients) and float64 ones on the imaginary
+    axis (materials._imaginary_axis) alike."""
     sizes = []
 
-    def counted(*args, **kwargs):
-        rs, rp = reflection_coefficients(*args, **kwargs)
-        sizes.append(rs.size)
-        return rs, rp
+    def counting(evaluate):
+        def counted(*args, **kwargs):
+            rs, rp = evaluate(*args, **kwargs)
+            sizes.append(rs.size)
+            return rs, rp
+        return counted
 
-    monkeypatch.setattr(cavitycp.greens, "reflection_coefficients", counted)
+    for evaluate in (reflection_coefficients, _imaginary_axis):
+        monkeypatch.setattr(cavitycp.greens, evaluate.__name__,
+                            counting(evaluate))
     return sizes
 
 

@@ -8,6 +8,7 @@ import math
 import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,6 +645,28 @@ def test_cli_checks_rel_tol_without_integrating(capsys):
          "--design-frequency", "2.78973e12"], capsys)
     assert code == 2 and out == ""
     assert "rel_tol" in err
+
+
+BRAGG_CFG = str(Path(__file__).resolve().parents[1] / "perfbench"
+                / "bragg.cfg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--width", "resonance:2", "--points", "3"],
+    ["profile", "--mirror", "gold", "--width", "resonance:1",
+     "--points", "21"],
+    ["--config", BRAGG_CFG, "profile", "--mirror", "bragg", "--width",
+     "resonance:2", "--points", "21"],
+    ["depth", "--mirror", "gold", "--nu", "1,2,3,4,5,6,7,8,9,10"]],
+    ids=["resonance2", "gold_nu1", "bragg_nu2", "gold_depths"])
+def test_cli_converges_at_the_tightest_reachable_rel_tol(argv, capsys):
+    # the README's claim for dispersive mirrors: at --rel-tol 1e-11 these
+    # commands converge on first panels sized from the mirror (the tuned
+    # pole's depth, the grazing scale w/(c sqrt|eps|)); at 1e-12 the first
+    # three exit 3
+    code, out, err = run_cli(["--rel-tol", "1e-11", *argv], capsys)
+    assert code == 0, err
+    assert out
 
 
 @pytest.mark.parametrize("temperature, expected", [("1e300K", 2),

@@ -21,8 +21,8 @@ from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
                              cavity_trace_realfreq, imagfreq_trace_sum,
                              zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
-                                quarter_wave_stack, reflection_coefficients,
-                                transverse_wavenumber)
+                                permittivity_at, quarter_wave_stack,
+                                reflection_coefficients, transverse_wavenumber)
 from cavitycp.molecules import LIH, ThermalEnvironment
 from cavitycp.potential import heating_rate_profile, nonresonant_potential, \
     potential_depth
@@ -243,7 +243,8 @@ _XI = [0.0, 2.0e13]
     # accepted silently
     (lambda: imagfreq_trace_sum(_CAV, np.zeros((2, 2)), _XI, 1.0),
      r"shape \(2, 2\)"),
-    # a "spurious imaginary part" ArithmeticError
+    # a RuntimeWarning: eps(i xi) < 0 below the Drude damping, and the
+    # float64 kernel takes the square root of a negative kappa_j^2
     (lambda: imagfreq_trace_sum(_CAV, [0.0], [0.0, -2e13], 1.0),
      "xi = -20000000000000.0"),
     (lambda: imagfreq_trace_sum(_CAV, [0.0], [0.0, np.inf], 1.0), "xi = inf"),
@@ -319,6 +320,86 @@ def test_grazing_coefficient_step_independent(mirror, nu):
 
 
 # --- parity fold: a cavity evaluates each distinct |z| once ------------------
+
+def _complex_route(mirror, xi, kappa):
+    """The imaginary-axis reflection coefficients through the complex
+    recursion at omega = i xi, beta = i kappa (whose imaginary parts are 0)."""
+    return tuple(r.real for r in reflection_coefficients(
+        mirror, 1j * xi, beta=1j * kappa))
+
+
+@pytest.mark.parametrize("mirror", [HalfSpace(GOLD_DRUDE), STACK],
+                         ids=["gold", "sapphire_stack"])
+@pytest.mark.parametrize("plate", [False, True], ids=["cavity", "plate"])
+def test_imagfreq_trace_sum_matches_the_complex_kernel(mirror, plate, quad,
+                                                       monkeypatch):
+    # the float64 reflection kernel against the complex one, through the
+    # exact sum and per_term: the static term and 12 Matsubara terms of 10 K
+    if plate:
+        geometry, zs = PlateGeometry(mirror), np.array([2e-6, 1e-5, 3e-4])
+    else:
+        geometry = _resonant_cavity(mirror, 2)
+        zs = np.array([0.0, 1e-5, 2e-4, -3e-4])
+    xi = 8.22e12 * np.arange(13)
+    weights = np.linspace(1.0, 2.0, len(zs))[:, None] * np.ones(len(xi))
+    got = [imagfreq_trace_sum(geometry, zs, xi, weights, quad, per_term=p)
+           for p in (False, True)]
+    monkeypatch.setattr(greens, "_imaginary_axis", _complex_route)
+    for p, g in zip((False, True), got):
+        want = imagfreq_trace_sum(geometry, zs, xi, weights, quad, per_term=p)
+        assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want))
+
+
+def _normal_incidence_r(mirror):
+    """|r| at normal incidence: r, or |(1 - n)/(1 + n)| of a half-space."""
+    if isinstance(mirror, ConstantR):
+        return mirror.r
+    n = np.sqrt(permittivity_at(mirror.materials[0], W_LIH))
+    return abs((1.0 - n) / (1.0 + n))
+
+
+@pytest.mark.parametrize("mirror, nu", [
+    (HalfSpace(GOLD_DRUDE), 1), (HalfSpace(GOLD_DRUDE), 2),
+    (HalfSpace(GOLD_DRUDE), 40), (ConstantR(0.9), 2), (ConstantR(0.999), 40),
+    (ConstantR(0.999999999), 40)],
+    ids=["gold-nu1", "gold-nu2", "gold-nu40", "r0.9-nu2", "r0.999-nu40",
+         "r1-1e-9-nu40"])
+def test_resonance_ladder_starts_at_the_tuned_pole_depth(mirror, nu):
+    # the tuned mode's pole lies d = -ln|r|/a below the arch's end at w/c:
+    # the ladder starts d/8 from it, but no closer than 1e-9 w/c (the last
+    # case), and doubles up to w/2c
+    cavity = _resonant_cavity(mirror, nu)
+    wc = W_LIH / C
+    depth = -np.log(_normal_incidence_r(mirror)) / cavity.width
+    _, edges = cavity.resonance_seed(W_LIH)
+    steps = wc - np.sort(edges)[::-1]
+    assert steps[0] >= 1e-9 * wc - 4.0 * np.spacing(wc)  # wc - x_0 rounds
+    assert steps[0] == pytest.approx(max(1e-9 * wc, depth / 8.0), rel=1e-6)
+    assert steps[1:] / steps[:-1] == pytest.approx(2.0, rel=1e-6)
+    assert steps[-1] <= 0.5 * wc < 2.0 * steps[-1]
+
+
+def test_zero_mirror_gets_no_resonance_ladder():
+    # r = 0 has no pole: no edges, and no log(0) on the way
+    assert _resonant_cavity(ConstantR(0.0), 2).resonance_seed(W_LIH) \
+        == (0.0, [])
+
+
+@pytest.mark.parametrize("mirror, eps", [
+    (HalfSpace(GOLD_DRUDE), abs(permittivity_at(GOLD_DRUDE, W_LIH))),
+    (STACK, abs(permittivity_at(SAPPHIRE_300K, W_LIH))),
+    (HalfSpace(Vacuum()), 1.0)],
+    ids=["gold", "sapphire_stack", "vacuum"])
+def test_grazing_lattice_starts_at_the_grazing_scale(mirror, eps):
+    # r_sigma leaves its grazing limit on the scale w/(c sqrt|eps|): the
+    # lattice starts at a quarter of it and quadruples up to w/c
+    wc = W_LIH / C
+    edges = np.array(greens._grazing_lattice(mirror, W_LIH))
+    assert edges[0] == pytest.approx(wc / (4.0 * np.sqrt(eps)), rel=1e-12)
+    assert edges[1:] / edges[:-1] == pytest.approx(4.0, rel=1e-12)
+    assert edges[-1] <= wc < 4.0 * edges[-1]
+    assert greens._grazing_lattice(ConstantR(0.9), W_LIH) == []
+
 
 FOLD_MIRRORS = [HalfSpace(GOLD_DRUDE), STACK, ConstantR(0.9)]
 FOLD_IDS = ["gold", "sapphire_stack", "constant_r"]

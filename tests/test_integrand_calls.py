@@ -1,8 +1,8 @@
 """Integrand calls, reflection evaluations and propagating columns per
 benchmark workload: machine-independent guards on how many adaptive rounds
 the seed-0 commands of perfbench/workloads.py need, on how many (node,
-omega) pairs their trace kernels pass to reflection_coefficients, on how
-many (node, position) products their propagating traces form, and on how
+omega) pairs their trace kernels evaluate reflection coefficients at, on
+how many (node, position) products their propagating traces form, and on how
 many (rule node, seed) pairs their depths' Newton steps take.  Each call of
 quadrature._panels is one integrand call (one batched reflection evaluation
 and its Python overhead), whatever its panel count.
@@ -27,29 +27,37 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
-# ladder toward w/c and the grazing and decay lattices: 9 + 7, 13, 2 and 9
-# (6 traces, and 3 for the asym series oracle's one Lerch integral per
-# delta over every row's shifts b, on 2^k edges).  With one Lerch integral
+# ladder toward w/c from a fraction of the tuned pole's depth, and the
+# grazing lattice from w/(4 c sqrt|eps|) and the decay lattices: 9 + 5, 12,
+# 2 and 9 (6 traces, and 3 for the asym series oracle's one Lerch integral
+# per delta over every row's shifts b, on 2^k edges).  With the ladder from
+# 1e-9 w/c and the grazing lattice from 4e-6 w/c they were 9 + 7, 13, 2
+# and 9.  With one Lerch integral
 # per row, asym-sharp made 15 calls (3 x 3 for the oracle); with panels at
 # the located modes of the real beta axis they were 9 + 7, 13, 4 and 15;
 # with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
 # calls; with panels at beta a = pi m and halving edges only, the commands
 # made 28 + 22, 38, 22 and 74.
-MAX_CALLS = {"scan-gold": 16, "matsubara-cold": 13, "depth-bragg": 2,
+MAX_CALLS = {"scan-gold": 14, "matsubara-cold": 12, "depth-bragg": 2,
              "asym-sharp": 9}
-# (node, omega) pairs passed to reflection_coefficients by the trace kernels;
-# the seeded second pass of each depth looks every node up in the first
-# pass's samples and evaluates none.  On the real axis: 11 451, 23 613,
-# 1 549 and 4 557.
-MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10915, "matsubara-cold": 23345,
-                              "depth-bragg": 694, "asym-sharp": 1665}
+# (node, omega) pairs of the trace kernels' reflection evaluations, complex
+# on the real axis and float64 on the imaginary axis: 1 992 + 8 325,
+# 996 + 22 050, 500 and 1 368.  The seeded second pass of each depth looks
+# every node up in the first pass's samples and evaluates none.  With the
+# first panels from 1e-9 and 4e-6 w/c, the real axis took 2 590, 1 295, 694
+# and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10317, "matsubara-cold": 23046,
+                              "depth-bragg": 500, "asym-sharp": 1368}
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
 # folded Chebyshev nodes in z, not at its 101 or 21 folded positions; a
-# depth's few positions are its own columns.  On the real axis, with one
-# cos(2 beta z) per product: 29 792, 14 896, 6 980 and 32 910.
-MAX_PROPAGATING_PRODUCTS = {"scan-gold": 24032, "matsubara-cold": 12016,
-                            "depth-bragg": 3455, "asym-sharp": 12210}
+# depth's few positions are its own columns.  The traces take 480, 480, 495
+# and 450-465 arch nodes; with the first panels from 1e-9 and 4e-6 w/c they
+# took 750, 750, 690 and 555, and 24 032, 12 016, 3 455 and 12 210
+# products.  On the real axis, with one cos(2 beta z) per product: 29 792,
+# 14 896, 6 980 and 32 910.
+MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
+                            "depth-bragg": 2480, "asym-sharp": 10035}
 # (rule node, seed) pairs of the Newton steps on well-depth extrema, summed
 # over a workload's depths: each depth's rule is Chebyshev-compressed in the
 # arch parameter, 43 points at nu = 2 (gold, Bragg), 42, 52 and 62 at

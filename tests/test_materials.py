@@ -8,8 +8,8 @@ import pytest
 
 from cavitycp.constants import C
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude, HalfSpace,
-                                Layer, Stack, Vacuum, permittivity_at,
-                                quarter_wave_stack,
+                                Layer, Stack, Vacuum, _imaginary_axis,
+                                permittivity_at, quarter_wave_stack,
                                 reflection_coefficients,
                                 static_limit_reflection, sqrt_upper,
                                 transverse_wavenumber)
@@ -477,3 +477,32 @@ def test_per_medium_recursion_random_stacks():
         _assert_per_medium_equals_per_layer(Stack(tuple(layers)), omega)
 
     check()
+
+
+# --- the float64 imaginary axis ----------------------------------------------
+
+IMAGINARY_AXIS_MIRRORS = {
+    "gold": HalfSpace(GOLD_DRUDE),
+    "sapphire_8": PER_MEDIUM_MIRRORS["sapphire_stack"],
+    "sapphire_20": Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 20,
+                                            W_LIH)),
+    "gaas_alas": PER_MEDIUM_MIRRORS["gaas_alas"],
+    "lossy_halfspace": HalfSpace(ConstantLossy(4.0, 0.5)),
+    "constant_r": ConstantR(0.9),
+}
+
+
+@pytest.mark.parametrize("mirror", IMAGINARY_AXIS_MIRRORS.values(),
+                         ids=IMAGINARY_AXIS_MIRRORS.keys())
+def test_imaginary_axis_matches_the_complex_route(mirror):
+    # real arithmetic (kappa_j, e^{-2 kappa_j d}) against the complex
+    # recursion at omega = i xi, beta = i kappa: rows of xi from the first
+    # Matsubara frequencies of 10 K to far above the LiH line, kappa from
+    # xi/c (normal incidence) to 10^3 xi/c
+    xi = W_LIH * np.array([0.03, 0.3, 1.0, 3.0, 30.0, 300.0])
+    kappa = xi / C * np.geomspace(1.0, 1e3, 41)[:, None]
+    got = _imaginary_axis(mirror, xi, kappa)
+    want = reflection_coefficients(mirror, 1j * xi, beta=1j * kappa)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == kappa.shape
+        assert np.all(np.abs(g - w.real) <= 1e-14 * np.abs(w))
