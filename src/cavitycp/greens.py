@@ -18,8 +18,9 @@ known scales: that ladder, uniform edges along the arch, and geometric
 lattices (quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and
 over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.  A
 scan's propagating part runs at Chebyshev nodes in z over the span when they
-are fewer than its positions: each node meets rel_tol of its value, each
-position Lambda_K rel_tol of its column's max, Lambda_K <= 1 + (2/pi) ln K.
+are fewer than its positions.  Its columns (positions or nodes) meet rel_tol
+of the largest one, and an interpolated position Lambda_K rel_tol of it,
+Lambda_K <= 1 + (2/pi) ln K.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -165,14 +166,16 @@ def _positions(z, inside, what):
 
 @contextmanager
 def _unfolded(index, interp=None):
-    """Re-raise a QuadratureError at the caller's rows, via interp if given."""
+    """Re-raise a QuadratureError at the caller's rows, via interp if given,
+    with the integral's own worst error/tolerance."""
     try:
         yield
     except QuadratureError as err:
         parts = err.estimate, err.error, err.tolerance
         if interp is not None:
             parts = interp @ parts[0], *(abs(interp) @ p for p in parts[1:])
-        raise QuadratureError(*(p[index] for p in parts), err.splits) from err
+        raise QuadratureError(*(p[index] for p in parts), err.splits,
+                              err.error_ratio) from err
 
 
 @dataclass
@@ -311,35 +314,23 @@ def _paths(beta, zs, geometry):
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
-                    evanescent, seed=None):
-    """(propagating, evanescent, rule, samples): cavity_trace_realfreq's
-    parts at the array zs, evaluated once per geometry.fold rep (the
-    propagating one at _z_interpolation's columns); evanescent is None
-    unless asked for.  Both parts subtract S e^{-x a}/x below w/c, so the
-    split changes each part by a constant in z exactly.
+                    evanescent):
+    """(propagating, evanescent): cavity_trace_realfreq's parts at the
+    array zs, evaluated once per geometry.fold rep (the propagating one at
+    _z_interpolation's columns, each within rel_tol of the largest column);
+    evanescent is None unless asked for.  Both parts subtract S e^{-x a}/x
+    below w/c, so the split changes each part by a constant in z exactly.
 
     The propagating integral over real beta in [x_lo, w/c] runs instead on
     the arch beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), t in
     [x_lo, w/c], h = _ARCH: the poles of 1/D_sigma lie below the real axis
     (|r_sigma| < 1), so the arch passes none and nothing needs locating; on
-    it the paths decay as e^{-L Im beta}.  rule(L), built when called, is
-    (beta, W) with Re sum(W sum_p e^{i beta L_p}) = Re Tr G_pr up to a
-    constant in z for paths L_p <= L, so z-derivatives need no new
-    reflection evaluations: W = w beta' K on the final nodes t_j, moved to
-    _chebyshev_count(M) Chebyshev points t_k as W_k = sum_j W_j R_jk (R from
-    the t_k to the t_j) when fewer, M = (w/c)(L/2)(1 + pi h) the bandwidth
-    of e^{i beta(t) L}; the [0, x_lo] rectangle's node stays.  samples is
-    (S, final panel edges in t, [t ascending, K at them]).  As the seed of a
-    propagating trace at the same omega and geometry, they start its
-    adaptive pass from those panels and stand in for the geometry's
-    resonance_seed and every K they hold; only nodes the seed lacks are
-    evaluated (and merged in), and every position meets rel_tol.
+    it the paths decay as e^{-L Im beta}.
     """
     zs, index = geometry.fold(zs)
     wc = omega / C
     cols, interp = _z_interpolation(zs, wc, geometry)
-    s_coef, bps, store = seed or (*geometry.resonance_seed(omega),
-                                  [np.empty(0)] * 2)
+    s_coef, bps = geometry.resonance_seed(omega)
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
@@ -352,48 +343,20 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         """S e^{-x a}/x, e^{-x a} = round_trip(x/2), for real or complex x."""
         return s_coef * geometry.round_trip(0.5 * x) / x
 
-    def node_kernel(t):
-        """K(beta(t)), looked up in the store; the nodes it lacks (all,
-        unless seeded) are evaluated once and merged."""
-        at = np.searchsorted(store[0], t)
-        new = np.sort(t[np.append(store[0], np.nan)[at] != t])
-        new = new[np.diff(new, prepend=np.nan) != 0]
-        if len(new):
-            k = _kernel(_arch(new, wc, x_lo)[0], omega, geometry)
-            nodes = np.concatenate((store[0], new))
-            order = np.argsort(nodes)
-            store[:] = nodes[order], np.concatenate((store[1], k))[order]
-            at = np.searchsorted(store[0], t)
-        return store[1][at]
-
-    def columns(t, beta, weight):
-        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at t."""
-        return _by_columns(node_kernel(t) * weight, cols, lambda z: (
-            _paths(beta, z, geometry)), -grazing(beta) * weight)
-
-    def f_prop(t):
-        return columns(t, *_arch(t, wc, x_lo))
+    def columns(beta, weight):
+        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at beta."""
+        return _by_columns(_kernel(beta, omega, geometry) * weight, cols,
+                           lambda z: _paths(beta, z, geometry),
+                           -grazing(beta) * weight)
 
     with _unfolded(index, interp):
-        result = adaptive_integrate(
-            f_prop, x_lo, wc, spec, breakpoints=bps + lattice
-            + (np.arange(1, 8) * wc / 8.0).tolist())
-    prop = result[0]
-    samples = (s_coef, result.panels[0].tolist(), store)
-    mid = np.array([0.5 * x_lo] if x_lo > 0 else [])  # the rectangle's node
+        prop, _ = adaptive_integrate(
+            lambda t: columns(*_arch(t, wc, x_lo)), x_lo, wc, spec,
+            breakpoints=bps + lattice
+            + (np.arange(1, 8) * wc / 8.0).tolist(), relative_to_max=True)
     if x_lo > 0:
-        prop = prop + columns(mid, mid, x_lo)[0]
-
-    def rule(longest):
-        """(beta, W) for paths up to longest (see above)."""
-        t, w = result.rule()
-        w = w * _arch(t, wc, x_lo)[1] * node_kernel(t)
-        k = _chebyshev_count(0.5 * longest * wc * (1.0 + np.pi * _ARCH))
-        if k < len(t):
-            t, r = _chebyshev(k, 0.5 * (wc + x_lo), 0.5 * (wc - x_lo), t)
-            w = w @ r
-        return np.append(_arch(t, wc, x_lo)[0], mid), \
-            np.append(w, x_lo * node_kernel(mid))
+        mid = np.array([0.5 * x_lo])  # the rectangle's node
+        prop = prop + columns(mid, x_lo)[0]
 
     evan = None
     if evanescent:
@@ -416,7 +379,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]
     prop = prop if interp is None else interp @ prop
-    return prop[index], evan, rule, samples
+    return prop[index], evan
 
 
 def cavity_trace_realfreq(z, omega: float, cavity,
@@ -425,15 +388,15 @@ def cavity_trace_realfreq(z, omega: float, cavity,
 
     cavity is a CavityGeometry or a PlateGeometry (z is then a distance).
     z is a position or a 1-D array of positions; for an array, every part
-    is an array with one entry per position, each converged to rel_tol of
-    its value (a scan's propagating part: of its column's max); in a cavity
+    is an array with one entry per position, the evanescent one converged
+    to rel_tol of its value, the propagating one of the largest; in a cavity
     each distinct |z| is evaluated once, so +-z get equal entries.  The
     z-independent part of either integrand is evaluated once per node.
     """
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must lie in (0, inf), got {omega}")
     scalar, zs = cavity.check_position(z)
-    parts = _realfreq_trace(zs, omega, cavity, spec, True)[:2]
+    parts = _realfreq_trace(zs, omega, cavity, spec, True)
     return GreenTraceParts(*(complex(p[0]) if scalar else p for p in parts))
 
 

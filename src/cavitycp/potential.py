@@ -32,8 +32,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, _realfreq_trace, _unfolded, \
-    cavity_trace_realfreq, imagfreq_trace_sum
+from .greens import _CUTOFF, CavityGeometry, _chebyshev, _chebyshev_count, \
+    _realfreq_trace, _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -264,41 +264,51 @@ def resonance_width(transition: Transition, nu: int) -> float:
     return nu * math.pi * C / transition.omega
 
 
-def _newton_extrema(rule, width, seeds, maximum, half_width, edge, xtol):
-    """Stationary points of u(z) = Re sum(W (e_- + e_+)) near the seeds,
-    e_-+ = e^{i beta (a -+ 2z)} the two paths of a cavity of width a.
+def _even_coefficients(values):
+    """b with u(h sin phi) = sum_m b_m cos(2 m phi) through the values of an
+    even u at the K first-kind Chebyshev points h cos((j + 1/2) pi/K) of
+    +-h, in greens._chebyshev's order.  This is u's Chebyshev interpolant
+    sum_n c_n T_n(z/h) with b_m = (-1)^m c_2m, since its odd terms vanish."""
+    k = len(values)
+    phi = 0.5 * np.pi - (np.arange(k) + 0.5) * np.pi / k
+    b = 2.0 / k * np.cos(np.outer(2.0 * np.arange((k + 1) // 2), phi)) @ values
+    b[0] *= 0.5
+    return b
 
-    rule is (beta, W) from greens._realfreq_trace's rule(2 a), both
-    complex, on ~40-110 Chebyshev points at nu = 2-10.  Newton steps on
-    u'(z) = Re sum(2 i beta W (e_+ - e_-)) and on u''(z) = -Re sum(4 beta^2
-    W (e_- + e_+)) run for all seeds at once.  maximum[i] selects a maximum
-    or a minimum for seed i; a point whose curvature has the wrong sign, or
-    that leaves seed +- half_width or +-edge, raises
-    ArithmeticError.  At width 0, u(z) = 2 Re sum(W cos(2 beta z)).
+
+def _newton_extrema(b, half, seeds, maximum, half_width, xtol):
+    """Angles phi = arcsin(z/half) of the stationary points of u(z) =
+    sum_m b_m cos(2 m phi) near the seeds z (see _even_coefficients).
+
+    Newton steps on u'(phi) = -sum 2m b_m sin(2 m phi) and u''(phi) =
+    -sum (2m)^2 b_m cos(2 m phi) run for all seeds at once, as (seed x
+    coefficient) products; a seed at z = 0 stays there exactly, where u' is
+    0.  maximum[i] selects a maximum or a minimum for seed i; a point whose
+    curvature has the wrong sign, that leaves seed +- half_width or reaches
+    the edge +-half (phi = +-pi/2, stationary for every series), or that
+    steps still above xtol in z after _NEWTON_STEPS, raises ArithmeticError.
     """
-    beta, w = rule
-    w1 = 2j * beta * w
-    w2 = 2j * beta * w1
-    z = np.array(seeds, dtype=float)
+    m = 2.0 * np.arange(len(b))
+    slope_b, curvature_b = -m * b, -m * m * b
+    phi = np.arcsin(np.divide(seeds, half))
     for _ in range(_NEWTON_STEPS):
-        minus, plus = (np.exp(1j * np.outer(beta, width + s * z))
-                       for s in (-2.0, 2.0))
-        slope = (w1 @ (plus - minus)).real
-        curvature = (w2 @ (minus + plus)).real
-        step = slope / curvature
-        z -= step
-        if np.all(np.abs(step) <= xtol):
+        angle = np.outer(phi, m)
+        curvature = np.cos(angle) @ curvature_b
+        step = (np.sin(angle) @ slope_b) / curvature
+        phi -= step
+        if np.all(half * np.abs(step) <= xtol):
             break
     else:
         raise ArithmeticError("Newton refinement of the extrema did not "
                               "converge")
-    for zi, seed, is_max, curv in zip(z, seeds, maximum, curvature):
+    for zi, seed, is_max, curv in zip(half * np.sin(phi), seeds, maximum,
+                                      curvature):
         if not ((curv < 0) == is_max and abs(zi - seed) <= half_width
-                and abs(zi) <= edge):
+                and abs(zi) < half):
             kind = "maximum" if is_max else "minimum"
             raise ArithmeticError(f"no {kind} of the propagating potential "
                                   f"within lam/8 of the seed z = {seed}")
-    return z
+    return phi
 
 
 def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
@@ -308,15 +318,15 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
     nu-th resonance of the molecule's first transition.
 
     The extrema are seeded on the grid z = -nu lam/4 + (mu - 1/2) lam/2
-    (maxima) and z = -nu lam/4 + mu lam/2 (minima).  Newton steps on the
-    compressed rule of one propagating trace at the seeds find them with
-    no new reflection evaluations (on the trace, not on the photon-weighted
-    potential, so a vanishing photon number still locates them).  A second
-    trace at the refined extrema, seeded with the first one's samples, gives
-    the reported values: a depth costs one pass of reflection evaluations,
-    plus any nodes a further split needs.  An extremum of the wrong kind, or
-    outside seed +- lam/8 or the +-(a/2 - a/1000) edge, raises
-    ArithmeticError.
+    (maxima) and z = -nu lam/4 + mu lam/2 (minima).  One propagating trace
+    at the K first-kind Chebyshev points of the +-(a/2 - a/1000) edge, the
+    points a profile scan over it integrates (greens._chebyshev_count),
+    gives Re Tr G_pr's interpolant, exact to rounding as Tr G_pr is
+    band-limited; Newton steps on it find the extrema (on the trace, not on
+    the photon-weighted potential, so a vanishing photon number still
+    locates them), and it gives their values, within Lambda_K rel_tol of
+    the largest point's.  An extremum of the wrong kind, or outside seed
+    +- lam/8 or the edge, raises ArithmeticError.
 
     Delta U_nu = U[(nu-3) lam/4] - U[(nu-2) lam/4] with refined positions.
     For nu = 1 the report carries the central peak height U(0) - U(edge)
@@ -333,18 +343,18 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
              for mu in range(1, nu + 1)]
     seeds += [-nu * lam / 4.0 + mu * lam / 2.0 for mu in range(1, nu)]
     maximum = [True] * nu + [False] * (nu - 1)
-    # the seeds and refined extrema lie inside the cavity, and t.omega > 0
-    _, _, rule, samples = _realfreq_trace(np.array(seeds), t.omega, cavity,
-                                          spec, False)
-    z = _newton_extrema(rule(2.0 * a), a, seeds, maximum, lam / 8.0, edge,
-                        _NEWTON_XTOL * a)
+    points, _ = _chebyshev(_chebyshev_count(2.0 * edge * t.omega / C), 0.0,
+                           edge)
+    # the points lie inside the cavity, and t.omega > 0
+    trace = _realfreq_trace(points, t.omega, cavity, spec, False)[0]
+    b = _even_coefficients(trace.real)
+    phi = _newton_extrema(b, edge, seeds, maximum, lam / 8.0,
+                          _NEWTON_XTOL * a)
     if nu == 1:
-        z = np.append(z, edge)
-    # the second pass stays adaptive: on the first pass's panels a refined
-    # extremum's error/tolerance reaches 0.9996 (8-pair Bragg stack, nu = 10)
-    final = _realfreq_trace(z, t.omega, cavity, spec, False, samples)[0]
-    values = [weight * float(u) for u in final.real]
-    positions = [float(x) for x in z]
+        phi = np.append(phi, 0.5 * np.pi)  # the edge
+    values = (weight * np.cos(np.outer(phi, 2.0 * np.arange(len(b)))) @ b
+              ).tolist()
+    positions = (edge * np.sin(phi)).tolist()
     # each extremum stays within lam/8 of its seed (seeds lam/2 apart), so
     # the deepest minimum, at (nu-2) lam/4, is the last one, and its lower
     # adjacent maximum, at (nu-3) lam/4, the second-to-last maximum; for

@@ -10,7 +10,9 @@ intervals by explicit exponential cutoffs chosen at the call site.
 Each panel carries QUADPACK's error estimate |Kronrod - Gauss| per component
 (Piessens et al., QUADPACK, 1983), and every component k must meet its own
 tolerance max(rel_tol |I_k|, 50 eps sum_panels |value_k|, 1e-300); the middle
-term, QUADPACK's rounding floor, lets a zero integral converge.  As in scipy's
+term, QUADPACK's rounding floor, lets a zero integral converge.  On request
+|I_k| becomes max_j |I_j|, so that every component meets rel_tol of the
+largest (scipy quad_vec's norm="max").  As in scipy's
 quad_vec, each round bisects a batch of panels and evaluates all their halves
 in one integrand call: for every component still above tolerance, the fewest
 largest-error panels whose errors together cover its excess.  When a single
@@ -28,7 +30,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "QuadratureResult",
     "adaptive_integrate",
 ]
 
@@ -79,41 +80,24 @@ class QuadratureSpec:
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best estimate, its error
     and tolerance (per component for a vector integrand), the bisections
-    used, and the worst component's error over tolerance.  The message is
-    one line on that worst component."""
+    used, and the worst component's error over tolerance, or error_ratio
+    if given (that of an integral whose components these entries were
+    mapped from).  The message is one line on that worst component."""
 
-    def __init__(self, estimate, error, tolerance, splits):
+    def __init__(self, estimate, error, tolerance, splits, error_ratio=None):
         ratio = np.ravel(error / tolerance)
         worst = int(np.argmax(ratio))
+        if error_ratio is None:
+            error_ratio = ratio[worst]
         where = "" if np.ndim(estimate) == 0 \
             else f"component {worst} of {ratio.size}, "
         super().__init__(
             f"quadrature failed to converge: {where}estimate "
             f"{np.ravel(estimate)[worst]:.6g}, error "
             f"{np.ravel(error)[worst]:.3e}; {splits} of {_MAX_SUBDIVISIONS} "
-            f"subdivisions used, worst error/tolerance {ratio[worst]:.3g}")
+            f"subdivisions used, worst error/tolerance {error_ratio:.3g}")
         self.estimate, self.error, self.tolerance = estimate, error, tolerance
-        self.splits, self.error_ratio = splits, ratio[worst]
-
-
-class QuadratureResult(tuple):
-    """What adaptive_integrate returns: unpacks as (value, error).
-
-    It also keeps the final panels, so that a caller holding the integrand's
-    samples can apply the converged rule to a related integrand without a
-    new adaptive pass (see rule()).
-    """
-
-    def __new__(cls, value, error, lo, hi):
-        self = super().__new__(cls, (value, error))
-        self.panels = (lo, hi)
-        return self
-
-    def rule(self):
-        """(nodes, weights) of the composite Kronrod rule on the final
-        panels; the nodes are exactly those the integrand was called with."""
-        lo, hi = self.panels
-        return _nodes(lo, hi), (0.5 * (hi - lo)[:, None] * _WK).ravel()
+        self.splits, self.error_ratio = splits, error_ratio
 
 
 def _nodes(lo, hi):
@@ -169,16 +153,18 @@ def adaptive_integrate(
     hi: float,
     spec: QuadratureSpec = QuadratureSpec(),
     breakpoints: Sequence[float] = (),
+    relative_to_max: bool = False,
 ):
     """Integrate a vectorized integrand over [lo, hi].
 
     f maps an array of nodes to values of shape (nodes,), giving a scalar
     integral, or (nodes, m), giving m integrals at once.  Returns
-    (value, error_estimate) as a QuadratureResult; for a vector integrand
-    both are arrays of length m.  Optional interior breakpoints seed the
-    initial panel list (useful when the caller knows where sharp features
-    sit).  Raises QuadratureError if _MAX_SUBDIVISIONS bisections are used
-    before every component meets its tolerance.
+    (value, error_estimate); for a vector integrand both are arrays of
+    length m.  Optional interior breakpoints seed the initial panel list
+    (useful when the caller knows where sharp features sit).  With
+    relative_to_max, rel_tol applies to the largest |component| rather than
+    to each one's own.  Raises QuadratureError if _MAX_SUBDIVISIONS
+    bisections are used before every component meets its tolerance.
     """
     if not lo < hi:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
@@ -191,7 +177,8 @@ def adaptive_integrate(
     while True:
         total = val.sum(axis=0)
         total_err = err.sum(axis=0)
-        tol = np.maximum(spec.rel_tol * np.abs(total), np.maximum(
+        scale = np.abs(total).max() if relative_to_max else np.abs(total)
+        tol = np.maximum(spec.rel_tol * scale, np.maximum(
             _ROUNDING * np.abs(val).sum(axis=0), _TINY))
         converged = (total_err <= tol).all()
         if converged or splits >= _MAX_SUBDIVISIONS or \
@@ -218,4 +205,4 @@ def adaptive_integrate(
         total, total_err = total[0], total_err[0]
     if not converged:
         raise QuadratureError(total, total_err, tol, splits)
-    return QuadratureResult(total, total_err, a, b)
+    return total, total_err

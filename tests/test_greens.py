@@ -28,7 +28,7 @@ from cavitycp.potential import heating_rate_profile, nonresonant_potential, \
     potential_depth
 from cavitycp.quadrature import QuadratureError, QuadratureSpec, \
     adaptive_integrate
-from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 
 W_LIH = 2.78973e12
 LAM = 2.0 * math.pi * C / W_LIH
@@ -594,13 +594,54 @@ def test_interpolated_failure_names_the_callers_rows(gold, quad,
     assert np.abs(err.estimate - want).max() <= 1e-6 * np.abs(want).max()
 
 
+def test_interpolated_failure_keeps_the_integrals_worst_ratio(gold, quad,
+                                                             monkeypatch):
+    # mapped through |R|, error and tolerance no longer give the integral's
+    # own error/tolerance: the re-raised error keeps that of the error it
+    # re-raises, worst column and all
+    cav = _resonant_cavity(gold, 2)
+    zs = np.array(_z_grid(cav.width, 200))
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+    with pytest.raises(QuadratureError) as info:
+        _realfreq_trace(zs, W_LIH, cav, QuadratureSpec(1e-15), False)
+    err, inner = info.value, info.value.__cause__
+    assert isinstance(inner, QuadratureError) and inner.estimate.size < 200
+    ratio = np.max(inner.error / inner.tolerance)
+    assert err.error_ratio == inner.error_ratio == ratio > 1.0
+    assert str(err).endswith(f"worst error/tolerance {ratio:.3g}")
+    assert np.max(err.error / err.tolerance) != ratio
+
+
+def test_sharp_stack_batch_converges_near_the_floor(quad, monkeypatch):
+    # the 20-pair 77 K stack at nu = 10, 96 positions over [0, 0.475 a]:
+    # some Chebyshev columns sit ~100x below the largest and cannot meet
+    # rel_tol of their own value near the delta floor; each meets it of the
+    # largest column, and the positions match a direct trace at them
+    stack = Stack(quarter_wave_stack(SAPPHIRE_77K, Vacuum(), 20, W_LIH))
+    cav = _resonant_cavity(stack, 10)
+    zs = np.linspace(0.0, 0.475 * cav.width, 96)
+    got = _realfreq_trace(zs, W_LIH, cav, quad, False)[0]
+    _direct(monkeypatch)
+    want = _realfreq_trace(zs[::19], W_LIH, cav, quad, False)[0]
+    assert np.all(np.abs(got[::19] - want)
+                  <= 10.0 * quad.rel_tol * np.abs(want).max())
+
+
 def test_depth_positions_are_their_own_columns(gold, env300, quad,
                                                trace_columns):
-    # potential_depth traces its seeds and then its refined extrema (each
-    # |z| once): never more positions than Chebyshev nodes, so it keeps the
-    # direct path
+    # potential_depth traces the K first-kind Chebyshev points of its
+    # +-(a/2 - a/1000) edge, the points a profile scan over it integrates:
+    # folded, they are the trace's own columns
+    omega = LIH.transitions[0].omega
     rep = potential_depth(LIH, gold, 10, env300, quad)
-    refined = np.abs(rep.maxima_positions + rep.minima_positions)
-    seen = np.abs(np.concatenate([p for _, p in trace_columns]))
-    assert np.isin(refined, seen).all()
-    assert len(np.unique(seen)) <= 2 * len(refined)
+    cav = CavityGeometry(rep.width, gold)
+    edge = 0.5 * rep.width - rep.width / 1000.0
+    m = 2.0 * edge * omega / C
+    points = _chebyshev(math.ceil(m + 12.0 * m ** (1.0 / 3.0)) + 2, 0.0,
+                        edge)[0]
+    cols = cav.fold(points)[0]
+    seen = np.concatenate([p for _, p in trace_columns])
+    assert np.array_equal(np.unique(seen), np.unique(cols))
+    scan = np.array(_z_grid(rep.width, 400))
+    assert np.array_equal(
+        _z_interpolation(cav.fold(scan)[0], omega / C, cav)[0], cols)

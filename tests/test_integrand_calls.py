@@ -3,7 +3,7 @@ benchmark workload: machine-independent guards on how many adaptive rounds
 the seed-0 commands of perfbench/workloads.py need, on how many (node,
 omega) pairs their trace kernels evaluate reflection coefficients at, on
 how many (node, position) products their propagating traces form, and on how
-many (rule node, seed) pairs their depths' Newton steps take.  Each call of
+many (coefficient, seed) pairs their depths' Newton steps take.  Each call of
 quadrature._panels is one integrand call (one batched reflection evaluation
 and its Python overhead), whatever its panel count.
 """
@@ -29,8 +29,10 @@ _SPEC.loader.exec_module(workloads)
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
 # ladder toward w/c from a fraction of the tuned pole's depth, and the
 # grazing lattice from w/(4 c sqrt|eps|) and the decay lattices: 9 + 5, 12,
-# 2 and 9 (6 traces, and 3 for the asym series oracle's one Lerch integral
-# per delta over every row's shifts b, on 2^k edges).  With the ladder from
+# 1 and 6 (3 traces, one per depth, and 3 for the asym series oracle's one
+# Lerch integral per delta over every row's shifts b, on 2^k edges).  With
+# a second, seeded trace per depth they were 9 + 5, 12, 2 and 9; with the
+# ladder from
 # 1e-9 w/c and the grazing lattice from 4e-6 w/c they were 9 + 7, 13, 2
 # and 9.  With one Lerch integral
 # per row, asym-sharp made 15 calls (3 x 3 for the oracle); with panels at
@@ -38,12 +40,11 @@ _SPEC.loader.exec_module(workloads)
 # with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
 # calls; with panels at beta a = pi m and halving edges only, the commands
 # made 28 + 22, 38, 22 and 74.
-MAX_CALLS = {"scan-gold": 14, "matsubara-cold": 12, "depth-bragg": 2,
-             "asym-sharp": 9}
+MAX_CALLS = {"scan-gold": 14, "matsubara-cold": 12, "depth-bragg": 1,
+             "asym-sharp": 6}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
 # on the real axis and float64 on the imaginary axis: 1 992 + 8 325,
-# 996 + 22 050, 500 and 1 368.  The seeded second pass of each depth looks
-# every node up in the first pass's samples and evaluates none.  With the
+# 996 + 22 050, 500 and 1 368.  Each depth makes one trace.  With the
 # first panels from 1e-9 and 4e-6 w/c, the real axis took 2 590, 1 295, 694
 # and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
 MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10317, "matsubara-cold": 23046,
@@ -51,20 +52,24 @@ MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10317, "matsubara-cold": 23046,
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
 # folded Chebyshev nodes in z, not at its 101 or 21 folded positions; a
-# depth's few positions are its own columns.  The traces take 480, 480, 495
-# and 450-465 arch nodes; with the first panels from 1e-9 and 4e-6 w/c they
-# took 750, 750, 690 and 555, and 24 032, 12 016, 3 455 and 12 210
-# products.  On the real axis, with one cos(2 beta z) per product: 29 792,
-# 14 896, 6 980 and 32 910.
+# depth evaluates it at the 16, 19 and 22 folded Chebyshev nodes of its
+# edge at nu = 2, 3, 4.  The traces take 480, 480, 496 and 450-465 arch
+# nodes.  With a depth's seeds, and then its refined extrema, as the
+# columns of two traces, depth-bragg and asym-sharp formed 2 480 and
+# 10 035 products; with the first panels from 1e-9 and 4e-6 w/c the four
+# workloads formed 24 032, 12 016, 3 455 and 12 210, and on the real axis,
+# with one cos(2 beta z) per product, 29 792, 14 896, 6 980 and 32 910.
 MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
-                            "depth-bragg": 2480, "asym-sharp": 10035}
-# (rule node, seed) pairs of the Newton steps on well-depth extrema, summed
-# over a workload's depths: each depth's rule is Chebyshev-compressed in the
-# arch parameter, 43 points at nu = 2 (gold, Bragg), 42, 52 and 62 at
-# constant r and nu = 2, 3, 4.  A scan builds no rule.  On the full Kronrod
-# rule: 0, 0, 2 073 and 8 325.
-MAX_NEWTON_NODES = {"scan-gold": 0, "matsubara-cold": 0, "depth-bragg": 129,
-                    "asym-sharp": 820}
+                            "depth-bragg": 7936, "asym-sharp": 25980}
+# (coefficient, seed) pairs of the Newton steps on well-depth extrema,
+# summed over a workload's depths: the even Chebyshev series of a depth's
+# trace has 16, 19 and 22 coefficients at nu = 2, 3, 4 (bragg.cfg and
+# constant r), for 3, 5 and 7 seeds.  A scan takes no Newton steps.  As
+# (rule node, seed) pairs on a quadrature rule in the arch parameter they
+# were 0, 0, 129 and 820 Chebyshev-compressed, 0, 0, 2 073 and 8 325 on
+# the full Kronrod rule.
+MAX_NEWTON_NODES = {"scan-gold": 0, "matsubara-cold": 0, "depth-bragg": 48,
+                    "asym-sharp": 297}
 
 
 def _run_checked(workload):
@@ -109,22 +114,15 @@ def test_propagating_products_per_workload(workload, trace_columns):
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_newton_nodes_per_workload(workload, monkeypatch):
-    sizes, rules = [], []
+    sizes = []
     newton = potential._newton_extrema
-    build = quadrature.QuadratureResult.rule
 
-    def counted(rule, width, seeds, *args):
-        sizes.append(len(rule[0]) * len(seeds))
-        return newton(rule, width, seeds, *args)
-
-    def built(result):
-        rules.append(result)
-        return build(result)
+    def counted(b, half, seeds, *args):
+        sizes.append(len(b) * len(seeds))
+        return newton(b, half, seeds, *args)
 
     monkeypatch.setattr(potential, "_newton_extrema", counted)
-    monkeypatch.setattr(quadrature.QuadratureResult, "rule", built)
     _run_checked(workload)
-    assert len(rules) == len(sizes)
     assert sum(sizes) <= MAX_NEWTON_NODES[workload]
 
 

@@ -10,25 +10,24 @@ import math
 import numpy as np
 import pytest
 
-import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.constants import C, HBAR, K_B, MU_0
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _arch, _kernel,
-                             _paths, _realfreq_trace, cavity_trace_realfreq)
+from cavitycp.constants import HBAR, K_B, MU_0
+from cavitycp.greens import (CavityGeometry, PlateGeometry, _realfreq_trace,
+                             cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 quarter_wave_stack)
 from cavitycp.molecules import Molecule, Transition, photon_number
-from cavitycp.quadrature import QuadratureSpec
 from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
-                                resonant_potential, _newton_extrema)
+                                resonant_potential, _even_coefficients,
+                                _ground_lines, _newton_extrema)
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
-from tests.test_greens import PLATE_IDS, PLATE_MIRRORS
+from tests.test_greens import PLATE_IDS, PLATE_MIRRORS, _direct
 
 W_LIH = LIH.transitions[0].omega
 D2_LIH = LIH.transitions[0].d_squared
@@ -62,42 +61,52 @@ def test_gold_nu2_minimum_at_centre(gold, env300, quad):
     assert abs(rep.minima_positions[0]) <= 1e-9 * rep.width
 
 
-def test_newton_extrema_rejects_wrong_kind_or_bracket():
-    # width 0: u(z) = 2 cos(2 z), maximum at 0, minima at +-pi/2
-    rule = (np.array([1.0]), np.array([1.0 + 0.0j]))
-    z = _newton_extrema(rule, 0.0, [0.1, 1.4], [True, False], 0.3, 2.0,
+def test_newton_extrema_rejects_wrong_kind_or_bracket(monkeypatch):
+    # u(z) = cos(4 phi), z = sin(phi): a maximum at 0 and minima at
+    # +-sqrt(1/2)
+    b = np.array([0.0, 0.0, 1.0])
+    phi = _newton_extrema(b, 1.0, [0.1, 0.6], [True, False], 0.3, 1e-14)
+    assert np.sin(phi) == pytest.approx([0.0, math.sqrt(0.5)], abs=1e-12)
+    with pytest.raises(ArithmeticError, match="no minimum"):
+        _newton_extrema(b, 1.0, [0.1], [False], 0.3, 1e-14)
+    with pytest.raises(ArithmeticError, match="no maximum"):
+        _newton_extrema(b, 1.0, [0.1], [True], 0.05, 1e-14)
+    # u(z) = cos(2 phi) = 1 - 2 z^2: from 0.9 the steps run to the edge
+    # z = 1, where every series is stationary in phi
+    with pytest.raises(ArithmeticError, match="no minimum"):
+        _newton_extrema(np.array([0.0, 1.0]), 1.0, [0.9], [False], 1.0,
                         1e-14)
-    assert z == pytest.approx([0.0, math.pi / 2.0], abs=1e-12)
-    with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, 0.0, [0.1], [False], 0.3, 2.0, 1e-14)
-    with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, 0.0, [0.1], [True], 0.05, 2.0, 1e-14)
-    with pytest.raises(ArithmeticError):
-        _newton_extrema(rule, 0.0, [1.4], [False], 0.3, 1.5, 1e-14)
+    monkeypatch.setattr(cavitycp.potential, "_NEWTON_STEPS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _newton_extrema(b, 1.0, [0.6], [False], 0.3, 1e-14)
 
 
 def test_newton_extrema_one_node_rule():
-    # width 0: u(z) = 1.4 cos(2 beta0 z), extrema at m pi / (2 beta0),
-    # maxima for even m
-    beta0, xtol = 2.5, 1e-13
-    ms = np.arange(-3, 4)
-    exact = ms * math.pi / (2.0 * beta0)
-    rule = (np.array([beta0]), np.array([0.7 - 3.0j]))
-    z = _newton_extrema(rule, 0.0, exact + 0.06, ms % 2 == 0, 0.1, 2.0,
-                        xtol)
-    assert np.all(np.abs(z - exact) <= xtol)
+    # one term of the series, u(z) = 0.7 cos(6 phi) with z = h sin(phi):
+    # extrema at phi = k pi/6, maxima for even k; a seed at 0 stays there
+    # exactly
+    half, xtol = 2.5, 1e-13
+    ks = np.arange(-2, 3)
+    exact = half * np.sin(ks * math.pi / 6.0)
+    seeds = exact + np.where(ks == 0, 0.0, 0.05)
+    phi = _newton_extrema(np.array([0.0, 0.0, 0.0, 0.7]), half, seeds,
+                          ks % 2 == 0, 0.1, xtol)
+    assert np.all(np.abs(half * np.sin(phi) - exact) <= xtol)
+    assert phi[2] == 0.0
 
 
-def test_newton_extrema_ignore_imaginary_weights():
-    # on real nodes at width 0, u(z) = 2 Re sum(W cos(2 beta z)) does not
-    # depend on Im(W)
-    beta = np.linspace(0.5, 1.5, 9)
-    wf = np.exp(-beta) * (1.0 + 0.3j)
-    seeds, maximum = [0.1, 1.4], [True, False]
-    z = _newton_extrema((beta, wf), 0.0, seeds, maximum, 0.5, 2.0, 1e-14)
-    for c in (1.0, -7.5e3, np.linspace(-2.0, 2.0, 9)):
-        assert np.array_equal(_newton_extrema(
-            (beta, wf + 1j * c), 0.0, seeds, maximum, 0.5, 2.0, 1e-14), z)
+def test_newton_extrema_ignore_imaginary_weights(env300, quad, monkeypatch):
+    # a depth reads Re Tr G_pr only: adding an imaginary part to its trace
+    # leaves every extremum and value as it was
+    mirror = ConstantR(0.99)
+    want = potential_depth(LIH, mirror, 4, env300, quad)
+    for c in (1.0, -7.5e3):
+        def shifted(*args):
+            prop, evan = _realfreq_trace(*args)
+            return prop + 1j * c * np.abs(prop).max(), evan
+
+        monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", shifted)
+        assert potential_depth(LIH, mirror, 4, env300, quad) == want
 
 
 COMPRESSION_MIRRORS = {
@@ -111,69 +120,63 @@ COMPRESSION_MIRRORS = {
 }
 COMPRESSION_CASES = {f"{name}-nu{nu}": (COMPRESSION_MIRRORS[name], nu)
                      for name, nus in [
-                         ("gold", (2, 10, 40)), ("sapphire_stack", (1, 2, 10)),
-                         ("r1e-5", (2, 10)), ("r1e-7", (2, 10)),
+                         ("gold", (1, 2, 10, 40)),
+                         ("sapphire_stack", (1, 2, 10)),
+                         ("r1e-5", (2, 10)), ("r1e-7", (1, 2, 10)),
                          ("r1e-8", (2, 4)),
-                         ("sapphire_77K_20_pairs", (2, 6, 10))]
+                         ("sapphire_77K_20_pairs", (1, 2, 6, 10))]
                      for nu in nus}
+
+
+def _extrema(rep):
+    """Positions of a report's extrema (and, for nu = 1, the edge) and
+    their values."""
+    positions = rep.maxima_positions + rep.minima_positions
+    values = rep.maxima_values + rep.minima_values
+    if not rep.is_well_depth:
+        positions += rep.depth_positions[1:]
+        values += (rep.maxima_values[0] - rep.depth,)
+    return np.array(positions), np.array(values)
+
+
+def _direct_trace(zs, geometry, spec, monkeypatch):
+    """Re Tr G_pr at each of zs as its own column."""
+    with monkeypatch.context() as m:
+        _direct(m)
+        return _realfreq_trace(zs, W_LIH, geometry, spec, False)[0].real
 
 
 @pytest.mark.parametrize("mirror, nu", COMPRESSION_CASES.values(),
                          ids=COMPRESSION_CASES.keys())
 def test_compressed_depth_rule_matches_full_rule(mirror, nu, env300, quad,
                                                  monkeypatch):
-    # potential_depth's Newton steps run on the first trace's rule moved to
-    # Chebyshev points in the arch parameter; the full Kronrod rule, which
-    # rule() passes through for paths too long to compress, gives the same
-    # u(z), u'(z) and refined extrema
-    rules, newton = [], []
+    # potential_depth compresses Re Tr G_pr to its Chebyshev interpolant on
+    # the K points of the edge: across the cavity, and at the refined
+    # extrema, the interpolant agrees with the trace integrated directly at
+    # each position, within 10 rel_tol of the largest value
+    traces = []
 
     def recorded(*args):
-        out = _realfreq_trace(*args)
-        rules.append(out[2])
-        return out
-
-    def refined(rule, *args):
-        newton.append((rule, args, _newton_extrema(rule, *args)))
-        return newton[-1][2]
+        traces.append(_realfreq_trace(*args)[0].real)
+        return traces[-1], None
 
     monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
-    monkeypatch.setattr(cavitycp.potential, "_newton_extrema", refined)
-    potential_depth(LIH, mirror, nu, env300, quad)
-    (compressed, args, z), = newton
-    a = args[0]
-    full = rules[0](1e6 * a)
-    assert len(compressed[0]) < len(full[0])
-    zs = np.linspace(-0.5, 0.5, 201) * a
-
-    def u_and_slope(rule):
-        beta, w = rule
-        minus, plus = (np.exp(1j * np.outer(beta, a + s * zs))
-                       for s in (-2.0, 2.0))
-        return (w @ (minus + plus)).real, (2j * beta * w @ (plus - minus)).real
-
-    for got, want in zip(u_and_slope(compressed), u_and_slope(full)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.max(np.abs(_newton_extrema(full, *args) - z)) <= 1e-14 * a
-
-
-def test_depth_rule_passes_through_unless_points_are_fewer(quad):
-    # for paths too long for fewer Chebyshev points than Kronrod nodes the
-    # rule is the trace's own: 15 nodes per final panel, on the arch; with
-    # no grazing term (constant r) both forms give the trace's values
-    cav = CavityGeometry(resonance_width(LIH.transitions[0], 2),
-                         ConstantR(1.0 - 1e-5))
-    zs = np.array([0.0, 0.1, 0.3]) * cav.width
-    prop, _, rule, (_, edges, store) = _realfreq_trace(zs, W_LIH, cav, quad,
-                                                       False)
-    full, compressed = rule(1e6 * cav.width), rule(2.0 * cav.width)
-    assert len(full[0]) == 15 * len(edges)
-    assert np.isin(full[0].real, store[0]).all()
-    assert np.array_equal(full[0], _arch(full[0].real, W_LIH / C, 0.0)[0])
-    assert len(compressed[0]) == 42
-    for beta, w in (full, compressed):
-        assert np.max(np.abs(w @ _paths(beta, zs, cav) - prop)) \
-            <= 1e-13 * np.max(np.abs(prop))
+    rep = potential_depth(LIH, mirror, nu, env300, quad)
+    monkeypatch.undo()
+    trace, = traces
+    cavity = CavityGeometry(rep.width, mirror)
+    edge = 0.5 * rep.width - rep.width / 1000.0
+    zs = np.linspace(-edge, edge, 201)
+    b = _even_coefficients(trace)
+    got = np.cos(np.outer(np.arcsin(zs / edge), 2.0 * np.arange(len(b)))) @ b
+    want = _direct_trace(zs, cavity, quad, monkeypatch)
+    assert np.max(np.abs(got - want)) <= 10.0 * quad.rel_tol \
+        * np.max(np.abs(want))
+    positions, values = _extrema(rep)
+    want = _direct_trace(positions, cavity, quad, monkeypatch)
+    got = values / _ground_lines(LIH, env300)[0][1]
+    assert np.max(np.abs(got - want)) <= 10.0 * quad.rel_tol \
+        * np.max(np.abs(want))
 
 
 def test_nonresonant_finite_for_lossy_dielectric(env300, quad_fast):
@@ -474,125 +477,25 @@ SEEDED_CASES = {f"{name}-nu{nu}": (mirror, nu)
 def test_depth_refined_pass_reuses_first_pass(mirror, nu, env300, quad,
                                               reflection_evaluations,
                                               monkeypatch):
-    # potential_depth's trace at the refined extrema (and, for nu = 1, the
-    # edge) is seeded with its trace at the seeds: no reflection
-    # evaluations, and the values of an unseeded trace at the same positions
+    # a depth makes one trace, and every reflection evaluation is in it:
+    # the values at the refined extrema (and, for nu = 1, the edge) come
+    # from its interpolant, within 10 rel_tol of the largest of a direct
+    # trace at each of them
     traces = []
 
-    def recorded(zs, omega, geometry, spec, evanescent, seed=None):
+    def recorded(*args):
         before = sum(reflection_evaluations)
-        out = _realfreq_trace(zs, omega, geometry, spec, evanescent, seed)
-        traces.append(((zs, omega, geometry, spec, evanescent), seed, out,
-                       sum(reflection_evaluations) - before))
+        out = _realfreq_trace(*args)
+        traces.append(sum(reflection_evaluations) - before)
         return out
 
     monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
-    potential_depth(LIH, mirror, nu, env300, quad)
-    (_, _, first, first_cost), (args, seed, refined, cost) = traces
-    assert seed is first[3]
-    assert first_cost > 0 and cost == 0
-    unseeded = _realfreq_trace(*args)[0]
-    assert np.all(np.abs(refined[0] - unseeded)
-                  <= 10.0 * quad.rel_tol * np.abs(unseeded))
-
-
-def test_seeded_trace_misses(quad, reflection_evaluations):
-    # at positions the seed's panels resolve too coarsely, the missing nodes
-    # are evaluated and every position still converges to the unseeded value
-    for geometry, z0, zs in (
-            (CavityGeometry(3.0 * LAM, ConstantR(0.99)), 0.0,
-             np.array([-0.45, 0.3, 0.45]) * 3.0 * LAM),
-            (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
-             np.array([LAM / 8.0, 5 * LAM]))):
-        _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
-                                        quad, False)
-        reflection_evaluations.clear()
-        seeded = _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)[0]
-        assert sum(reflection_evaluations) > 0
-        unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
-        assert np.all(np.abs(seeded - unseeded)
-                      <= 10.0 * quad.rel_tol * np.abs(unseeded))
-
-
-def _node_values(t, geometry):
-    """K at the arch nodes t, evaluated directly (x_lo = 1e-6 w/c where
-    the geometry has a grazing term, else 0)."""
-    wc = W_LIH / C
-    x_lo = 1e-6 * wc if geometry.resonance_seed(W_LIH)[0] != 0 else 0.0
-    return _kernel(_arch(t, wc, x_lo)[0], W_LIH, geometry)
-
-
-def test_node_store_lookup_is_exact(quad, rng, reflection_evaluations,
-                                    monkeypatch):
-    # the propagating integrand looks K up in the pass's sorted store: for
-    # shuffled nodes, part stored and part new (one of them twice), it
-    # returns a direct evaluation's values bit for bit, evaluates each new
-    # node once, and leaves the store sorted and aligned
-    geometry = CavityGeometry(LAM, ConstantR(0.9))
-    integrands = []
-    integrate = cavitycp.greens.adaptive_integrate
-
-    def recorded(f, *args, **kwargs):
-        integrands.append(f)
-        return integrate(f, *args, **kwargs)
-
-    monkeypatch.setattr(cavitycp.greens, "adaptive_integrate", recorded)
-    _, _, _, (_, _, store) = _realfreq_trace(np.array([0.0]), W_LIH,
-                                             geometry, quad, False)
-    f_prop, = integrands
-    stored = rng.choice(store[0], 40, replace=False)
-    new = rng.uniform(0.0, W_LIH / C, 25)
-    t = rng.permutation(np.concatenate((stored, new, new[:1])))
-    beta, slope = _arch(t, W_LIH / C, 0.0)
-    expected = (_node_values(t, geometry) * slope)[:, None] \
-        * _paths(beta, np.zeros(1), geometry)
-    size = len(store[0])
-    reflection_evaluations.clear()
-    # a ConstantR mirror has no grazing term, so the integrand is
-    # K dbeta/dt sum_p e^{i beta L_p}
-    assert np.array_equal(f_prop(t), expected)
-    assert sum(reflection_evaluations) == len(new)
-    assert len(store[0]) == len(store[1]) == size + len(new)
-    assert np.all(np.diff(store[0]) > 0)
-    assert np.array_equal(store[1], _node_values(store[0], geometry))
-
-
-@pytest.mark.parametrize("geometry, z0, zs", [
-    (CavityGeometry(3.0 * LAM, ConstantR(0.99)), 0.0,
-     np.array([-0.45, 0.3, 0.45]) * 3.0 * LAM),
-    (CavityGeometry(3.0 * LAM, HalfSpace(GOLD_DRUDE)), 0.0,
-     np.array([0.9 * LAM])),
-    (PlateGeometry(HalfSpace(GOLD_DRUDE)), LAM / 8.0,
-     np.array([LAM / 8.0, 5 * LAM]))], ids=["constant-r", "gold", "plate"])
-def test_seeded_pass_merges_misses_into_sorted_store(geometry, z0, zs, quad,
-                                                     reflection_evaluations):
-    # a seeded pass with misses evaluates each missing node once and merges
-    # it into the seed's sorted (nodes, K) arrays, keeping every stored
-    # node; the seed, from a looser tolerance, lacks nodes even where the
-    # arch resolves a cavity's every position from its centre's panels
-    _, _, _, seed = _realfreq_trace(np.array([z0]), W_LIH, geometry,
-                                    QuadratureSpec(1e-6), False)
-    before = seed[2][0].copy()
-    reflection_evaluations.clear()
-    _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)
-    nodes, values = seed[2]
-    assert sum(reflection_evaluations) == len(nodes) - len(before) > 0
-    assert np.all(np.diff(nodes) > 0) and np.isin(before, nodes).all()
-    assert np.array_equal(values, _node_values(nodes, geometry))
-
-
-def test_seeded_trace_shares_grazing_range(quad, reflection_evaluations):
-    # in an 8 lam gold cavity the evanescent cutoff 40/(a - 2|z|) lies below
-    # w/c at the centre, yet the grazing range is w/c at every position: the
-    # seed at z = 0 already holds every node a pass at off-centre positions
-    # needs
-    geometry = CavityGeometry(8.0 * LAM, HalfSpace(GOLD_DRUDE))
-    zs = np.array([0.2 * LAM, 3.99 * LAM])
-    _, _, _, seed = _realfreq_trace(np.array([0.0]), W_LIH, geometry, quad,
-                                    False)
-    reflection_evaluations.clear()
-    seeded = _realfreq_trace(zs, W_LIH, geometry, quad, False, seed)[0]
-    assert sum(reflection_evaluations) == 0
-    unseeded = _realfreq_trace(zs, W_LIH, geometry, quad, False)[0]
-    assert np.all(np.abs(seeded - unseeded)
-                  <= 10.0 * quad.rel_tol * np.abs(unseeded))
+    rep = potential_depth(LIH, mirror, nu, env300, quad)
+    assert traces == [sum(reflection_evaluations)] and traces[0] > 0
+    monkeypatch.undo()
+    positions, values = _extrema(rep)
+    want = _direct_trace(positions, CavityGeometry(rep.width, mirror), quad,
+                         monkeypatch)
+    got = values / _ground_lines(LIH, env300)[0][1]
+    assert np.max(np.abs(got - want)) <= 10.0 * quad.rel_tol \
+        * np.max(np.abs(want))

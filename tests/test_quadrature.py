@@ -118,27 +118,52 @@ def test_vector_budget_exhaustion_raises(monkeypatch):
     assert np.all(np.isfinite(exc.value.estimate))
 
 
+def _counted(f):
+    """f, and the list of node counts of its calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+    return counted, calls
+
+
 def test_zero_integral_converges_at_rounding_level():
     # an integral that cancels to zero has no relative tolerance to meet;
     # 50 eps sum_panels |value| stands in for it, so the first panels pass
-    result = adaptive_integrate(np.sin, -1.0, 1.0, breakpoints=[0.3])
-    val, err = result
+    f, calls = _counted(np.sin)
+    val, err = adaptive_integrate(f, -1.0, 1.0, breakpoints=[0.3])
     assert abs(val) < 1e-15 and err < 1e-14
-    assert len(result.panels[0]) == 2
+    assert calls == [30]
     # per component: the zero one converges, the other keeps rel_tol
-    result = adaptive_integrate(
-        lambda x: np.stack((np.sin(x), np.cos(x)), axis=1), -1.0, 1.0,
-        breakpoints=[0.3])
-    (zero, two_sin1), (err0, err1) = result
+    f, calls = _counted(lambda x: np.stack((np.sin(x), np.cos(x)), axis=1))
+    (zero, two_sin1), (err0, err1) = adaptive_integrate(f, -1.0, 1.0,
+                                                        breakpoints=[0.3])
     assert abs(zero) < 1e-15 and err0 < 1e-14
     assert two_sin1 == pytest.approx(2.0 * math.sin(1.0), rel=1e-14)
     assert err1 <= 1e-9 * two_sin1
-    assert len(result.panels[0]) == 2
+    assert calls == [30]
 
 
-def test_rule_reproduces_integral():
-    # the final panels' rule, applied to the integrand, gives the result
-    result = adaptive_integrate(lambda x: np.exp(50j * x), 0.0, 1.0)
-    nodes, weights = result.rule()
-    assert np.sum(weights * np.exp(50j * nodes)) == pytest.approx(
-        result[0], rel=1e-14)
+def test_relative_to_max_takes_the_largest_component():
+    # a component 1e-6 of the largest meets rel_tol of the largest: fewer
+    # calls than when it meets its own, and every error within rel_tol of
+    # the largest value
+    ks = np.array([0.5, 200.0])
+    scale = np.array([1.0, 1e-6])
+
+    def f(x):
+        return scale * np.cos(np.outer(x, ks))
+
+    spec = QuadratureSpec(1e-10)
+    own, own_calls = _counted(f)
+    shared, shared_calls = _counted(f)
+    want, _ = adaptive_integrate(own, 0.0, 1.0, spec)
+    got, err = adaptive_integrate(shared, 0.0, 1.0, spec,
+                                  relative_to_max=True)
+    assert len(shared_calls) < len(own_calls)
+    assert np.all(err <= spec.rel_tol * np.abs(got).max())
+    assert np.all(np.abs(got - want) <= 2.0 * spec.rel_tol
+                  * np.abs(want).max())
+    exact = scale * np.sin(ks) / ks
+    assert np.all(np.abs(got - exact) <= spec.rel_tol * np.abs(exact).max())
