@@ -240,25 +240,17 @@ def _by_columns(f, zs, phase, shift):
     return out
 
 
-def _chebyshev(k, centre, half, at=None):
-    """(x, R): k first-kind Chebyshev points x over centre +- half, at exact
-    negatives about the centre, and R @ p(x) = p(at) for p of degree < k
-    (None without at): barycentric weights (-1)^j sin((2j+1) pi/2k) (Berrut
-    & Trefethen, SIAM Rev. 46, 501 (2004)); a row hitting a point exactly
-    takes its value."""
+def _chebyshev(k, centre, half):
+    """(x, D): k first-kind Chebyshev points x = centre + half cos(theta_j),
+    theta_j = (j + 1/2) pi/k, at exact negatives about the centre, and D
+    with D @ p(x) = c, p = sum_n c_n T_n((z - centre)/half) of degree < k:
+    c_n = (2/k) sum_j p(x_j) cos(n theta_j), c_0 halved."""
     theta = (np.arange(k) + 0.5) * np.pi / k
     x = np.cos(theta[:k // 2])
     x = centre + half * np.concatenate((x, [0.0] * (k % 2), -x[::-1]))
-    if at is None:
-        return x, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.subtract.outer(at, x)
-        np.divide((-1.0) ** np.arange(k) * np.sin(theta), r, out=r)
-        total = r.sum(axis=1, keepdims=True)
-        r /= total
-    hit = np.isinf(total[:, 0])  # then r is inf/inf = nan there, 0 elsewhere
-    r[hit] = np.isnan(r[hit])
-    return x, r
+    d = 2.0 / k * np.cos(np.outer(np.arange(k), theta))
+    d[0] *= 0.5
+    return x, d
 
 
 def _chebyshev_count(m):
@@ -271,15 +263,31 @@ def _z_interpolation(zs, wc, geometry):
     R @ value(cols) = value(zs); or (zs, None).  Band-limited as beta <= w/c,
     the integrand is interpolated to rounding on geometry.span(zs) by
     _chebyshev_count(M) points, M = w/c times the span.  They are the
-    columns if the fold (at most halving) leaves fewer."""
+    columns if the fold (at most halving) leaves fewer.  R evaluates their
+    series sum_n c_n T_n at zs as cos(n theta), theta = arccos of zs mapped
+    to [-1, 1], clipped there: a plate's d_min can map to -1 - 2^-52."""
     centre, half = geometry.span(zs)
     k = _chebyshev_count(2 * half * wc)
     if (k + 1) // 2 >= len(zs):
         return zs, None
-    cols, index = geometry.fold(_chebyshev(k, centre, half)[0])
+    x, coefficients = _chebyshev(k, centre, half)
+    cols, index = geometry.fold(x)
     if len(cols) >= len(zs):
         return zs, None
-    return cols, _chebyshev(k, centre, half, zs)[1] @ np.eye(len(cols))[index]
+    theta = np.arccos(np.clip((zs - centre) / half, -1.0, 1.0))
+    return cols, np.cos(np.outer(theta, np.arange(k))) @ coefficients \
+        @ np.eye(len(cols))[index]
+
+
+def _propagating_series(cavity, omega, half, spec: QuadratureSpec):
+    """c with Tr G_pr(z) = sum_n c_n T_n(z/half) on +-half, to rounding: one
+    propagating trace at the _chebyshev_count points that a scan over
+    +-half integrates (after the fold, its own columns), through
+    _chebyshev's D.  half < a/2 and omega > 0 are the caller's to check."""
+    points, coefficients = _chebyshev(
+        _chebyshev_count(2.0 * half * omega / C), 0.0, half)
+    return coefficients @ _realfreq_trace(points, omega, cavity, spec,
+                                          False)[0]
 
 
 def _check_paths(longest, wc, x_lo, spec: QuadratureSpec):
@@ -306,11 +314,11 @@ def _arch(t, wc, x_lo):
         1.0 + 1j * _ARCH * wc * rise * np.cos(angle)
 
 
-def _paths(beta, zs, geometry):
-    """sum_p e^{i beta L_p} per (node, position) over the geometry's
-    decay_lengths at zs: each path bounded on and above the real beta axis."""
-    return sum(np.exp(1j * np.outer(beta, lp))
-               for lp in geometry.decay_lengths(zs))
+def _paths(x, zs, geometry):
+    """sum_p e^{x L_p} per (node, position) over the geometry's decay_lengths
+    at zs: x = i beta on and above the real beta axis, or a real x = -kappa
+    on the evanescent ray, which keeps that part in float64."""
+    return sum(np.exp(np.outer(x, lp)) for lp in geometry.decay_lengths(zs))
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
@@ -346,7 +354,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     def columns(beta, weight):
         """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at beta."""
         return _by_columns(_kernel(beta, omega, geometry) * weight, cols,
-                           lambda z: _paths(beta, z, geometry),
+                           lambda z: _paths(1j * beta, z, geometry),
                            -grazing(beta) * weight)
 
     with _unfolded(index, interp):
@@ -362,10 +370,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     if evanescent:
         def f_evan(kappa):
             g = -1j * _kernel(1j * kappa, omega, geometry)
-            return _by_columns(g, zs, lambda z: sum(
-                np.exp(-np.outer(kappa, lp))
-                for lp in geometry.decay_lengths(z)),
-                grazing(kappa) * (kappa <= wc))
+            return _by_columns(g, zs, lambda z: _paths(-kappa, z, geometry),
+                               grazing(kappa) * (kappa <= wc))
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k

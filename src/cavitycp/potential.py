@@ -32,8 +32,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
-from .greens import _CUTOFF, CavityGeometry, _chebyshev, _chebyshev_count, \
-    _realfreq_trace, _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
+from .greens import _CUTOFF, CavityGeometry, _propagating_series, \
+    _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -264,21 +264,11 @@ def resonance_width(transition: Transition, nu: int) -> float:
     return nu * math.pi * C / transition.omega
 
 
-def _even_coefficients(values):
-    """b with u(h sin phi) = sum_m b_m cos(2 m phi) through the values of an
-    even u at the K first-kind Chebyshev points h cos((j + 1/2) pi/K) of
-    +-h, in greens._chebyshev's order.  This is u's Chebyshev interpolant
-    sum_n c_n T_n(z/h) with b_m = (-1)^m c_2m, since its odd terms vanish."""
-    k = len(values)
-    phi = 0.5 * np.pi - (np.arange(k) + 0.5) * np.pi / k
-    b = 2.0 / k * np.cos(np.outer(2.0 * np.arange((k + 1) // 2), phi)) @ values
-    b[0] *= 0.5
-    return b
-
-
 def _newton_extrema(b, half, seeds, maximum, half_width, xtol):
     """Angles phi = arcsin(z/half) of the stationary points of u(z) =
-    sum_m b_m cos(2 m phi) near the seeds z (see _even_coefficients).
+    sum_m b_m cos(2 m phi) near the seeds z: an even Chebyshev series
+    sum_m c_2m T_2m(z/half), with b_m = (-1)^m c_2m as T_2m(sin phi) =
+    (-1)^m cos(2 m phi).
 
     Newton steps on u'(phi) = -sum 2m b_m sin(2 m phi) and u''(phi) =
     -sum (2m)^2 b_m cos(2 m phi) run for all seeds at once, as (seed x
@@ -319,9 +309,9 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
 
     The extrema are seeded on the grid z = -nu lam/4 + (mu - 1/2) lam/2
     (maxima) and z = -nu lam/4 + mu lam/2 (minima).  One propagating trace
-    at the K first-kind Chebyshev points of the +-(a/2 - a/1000) edge, the
-    points a profile scan over it integrates (greens._chebyshev_count),
-    gives Re Tr G_pr's interpolant, exact to rounding as Tr G_pr is
+    at the first-kind Chebyshev points of the +-(a/2 - a/1000) edge, the
+    points a profile scan over it integrates, gives Re Tr G_pr's Chebyshev
+    series (greens._propagating_series), exact to rounding as Tr G_pr is
     band-limited; Newton steps on it find the extrema (on the trace, not on
     the photon-weighted potential, so a vanishing photon number still
     locates them), and it gives their values, within Lambda_K rel_tol of
@@ -343,11 +333,9 @@ def potential_depth(mol: Molecule, mirror: MirrorSpec, nu: int,
              for mu in range(1, nu + 1)]
     seeds += [-nu * lam / 4.0 + mu * lam / 2.0 for mu in range(1, nu)]
     maximum = [True] * nu + [False] * (nu - 1)
-    points, _ = _chebyshev(_chebyshev_count(2.0 * edge * t.omega / C), 0.0,
-                           edge)
-    # the points lie inside the cavity, and t.omega > 0
-    trace = _realfreq_trace(points, t.omega, cavity, spec, False)[0]
-    b = _even_coefficients(trace.real)
+    # the edge lies inside the cavity, and t.omega > 0
+    c = _propagating_series(cavity, t.omega, edge, spec).real
+    b = c[::2] * (-1.0) ** np.arange((len(c) + 1) // 2)
     phi = _newton_extrema(b, edge, seeds, maximum, lam / 8.0,
                           _NEWTON_XTOL * a)
     if nu == 1:

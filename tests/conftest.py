@@ -73,15 +73,17 @@ def reflection_evaluations(monkeypatch):
 
 @pytest.fixture()
 def trace_columns(monkeypatch):
-    """(nodes, positions) of each greens._paths call during the test, in
-    call order: the (node x position) products of the propagating traces,
-    positions being the array of z (or d) the call got."""
+    """(nodes, positions) of each greens._paths call at complex x = i beta
+    during the test, in call order: the (node x position) products of the
+    propagating traces, positions being the array of z (or d) the call got.
+    The evanescent part's calls, at real x = -kappa, are not recorded."""
     calls = []
     paths = cavitycp.greens._paths
 
-    def counted(beta, zs, geometry):
-        calls.append((len(beta), np.array(zs)))
-        return paths(beta, zs, geometry)
+    def counted(x, zs, geometry):
+        if np.iscomplexobj(x):
+            calls.append((len(x), np.array(zs)))
+        return paths(x, zs, geometry)
 
     monkeypatch.setattr(cavitycp.greens, "_paths", counted)
     return calls

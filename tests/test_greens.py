@@ -13,7 +13,7 @@ import pytest
 import cavitycp.greens as greens
 import cavitycp.quadrature as quadrature
 from cavitycp.asymptotics import ConstantRCavity, I_phi_series
-from cavitycp.cli import _z_grid
+from cavitycp.cli import _grid, _z_grid
 from cavitycp.constants import C, ZETA_3
 from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
                              _grazing_coefficient, _realfreq_trace,
@@ -510,7 +510,7 @@ def test_interpolated_trace_matches_direct(mirror, nu, quad, monkeypatch,
 def test_chebyshev_nodes_are_exactly_symmetric(points, nu, monkeypatch):
     # unfolded, the K nodes are exact negatives of each other, with 0.0 at
     # the centre for odd K, so the fold keeps ceil(K/2) of them; the
-    # barycentric matrix interpolates cos(2 beta z) at every beta <= w/c
+    # series matrix interpolates cos(2 beta z) at every beta <= w/c
     cav = _resonant_cavity(ConstantR(0.9), nu)
     zs = np.array(_z_grid(cav.width, points))
     k = _chebyshev_count(zs, cav)
@@ -531,13 +531,22 @@ def test_chebyshev_nodes_are_exactly_symmetric(points, nu, monkeypatch):
     assert k % 2 == 0 or nodes[k // 2] == 0.0
 
 
-def test_chebyshev_row_hitting_a_point_takes_its_value():
-    # odd K puts a point at the centre; a row there is that point's unit
-    # row, the others interpolate every polynomial of degree < K
-    at = np.array([0.5, 0.8, -0.5])
-    x, r = _chebyshev(7, 0.5, 2.0, at)
-    assert x[3] == 0.5 and np.array_equal(r[0], np.eye(7)[3])
-    assert np.abs(r @ x**6 - at**6).max() < 1e-14
+def test_plate_distance_past_the_span_end_is_clipped(gold, quad,
+                                                     monkeypatch):
+    # heating --single-plate --width 1cm --points 400: d_min maps to
+    # (d - centre)/half = -1 - 2^-52, where arccos would give NaN (a
+    # RuntimeWarning, an error here); clipped to -1, every distance matches
+    # its directly integrated value within 10 rel_tol of the column max
+    plate = PlateGeometry(gold)
+    ds = np.array(_grid(LAM / 100.0, 1e-2, 400))
+    centre, half = plate.span(ds)
+    assert (ds[0] - centre) / half == -1.0 - 2.0**-52
+    assert _z_interpolation(ds, W_LIH / C, plate)[1] is not None
+    got = _realfreq_trace(ds, W_LIH, plate, quad, False)[0]
+    _direct(monkeypatch)
+    want = _realfreq_trace(ds, W_LIH, plate, quad, False)[0]
+    assert np.all(np.abs(got - want)
+                  <= 10.0 * quad.rel_tol * np.abs(want).max())
 
 
 def test_plate_distance_grid_is_interpolated(gold, quad, monkeypatch,

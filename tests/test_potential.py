@@ -13,7 +13,9 @@ import pytest
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B, MU_0
-from cavitycp.greens import (CavityGeometry, PlateGeometry, _realfreq_trace,
+import cavitycp.greens
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
+                             _propagating_series, _realfreq_trace,
                              cavity_trace_realfreq)
 from cavitycp.config import builtin_materials
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
@@ -23,8 +25,8 @@ from cavitycp.potential import (LevelScheme, general_state_potential,
                                 heating_rate_free, heating_rate_profile,
                                 nonresonant_potential, potential_components,
                                 potential_depth, resonance_width,
-                                resonant_potential, _even_coefficients,
-                                _ground_lines, _newton_extrema)
+                                resonant_potential, _ground_lines,
+                                _newton_extrema)
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 from tests.test_greens import PLATE_IDS, PLATE_MIRRORS, _direct
@@ -105,7 +107,7 @@ def test_newton_extrema_ignore_imaginary_weights(env300, quad, monkeypatch):
             prop, evan = _realfreq_trace(*args)
             return prop + 1j * c * np.abs(prop).max(), evan
 
-        monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", shifted)
+        monkeypatch.setattr(cavitycp.greens, "_realfreq_trace", shifted)
         assert potential_depth(LIH, mirror, 4, env300, quad) == want
 
 
@@ -150,25 +152,16 @@ def _direct_trace(zs, geometry, spec, monkeypatch):
                          ids=COMPRESSION_CASES.keys())
 def test_compressed_depth_rule_matches_full_rule(mirror, nu, env300, quad,
                                                  monkeypatch):
-    # potential_depth compresses Re Tr G_pr to its Chebyshev interpolant on
-    # the K points of the edge: across the cavity, and at the refined
-    # extrema, the interpolant agrees with the trace integrated directly at
-    # each position, within 10 rel_tol of the largest value
-    traces = []
-
-    def recorded(*args):
-        traces.append(_realfreq_trace(*args)[0].real)
-        return traces[-1], None
-
-    monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
+    # potential_depth compresses Re Tr G_pr to its Chebyshev series over
+    # the edge (greens._propagating_series): across the cavity, and at the
+    # refined extrema, the series agrees with the trace integrated directly
+    # at each position, within 10 rel_tol of the largest value
     rep = potential_depth(LIH, mirror, nu, env300, quad)
-    monkeypatch.undo()
-    trace, = traces
     cavity = CavityGeometry(rep.width, mirror)
     edge = 0.5 * rep.width - rep.width / 1000.0
     zs = np.linspace(-edge, edge, 201)
-    b = _even_coefficients(trace)
-    got = np.cos(np.outer(np.arcsin(zs / edge), 2.0 * np.arange(len(b)))) @ b
+    c = _propagating_series(cavity, W_LIH, edge, quad).real
+    got = np.cos(np.outer(np.arccos(zs / edge), np.arange(len(c)))) @ c
     want = _direct_trace(zs, cavity, quad, monkeypatch)
     assert np.max(np.abs(got - want)) <= 10.0 * quad.rel_tol \
         * np.max(np.abs(want))
@@ -489,7 +482,7 @@ def test_depth_refined_pass_reuses_first_pass(mirror, nu, env300, quad,
         traces.append(sum(reflection_evaluations) - before)
         return out
 
-    monkeypatch.setattr(cavitycp.potential, "_realfreq_trace", recorded)
+    monkeypatch.setattr(cavitycp.greens, "_realfreq_trace", recorded)
     rep = potential_depth(LIH, mirror, nu, env300, quad)
     assert traces == [sum(reflection_evaluations)] and traces[0] > 0
     monkeypatch.undo()
