@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.constants import HBAR, K_B, MU_0
-import cavitycp.greens
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              _propagating_series, _realfreq_trace,
                              cavity_trace_realfreq)
