@@ -11,10 +11,11 @@ import functools
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, Registry, load_registry, parse_quantity
+from .config import ConfigError, load_registry, lookup, parse_quantity
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
 from .materials import ConstantR, Stack, quarter_wave_stack, \
@@ -65,44 +66,37 @@ def _emit(rows, header, args):
         sys.stdout.write(text)
 
 
-def _registry(args) -> Registry:
-    if args.config:
-        with open(args.config) as fh:
-            return load_registry(fh.read())
-    return load_registry("")
-
-
-def _lookup(table, name, kind):
-    if name not in table:
-        raise ConfigError(f"unknown {kind} {name!r}; available: "
-                          f"{', '.join(sorted(table))}")
-    return table[name]
-
-
 def _quantity(text, units, flag):
-    """parse_quantity(text) > 0, its unit one of units or none."""
-    unit = text.strip().lstrip("+-.0123456789eE")
-    if unit not in ("",) + units:
-        raise ConfigError(f"{flag} takes {'/'.join(units)}, not {unit!r}")
-    value = parse_quantity(text)
-    if not value > 0:
-        raise ConfigError(f"{flag} must be positive, got {text!r}")
+    """parse_quantity(text) in (0, inf), its unit one of units or none."""
+    try:
+        value = float(text)
+    except ValueError:
+        unit = text.strip().lstrip("+-.0123456789eE")
+        if unit not in units:
+            raise ConfigError(f"{flag} takes {'/'.join(units)}, not {unit!r}")
+        value = parse_quantity(text)
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {text!r}")
     return value
 
 
-def _resolve_width(text, molecule):
-    if text.startswith("resonance:"):
-        nu = int(text.split(":", 1)[1])
-        return resonance_width(molecule.transitions[0], nu)
-    return _quantity(text, ("nm", "um", "mm", "cm", "m"), "--width")
-
-
 def _setup(args):
-    """(registry, molecule, thermal environment, quadrature spec) of args."""
-    reg = _registry(args)
-    return (reg, _lookup(reg.molecules, args.molecule, "molecule"),
-            ThermalEnvironment(_quantity(args.temperature, ("K",),
-                                         "--temperature")), args.spec)
+    """Resolve the shared flags once, in place: args.reg (from --config), and
+    args.molecule, env, mirror and width (m) where the subcommand has them."""
+    args.reg = load_registry(Path(args.config).read_text() if args.config
+                             else "")
+    if "molecule" in args:
+        args.molecule = lookup(args.reg.molecules, args.molecule, "molecule")
+        args.env = ThermalEnvironment(_quantity(args.temperature, ("K",),
+                                                "--temperature"))
+    if "mirror" in args:
+        args.mirror = lookup(args.reg.mirrors, args.mirror, "mirror")
+    if "width" in args and args.width.startswith("resonance:"):
+        args.width = resonance_width(args.molecule.transitions[0],
+                                     int(args.width.split(":", 1)[1]))
+    elif "width" in args:
+        args.width = _quantity(args.width, ("nm", "um", "mm", "cm", "m"),
+                               "--width")
 
 
 def _grid(lo, hi, points):
@@ -125,10 +119,8 @@ def _z_grid(width, points):
 
 
 def cmd_profile(args) -> int:
-    reg, mol, env, spec = _setup(args)
-    mirror = _lookup(reg.mirrors, args.mirror, "mirror")
-    width = _resolve_width(args.width, mol)
-    cavity = CavityGeometry(width=width, mirror=mirror)
+    mol, env, spec, width = args.molecule, args.env, args.spec, args.width
+    cavity = CavityGeometry(width=width, mirror=args.mirror)
 
     # the grid and, unless --raw, its z = 0 centre offset share one
     # Matsubara integral and one real-frequency trace per transition
@@ -143,15 +135,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    reg, mol, env, spec = _setup(args)
-    mirror = _lookup(reg.mirrors, args.mirror, "mirror")
     nus = [int(s) for s in args.nu.split(",") if s.strip()]
     if not nus or any(nu < 1 for nu in nus):
         raise ConfigError("--nu needs a comma-separated list of integers >= 1")
 
     rows = []
     for nu in nus:
-        rep = potential_depth(mol, mirror, nu, env, spec)
+        rep = potential_depth(args.molecule, args.mirror, nu, args.env,
+                              args.spec)
         z_min = rep.depth_positions[1] if rep.is_well_depth else math.nan
         rows.append((nu, rep.width, rep.depth, z_min,
                      ";".join("%.17g" % z for z in rep.maxima_positions),
@@ -162,9 +153,8 @@ def cmd_depth(args) -> int:
 
 
 def cmd_bragg(args) -> int:
-    reg = _registry(args)
-    mat_a = _lookup(reg.materials, args.material_a, "material")
-    mat_b = _lookup(reg.materials, args.material_b, "material")
+    mat_a = lookup(args.reg.materials, args.material_a, "material")
+    mat_b = lookup(args.reg.materials, args.material_b, "material")
     omega0 = float(args.design_frequency)
     if args.n_min > args.n_max or args.n_min < 0:
         raise ConfigError("need 0 <= n-min <= n-max")
@@ -186,26 +176,24 @@ def cmd_bragg(args) -> int:
 
 
 def cmd_heating(args) -> int:
-    reg, mol, env, spec = _setup(args)
-    mirror = _lookup(reg.mirrors, args.mirror, "mirror")
-    width = _resolve_width(args.width, mol)
-    gamma_free = heating_rate_free(mol, env)
+    gamma_free = heating_rate_free(args.molecule, args.env)
 
     if args.single_plate:
-        lam = 2.0 * math.pi * C / mol.transitions[0].omega
-        geometry = PlateGeometry(mirror)
-        grid = _grid(lam / 100.0, width, args.points)
+        lam = 2.0 * math.pi * C / args.molecule.transitions[0].omega
+        geometry = PlateGeometry(args.mirror)
+        grid = _grid(lam / 100.0, args.width, args.points)
     else:
-        geometry = CavityGeometry(width=width, mirror=mirror)
-        grid = _z_grid(width, args.points)
-    gammas = heating_rate_profile(np.array(grid), mol, geometry, env, spec)
+        geometry = CavityGeometry(width=args.width, mirror=args.mirror)
+        grid = _z_grid(args.width, args.points)
+    gammas = heating_rate_profile(np.array(grid), args.molecule, geometry,
+                                  args.env, args.spec)
     rows = [(z, float(g), gamma_free) for z, g in zip(grid, gammas)]
     _emit(rows, ["z_m", "gamma_per_s", "gamma_free_per_s"], args)
     return EXIT_OK
 
 
 def cmd_asym(args) -> int:
-    _, mol, env, spec = _setup(args)
+    mol, env, spec = args.molecule, args.env, args.spec
     t = mol.transitions[0]
     lam = 2.0 * math.pi * C / t.omega
     coupling = photon_number(t.omega, env) * t.d_squared / (3.0 * EPSILON_0)
@@ -316,6 +304,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         args.spec = QuadratureSpec(rel_tol=args.rel_tol)
+        _setup(args)
         return args.func(args)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -88,9 +88,9 @@ def parse_quantity(text: str) -> float:
     return float(text)
 
 
-def _parse_sections(text: str) -> List[Tuple[str, str, Dict, List, int]]:
+def _parse_sections(text: str) -> List[Tuple[str, str, int, List]]:
+    """(kind, name, header line, [(line, key, value), ...]) per section."""
     sections = []
-    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,40 +101,38 @@ def _parse_sections(text: str) -> List[Tuple[str, str, Dict, List, int]]:
                     f"line {lineno}: section header must look like "
                     f"[kind:NAME], got {raw.strip()!r}")
             kind, name = (s.strip() for s in line[1:-1].split(":", 1))
-            if kind not in ("molecule", "material", "mirror"):
-                raise ConfigError(f"line {lineno}: unknown section kind "
-                                  f"{kind!r}")
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
-            current = (kind, name, {}, [], lineno)
-            sections.append(current)
+            sections.append((kind, name, lineno, []))
             continue
-        if current is None:
+        if not sections:
             raise ConfigError(f"line {lineno}: key-value line outside any "
                               f"section")
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got "
                               f"{raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "transition":
-            current[3].append((lineno, value))
-        elif kind == "molecule":
-            raise ConfigError(f"[molecule:{name}] (line {lineno}): molecules "
-                              f"only accept 'transition' lines, got {key!r}")
-        else:
-            current[2][key] = (lineno, value)
+        sections[-1][3].append((lineno, key, value))
     return sections
 
 
-def _build_molecule(name, transitions, at) -> Molecule:
+def lookup(table, name, kind):
+    """table[name], else a ValueError that lists the names table has."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; available: "
+                         f"{', '.join(sorted(table))}")
+    return table[name]
+
+
+def _build_molecule(name, take) -> Molecule:
     def transition(value):
         parts = value.split()
         if len(parts) != 2:
             raise ValueError("transition needs exactly 'omega d_squared'")
         return Transition(omega=float(parts[0]), d_squared=float(parts[1]))
 
-    parsed = [at(lineno, transition, value) for lineno, value in transitions]
-    return Molecule(name, tuple(sorted(parsed, key=lambda t: t.omega)))
+    return Molecule(name, tuple(sorted(take("transition", transition),
+                                       key=lambda t: t.omega)))
 
 
 def _build_material(require) -> PermittivityModel:
@@ -153,18 +151,16 @@ def _build_material(require) -> PermittivityModel:
 def _build_mirror(require, materials) -> MirrorSpec:
     kind = require("type").lower()
 
-    def material(mat_name):
-        if mat_name not in materials:
-            raise ValueError(f"unknown material {mat_name!r}")
-        return materials[mat_name]
+    def material(key):
+        return require(key, lambda mat: lookup(materials, mat, "material"))
 
     if kind == "halfspace":
-        return HalfSpace(require("material", material))
+        return HalfSpace(material("material"))
     if kind == "constant_r":
         return ConstantR(r=require("r", float))
     if kind == "quarter_wave":
         return Stack(quarter_wave_stack(
-            require("material_a", material), require("material_b", material),
+            material("material_a"), material("material_b"),
             require("pairs", int), require("design_frequency", float)))
     raise ValueError(f"unknown type {kind!r}")
 
@@ -173,10 +169,15 @@ def load_registry(text: str = "") -> Registry:
     """Parse a config string into a registry, on top of the built-ins.
 
     An error in a section reads "[kind:NAME] (line N): ...", where line N
-    holds the value that does not convert, else the section header.
+    holds the value that does not convert or a line its builder left unread
+    (an unknown key, or a key repeated where one value is read), else the
+    section header.
     """
     reg = Registry()
-    for kind, name, fields, transitions, header_line in _parse_sections(text):
+    for kind, name, header_line, lines in _parse_sections(text):
+        unread = {lineno: (key, value) for lineno, key, value in lines}
+        read = []  # the keys the builder asked for
+
         def at(lineno, convert, *args):
             """convert(*args), a ValueError given the context of lineno."""
             try:
@@ -187,22 +188,31 @@ def load_registry(text: str = "") -> Registry:
                 raise ConfigError(f"[{kind}:{name}] (line {lineno}): {exc}") \
                     from None
 
-        def require(key, convert=str, default=None):
-            """convert(value of key, else default) at the key's line."""
-            lineno, value = fields.get(key, (header_line, default))
-            if value is None:
-                raise ValueError(f"missing required key {key!r}")
-            return at(lineno, convert, value)
+        def take(key, convert, count=None):
+            """Read key's first count lines (None: all), values converted."""
+            read.append(key)
+            found = [n for n, (k, _) in unread.items() if k == key][:count]
+            return [at(n, convert, unread.pop(n)[1]) for n in found]
 
-        if kind == "molecule":
-            target, built = reg.molecules, at(
-                header_line, _build_molecule, name, transitions, at)
-        elif kind == "material":
-            target, built = reg.materials, at(
-                header_line, _build_material, require)
-        else:
-            target, built = reg.mirrors, at(
-                header_line, _build_mirror, require, reg.materials)
+        def require(key, convert=str, default=None):
+            """convert(value of key) at the key's line, else default."""
+            found = take(key, convert, 1)
+            if not found and default is None:
+                raise ValueError(f"missing required key {key!r}")
+            return found[0] if found else default
+
+        target, build = at(header_line, lookup, {
+            "molecule": (reg.molecules, lambda: _build_molecule(name, take)),
+            "material": (reg.materials, lambda: _build_material(require)),
+            "mirror": (reg.mirrors,
+                       lambda: _build_mirror(require, reg.materials))},
+            kind, "section kind")
+        built = at(header_line, build)
+        if unread:  # the first line the builder left
+            lineno, (key, _) = next(iter(unread.items()))
+            raise ConfigError(f"[{kind}:{name}] (line {lineno}): key {key!r} "
+                              + ("repeated; one value is read" if key in read
+                                 else f"not read (reads {', '.join(read)})"))
         if name in target:
             warnings.warn(f"config overrides built-in {kind} {name!r}")
         target[name] = built

@@ -4,10 +4,13 @@ frozen CSV.  Text columns match exactly.  Numeric columns (a cell may hold
 several numbers joined by ';') match within 10 rel_tol of the column's
 largest magnitude, rel_tol being the command's --rel-tol.  A heating
 table's gamma_per_s is checked as Gamma - Gamma_0 (gamma_per_s -
-gamma_free_per_s), to 10 rel_tol of that difference's largest magnitude, so
+gamma_free_per_s), to rel_tol of that difference's largest magnitude, so
 that a small error in the trace shows even where Gamma - Gamma_0 is a small
-part of Gamma.  U_total_J gets perfbench's wider bound: U_total is the
-near-cancellation of U_nr and U_ev.
+part of Gamma, and where the propagating part is a small part of Gamma -
+Gamma_0 (the evanescent peak at a wall sets the maximum).  Between --rel-tol
+1e-9 and 1e-11 the heating entries drift by at most 5e-11 of that maximum.
+U_total_J gets perfbench's wider bound: U_total is the near-cancellation of
+U_nr and U_ev.
 """
 
 import csv
@@ -20,7 +23,6 @@ import pytest
 from freeze_cli_corpus import CORPUS, run
 
 ENTRIES = json.loads(CORPUS.read_text())["commands"]
-COLUMN_RTOL = {"U_total_J": 1e-6}
 
 
 def _table(text):
@@ -57,6 +59,7 @@ def mismatches(argv, got_text, want_text):
         return [f"header {list(got)} vs frozen {list(want)}"]
     rel_tol = float(argv[argv.index("--rel-tol") + 1]) \
         if "--rel-tol" in argv else 1e-9
+    column_rtol = {"U_total_J": 1e-6, "gamma_per_s": rel_tol}
     problems = []
     for col, cells in want.items():
         if len(got[col]) != len(cells):
@@ -68,7 +71,7 @@ def mismatches(argv, got_text, want_text):
             problems += [f"{col} row {i}: {got[col][i]} vs frozen {cells[i]}"
                          for i in bad[:1]]
             continue
-        tol = COLUMN_RTOL.get(col, 10.0 * rel_tol) * max(
+        tol = column_rtol.get(col, 10.0 * rel_tol) * max(
             (abs(x) for row in frozen for x in row if math.isfinite(x)),
             default=0.0)
         for i, (g, w) in enumerate(zip(new, frozen)):
@@ -106,3 +109,21 @@ def test_corpus_check_flags_a_shift_and_a_changed_text_cell():
     kind = table[0].index("kind")
     assert mismatches(entry["argv"], shifted(0, kind, "peak_height"),
                       entry["stdout"])
+
+
+def test_corpus_check_holds_heating_to_rel_tol_of_the_change():
+    # a trace scaled by 1 + 1e-7 in its propagating part alone moves
+    # scan-gold/heating by 4.4e-9 of its Gamma - Gamma_0 maximum, which
+    # 10 rel_tol let through: 3 rel_tol of that maximum now fails, 0.3
+    # rel_tol passes
+    entry = next(e for e in ENTRIES if e["name"] == "scan-gold/heating")
+    table = list(csv.reader(io.StringIO(entry["stdout"])))
+    top = max(abs(float(r[1]) - float(r[2])) for r in table[1:])
+
+    def shifted(by):
+        rows = [list(r) for r in table]
+        rows[100][1] = repr(float(rows[100][1]) + by * top)
+        return "".join(",".join(r) + "\n" for r in rows)
+
+    assert mismatches(entry["argv"], shifted(3e-9), entry["stdout"])
+    assert mismatches(entry["argv"], shifted(3e-10), entry["stdout"]) == []

@@ -21,9 +21,11 @@ from cavitycp.constants import C
 from cavitycp.greens import CavityGeometry
 from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack, Vacuum, \
     quarter_wave_stack, reflection_coefficients, transverse_wavenumber
+from cavitycp.molecules import Molecule, Transition
 from cavitycp.potential import resonant_potential
 from cavitycp.quadrature import QuadratureSpec
 
+ROOT = Path(__file__).resolve().parents[1]
 
 # --- config -----------------------------------------------------------------
 
@@ -102,7 +104,8 @@ def test_config_error_line_context():
         ("[mirror:w]\ntype = constant_r\n",
          "[mirror:w] (line 1): missing required key 'r'"),
         ("[mirror:w]\ntype = halfspace\nmaterial = nope\n",
-         "[mirror:w] (line 3): unknown material 'nope'"),
+         "[mirror:w] (line 3): unknown material 'nope'; available: AlAs, "
+         "GaAs, gold, sapphire_300K, sapphire_77K, vacuum"),
         ("[material:m]\nmodel = plastic\n",
          "[material:m] (line 1): unknown model 'plastic'"),
         ("[mirror:w]\ntype = curved\n",
@@ -113,8 +116,7 @@ def test_config_error_line_context():
         ("[material:m]\nmodel = constant\neps_real = abc\n",
          "[material:m] (line 3): could not convert string to float: 'abc'"),
         ("[molecule:x]\ntransition = 1e12 1e-58\nomega = 5\n",
-         "[molecule:x] (line 3): molecules only accept 'transition' lines, "
-         "got 'omega'"),
+         "[molecule:x] (line 3): key 'omega' not read (reads transition)"),
         ("[molecule:x]\ntransition = 1e12 1e-58\ntransition = 2e12\n",
          "[molecule:x] (line 3): transition needs exactly 'omega d_squared'"),
         ("[molecule:x]\n",
@@ -122,6 +124,57 @@ def test_config_error_line_context():
         with pytest.raises(ConfigError) as exc:
             load_registry(text)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[material:s]\nmodel = constant\neps_real = 10\neps_imga = 1e-4\n",
+     "[material:s] (line 4): key 'eps_imga' not read"),
+    ("[material:s]\nmodel = constant\neps_real = 10\n"
+     "transition = 2.78973e12 3.847e-58\n",
+     "[material:s] (line 4): key 'transition' not read"),
+    ("[material:s]\nmodel = constant\neps_real = 10\neps_real = 12\n",
+     "[material:s] (line 4): key 'eps_real' repeated"),
+    ("[molecule:x]\ntransition = 2.78973e12 3.847e-58\nomega = 5\n",
+     "[molecule:x] (line 3): key 'omega' not read")],
+    ids=["misspelt", "other_kind", "repeated", "molecule_key"])
+def test_config_line_no_builder_reads_exits_2(text, where, capsys,
+                                              tmp_path):
+    # eps_imga = 1e-4 loaded as a lossless ConstantLossy(10.0, 0.0), and a
+    # second eps_real silently replaced the first
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--nu", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+def test_config_molecule_reads_every_transition_line():
+    reg = load_registry("[molecule:x]\ntransition = 2e12 1e-58\n"
+                        "transition = 1e12 3e-58\n")
+    assert reg.molecules["x"] == Molecule("x", (Transition(1e12, 3e-58),
+                                                Transition(2e12, 1e-58)))
+
+
+README_INI = re.findall(r"^```ini\n(.*?)^```",
+                        (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+
+
+@pytest.mark.parametrize("text", [
+    (ROOT / "perfbench" / "bragg.cfg").read_text(),
+    (ROOT / "tests" / "data" / "stacks.cfg").read_text(), *README_INI],
+    ids=["perfbench_bragg", "tests_stacks"] + [
+        f"readme_ini{i}" for i in range(len(README_INI))])
+def test_shipped_configs_load(text):
+    # the configs the benchmark, the CLI corpus and the README use load
+    # without a warning, each section under its name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reg = load_registry(text)
+    sections = re.findall(r"^\[(\w+):(\S+)\]", text, re.MULTILINE)
+    assert sections
+    assert all(name in getattr(reg, kind + "s") for kind, name in sections)
 
 
 def test_config_override_warns():
@@ -556,6 +609,24 @@ def test_cli_wide_gold_cavity_fails_fast(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["profile", "--width", "1e400"], "--width"),
+    (["heating", "--single-plate", "--width", "1e400"], "--width"),
+    (["profile", "--width", "inf"], "--width"),
+    (["profile", "--width", "1e400um"], "--width"),
+    (["profile", "--width", "nan"], "--width"),
+    (["asym", "--nu-max", "3", "--temperature", "inf"], "--temperature")],
+    ids=["width_overflow", "plate_width_overflow", "width_inf",
+         "width_overflow_um", "width_nan", "temperature_inf"])
+def test_cli_non_finite_quantity_names_its_flag(argv, flag, capsys):
+    # 1e400 became a nan grid ("grid must ascend ... nan m") or a nan plate
+    # distance, and inf was reported as a unit 'inf'
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be positive and finite, got " \
+        f"{argv[argv.index(flag) + 1]!r}\n"
+
+
 @pytest.mark.parametrize("argv, unit", [
     (["profile", "--width", "0.0007K", "--temperature", "300"], "'K'"),
     (["profile", "--width", "0.7mm", "--temperature", "300m"], "'m'"),
@@ -649,8 +720,7 @@ def test_cli_checks_rel_tol_without_integrating(capsys):
     assert "rel_tol" in err
 
 
-BRAGG_CFG = str(Path(__file__).resolve().parents[1] / "perfbench"
-                / "bragg.cfg")
+BRAGG_CFG = str(ROOT / "perfbench" / "bragg.cfg")
 
 
 @pytest.mark.parametrize("argv", [
