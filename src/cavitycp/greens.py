@@ -20,7 +20,8 @@ over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.  A
 scan's propagating part runs at Chebyshev nodes in z over the span when they
 are fewer than its positions.  Its columns (positions or nodes) meet rel_tol
 of the largest one, and an interpolated position Lambda_K rel_tol of it,
-Lambda_K <= 1 + (2/pi) ln K.
+Lambda_K <= 1 + (2/pi) ln K.  Path phases e^{i beta L} come from float64
+exp and tan(Re beta L/2), which numpy vectorises, to 8 eps (_paths).
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -86,8 +87,7 @@ class CavityGeometry:
     def check_position(self, z):
         """(scalar, zs): z, a position or a 1-D array of them, as a 1-D array
         and whether it was a scalar; ValueError unless all lie inside."""
-        return _positions(z, lambda zs: np.abs(zs) < 0.5 * self.width,
-                          f"outside cavity of width {self.width}")
+        return _positions(z, self, f"outside cavity of width {self.width}")
 
     def decay_lengths(self, zs):
         """(a - 2z, a + 2z) at positions zs: the paths L_p."""
@@ -129,7 +129,7 @@ class PlateGeometry:
 
     def check_position(self, d):
         """As CavityGeometry.check_position, for distances d > 0."""
-        return _positions(d, lambda ds: ds > 0, "is not a positive distance")
+        return _positions(d, self, "is not a positive distance")
 
     def decay_lengths(self, ds):
         """(2d,) at distances ds: the one path L_p."""
@@ -152,15 +152,20 @@ class PlateGeometry:
         return 0.0, []
 
 
-def _positions(z, inside, what):
-    """(scalar, zs) of z; ValueError unless z is 0-/1-D and inside(zs)."""
+def _positions(z, geometry, what):
+    """(scalar, zs) of z; ValueError unless z is 0-/1-D and each gap min_p L_p
+    is positive and leaves (CUTOFF c/gap)^3, the Matsubara scale, finite."""
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     if zs.ndim != 1 or zs.size == 0:
         raise ValueError("z must be a position or a nonempty 1-D array of "
                          f"positions, got shape {zs.shape}")
-    bad = ~inside(zs)
+    gap = geometry.decay_lengths(zs).min(axis=0)
+    bad = ~(gap > 0)
     if np.any(bad):
         raise ValueError(f"position z = {zs[bad][0]} {what}")
+    if not gap.min() * np.cbrt(np.finfo(float).max) > _CUTOFF * C:
+        raise ValueError(f"the gap {gap.min():.3g} m (a - 2|z| or 2d) is too "
+                         f"small: ({_CUTOFF:g} c/gap)^3 overflows")
     return np.ndim(z) == 0, zs
 
 
@@ -230,14 +235,26 @@ def _grazing_lattice(mirror, omega):
 
 
 def _by_columns(f, zs, phase, shift):
-    """f[:, None] * phase(zs) + shift[:, None], filled a block of columns at
-    a time so that each block's temporaries stay within _BLOCK_BYTES."""
+    """f[:, None] * phase(zs) (+ shift[:, None] unless None), a block of
+    columns at a time so that each block's temporaries fit _BLOCK_BYTES."""
     out = np.empty((len(f), len(zs)), dtype=complex)
     step = max(1, _BLOCK_BYTES // (16 * len(f)))
     for start in range(0, len(zs), step):
         cols = slice(start, start + step)
-        out[:, cols] = f[:, None] * phase(zs[cols]) + shift[:, None]
+        out[:, cols] = f[:, None] * phase(zs[cols])
+        if shift is not None:
+            out[:, cols] += shift[:, None]
     return out
+
+
+def _cos_sin(theta):
+    """(cos, sin) theta = (1 - t^2, 2 t)/(1 + t^2), t = tan(theta/2), to
+    4 eps absolute: numpy vectorises float64 tan, not cos, sin, complex exp."""
+    t = np.tan(0.5 * theta)
+    t2 = t * t
+    r = 1.0 / (1.0 + t2)
+    t *= 2.0 * r
+    return (1.0 - t2) * r, t
 
 
 def _chebyshev(k, centre, half):
@@ -248,7 +265,7 @@ def _chebyshev(k, centre, half):
     theta = (np.arange(k) + 0.5) * np.pi / k
     x = np.cos(theta[:k // 2])
     x = centre + half * np.concatenate((x, [0.0] * (k % 2), -x[::-1]))
-    d = 2.0 / k * np.cos(np.outer(np.arange(k), theta))
+    d = 2.0 / k * _cos_sin(np.outer(np.arange(k), theta))[0]
     d[0] *= 0.5
     return x, d
 
@@ -275,7 +292,7 @@ def _z_interpolation(zs, wc, geometry):
     if len(cols) >= len(zs):
         return zs, None
     theta = np.arccos(np.clip((zs - centre) / half, -1.0, 1.0))
-    return cols, np.cos(np.outer(theta, np.arange(k))) @ coefficients \
+    return cols, _cos_sin(np.outer(theta, np.arange(k)))[0] @ coefficients \
         @ np.eye(len(cols))[index]
 
 
@@ -316,9 +333,19 @@ def _arch(t, wc, x_lo):
 
 def _paths(x, zs, geometry):
     """sum_p e^{x L_p} per (node, position) over the geometry's decay_lengths
-    at zs: x = i beta on and above the real beta axis, or a real x = -kappa
-    on the evanescent ray, which keeps that part in float64."""
-    return sum(np.exp(np.outer(x, lp)) for lp in geometry.decay_lengths(zs))
+    at zs: a real x = -kappa on the evanescent ray, which keeps that part in
+    float64, or x = i beta on and above the real beta axis, where each path
+    is e^{Re x L} _cos_sin(Im x L), to 8 eps of |e^{x L}|, summed in float64
+    and made complex once."""
+    lengths = geometry.decay_lengths(zs)
+    if not np.iscomplexobj(x):
+        return sum(np.exp(np.outer(x, lp)) for lp in lengths)
+    re = im = 0.0
+    for lp in lengths:
+        mag = np.exp(x.real[:, None] * lp)
+        cos, sin = _cos_sin(x.imag[:, None] * lp)
+        re, im = re + mag * cos, im + mag * sin
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
@@ -355,7 +382,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at beta."""
         return _by_columns(_kernel(beta, omega, geometry) * weight, cols,
                            lambda z: _paths(1j * beta, z, geometry),
-                           -grazing(beta) * weight)
+                           -grazing(beta) * weight if s_coef else None)
 
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
@@ -371,7 +398,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         def f_evan(kappa):
             g = -1j * _kernel(1j * kappa, omega, geometry)
             return _by_columns(g, zs, lambda z: _paths(-kappa, z, geometry),
-                               grazing(kappa) * (kappa <= wc))
+                               grazing(kappa) * (kappa <= wc) if s_coef
+                               else None)
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k

@@ -1,4 +1,5 @@
-"""Property tests of the reflection kernel on random passive mirrors."""
+"""Property tests of the reflection kernel on random passive mirrors, and
+of the propagating path phase."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from cavitycp.constants import C  # noqa: E402
-from cavitycp.materials import (ConstantLossy, Drude, HalfSpace,  # noqa: E402
-                                Layer, Stack, Vacuum, permittivity_at,
-                                quarter_wave_stack, reflection_coefficients,
-                                sqrt_upper, static_limit_reflection,
+from cavitycp.greens import PlateGeometry, _paths  # noqa: E402
+from cavitycp.materials import (ConstantLossy, ConstantR, Drude,  # noqa
+                                HalfSpace, Layer, Stack, Vacuum,
+                                permittivity_at, quarter_wave_stack,
+                                reflection_coefficients, sqrt_upper,
+                                static_limit_reflection,
                                 transverse_wavenumber)
 
 W_LIH = 2.78973e12
@@ -152,3 +155,14 @@ def test_static_limit_is_imaginary_axis_limit(m, k):
                                       beta=np.array([1j * kappa]))
     for r0, r in zip(static_limit_reflection(m, k), dynamic):
         assert abs(r[0] - r0) <= 1e-9 * max(abs(r0), 1.0)
+
+
+@given(st.floats(-800.0, 0.0), st.floats(-2.5e5, 2.5e5))
+def test_path_phase_matches_complex_exp(re, im):
+    # greens._paths' e^{x L} from real exp and tan(Im x L / 2), to 8 eps of
+    # |e^{x L}| against numpy's complex exp, over Re x L down past underflow
+    # and Im x L up to the longest path resolved at LiH
+    x = np.array([complex(re, im)])
+    got = _paths(x, np.array([0.5]), PlateGeometry(ConstantR(0.5)))[0, 0]
+    want = np.exp(x[0])
+    assert abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)
