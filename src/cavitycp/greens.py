@@ -14,9 +14,11 @@ coefficient S and a 2^k ladder toward w/c for the tuned mode, from 1/8 of its
 pole's depth; 0 and none at a plate).  The propagating part runs on an arch
 above the real beta axis, which passes every pole of 1/D_sigma, so no cavity
 mode needs locating.  Every trace integral starts on panels that resolve its
-known scales: that ladder, uniform edges along the arch, and geometric
+known scales: that ladder, uniform edges along the arch, geometric
 lattices (quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and
-over the decay of e^{-kappa L} in the evanescent and Matsubara integrals.  A
+over the decay of e^{-kappa L} in the evanescent and Matsubara integrals,
+and in a gold cavity edges about the grazing TM pole of 1/D_p(i kappa), at
+kappa_p = sqrt(2 |kappa_0|/a), kappa_0 = (w/c)/sqrt(-eps) (_grazing_pole).  A
 scan's propagating part runs at Chebyshev nodes in z over the span when they
 are fewer than its positions.  Its columns (positions or nodes) meet rel_tol
 of the largest one, and an interpolated position Lambda_K rel_tol of it,
@@ -70,6 +72,11 @@ _ARCH = 0.3
 # z-differences stay within 1e-11 of the contour reference's, at 1/2 within
 # 1e-9 only.
 _MAX_RECTANGLE_PHASE = 0.25
+# Floor of the evanescent paths' exponents -kappa L.  e^-600 is far below
+# every column's e^-CUTOFF tail, keeps the kernel products normal (not
+# subnormal), and spares np.exp its underflows: ~180 ns per argument in
+# (-745, -708) and 6-20 ns below, against ~1 ns per normal result.
+_EXP_FLOOR = -600.0
 # Bytes per block of the temporaries of a batched trace or Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
@@ -234,6 +241,19 @@ def _grazing_lattice(mirror, omega):
     return _ladder(0.0, max(4e-6, 0.25 / np.sqrt(eps)) * wc, wc, 4.0).tolist()
 
 
+def _grazing_pole(width, wc, lattice):
+    """kappa_p = sqrt(8 x_0/a), x_0 = lattice[0], if 8 kappa_p < w/c, else
+    None.  For |kappa_0| << kappa << 1/a, kappa_0 = (w/c)/sqrt(-eps) (so
+    |kappa_0| = 4 x_0 above the lattice's floor), r_p(i kappa) ~
+    1 - 2 kappa_0/kappa, and the grazing TM pole of 1/D_p(i kappa),
+    D_p ~ 4 kappa_0/kappa + 2 kappa a, lies at |kappa| ~ kappa_p =
+    sqrt(2 |kappa_0|/a).  A metal puts it well below the light line, on a
+    scale that no other edge resolves; a dielectric stack's lies at
+    ~0.3 w/c, where kappa_0 a >~ 1 and the lattices resolve it."""
+    pole = np.sqrt(8.0 * lattice[0] / width)
+    return pole if 8.0 * pole < wc else None
+
+
 def _by_columns(f, zs, phase, shift):
     """f[:, None] * phase(zs) (+ shift[:, None] unless None), a block of
     columns at a time so that each block's temporaries fit _BLOCK_BYTES."""
@@ -334,12 +354,13 @@ def _arch(t, wc, x_lo):
 def _paths(x, zs, geometry):
     """sum_p e^{x L_p} per (node, position) over the geometry's decay_lengths
     at zs: a real x = -kappa on the evanescent ray, which keeps that part in
-    float64, or x = i beta on and above the real beta axis, where each path
-    is e^{Re x L} _cos_sin(Im x L), to 8 eps of |e^{x L}|, summed in float64
-    and made complex once."""
+    float64 (each x L floored at _EXP_FLOOR), or x = i beta on and above
+    the real beta axis, where each path is e^{Re x L} _cos_sin(Im x L), to
+    8 eps of |e^{x L}|, summed in float64 and made complex once."""
     lengths = geometry.decay_lengths(zs)
     if not np.iscomplexobj(x):
-        return sum(np.exp(np.outer(x, lp)) for lp in lengths)
+        return sum(np.exp(np.maximum(np.outer(x, lp), _EXP_FLOOR))
+                   for lp in lengths)
     re = im = 0.0
     for lp in lengths:
         mag = np.exp(x.real[:, None] * lp)
@@ -373,6 +394,11 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
     _check_paths(geometry.decay_lengths(zs).max(), wc, x_lo, spec)
     lattice = _grazing_lattice(geometry.mirror, omega)
+    # A cavity's grazing TM pole, if well below w/c, and on the arch the
+    # lattice's midpoints within 4x of it, if 4 kappa_p < w/8c.
+    pole = _grazing_pole(geometry.width, wc, lattice) if s_coef else None
+    mids = [2.0 * x for x in lattice
+            if 0.25 * pole <= 2.0 * x <= 4.0 * pole < wc / 8.0] if pole else []
 
     def grazing(x):
         """S e^{-x a}/x, e^{-x a} = round_trip(x/2), for real or complex x."""
@@ -387,7 +413,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
             lambda t: columns(*_arch(t, wc, x_lo)), x_lo, wc, spec,
-            breakpoints=bps + lattice
+            breakpoints=bps + lattice + mids
             + (np.arange(1, 8) * wc / 8.0).tolist(), relative_to_max=True)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
@@ -403,12 +429,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
-        # from the light line resolve each decay.
+        # from the light line resolve each decay; kappa_p 2^(k/2), k = -2..2,
+        # and kappa_p 2^k below w/c resolve the grazing pole.
         kappa_max = _CUTOFF / geometry.decay_lengths(zs).min()
+        edges = lattice + _ladder(0.0, wc, kappa_max, 2.0).tolist()
+        if pole:
+            edges += (pole * 2.0 ** np.arange(-1.0, 1.5, 0.5)).tolist() \
+                + _ladder(0.0, 4.0 * pole, wc, 2.0).tolist()
         with _unfolded(index):
-            evan, _ = adaptive_integrate(
-                f_evan, x_lo, kappa_max, spec, breakpoints=lattice + _ladder(
-                    0.0, wc, kappa_max, 2.0).tolist())
+            evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
+                                         breakpoints=edges)
         if x_lo > 0:
             evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
         evan = evan[index]

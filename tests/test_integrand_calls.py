@@ -27,27 +27,29 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
-# ladder toward w/c from a fraction of the tuned pole's depth, and the
-# grazing lattice from w/(4 c sqrt|eps|) and the decay lattices: 9 + 5, 12,
-# 1 and 6 (3 traces, one per depth, and 3 for the asym series oracle's one
-# Lerch integral per delta over every row's shifts b, on 2^k edges).  With
-# a second, seeded trace per depth they were 9 + 5, 12, 2 and 9; with the
-# ladder from
-# 1e-9 w/c and the grazing lattice from 4e-6 w/c they were 9 + 7, 13, 2
-# and 9.  With one Lerch integral
+# ladder toward w/c from a fraction of the tuned pole's depth, the grazing
+# lattice from w/(4 c sqrt|eps|), the edges about a gold cavity's grazing TM
+# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 8, 1 and 6 (3
+# traces, one per depth, and 3 for the asym series oracle's one Lerch
+# integral per delta over every row's shifts b, on 2^k edges).  Without the
+# pole's edges they were 8 + 6, 12, 1 and 6 (the evanescent integral took 4
+# rounds, the arch 2).  With a second, seeded trace per depth they were
+# 9 + 5, 12, 2 and 9; with the ladder from 1e-9 w/c and the grazing lattice
+# from 4e-6 w/c they were 9 + 7, 13, 2 and 9.  With one Lerch integral
 # per row, asym-sharp made 15 calls (3 x 3 for the oracle); with panels at
 # the located modes of the real beta axis they were 9 + 7, 13, 4 and 15;
 # with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
 # calls; with panels at beta a = pi m and halving edges only, the commands
 # made 28 + 22, 38, 22 and 74.
-MAX_CALLS = {"scan-gold": 14, "matsubara-cold": 12, "depth-bragg": 1,
+MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 8, "depth-bragg": 1,
              "asym-sharp": 6}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
-# on the real axis and float64 on the imaginary axis: 1 992 + 8 325,
-# 996 + 22 050, 500 and 1 368.  Each depth makes one trace.  With the
-# first panels from 1e-9 and 4e-6 w/c, the real axis took 2 590, 1 295, 694
-# and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
-MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10317, "matsubara-cold": 23046,
+# on the real axis and float64 on the imaginary axis: 1 842 + 8 325,
+# 921 + 22 050, 500 and 1 368.  Each depth makes one trace.  Without the
+# grazing pole's edges the real axis took 1 992, 996, 500 and 1 368; with
+# the first panels from 1e-9 and 4e-6 w/c, 2 590, 1 295, 694 and 1 665; on
+# the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 22971,
                               "depth-bragg": 500, "asym-sharp": 1368}
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16

@@ -109,6 +109,27 @@ def test_phases_underflow_to_exact_zero_without_warning():
     assert (got[x.real > -708.0] != 0.0).all()
 
 
+def test_evanescent_paths_floor_their_exponents(monkeypatch):
+    # real x = -kappa: e^{x L} is numpy's exp down to x L = _EXP_FLOOR and
+    # e^_EXP_FLOOR below it, a normal number that keeps its products with
+    # any kernel above 1e-40 normal, where np.exp would underflow slowly;
+    # the evanescent trace does not move by a bit
+    x = -np.linspace(0.0, 2000.0, 4001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _paths(x, np.array([0.5]), PlateGeometry(ConstantR(0.5)))[:, 0]
+    above = x > greens._EXP_FLOOR
+    assert (got[above] == np.exp(x[above])).all()
+    assert (got[~above] == math.exp(greens._EXP_FLOOR)).all()
+    assert got.min() * 1e-40 > np.finfo(float).tiny
+    cavity = CavityGeometry(width=LAM, mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.linspace(-0.49, 0.49, 41) * LAM
+    floored = cavity_trace_realfreq(zs, W_LIH, cavity).evanescent
+    monkeypatch.setattr(greens, "_EXP_FLOOR", -np.inf)
+    assert (cavity_trace_realfreq(zs, W_LIH, cavity).evanescent
+            == floored).all()
+
+
 @pytest.mark.parametrize("k", [1, 2, 7, 38, 200])
 def test_cos_sin_matches_numpy(k):
     # the (K x K) and (positions x K) angle grids of greens._chebyshev and
