@@ -38,8 +38,8 @@ a constant in z exactly.
 
 At imaginary frequency omega = i xi, beta = i kappa, the bracket is real and
 evaluated in float64; the static term xi = 0 takes the static reflection
-coefficients.  imagfreq_trace_sum integrates every Matsubara term and
-position at once.
+coefficients.  imagfreq_trace_sum integrates every Matsubara term, its
+Euler-Maclaurin tail and every position at once.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def _unfolded(index, interp=None):
     try:
         yield
     except QuadratureError as err:
+        if np.ndim(err.estimate) == 0:
+            raise  # a nested integral's, on its worst node already
         parts = err.estimate, err.error, err.tolerance
         if interp is not None:
             parts = interp @ parts[0], *(abs(interp) @ p for p in parts[1:])
@@ -465,20 +467,13 @@ def cavity_trace_realfreq(z, omega: float, cavity,
 
 
 def imagfreq_trace_sum(geometry, zs, xi, weights,
-                       spec: QuadratureSpec = QuadratureSpec(),
-                       per_term: bool = False):
+                       spec: QuadratureSpec = QuadratureSpec(), tail=None):
     """sum_j weights[i, j] xi_j^2 Tr G(i xi_j) at each position zs[i] of a
-    CavityGeometry or PlateGeometry.  zs must pass geometry.check_position,
-    and each xi_j must be finite and >= 0, else ValueError.
-
-    Position i's trace carries sum_p e^{-kappa L_p} over the geometry's
-    decay_lengths.  xi[0] = 0 is the static limit.  weights holds one weight
-    per term, or one row of them per position; a zero weight drops its term.
-    With per_term the terms are not summed: the result is the
-    (len(xi), len(zs)) array of weights[i, j] xi_j^2 Tr G(i xi_j; z_i),
-    every entry converged to spec on its own.  That is the integrand of the
-    Matsubara tail: past J0 = 64 exact terms, potential._nonresonant
-    integrates the rest over xi, to the same spec.
+    CavityGeometry or PlateGeometry, whose trace carries sum_p e^{-kappa L_p}
+    over the geometry's decay_lengths.  zs must pass check_position, and each
+    xi_j must be finite and >= 0, else ValueError.  xi[0] = 0 is the static
+    limit.  weights holds one weight per term, or one row of them per
+    position; a zero weight drops its term.
 
     One vector integral over s = kappa_j - xi_j/c >= 0, the same variable for
     every term (k_par = sqrt(s (s + 2 xi_j/c)), and dk_par k_par/kappa_j =
@@ -488,6 +483,13 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     the sum over j is one matrix product per path.  Position i's range ends
     at s = CUTOFF / min_p L_p, where each of its terms has decayed by
     e^-CUTOFF.
+
+    tail = (alpha, w) adds w[i] int_{xi_m}^inf alpha(i xi) xi^2 Tr G(i xi)
+    dxi at position i, xi_m = xi[-1] > 0: swapping the integrals makes it one
+    more term at xi_m, whose bracket H(s) = int alpha B(s + xi_m/c, xi) dxi
+    over [xi_m, xi_m + c s] is the same at every position.  Each integrand
+    call integrates H at all its nodes over u in [0, 1], xi = xi_m (1 +
+    c s/xi_m)^u, each to rel_tol of the largest, or fails on its worst one.
     """
     lengths = geometry.decay_lengths(geometry.check_position(zs)[1])
     xi = np.asarray(xi, dtype=float)
@@ -498,7 +500,11 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     q = _CUTOFF / lengths.min(axis=0)
     weights = np.broadcast_to(np.asarray(weights, dtype=float),
                               (len(q), len(xi)))
-    shifts = [weights.T * np.exp(-np.outer(xi / C, lp)) for lp in lengths]
+    terms = xi
+    if tail:
+        alpha, w = tail
+        terms, weights = np.append(xi, xi[-1]), np.column_stack((weights, w))
+    shifts = [weights.T * np.exp(-np.outer(terms / C, lp)) for lp in lengths]
     rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
 
     def kernel(s):
@@ -512,28 +518,41 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                 geometry.mirror, xi[static:], kappa[:, static:])
         return _bracket(rs, rp, -xi**2, -kappa**2, geometry.round_trip(kappa))
 
+    def tail_bracket(s):
+        """H at the nodes s; dxi = xi ln(1 + c s/xi_m) du."""
+        kappa, log = s + xi[-1] / C, np.log1p(C * s / xi[-1])
+
+        def g(u):
+            x = xi[-1] * np.exp(np.outer(u, log))
+            rs, rp = _imaginary_axis(geometry.mirror, x, kappa)
+            return alpha(x) * x * log * _bracket(rs, rp, -x**2, -kappa**2,
+                                                 geometry.round_trip(kappa))
+
+        try:
+            return adaptive_integrate(g, 0.0, 1.0, spec, breakpoints=[0.5],
+                                      relative_to_max=True)[0]
+        except QuadratureError as err:  # its components are nodes, not rows
+            parts = np.array([err.estimate, err.error, err.tolerance])
+            raise QuadratureError(*parts[:, np.argmax(parts[1] / parts[2])],
+                                  err.splits) from err
+
     def f(s):
         decays = [np.exp(-np.outer(s, lp)) for lp in lengths]
-        vals = np.empty((len(s), len(xi), len(q)) if per_term
-                        else (len(s), len(q)))
+        h = tail_bracket(s) if tail else None
+        vals = np.empty((len(s), len(q)))
         for start in range(0, len(s), rows):
             block = slice(start, start + rows)
-            bracket = kernel(s[block])
-            if per_term:
-                vals[block] = sum(np.einsum("sj,jc,sc->sjc", bracket, m,
-                                            d[block])
-                                  for m, d in zip(shifts, decays))
-            else:
-                vals[block] = sum((bracket @ m) * d[block]
-                                  for m, d in zip(shifts, decays))
-        return vals.reshape(len(s), -1)
+            bracket = kernel(s[block]) if h is None else np.column_stack(
+                (kernel(s[block]), h[block]))
+            vals[block] = sum((bracket @ m) * d[block]
+                              for m, d in zip(shifts, decays))
+        return vals
 
     # Panel edges halve from the widest cutoff down to 1/16 of the
     # narrowest, so every position's decay is resolved by the first panels.
     val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
         0.0, 0.5 * q.max(), q.min() / 16.0, 0.5))
-    return val.reshape((len(xi), len(q)) if per_term else len(q)) \
-        / (4.0 * np.pi)
+    return val / (4.0 * np.pi)
 
 
 def cavity_trace_imagfreq(z, xi: float, cavity,

@@ -14,11 +14,11 @@ dropped terms carry e^{-xi_j gap / c} < e^-40.  J(z) grows as 1/T and as
 min(J(z), J0 = 64) terms exactly, j = 0 included, in one vector wavenumber
 integral (greens.imagfreq_trace_sum).  A position with J(z) > J0 replaces the
 rest of its sum by the Euler-Maclaurin form (1/xi_1) int F dxi plus end
-corrections, which are Gregory weights on its last seven exact terms.  One
-vector integral over xi covers all such positions; its integrand is the same
-wavenumber integral at the xi nodes.  Both integrals meet rel_tol, and the
-dropped Gregory orders are below 1e-12 of the sum.  As T -> 0 the sum tends
-to the T = 0 integral (hbar mu0 / 2 pi) int_0^inf xi^2 alpha Tr G dxi.
+corrections, which are Gregory weights on its last seven exact terms.  That
+xi integral is one more term of the wavenumber integral.  It meets rel_tol
+(its inner xi integral of its largest node), and the dropped Gregory orders
+are below 1e-12 of the sum.  As T -> 0 the sum tends to the T = 0 integral
+(hbar mu0 / 2 pi) int_0^inf xi^2 alpha Tr G dxi.
 
 Each cavity argument is a CavityGeometry or a PlateGeometry (z = distance).
 """
@@ -37,7 +37,7 @@ from .greens import _CUTOFF, CavityGeometry, _propagating_series, \
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
-from .quadrature import QuadratureSpec, _ladder, adaptive_integrate
+from .quadrature import QuadratureSpec
 
 __all__ = [
     "PotentialComponents", "ExtremumReport", "LevelScheme",
@@ -111,44 +111,24 @@ class ExtremumReport:
 def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
                  spec: QuadratureSpec):
     """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position of
-    the array zs (see the module docstring).  A position with J(z) > J0
-    replaces sum_{j >= J0} F_j by (1/xi_1) int F dxi from xi_m, m = J0 - 1,
-    to at least xi_m + 40 c / gap, plus _END_WEIGHTS on its exact terms.
-    Both sums run once per geometry.fold rep of zs.  A QuadratureError of
-    the exact sum indexes zs; the tail's integrals keep their own indexing."""
+    the array zs, once per geometry.fold rep, in one integral whose errors
+    index zs.  A position with J(z) > J0 adds imagfreq_trace_sum's tail term
+    from xi_m, m = J0 - 1, and _END_WEIGHTS on its exact terms."""
     zs, index = geometry.fold(zs)
     xi1 = matsubara_frequency(1, env)
     gap = geometry.decay_lengths(zs).min(axis=0)
-    span = _CUTOFF * C / gap
-    need = 2 + np.ceil(span / xi1)
+    need = 2 + np.ceil(_CUTOFF * C / gap / xi1)
     tail = need > _J0
-    terms = np.minimum(need, _J0)
-    xi = xi1 * np.arange(terms.max())
+    xi = xi1 * np.arange(np.minimum(need, _J0).max())
     w = alpha(xi)
     w[0] *= 0.5
-    weights = np.where(np.arange(len(xi)) < terms[:, None], w, 0.0)
-    u = np.zeros(len(zs))
+    weights = np.where(np.arange(len(xi)) < need[:, None], w, 0.0)
     if tail.any():
         weights[tail] *= 1.0 + _END_WEIGHTS
-        u[tail] = _tail_integral(geometry, zs[tail], alpha, xi[-1],
-                                 span[tail], spec) / xi1
     with _unfolded(index):
-        u += imagfreq_trace_sum(geometry, zs, xi, weights, spec)
+        u = imagfreq_trace_sum(geometry, zs, xi, weights, spec, (
+            alpha, tail / xi1) if tail.any() else None)
     return MU_0 * K_B * env.temperature * u[index]
-
-
-def _tail_integral(geometry, zs, alpha, lo, span, spec: QuadratureSpec):
-    """int_lo^{lo + max(span)} alpha(i xi) xi^2 Tr G(i xi) dxi at each
-    position of zs, as one adaptive integral; position i's integrand has
-    decayed by e^-40 at lo + span_i.  Panel edges halve from the widest span
-    down to 1/16 of the narrowest, so every position's decay is resolved
-    from the first panels on."""
-    def f(x):
-        return imagfreq_trace_sum(geometry, zs, x, alpha(x), spec,
-                                  per_term=True)
-
-    return adaptive_integrate(f, lo, lo + span.max(), spec, breakpoints=(
-        _ladder(lo, 0.5 * span.max(), span.min() / 16.0, 0.5)))[0]
 
 
 def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
@@ -157,8 +137,8 @@ def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
 
     z is a position or a 1-D array of positions (array out).  All positions
     share one wavenumber integral over their first min(J(z), J0) terms and
-    one Euler-Maclaurin tail integral for the rest (see the module
-    docstring); both meet spec.rel_tol, so the cost is bounded as T -> 0.
+    the Euler-Maclaurin tail for the rest (see the module docstring), which
+    meets spec.rel_tol, so the cost is bounded as T -> 0.
     In a cavity each distinct |z| is summed once, so +-z get equal entries.
     """
     scalar, zs = cavity.check_position(z)

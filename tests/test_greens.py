@@ -23,7 +23,7 @@ from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
 from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
                                 permittivity_at, quarter_wave_stack,
                                 reflection_coefficients, transverse_wavenumber)
-from cavitycp.molecules import LIH, ThermalEnvironment
+from cavitycp.molecules import LIH, ThermalEnvironment, polarizability_imag
 from cavitycp.potential import heating_rate_profile, nonresonant_potential, \
     potential_depth
 from cavitycp.quadrature import QuadratureError, QuadratureSpec, \
@@ -334,19 +334,22 @@ def _complex_route(mirror, xi, kappa):
 def test_imagfreq_trace_sum_matches_the_complex_kernel(mirror, plate, quad,
                                                        monkeypatch):
     # the float64 reflection kernel against the complex one, through the
-    # exact sum and per_term: the static term and 12 Matsubara terms of 10 K
+    # exact sum of the static term and 12 Matsubara terms of 10 K, and
+    # through the tail term from the last of them, at per-position weights
     if plate:
         geometry, zs = PlateGeometry(mirror), np.array([2e-6, 1e-5, 3e-4])
     else:
         geometry = _resonant_cavity(mirror, 2)
         zs = np.array([0.0, 1e-5, 2e-4, -3e-4])
     xi = 8.22e12 * np.arange(13)
-    weights = np.linspace(1.0, 2.0, len(zs))[:, None] * np.ones(len(xi))
-    got = [imagfreq_trace_sum(geometry, zs, xi, weights, quad, per_term=p)
-           for p in (False, True)]
+    rows = np.linspace(1.0, 2.0, len(zs))
+    weights = rows[:, None] * np.ones(len(xi))
+    tail = (lambda x: polarizability_imag(LIH, x), rows / xi[1])
+    cases = [(weights, None), (0.0 * weights, tail)]
+    got = [imagfreq_trace_sum(geometry, zs, xi, w, quad, t) for w, t in cases]
     monkeypatch.setattr(greens, "_imaginary_axis", _complex_route)
-    for p, g in zip((False, True), got):
-        want = imagfreq_trace_sum(geometry, zs, xi, weights, quad, per_term=p)
+    for (w, t), g in zip(cases, got):
+        want = imagfreq_trace_sum(geometry, zs, xi, w, quad, t)
         assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want))
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cavitycp.asymptotics as asymptotics
+import cavitycp.greens as greens
 import cavitycp.potential as potential
 import cavitycp.quadrature as quadrature
 from cavitycp.cli import main
@@ -29,9 +30,13 @@ _SPEC.loader.exec_module(workloads)
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
 # ladder toward w/c from a fraction of the tuned pole's depth, the grazing
 # lattice from w/(4 c sqrt|eps|), the edges about a gold cavity's grazing TM
-# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 8, 1 and 6 (3
+# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 6, 1 and 6 (3
 # traces, one per depth, and 3 for the asym series oracle's one Lerch
-# integral per delta over every row's shifts b, on 2^k edges).  Without the
+# integral per delta over every row's shifts b, on 2^k edges).
+# matsubara-cold's 6 are 2 for its real-frequency trace, 2 for its one
+# Matsubara integral and 1 in each of those for its tail term's xi integral;
+# with a separate adaptive xi integral for the tail, whose integrand was the
+# per-term Matsubara integral at its xi nodes, they were 8.  Without the
 # pole's edges they were 8 + 6, 12, 1 and 6 (the evanescent integral took 4
 # rounds, the arch 2).  With a second, seeded trace per depth they were
 # 9 + 5, 12, 2 and 9; with the ladder from 1e-9 w/c and the grazing lattice
@@ -41,15 +46,18 @@ _SPEC.loader.exec_module(workloads)
 # with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
 # calls; with panels at beta a = pi m and halving edges only, the commands
 # made 28 + 22, 38, 22 and 74.
-MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 8, "depth-bragg": 1,
+MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 6, "depth-bragg": 1,
              "asym-sharp": 6}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
 # on the real axis and float64 on the imaginary axis: 1 842 + 8 325,
-# 921 + 22 050, 500 and 1 368.  Each depth makes one trace.  Without the
-# grazing pole's edges the real axis took 1 992, 996, 500 and 1 368; with
-# the first panels from 1e-9 and 4e-6 w/c, 2 590, 1 295, 694 and 1 665; on
-# the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
-MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 22971,
+# 921 + 20 925, 500 and 1 368.  Each depth makes one trace.  With a separate
+# xi integral for the Matsubara tail, matsubara-cold's imaginary axis took
+# 22 050: its tail term's xi integral takes (xi node, wavenumber node)
+# pairs of its own, but no per-term wavenumber integral at each xi node.
+# Without the grazing pole's edges the real axis took 1 992, 996, 500 and
+# 1 368; with the first panels from 1e-9 and 4e-6 w/c, 2 590, 1 295, 694
+# and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 21846,
                               "depth-bragg": 500, "asym-sharp": 1368}
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
@@ -63,6 +71,11 @@ MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 22971,
 # with one cos(2 beta z) per product, 29 792, 14 896, 6 980 and 32 910.
 MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
                             "depth-bragg": 7936, "asym-sharp": 25980}
+# float64 imaginary-axis reflection evaluations of a 40-point gold profile
+# at 0.1 K, off the benchmark, where every row needs the Euler-Maclaurin
+# tail (J(z) up to 107 953): 35 415 (node, xi) pairs, the tail term's xi
+# integral included; with a separate xi integral for the tail, 54 090.
+MAX_COLD_IMAGINARY_AXIS = 35415
 # (coefficient, seed) pairs of the Newton steps on well-depth extrema,
 # summed over a workload's depths: the even Chebyshev series of a depth's
 # trace has 16, 19 and 22 coefficients at nu = 2, 3, 4 (bragg.cfg and
@@ -126,6 +139,22 @@ def test_newton_nodes_per_workload(workload, monkeypatch):
     monkeypatch.setattr(potential, "_newton_extrema", counted)
     _run_checked(workload)
     assert sum(sizes) <= MAX_NEWTON_NODES[workload]
+
+
+def test_imaginary_axis_evaluations_of_a_cold_profile(monkeypatch):
+    sizes = []
+    evaluate = greens._imaginary_axis
+
+    def counted(*args):
+        rs, rp = evaluate(*args)
+        sizes.append(rs.size)
+        return rs, rp
+
+    monkeypatch.setattr(greens, "_imaginary_axis", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["profile", "--mirror", "gold", "--width", "resonance:2",
+                     "--points", "40", "--temperature", "0.1K"]) == 0
+    assert 0 < sum(sizes) <= MAX_COLD_IMAGINARY_AXIS
 
 
 def test_asym_makes_one_lerch_integral_per_delta(monkeypatch):

@@ -10,13 +10,15 @@ past J0 by the Euler-Maclaurin tail.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cavitycp.potential
+import cavitycp.quadrature
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.cli import _z_grid
+from cavitycp.cli import _z_grid, main
 from cavitycp.constants import C, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              cavity_trace_imagfreq, cavity_trace_realfreq,
@@ -30,7 +32,8 @@ from cavitycp.molecules import (matsubara_frequency, photon_number,
 from cavitycp.potential import (_J0, LevelScheme, general_state_potential,
                                 nonresonant_potential, potential_components,
                                 resonance_width)
-from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
+from cavitycp.quadrature import (QuadratureError, QuadratureSpec,
+                                 adaptive_integrate)
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
 
@@ -300,6 +303,55 @@ def test_cost_bounded_in_temperature(reflection_evaluations):
                               QuadratureSpec(rel_tol=1e-9))
         cost[temperature] = sum(reflection_evaluations)
     assert cost[0.1] <= 3 * cost[10.0]
+
+
+def test_cold_scan_memory():
+    # the tail is one more term of the wavenumber integral, so a cold scan
+    # holds (node x position) blocks: 2.1 MB traced at 400 positions and
+    # 1 K, where a separate tail integral over xi held (node x xi x
+    # position) arrays, 27.9 MB
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.array(_z_grid(A2, 400))
+    tracemalloc.start()
+    try:
+        nonresonant_potential(zs, LIH, cav, ThermalEnvironment(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_tail_failure_names_a_row(monkeypatch):
+    # the tail is a term of the one integral over all positions, so a spent
+    # budget names one of the caller's 5 rows; a separate tail integral
+    # named one of its own 75 (xi node x position) components
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    monkeypatch.setattr(cavitycp.quadrature, "_MAX_SUBDIVISIONS", 5)
+    with pytest.raises(QuadratureError, match=" of 5, "):
+        nonresonant_potential(np.array(_z_grid(A2, 5)), LIH, cav,
+                              ThermalEnvironment(1.0), QuadratureSpec(1e-14))
+
+
+def test_tail_xi_failure_is_one_line_on_its_worst_node(monkeypatch, capsys):
+    # the tail's inner xi integral has one component per wavenumber node,
+    # not per row: its failure reports its worst node and names no
+    # component, and the CLI exits 3 on that one line
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    monkeypatch.setattr(cavitycp.quadrature, "_MAX_SUBDIVISIONS", 1)
+    with pytest.raises(QuadratureError) as info:
+        nonresonant_potential(np.array(_z_grid(A2, 5)), LIH, cav,
+                              ThermalEnvironment(1.0), QuadratureSpec(1e-14))
+    err, inner = info.value, info.value.__cause__
+    assert np.ndim(err.estimate) == 0 and inner.estimate.size > 5
+    assert err.error_ratio == np.max(inner.error / inner.tolerance) > 1.0
+    code = main(["--rel-tol", "1e-14", "profile", "--mirror", "gold",
+                 "--width", "resonance:2", "--points", "5",
+                 "--temperature", "1K"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.count("\n") == 1 and "component" not in out.err
+    assert out.err.startswith("numerical failure: quadrature failed to "
+                              "converge: estimate ")
 
 
 def test_zero_temperature_limit():

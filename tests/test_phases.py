@@ -156,6 +156,17 @@ def test_cli_refuses_a_gap_too_small(width, capsys):
     assert err.count("\n") == 1 and "gap" in err and "too small" in err
 
 
+def test_a_picometre_cavity_fails_on_a_row(capsys):
+    # past the door a picometre cavity still runs every integral and exits
+    # 3, on one line that names one of its 4 rows (3 points and the z = 0
+    # offset); the Matsubara tail's own xi integral used to name its
+    # component 301 of 390
+    code = main(["profile", "--width", "1e-12", "--points", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and " of 4, " in err
+
+
 @pytest.mark.parametrize("geometry, z", [
     (PlateGeometry(HalfSpace(GOLD_DRUDE)), 1e-320),
     (CavityGeometry(width=3e-320, mirror=HalfSpace(GOLD_DRUDE)), 1e-320)],
