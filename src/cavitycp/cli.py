@@ -199,10 +199,10 @@ def cmd_asym(args) -> int:
     coupling = photon_number(t.omega, env) * t.d_squared / (3.0 * EPSILON_0)
     nus = list(range(args.nu_min, args.nu_max + 1))
     deltas = [float(s) for s in args.delta.split(",") if s.strip()]
-    if not nus:
-        raise ConfigError("empty nu range")
-    if any(nu < 2 for nu in nus):
-        raise ConfigError("asym requires nu >= 2")
+    if not nus or nus[0] < 2:
+        raise ConfigError("asym needs 2 <= --nu-min <= --nu-max")
+    if not all(0 < delta < 1 for delta in deltas):
+        raise ConfigError(f"--delta takes values in (0, 1), got {args.delta}")
 
     # the series of every nu from one Lerch integral per delta
     series = {delta: asymptotics.I_phi_series(
@@ -297,6 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes -1e-3 for a flag
+        flag, value = argv[i - 1:i + 1]
+        if flag[:2] == "--" and value[:1] == "-" and value[1:2].isdigit():
+            argv[i - 1:i + 1] = [flag + "=" + value]
     try:
         args = build_parser().parse_args(
             argv, namespace=argparse.Namespace(**_GLOBAL_DEFAULTS))

@@ -11,10 +11,11 @@ runs one path for both: the geometry supplies D_sigma's round trip
 paths, its fold of the positions (each distinct |z| once in a cavity, the
 identity at a plate), their span and its resonance seed (the grazing
 coefficient S and a 2^k ladder toward w/c for the tuned mode, from 1/8 of its
-pole's depth; 0 and none at a plate).  The propagating part runs on an arch
-above the real beta axis, which passes every pole of 1/D_sigma, so no cavity
-mode needs locating.  Every trace integral starts on panels that resolve its
-known scales: that ladder, uniform edges along the arch, geometric
+pole's depth, or at a constant r >= 1/2 that pole, subtracted in closed form;
+0 and none at a plate).  The propagating part runs on an arch above the real
+beta axis, which passes every pole of 1/D_sigma, so no cavity mode needs
+locating.  Every trace integral starts on panels that resolve its known
+scales: that ladder, uniform edges along the arch, geometric
 lattices (quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and
 over the decay of e^{-kappa L} in the evanescent and Matsubara integrals,
 and in a gold cavity edges about the grazing TM pole of 1/D_p(i kappa), at
@@ -118,15 +119,22 @@ class CavityGeometry:
         return 0.0, np.abs(zs).max()
 
     def resonance_seed(self, omega):
-        """(S, edges) of a propagating trace at omega: the grazing
-        coefficient, and edges w/c - x_0 2^k up to w/c - w/2c for the tuned
-        mode, whose pole lies d = -ln max_sigma |r_sigma(w/c)| / a below the
-        arch's end at w/c: x_0 = max(1e-9 w/c, d/8), none if r = 0."""
-        wc = omega / C
+        """(S, edges, pole) of a propagating trace at omega.  ConstantR(r),
+        r >= 1/2: (0, [], (beta_p, k_p)), the nearest mode m = round(w a/pi c)
+        >= 1 at beta_p = (m pi + i ln r)/a and K's residue k_p = (beta_p c/w)^2
+        r/(4 pi a) (a smaller r's residues, up to r^-2, would cancel digits).
+        Else S, edges w/c - x_0 2^k up to w/c - w/2c toward the tuned pole
+        d = -ln max_sigma |r_sigma(w/c)| / a below w/c, x_0 = max(1e-9 w/c,
+        d/8) (none if r = 0), and None."""
+        wc, a = omega / C, self.width
+        r = self.mirror.r if isinstance(self.mirror, ConstantR) else 0.0
+        if r >= 0.5:
+            beta = (max(1, round(wc * a / np.pi)) * np.pi + 1j * np.log(r)) / a
+            return 0.0, [], (beta, (beta / wc)**2 * r / (4.0 * np.pi * a))
         r = np.abs(reflection_coefficients(self.mirror, omega, beta=wc)).max()
-        x_0 = max(1e-9 * wc, -np.log(r) / (8.0 * self.width)) if r else wc
+        x_0 = max(1e-9 * wc, -np.log(r) / (8.0 * a)) if r else wc
         return _grazing_coefficient(self, omega), \
-            _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist()
+            _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist(), None
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,8 @@ class PlateGeometry:
         return 0.5 * (ds.max() + ds.min()), 0.5 * (ds.max() - ds.min())
 
     def resonance_seed(self, omega):
-        """(0, []): D_sigma = 1 has no resonance and no 1/beta term."""
-        return 0.0, []
+        """(0, [], None): D_sigma = 1 has no resonance and no 1/beta term."""
+        return 0.0, [], None
 
 
 def _positions(z, geometry, what):
@@ -383,12 +391,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     the arch beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), t in
     [x_lo, w/c], h = _ARCH: the poles of 1/D_sigma lie below the real axis
     (|r_sigma| < 1), so the arch passes none and nothing needs locating; on
-    it the paths decay as e^{-L Im beta}.
+    it the paths decay as e^{-L Im beta}.  A tuned pole beta_p's term
+    g_j/(beta - beta_p), g_j = k_p sum_p e^{i beta_p L_p(z_j)}, is subtracted
+    from column j and integrated as a log.
     """
     zs, index = geometry.fold(zs)
     wc = omega / C
     cols, interp = _z_interpolation(zs, wc, geometry)
-    s_coef, bps = geometry.resonance_seed(omega)
+    s_coef, bps, tuned = geometry.resonance_seed(omega)
+    residues = tuned[1] * _paths(np.array([1j * tuned[0]]), cols,
+                                 geometry)[0] if tuned else None
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
@@ -407,10 +419,13 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         return s_coef * geometry.round_trip(0.5 * x) / x
 
     def columns(beta, weight):
-        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta) at beta."""
-        return _by_columns(_kernel(beta, omega, geometry) * weight, cols,
-                           lambda z: _paths(1j * beta, z, geometry),
-                           -grazing(beta) * weight if s_coef else None)
+        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta
+        - g/(beta - beta_p)) at beta."""
+        out = _by_columns(_kernel(beta, omega, geometry) * weight, cols,
+                          lambda z: _paths(1j * beta, z, geometry),
+                          -grazing(beta) * weight if s_coef else None)
+        return out - np.outer(weight / (beta - tuned[0]), residues) \
+            if tuned else out
 
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
@@ -420,6 +435,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
         prop = prop + columns(mid, x_lo)[0]
+    if tuned:  # the arch and [x_lo, w/c] lie above beta_p: principal logs
+        prop = prop + residues * np.log((wc - tuned[0]) / (x_lo - tuned[0]))
 
     evan = None
     if evanescent:

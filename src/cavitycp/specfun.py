@@ -66,9 +66,10 @@ def lerch_phi(delta: float, b) -> np.ndarray:
     Phi(z, s, b) = Gamma(s)^-1 int_0^inf t^(s-1) e^(-bt) / (1 - z e^(-t)) dt
     (Erdelyi et al., Higher Transcendental Functions I, 1.11).  Its
     denominator, (1 - r^2) e^(-t) - expm1(-t) with 1 - r^2 = delta (2 - delta),
-    is exact at its minimum t = 0; edges (1 - r^2) 2^k resolve the peak there,
-    and past t = 50/b, e^(-bt) < e^-50.  An array b gives shape b.shape + (3,)
-    from one integral to 50/min b, each (b, s) column at its own tolerance."""
+    is exact at its minimum t = 0; edges (1 - r^2) 2^(2k/3) resolve the peak
+    there in one round, and past t = 50/b, e^(-bt) < e^-50.  An array b gives
+    shape b.shape + (3,) from one integral to 50/min b, each (b, s) column at
+    its own tolerance."""
     b = np.asarray(b, dtype=float)
     if not (np.all(b > 0) and 0 < delta <= 1):
         raise ValueError(
@@ -82,5 +83,5 @@ def lerch_phi(delta: float, b) -> np.ndarray:
         return (w * t[:, None, None] ** np.arange(3)).reshape(len(t), -1)
 
     val, _ = adaptive_integrate(integrand, 0.0, hi, _LERCH_SPEC,
-                                _ladder(0.0, gap, hi, 2.0))
+                                _ladder(0.0, gap, hi, 2.0 ** (2.0 / 3.0)))
     return val.reshape(b.shape + (3,)) * np.array([1.0, 1.0, 0.5])

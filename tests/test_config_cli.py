@@ -511,9 +511,8 @@ def test_cli_asym(capsys):
 
 def test_cli_asym_sharp_cavity(capsys):
     # delta = 1e-8 needs ~1.8e9 terms of the plain series; the Lerch form
-    # of I(phi) answers in milliseconds.  At nu = 6 the tuned mode's
-    # D_sigma ~ 2 delta keeps the trace's smallest columns from their own
-    # rel_tol; each meets it of the largest
+    # of I(phi) answers in milliseconds.  The trace subtracts the tuned
+    # mode's pole, 1e-8/a below w/c, in closed form
     code, out, _ = run_cli(
         ["asym", "--nu-min", "2", "--nu-max", "6", "--delta", "1e-8"], capsys)
     assert code == 0
@@ -525,14 +524,28 @@ def test_cli_asym_sharp_cavity(capsys):
 
 
 def test_cli_asym_delta_floor(capsys):
-    # near the resonances D_sigma ~ 2 delta is rounded by ~ulp(pi m), so the
-    # reachable tolerance is ~1e-17/delta; delta = 1e-10 converges at 1e-7
+    # with its tuned pole subtracted, a constant-r trace carries no 2 delta
+    # cancellation in D_sigma and no tolerance floor ~1e-17/delta; delta =
+    # 1e-10 converges at a loose 1e-7 as at the default (see the test below)
     code, out, _ = run_cli(
         ["--rel-tol", "1e-7", "asym", "--nu-min", "2", "--nu-max", "4",
          "--delta", "1e-10"], capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["nu"] for r in rows] == ["2", "3", "4"]
+    for r in rows:
+        assert float(r["depth_quadrature_J"]) == pytest.approx(
+            float(r["depth_series_J"]), rel=0.01)
+
+
+def test_cli_asym_has_no_delta_floor(capsys):
+    # at the default rel_tol, deltas below the old ~1e-8 floor exit 0, and
+    # each depth is within 1 % of the series at the seeded extrema
+    code, out, _ = run_cli(["asym", "--nu-min", "2", "--nu-max", "10",
+                            "--delta", "1e-8,1e-12"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 18
     for r in rows:
         assert float(r["depth_quadrature_J"]) == pytest.approx(
             float(r["depth_series_J"]), rel=0.01)
@@ -568,6 +581,13 @@ def test_cli_exit_config_errors(capsys):
     # bad width
     code, _, _ = run_cli(["profile", "--width", "-3um"], capsys)
     assert code == 2
+    # delta = 1 - r outside (0, 1), with or without "=": argparse read a
+    # value -1e-3 as a flag, and the others failed on r, not on --delta
+    for delta in (["--delta", "-1e-3"], ["--delta=-1e-3"], ["--delta", "0"],
+                  ["--delta", "1.5"], ["--delta", "1e-3,-1e-4"]):
+        code, out, err = run_cli(["asym", "--nu-max", "3", *delta], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--delta" in err and "(0, 1)" in err
 
 
 @pytest.mark.parametrize("flag", ["--config", "--out"])

@@ -20,7 +20,7 @@ from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
                              _z_interpolation, cavity_trace_imagfreq,
                              cavity_trace_realfreq, imagfreq_trace_sum,
                              zero_frequency_trace_limit)
-from cavitycp.materials import (ConstantR, HalfSpace, Stack, Vacuum,
+from cavitycp.materials import (ConstantR, Drude, HalfSpace, Stack, Vacuum,
                                 permittivity_at, quarter_wave_stack,
                                 reflection_coefficients, transverse_wavenumber)
 from cavitycp.molecules import LIH, ThermalEnvironment, polarizability_imag
@@ -313,7 +313,7 @@ def test_grazing_coefficient_step_independent(mirror, nu):
     # S is a limit beta -> 0: the default step beta_0 = 1e-6 w/c and a
     # ten times larger one agree
     cav = _resonant_cavity(mirror, nu)
-    s_default, _ = cav.resonance_seed(W_LIH)
+    s_default = cav.resonance_seed(W_LIH)[0]
     s_coarse = _grazing_coefficient(cav, W_LIH, step=1e-5)
     assert s_default != 0
     assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)
@@ -354,19 +354,21 @@ def test_imagfreq_trace_sum_matches_the_complex_kernel(mirror, plate, quad,
 
 
 def _normal_incidence_r(mirror):
-    """|r| at normal incidence: r, or |(1 - n)/(1 + n)| of a half-space."""
-    if isinstance(mirror, ConstantR):
-        return mirror.r
+    """|r| = |(1 - n)/(1 + n)| of a half-space at normal incidence."""
     n = np.sqrt(permittivity_at(mirror.materials[0], W_LIH))
     return abs((1.0 - n) / (1.0 + n))
 
 
+# Drude half-spaces with 1 - |r| = 1e-3 and 1e-9 at normal incidence
+SHARP_DRUDE = [HalfSpace(Drude(1e15, 1e12)), HalfSpace(Drude(1e16, 1e7))]
+
+
 @pytest.mark.parametrize("mirror, nu", [
     (HalfSpace(GOLD_DRUDE), 1), (HalfSpace(GOLD_DRUDE), 2),
-    (HalfSpace(GOLD_DRUDE), 40), (ConstantR(0.9), 2), (ConstantR(0.999), 40),
-    (ConstantR(0.999999999), 40)],
-    ids=["gold-nu1", "gold-nu2", "gold-nu40", "r0.9-nu2", "r0.999-nu40",
-         "r1-1e-9-nu40"])
+    (HalfSpace(GOLD_DRUDE), 40), (HalfSpace(SAPPHIRE_300K), 2),
+    (SHARP_DRUDE[0], 40), (SHARP_DRUDE[1], 40)],
+    ids=["gold-nu1", "gold-nu2", "gold-nu40", "sapphire-nu2",
+         "drude-1e-3-nu40", "drude-1e-9-nu40"])
 def test_resonance_ladder_starts_at_the_tuned_pole_depth(mirror, nu):
     # the tuned mode's pole lies d = -ln|r|/a below the arch's end at w/c:
     # the ladder starts d/8 from it, but no closer than 1e-9 w/c (the last
@@ -374,7 +376,8 @@ def test_resonance_ladder_starts_at_the_tuned_pole_depth(mirror, nu):
     cavity = _resonant_cavity(mirror, nu)
     wc = W_LIH / C
     depth = -np.log(_normal_incidence_r(mirror)) / cavity.width
-    _, edges = cavity.resonance_seed(W_LIH)
+    s_coef, edges, pole = cavity.resonance_seed(W_LIH)
+    assert s_coef != 0 and pole is None
     steps = wc - np.sort(edges)[::-1]
     assert steps[0] >= 1e-9 * wc - 4.0 * np.spacing(wc)  # wc - x_0 rounds
     assert steps[0] == pytest.approx(max(1e-9 * wc, depth / 8.0), rel=1e-6)
@@ -382,10 +385,40 @@ def test_resonance_ladder_starts_at_the_tuned_pole_depth(mirror, nu):
     assert steps[-1] <= 0.5 * wc < 2.0 * steps[-1]
 
 
+@pytest.mark.parametrize("r", [0.5, 0.9, 1.0 - 1e-5, 1.0 - 1e-12])
+@pytest.mark.parametrize("width", [0.3, 1.0, 2.0, 6.4, 20.0])
+def test_constant_r_cavity_seeds_its_tuned_pole(r, width):
+    # widths in units of lam/2: the nearest mode m = round(2 a/lam) >= 1,
+    # tuned or not, with D = 1 - r^2 e^{2 i beta a} = 0 at beta_p and K's
+    # residue there k_p, from (beta - beta_p) K(beta) averaged over four
+    # points about the pole (exact up to O(h^4)); no ladder and S = 0
+    cavity = CavityGeometry(width=width * LAM / 2.0, mirror=ConstantR(r))
+    a = cavity.width
+    s_coef, edges, (beta_p, k_p) = cavity.resonance_seed(W_LIH)
+    assert s_coef == 0 and edges == []
+    assert beta_p.real * a / np.pi == pytest.approx(max(1, round(width)))
+    assert abs(np.expm1(2j * beta_p * a + 2.0 * np.log(r))) < 1e-14
+    h = 1e-3 / a * 1j ** np.arange(4)
+    residue = np.mean(h * greens._kernel(beta_p + h, W_LIH, cavity))
+    assert residue == pytest.approx(k_p, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.49])
+def test_weak_constant_r_keeps_the_ladder(r):
+    # below r = 1/2 the residues (up to r^-2) would cancel digits: the
+    # ladder from the pole's depth d = -ln r/a, and no pole
+    cavity = _resonant_cavity(ConstantR(r), 2)
+    s_coef, edges, pole = cavity.resonance_seed(W_LIH)
+    wc = W_LIH / C
+    assert s_coef == 0 and pole is None
+    assert wc - max(edges) == pytest.approx(-np.log(r) / (8.0 * cavity.width),
+                                            rel=1e-6)
+
+
 def test_zero_mirror_gets_no_resonance_ladder():
     # r = 0 has no pole: no edges, and no log(0) on the way
     assert _resonant_cavity(ConstantR(0.0), 2).resonance_seed(W_LIH) \
-        == (0.0, [])
+        == (0.0, [], None)
 
 
 @pytest.mark.parametrize("mirror, eps", [

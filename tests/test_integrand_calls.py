@@ -21,6 +21,8 @@ import cavitycp.greens as greens
 import cavitycp.potential as potential
 import cavitycp.quadrature as quadrature
 from cavitycp.cli import main
+from cavitycp.materials import ConstantR
+from cavitycp.molecules import LIH, ThermalEnvironment
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -28,11 +30,14 @@ workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 # Calls with first panels on the propagating arch's uniform edges, its 2^k
-# ladder toward w/c from a fraction of the tuned pole's depth, the grazing
+# ladder toward w/c from a fraction of the tuned pole's depth (none where a
+# constant r's tuned pole is subtracted in closed form), the grazing
 # lattice from w/(4 c sqrt|eps|), the edges about a gold cavity's grazing TM
-# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 6, 1 and 6 (3
-# traces, one per depth, and 3 for the asym series oracle's one Lerch
-# integral per delta over every row's shifts b, on 2^k edges).
+# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 6, 1 and 5 (3
+# traces, one per depth on 8 arch panels, and 2 for the asym series
+# oracle's one Lerch integral per delta over every row's shifts b, on
+# 2^(2k/3) edges).  With the ladder for the constant-r tuned mode (22 of 30
+# arch panels) and 2^k Lerch edges (3 calls), asym-sharp made 6.
 # matsubara-cold's 6 are 2 for its real-frequency trace, 2 for its one
 # Matsubara integral and 1 in each of those for its tail term's xi integral;
 # with a separate adaptive xi integral for the tail, whose integrand was the
@@ -47,10 +52,12 @@ _SPEC.loader.exec_module(workloads)
 # calls; with panels at beta a = pi m and halving edges only, the commands
 # made 28 + 22, 38, 22 and 74.
 MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 6, "depth-bragg": 1,
-             "asym-sharp": 6}
+             "asym-sharp": 5}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
 # on the real axis and float64 on the imaginary axis: 1 842 + 8 325,
-# 921 + 20 925, 500 and 1 368.  Each depth makes one trace.  With a separate
+# 921 + 20 925, 500 and 360.  Each depth makes one trace; a constant r's
+# makes none at w/c for its tuned pole.  With that pole's ladder, asym-sharp
+# took 1 368 (30 panels and an evaluation at w/c per depth).  With a separate
 # xi integral for the Matsubara tail, matsubara-cold's imaginary axis took
 # 22 050: its tail term's xi integral takes (xi node, wavenumber node)
 # pairs of its own, but no per-term wavenumber integral at each xi node.
@@ -58,19 +65,21 @@ MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 6, "depth-bragg": 1,
 # 1 368; with the first panels from 1e-9 and 4e-6 w/c, 2 590, 1 295, 694
 # and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
 MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 21846,
-                              "depth-bragg": 500, "asym-sharp": 1368}
+                              "depth-bragg": 500, "asym-sharp": 360}
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
 # folded Chebyshev nodes in z, not at its 101 or 21 folded positions; a
 # depth evaluates it at the 16, 19 and 22 folded Chebyshev nodes of its
-# edge at nu = 2, 3, 4.  The traces take 480, 480, 496 and 450-465 arch
-# nodes.  With a depth's seeds, and then its refined extrema, as the
+# edge at nu = 2, 3, 4.  The traces take 480, 480, 496 and 120 arch
+# nodes, and a constant-r depth one residue node per column: 6 897 on
+# asym-sharp, 25 980 with the tuned mode's ladder on 450-465 arch nodes.
+# With a depth's seeds, and then its refined extrema, as the
 # columns of two traces, depth-bragg and asym-sharp formed 2 480 and
 # 10 035 products; with the first panels from 1e-9 and 4e-6 w/c the four
 # workloads formed 24 032, 12 016, 3 455 and 12 210, and on the real axis,
 # with one cos(2 beta z) per product, 29 792, 14 896, 6 980 and 32 910.
 MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
-                            "depth-bragg": 7936, "asym-sharp": 25980}
+                            "depth-bragg": 7936, "asym-sharp": 6897}
 # float64 imaginary-axis reflection evaluations of a 40-point gold profile
 # at 0.1 K, off the benchmark, where every row needs the Euler-Maclaurin
 # tail (J(z) up to 107 953): 35 415 (node, xi) pairs, the tail term's xi
@@ -139,6 +148,28 @@ def test_newton_nodes_per_workload(workload, monkeypatch):
     monkeypatch.setattr(potential, "_newton_extrema", counted)
     _run_checked(workload)
     assert sum(sizes) <= MAX_NEWTON_NODES[workload]
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-12])
+def test_constant_r_depth_trace_converges_on_its_first_panels(delta,
+                                                              monkeypatch):
+    # the tuned pole subtracted, a depth's trace converges on the arch's 8
+    # uniform panels in one call at nu = 2, 3, 4 (asym-sharp's orders), at
+    # delta = 1e-5 as at 1e-12, where the ladder took 30-31 panels and 1e-12
+    # exhausted the subdivision budget
+    calls = []
+    panels = quadrature._panels
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    for nu in (2, 3, 4):
+        potential.potential_depth(LIH, ConstantR(1.0 - delta), nu,
+                                  ThermalEnvironment(300.0),
+                                  quadrature.QuadratureSpec())
+    assert calls == [8, 8, 8]
 
 
 def test_imaginary_axis_evaluations_of_a_cold_profile(monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 import cavitycp.greens
 import cavitycp.potential
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.constants import HBAR, K_B, MU_0
+from cavitycp.asymptotics import ConstantRCavity, I_phi_series
+from cavitycp.constants import EPSILON_0, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              _propagating_series, _realfreq_trace,
                              cavity_trace_realfreq)
@@ -27,6 +28,7 @@ from cavitycp.potential import (LevelScheme, general_state_potential,
                                 potential_depth, resonance_width,
                                 resonant_potential, _ground_lines,
                                 _newton_extrema)
+from cavitycp.quadrature import QuadratureSpec
 
 from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 from tests.test_greens import PLATE_IDS, PLATE_MIRRORS, _direct
@@ -199,6 +201,22 @@ def test_depth_bracketed_by_constant_r(gold, env300, quad):
     hi = potential_depth(LIH, ConstantR(0.999), 2, env300, quad).depth
     gold_depth = 5.605037122200923e-35  # from the regression above
     assert lo < gold_depth < hi
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-8, 1e-12])
+def test_constant_r_depth_matches_series_at_refined_extrema(delta, env300):
+    # the exact Lerch series of I(phi) = (w/c)^2 Re Tr G_pr at the depth's
+    # own refined positions phi = z/a: the subtracted tuned pole leaves no
+    # floor ~1e-17/delta, so every order and delta meets 10 rel_tol
+    spec = QuadratureSpec()
+    coupling = photon_number(W_LIH, env300) * D2_LIH / (3.0 * EPSILON_0)
+    for nu in range(2, 11):
+        rep = potential_depth(LIH, ConstantR(1.0 - delta), nu, env300, spec)
+        i_max, i_min = I_phi_series(
+            ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM),
+            np.array(rep.depth_positions) / rep.width)
+        want = coupling * (i_max - i_min)
+        assert abs(rep.depth - want) <= 10.0 * spec.rel_tol * want
 
 
 def test_extrema_structure_nu3(env300, quad):
