@@ -73,11 +73,12 @@ _ARCH = 0.3
 # z-differences stay within 1e-11 of the contour reference's, at 1/2 within
 # 1e-9 only.
 _MAX_RECTANGLE_PHASE = 0.25
-# Floor of the evanescent paths' exponents -kappa L.  e^-600 is far below
-# every column's e^-CUTOFF tail, keeps the kernel products normal (not
-# subnormal), and spares np.exp its underflows: ~180 ns per argument in
-# (-745, -708) and 6-20 ns below, against ~1 ns per normal result.
+# Floor of the exponents -kappa L of evanescent paths and -xi L/c of Matsubara
+# shifts.  e^-600 is far below every column's e^-CUTOFF tail, keeps kernel
+# products normal (not subnormal), and spares np.exp its underflows: ~180 ns
+# per argument in (-745, -708) and 6-20 ns below, against ~1 ns per normal one.
 _EXP_FLOOR = -600.0
+_GRAZING_STEP = 1e-6  # beta_0 c/w of _grazing_coefficient
 # Bytes per block of the temporaries of a batched trace or Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
@@ -228,15 +229,15 @@ def _kernel(beta, omega: float, geometry):
                     geometry.round_trip(-1j * beta)) / (4j * np.pi * omega**2)
 
 
-def _grazing_coefficient(cavity: CavityGeometry, omega, step=1e-6):
+def _grazing_coefficient(cavity: CavityGeometry, omega):
     """S = lim_{beta->0} 2 beta K(beta), the 1/beta grazing singularity of a
     cavity's propagating integrand.  2 beta K is analytic at beta = 0; two
-    Richardson steps from beta_0 = step * w/c cancel its O(beta_0) error (a
-    1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for gold at
-    beta_0 = 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
+    Richardson steps from beta_0 = _GRAZING_STEP w/c cancel its O(beta_0)
+    error (a 1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for
+    gold at 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
     if isinstance(cavity.mirror, ConstantR):
         return 0.0 + 0.0j
-    beta = step * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
+    beta = _GRAZING_STEP * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
     s = 2.0 * beta * _kernel(beta, omega, cavity)
     return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
 
@@ -485,27 +486,27 @@ def cavity_trace_realfreq(z, omega: float, cavity,
 
 def imagfreq_trace_sum(geometry, zs, xi, weights,
                        spec: QuadratureSpec = QuadratureSpec(), tail=None):
-    """sum_j weights[i, j] xi_j^2 Tr G(i xi_j) at each position zs[i] of a
-    CavityGeometry or PlateGeometry, whose trace carries sum_p e^{-kappa L_p}
-    over the geometry's decay_lengths.  zs must pass check_position, and each
-    xi_j must be finite and >= 0, else ValueError.  xi[0] = 0 is the static
-    limit.  weights holds one weight per term, or one row of them per
-    position; a zero weight drops its term.
+    """sum_j weights[j] xi_j^2 Tr G(i xi_j) at each position of the array zs
+    of a CavityGeometry or PlateGeometry, whose trace carries
+    sum_p e^{-kappa L_p} over the geometry's decay_lengths.  zs must pass
+    check_position, and each xi_j must be finite and >= 0, else ValueError.
+    xi[0] = 0 is the static limit.  weights holds one weight per term, and
+    one more for the tail term if tail is given.
 
     One vector integral over s = kappa_j - xi_j/c >= 0, the same variable for
     every term (k_par = sqrt(s (s + 2 xi_j/c)), and dk_par k_par/kappa_j =
     ds), covers all terms and positions: reflection coefficients and bracket
     are evaluated once per (node, xi_j).  e^{-kappa_j L} factors into
-    e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position), so
-    the sum over j is one matrix product per path.  Position i's range ends
-    at s = CUTOFF / min_p L_p, where each of its terms has decayed by
-    e^-CUTOFF.
+    e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position),
+    each exponent floored at _EXP_FLOOR, so the sum over j is one matrix
+    product per path.  A position's range ends at s = CUTOFF / min_p L_p,
+    where each of its terms has decayed by e^-CUTOFF.
 
-    tail = (alpha, w) adds w[i] int_{xi_m}^inf alpha(i xi) xi^2 Tr G(i xi)
-    dxi at position i, xi_m = xi[-1] > 0: swapping the integrals makes it one
-    more term at xi_m, whose bracket H(s) = int alpha B(s + xi_m/c, xi) dxi
-    over [xi_m, xi_m + c s] is the same at every position.  Each integrand
-    call integrates H at all its nodes over u in [0, 1], xi = xi_m (1 +
+    tail = alpha adds weights[-1] int_{xi_m}^inf alpha(i xi) xi^2 Tr G(i xi)
+    dxi, xi_m = xi[-1] > 0: swapping the integrals makes it one more term
+    at xi_m, whose bracket H(s) = int alpha B(s + xi_m/c, xi) dxi over
+    [xi_m, xi_m + c s] is the same at every position.  Each integrand call
+    integrates H at all its nodes over u in [0, 1], xi = xi_m (1 +
     c s/xi_m)^u, each to rel_tol of the largest, or fails on its worst one.
     """
     lengths = geometry.decay_lengths(geometry.check_position(zs)[1])
@@ -515,13 +516,10 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         raise ValueError(f"xi = {xi[bad][0]} must be finite and >= 0")
     static = int(xi[0] == 0.0)
     q = _CUTOFF / lengths.min(axis=0)
-    weights = np.broadcast_to(np.asarray(weights, dtype=float),
-                              (len(q), len(xi)))
-    terms = xi
-    if tail:
-        alpha, w = tail
-        terms, weights = np.append(xi, xi[-1]), np.column_stack((weights, w))
-    shifts = [weights.T * np.exp(-np.outer(terms / C, lp)) for lp in lengths]
+    terms = np.append(xi, xi[-1]) if tail else xi
+    weights = np.asarray(weights, dtype=float)[:, None]
+    shifts = [weights * np.exp(np.maximum(-np.outer(terms / C, lp),
+                                          _EXP_FLOOR)) for lp in lengths]
     rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
 
     def kernel(s):
@@ -542,7 +540,7 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         def g(u):
             x = xi[-1] * np.exp(np.outer(u, log))
             rs, rp = _imaginary_axis(geometry.mirror, x, kappa)
-            return alpha(x) * x * log * _bracket(rs, rp, -x**2, -kappa**2,
+            return tail(x) * x * log * _bracket(rs, rp, -x**2, -kappa**2,
                                                  geometry.round_trip(kappa))
 
         try:

@@ -10,15 +10,18 @@ with all population in the ground state it reduces to the expression above.
 The Matsubara sum for U_nr needs J(z) = 2 + ceil(40 c / (xi_1 gap)) terms at
 position z, gap = a - 2|z| in a cavity and 2d near one plate, so that the
 dropped terms carry e^{-xi_j gap / c} < e^-40.  J(z) grows as 1/T and as
-1/gap, but the cost does not: every position sums its first
-min(J(z), J0 = 64) terms exactly, j = 0 included, in one vector wavenumber
-integral (greens.imagfreq_trace_sum).  A position with J(z) > J0 replaces the
-rest of its sum by the Euler-Maclaurin form (1/xi_1) int F dxi plus end
-corrections, which are Gregory weights on its last seven exact terms.  That
-xi integral is one more term of the wavenumber integral.  It meets rel_tol
-(its inner xi integral of its largest node), and the dropped Gregory orders
-are below 1e-12 of the sum.  As T -> 0 the sum tends to the T = 0 integral
-(hbar mu0 / 2 pi) int_0^inf xi^2 alpha Tr G dxi.
+1/gap, but the cost does not: a call takes J = max_z J(z), that of its
+smallest gap, and every position sums the first min(J, J0 = 64) terms
+exactly, j = 0 included, in one vector wavenumber integral
+(greens.imagfreq_trace_sum).  If J > J0, the rest of the sum is replaced by
+the Euler-Maclaurin form (1/xi_1) int F dxi plus end corrections, which are
+Gregory weights on the last seven exact terms.  That xi integral is one more
+term of the wavenumber integral.  It meets rel_tol (its inner xi integral of
+its largest node), and the dropped Gregory orders are below 1e-12 of the
+sum.  A position farther from the walls also takes the terms past its own
+J(z) and a share of the tail; together they are below e^-40 of its sum.
+As T -> 0 the sum tends to the T = 0 integral (hbar mu0 / 2 pi)
+int_0^inf xi^2 alpha Tr G dxi.
 
 Each cavity argument is a CavityGeometry or a PlateGeometry (z = distance).
 """
@@ -112,22 +115,21 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
                  spec: QuadratureSpec):
     """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position of
     the array zs, once per geometry.fold rep, in one integral whose errors
-    index zs.  A position with J(z) > J0 adds imagfreq_trace_sum's tail term
-    from xi_m, m = J0 - 1, and _END_WEIGHTS on its exact terms."""
+    index zs.  One weight vector serves all: J of the smallest gap (a numpy
+    float, so an infinite J still selects the tail), and if J > J0,
+    _END_WEIGHTS and the tail term from xi_m, m = J0 - 1, at weight 1/xi_1."""
     zs, index = geometry.fold(zs)
     xi1 = matsubara_frequency(1, env)
-    gap = geometry.decay_lengths(zs).min(axis=0)
-    need = 2 + np.ceil(_CUTOFF * C / gap / xi1)
+    need = 2 + np.ceil(_CUTOFF * C / geometry.decay_lengths(zs).min() / xi1)
     tail = need > _J0
-    xi = xi1 * np.arange(np.minimum(need, _J0).max())
+    xi = xi1 * np.arange(min(need, _J0))
     w = alpha(xi)
     w[0] *= 0.5
-    weights = np.where(np.arange(len(xi)) < need[:, None], w, 0.0)
-    if tail.any():
-        weights[tail] *= 1.0 + _END_WEIGHTS
+    if tail:
+        w = np.append(w * (1.0 + _END_WEIGHTS), 1.0 / xi1)
     with _unfolded(index):
-        u = imagfreq_trace_sum(geometry, zs, xi, weights, spec, (
-            alpha, tail / xi1) if tail.any() else None)
+        u = imagfreq_trace_sum(geometry, zs, xi, w, spec,
+                               alpha if tail else None)
     return MU_0 * K_B * env.temperature * u[index]
 
 
@@ -136,9 +138,10 @@ def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,
     """Matsubara-sum (non-resonant) potential in a cavity or at a plate.
 
     z is a position or a 1-D array of positions (array out).  All positions
-    share one wavenumber integral over their first min(J(z), J0) terms and
-    the Euler-Maclaurin tail for the rest (see the module docstring), which
-    meets spec.rel_tol, so the cost is bounded as T -> 0.
+    share one wavenumber integral over the first min(J, J0) terms, J that of
+    the smallest gap, and the Euler-Maclaurin tail for the rest if J > J0
+    (see the module docstring), which meets spec.rel_tol, so the cost is
+    bounded as T -> 0.
     In a cavity each distinct |z| is summed once, so +-z get equal entries.
     """
     scalar, zs = cavity.check_position(z)

@@ -122,29 +122,21 @@ def _to_split(err, excess, tol):
     above tolerance), the fewest largest-error panels whose errors sum to at
     least that excess.  Returned worst first, by error over tolerance."""
     chosen = np.zeros(len(err), dtype=bool)
-    if (err.max(axis=0) >= excess).all():
-        # one panel per component covers its excess
-        chosen[err.argmax(axis=0)[excess > 0]] = True
-    else:
-        order = np.argsort(-err, axis=0)
-        ranked = np.take_along_axis(err, order, axis=0)
-        before = np.cumsum(ranked, axis=0) - ranked
-        chosen[order[before < excess]] = True
+    order = np.argsort(-err, axis=0)
+    ranked = np.take_along_axis(err, order, axis=0)
+    before = np.cumsum(ranked, axis=0) - ranked
+    chosen[order[before < excess]] = True
     chosen = np.flatnonzero(chosen)
-    if len(chosen) == 1:
-        return chosen
     return chosen[np.argsort(-(err[chosen] / tol).max(axis=1), kind="stable")]
 
 
 def _ladder(origin, start, stop, ratio):
     """Panel edges origin + start ratio^k, k = 0, 1, ..., until |start|
-    ratio^k passes |stop|, per element of the broadcast arrays: they resolve
-    every scale from |start| to |stop| off origin (ratio < 1 descends)."""
-    origin, start, stop = np.broadcast_arrays(origin, start, stop)
-    n = int(np.max(np.log(stop / start) / np.log(ratio), initial=-1.0)) + 2
-    steps = start[..., None] * ratio ** np.arange(n)
-    return (origin[..., None] + steps)[
-        (np.abs(stop)[..., None] - np.abs(steps)) * (ratio - 1.0) >= 0]
+    ratio^k passes |stop|: they resolve every scale from |start| to |stop|
+    off origin (ratio < 1 descends)."""
+    n = int(max(np.log(stop / start) / np.log(ratio), -1.0)) + 2
+    steps = start * ratio ** np.arange(n)
+    return (origin + steps)[(abs(stop) - np.abs(steps)) * (ratio - 1.0) >= 0]
 
 
 def adaptive_integrate(

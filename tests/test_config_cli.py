@@ -761,7 +761,7 @@ def test_cli_converges_at_the_tightest_reachable_rel_tol(argv, capsys):
     assert out
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a gold cavity "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: a gold cavity "
                    "narrower than ~3 um fails at the default --rel-tol")
 def test_cli_narrow_gold_cavity_converges_at_the_default_rel_tol(capsys):
     # the propagating arch spends its budget: worst error/tolerance 2.12

@@ -309,12 +309,13 @@ def test_single_plate_matches_reference(mirror, d_over_lam, quad):
 @pytest.mark.parametrize("mirror", [HalfSpace(GOLD_DRUDE), STACK],
                          ids=["gold", "sapphire_stack"])
 @pytest.mark.parametrize("nu", [1, 2, 4])
-def test_grazing_coefficient_step_independent(mirror, nu):
+def test_grazing_coefficient_step_independent(mirror, nu, monkeypatch):
     # S is a limit beta -> 0: the default step beta_0 = 1e-6 w/c and a
     # ten times larger one agree
     cav = _resonant_cavity(mirror, nu)
     s_default = cav.resonance_seed(W_LIH)[0]
-    s_coarse = _grazing_coefficient(cav, W_LIH, step=1e-5)
+    monkeypatch.setattr(greens, "_GRAZING_STEP", 1e-5)
+    s_coarse = _grazing_coefficient(cav, W_LIH)
     assert s_default != 0
     assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)
 
@@ -335,17 +336,17 @@ def test_imagfreq_trace_sum_matches_the_complex_kernel(mirror, plate, quad,
                                                        monkeypatch):
     # the float64 reflection kernel against the complex one, through the
     # exact sum of the static term and 12 Matsubara terms of 10 K, and
-    # through the tail term from the last of them, at per-position weights
+    # through the tail term from the last of them alone
     if plate:
         geometry, zs = PlateGeometry(mirror), np.array([2e-6, 1e-5, 3e-4])
     else:
         geometry = _resonant_cavity(mirror, 2)
         zs = np.array([0.0, 1e-5, 2e-4, -3e-4])
     xi = 8.22e12 * np.arange(13)
-    rows = np.linspace(1.0, 2.0, len(zs))
-    weights = rows[:, None] * np.ones(len(xi))
-    tail = (lambda x: polarizability_imag(LIH, x), rows / xi[1])
-    cases = [(weights, None), (0.0 * weights, tail)]
+    weights = np.linspace(1.0, 2.0, len(xi))
+    tail = np.append(0.0 * weights, 1.0 / xi[1])
+    cases = [(weights, None),
+             (tail, lambda x: polarizability_imag(LIH, x))]
     got = [imagfreq_trace_sum(geometry, zs, xi, w, quad, t) for w, t in cases]
     monkeypatch.setattr(greens, "_imaginary_axis", _complex_route)
     for (w, t), g in zip(cases, got):
