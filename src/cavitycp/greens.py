@@ -52,7 +52,7 @@ from typing import Any
 import numpy as np
 
 from .constants import C
-from .materials import ConstantR, MirrorSpec, _imaginary_axis, \
+from .materials import ConstantR, MirrorSpec, Stack, _imaginary_axis, \
     permittivity_at, reflection_coefficients, static_limit_reflection
 from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
     _ladder, adaptive_integrate
@@ -407,7 +407,13 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # precision; start at a small floor and add the residual's (essentially
     # constant) rectangle contribution for [0, x_lo].
     x_lo = 1e-6 * wc if s_coef != 0 else 0.0
-    _check_paths(geometry.decay_lengths(zs).max(), wc, x_lo, spec)
+    longest = geometry.decay_lengths(zs).max()
+    _check_paths(longest, wc, x_lo, spec)
+    # The arch's uniform panels: 8, or with a tuned pole subtracted, which
+    # leaves no other edge on it, one per half turn of e^{i beta L} on the
+    # longest path, up to 32: its damping e^{-h pi (t - x_lo) L} near the
+    # arch's ends leaves ~2 CUTOFF/(h pi^2) = 27 half turns above e^-CUTOFF.
+    uniform = min(max(8, np.ceil(wc * longest / np.pi)), 32) if tuned else 8
     lattice = _grazing_lattice(geometry.mirror, omega)
     # A cavity's grazing TM pole, if well below w/c, and on the arch the
     # lattice's midpoints within 4x of it, if 4 kappa_p < w/8c.
@@ -432,7 +438,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         prop, _ = adaptive_integrate(
             lambda t: columns(*_arch(t, wc, x_lo)), x_lo, wc, spec,
             breakpoints=bps + lattice + mids
-            + (np.arange(1, 8) * wc / 8.0).tolist(), relative_to_max=True)
+            + (np.arange(1, uniform) * wc / uniform).tolist(),
+            relative_to_max=True)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
         prop = prop + columns(mid, x_lo)[0]
@@ -500,7 +507,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position),
     each exponent floored at _EXP_FLOOR, so the sum over j is one matrix
     product per path.  A position's range ends at s = CUTOFF / min_p L_p,
-    where each of its terms has decayed by e^-CUTOFF.
+    where each of its terms has decayed by e^-CUTOFF.  The first panels
+    reach 2/l, l the longest round trip, or D_sigma's real zero if nearer.
 
     tail = alpha adds weights[-1] int_{xi_m}^inf alpha(i xi) xi^2 Tr G(i xi)
     dxi, xi_m = xi[-1] > 0: swapping the integrals makes it one more term
@@ -521,9 +529,11 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     shifts = [weights * np.exp(np.maximum(-np.outer(terms / C, lp),
                                           _EXP_FLOOR)) for lp in lengths]
     rows = max(1, _BLOCK_BYTES // (16 * len(xi)))
+    trips = geometry.round_trip(xi / C)
 
     def kernel(s):
-        """bracket_j at kappa_j = s + xi_j/c, (nodes, terms), in float64."""
+        """bracket_j at kappa_j = s + xi_j/c, (nodes, terms), in float64,
+        with e^{-2 kappa_j a} = e^{-2 s a} e^{-2 xi_j a/c}."""
         kappa = s[:, None] + xi / C
         rs, rp = np.empty((2, *kappa.shape))
         if static:
@@ -531,17 +541,19 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         if len(xi) > static:
             rs[:, static:], rp[:, static:] = _imaginary_axis(
                 geometry.mirror, xi[static:], kappa[:, static:])
-        return _bracket(rs, rp, -xi**2, -kappa**2, geometry.round_trip(kappa))
+        return _bracket(rs, rp, -xi**2, -kappa**2,
+                        geometry.round_trip(s[:, None]) * trips)
 
     def tail_bracket(s):
         """H at the nodes s; dxi = xi ln(1 + c s/xi_m) du."""
         kappa, log = s + xi[-1] / C, np.log1p(C * s / xi[-1])
+        phase = geometry.round_trip(kappa)
 
         def g(u):
             x = xi[-1] * np.exp(np.outer(u, log))
             rs, rp = _imaginary_axis(geometry.mirror, x, kappa)
             return tail(x) * x * log * _bracket(rs, rp, -x**2, -kappa**2,
-                                                 geometry.round_trip(kappa))
+                                                 phase)
 
         try:
             return adaptive_integrate(g, 0.0, 1.0, spec, breakpoints=[0.5],
@@ -563,10 +575,21 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                               for m, d in zip(shifts, decays))
         return vals
 
-    # Panel edges halve from the widest cutoff down to 1/16 of the
-    # narrowest, so every position's decay is resolved by the first panels.
+    # Panel edges halve from the widest cutoff down to 2/l, l the longest
+    # round trip: a path plus 2 sum d at a plate (r_sigma carries the mirror
+    # depth's e^{-2 s sum d}), 2a + 4 sum d in a cavity; there down to
+    # |ln r0^2|/l if nearer, D_sigma ~ 1 - r0^2 e^{-s l}'s real zero, 0 < r0 =
+    # max_sigma |r_sigma(0)| < 1 (a stack's r_sigma(s) grows for s < 0).
+    mirror, scale = geometry.mirror, 2.0
+    depth = sum(l.thickness for l in mirror.layers[:-1]) \
+        if isinstance(mirror, Stack) else 0.0
+    trip = lengths.max() + 2.0 * depth
+    if isinstance(geometry, CavityGeometry):
+        trip = 2.0 * geometry.width + 4.0 * depth
+        r0 = np.abs(static_limit_reflection(mirror, 0.0)).max()
+        scale = min(scale, -2.0 * np.log(r0)) if 0 < r0 < 1 else scale
     val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
-        0.0, 0.5 * q.max(), q.min() / 16.0, 0.5))
+        0.0, 0.5 * q.max(), scale / trip, 0.5))
     return val / (4.0 * np.pi)
 
 

@@ -33,25 +33,28 @@ _SPEC.loader.exec_module(workloads)
 # ladder toward w/c from a fraction of the tuned pole's depth (none where a
 # constant r's tuned pole is subtracted in closed form), the grazing
 # lattice from w/(4 c sqrt|eps|), the edges about a gold cavity's grazing TM
-# pole (greens._grazing_pole) and the decay lattices: 4 + 2, 6, 1 and 5 (3
+# pole (greens._grazing_pole) and the decay lattices: 4 + 1, 4, 1 and 5 (3
 # traces, one per depth on 8 arch panels, and 2 for the asym series
 # oracle's one Lerch integral per delta over every row's shifts b, on
 # 2^(2k/3) edges).  With the ladder for the constant-r tuned mode (22 of 30
 # arch panels) and 2^k Lerch edges (3 calls), asym-sharp made 6.
-# matsubara-cold's 6 are 2 for its real-frequency trace, 2 for its one
-# Matsubara integral and 1 in each of those for its tail term's xi integral;
-# with a separate adaptive xi integral for the tail, whose integrand was the
-# per-term Matsubara integral at its xi nodes, they were 8.  Without the
-# pole's edges they were 8 + 6, 12, 1 and 6 (the evanescent integral took 4
-# rounds, the arch 2).  With a second, seeded trace per depth they were
-# 9 + 5, 12, 2 and 9; with the ladder from 1e-9 w/c and the grazing lattice
-# from 4e-6 w/c they were 9 + 7, 13, 2 and 9.  With one Lerch integral
-# per row, asym-sharp made 15 calls (3 x 3 for the oracle); with panels at
-# the located modes of the real beta axis they were 9 + 7, 13, 4 and 15;
-# with 4^k Lerch edges and one Lerch integral per b, asym-sharp made 54
-# calls; with panels at beta a = pi m and halving edges only, the commands
-# made 28 + 22, 38, 22 and 74.
-MAX_CALLS = {"scan-gold": 6, "matsubara-cold": 6, "depth-bragg": 1,
+# matsubara-cold's 4 are 2 for its real-frequency trace, 1 for its one
+# Matsubara integral, whose s ladder reaches down to the longest round trip
+# (2/2a in a gold cavity), and 1 in it for its tail term's xi integral.
+# With that ladder stopping at 1/16 of the narrowest decay, the Matsubara
+# integral took 2 calls, each with its tail's, so scan-gold made 4 + 2 and
+# matsubara-cold 6; with a separate adaptive xi integral for the tail, whose
+# integrand was the per-term Matsubara integral at its xi nodes, they were
+# 8.  Without the pole's edges they were 8 + 6, 12, 1 and 6 (the evanescent
+# integral took 4 rounds, the arch 2).  With a second, seeded trace per
+# depth they were 9 + 5, 12, 2 and 9; with the ladder from 1e-9 w/c and the
+# grazing lattice from 4e-6 w/c they were 9 + 7, 13, 2 and 9.  With one
+# Lerch integral per row, asym-sharp made 15 calls (3 x 3 for the oracle);
+# with panels at the located modes of the real beta axis they were 9 + 7,
+# 13, 4 and 15; with 4^k Lerch edges and one Lerch integral per b,
+# asym-sharp made 54 calls; with panels at beta a = pi m and halving edges
+# only, the commands made 28 + 22, 38, 22 and 74.
+MAX_CALLS = {"scan-gold": 5, "matsubara-cold": 4, "depth-bragg": 1,
              "asym-sharp": 5}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
 # on the real axis and float64 on the imaginary axis: 1 842 + 8 325,
@@ -82,9 +85,11 @@ MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
                             "depth-bragg": 7936, "asym-sharp": 6897}
 # float64 imaginary-axis reflection evaluations of a 40-point gold profile
 # at 0.1 K, off the benchmark, where every row needs the Euler-Maclaurin
-# tail (J(z) up to 107 953): 35 415 (node, xi) pairs, the tail term's xi
-# integral included; with a separate xi integral for the tail, 54 090.
-MAX_COLD_IMAGINARY_AXIS = 35415
+# tail (J(z) up to 107 953): 34 425 (node, xi) pairs, the tail term's xi
+# integral included, in one Matsubara integrand call on 15 panels; with the
+# s ladder stopping at 1/16 of the narrowest decay, 35 415 in 3 calls (the
+# first on 13 panels); with a separate xi integral for the tail, 54 090.
+MAX_COLD_IMAGINARY_AXIS = 34425
 # (coefficient, seed) pairs of the Newton steps on well-depth extrema,
 # summed over a workload's depths: the even Chebyshev series of a depth's
 # trace has 16, 19 and 22 coefficients at nu = 2, 3, 4 (bragg.cfg and
@@ -153,10 +158,13 @@ def test_newton_nodes_per_workload(workload, monkeypatch):
 @pytest.mark.parametrize("delta", [1e-5, 1e-12])
 def test_constant_r_depth_trace_converges_on_its_first_panels(delta,
                                                               monkeypatch):
-    # the tuned pole subtracted, a depth's trace converges on the arch's 8
-    # uniform panels in one call at nu = 2, 3, 4 (asym-sharp's orders), at
-    # delta = 1e-5 as at 1e-12, where the ladder took 30-31 panels and 1e-12
-    # exhausted the subdivision budget
+    # the tuned pole subtracted, a depth's trace converges on the arch's
+    # uniform panels in one call, at delta = 1e-5 as at 1e-12: 8 at nu = 2,
+    # 3, 4 (asym-sharp's orders), one per half turn of e^{i beta L} on the
+    # longest path L ~ 2a above, 2 nu at nu = 5-10.  With 8 at every nu,
+    # nu = 5-10 bisected once or twice more; with the ladder toward the
+    # tuned mode, nu = 2-4 took 30-31 panels and 1e-12 exhausted the
+    # subdivision budget
     calls = []
     panels = quadrature._panels
 
@@ -165,11 +173,11 @@ def test_constant_r_depth_trace_converges_on_its_first_panels(delta,
         return panels(f, lo, hi)
 
     monkeypatch.setattr(quadrature, "_panels", counted)
-    for nu in (2, 3, 4):
+    for nu in range(2, 11):
         potential.potential_depth(LIH, ConstantR(1.0 - delta), nu,
                                   ThermalEnvironment(300.0),
                                   quadrature.QuadratureSpec())
-    assert calls == [8, 8, 8]
+    assert calls == [8, 8, 8, 10, 12, 14, 16, 18, 20]
 
 
 def test_imaginary_axis_evaluations_of_a_cold_profile(monkeypatch):

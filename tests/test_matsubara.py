@@ -9,8 +9,12 @@ below 1e-12 of the running total.  The library must agree with it within
 past J0 by the Euler-Maclaurin tail.
 """
 
+import contextlib
+import io
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ import cavitycp.potential
 import cavitycp.quadrature
 from cavitycp import LIH, ThermalEnvironment
 from cavitycp.cli import _z_grid, main
+from cavitycp.config import load_registry
 from cavitycp.constants import C, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              cavity_trace_imagfreq, cavity_trace_realfreq,
@@ -371,6 +376,88 @@ def test_zero_temperature_limit():
                                     FAST)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= TOL * np.abs(want))
+
+
+def test_u_nr_as_temperature_underflows():
+    # the sum is taken in units of mu0 k_B T/xi_1 = mu0 hbar/2 pi, so it
+    # stays finite where mu0 k_B T underflows and 1/xi_1 overflows (1e-300 K
+    # printed U_nr = 0), and J > J0 is decided without forming J
+    rows = {}
+    for temperature in ("1e-300K", "1e-30K"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["profile", "--width", "resonance:2", "--points", "3",
+                         "--temperature", temperature]) == 0
+        rows[temperature] = np.loadtxt(out.getvalue().splitlines()[1:],
+                                       delimiter=",")[:, 1]
+    want = rows["1e-30K"]
+    assert np.all(want[[0, 2]] < 0)
+    assert np.all(np.abs(rows["1e-300K"] - want)
+                  <= 10 * QuadratureSpec().rel_tol * np.abs(want).max())
+    # a 2 nm cavity may still fail on its arch (exit 3), but no step of its
+    # Matsubara sum over- or underflows into a RuntimeWarning
+    with warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        assert main(["profile", "--width", "2e-9", "--points", "3",
+                     "--temperature", "1e-300K"]) in (0, 3)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+# the cases of the Matsubara integral's first panels: 41 positions of a
+# resonance:2 cavity (and of a resonance:6 one), and plates at 1 um ... 1 mm
+STACKS = load_registry((Path(__file__).resolve().parent / "data"
+                        / "stacks.cfg").read_text()).mirrors
+A6 = resonance_width(LIH.transitions[0], 6)
+Z2 = np.array(_z_grid(A2, 41))
+FIRST_PANEL_CASES = {
+    **{f"cavity-{name}": (CavityGeometry(A2, mirror), Z2)
+       for name, mirror in [("gold", HalfSpace(GOLD_DRUDE)),
+                            ("r0.3", ConstantR(0.3)), ("r0.9", ConstantR(0.9)),
+                            ("r0.999", ConstantR(0.999)), *STACKS.items()]},
+    "cavity6-sapphire_77K_20": (CavityGeometry(A6, STACKS["sapphire_77K_20"]),
+                                np.array(_z_grid(A6, 41))),
+    **{f"plate-{name}": (PlateGeometry(mirror), np.geomspace(1e-6, 1e-3, 41))
+       for name, mirror in [("gold", HalfSpace(GOLD_DRUDE)),
+                            ("r0.9", ConstantR(0.9)), *STACKS.items()]},
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_PANEL_CASES))
+def test_matsubara_integral_converges_on_its_first_panels(case, monkeypatch):
+    # the s ladder reaches down to 2/l, l the longest round trip (a path
+    # plus twice the mirror's depth at a plate, 2a plus four times it in a
+    # cavity), and in a cavity of static reflection 0 < r0 < 1 to D_sigma's
+    # real zero, |ln r0^2|/l, so the s integral converges in one integrand
+    # call (the tail term's inner xi integral not counted).  Stopping at
+    # 1/16 of the narrowest decay, it took 2-10 calls: gold 2 (3 in a cavity
+    # at 0.1 K), ConstantR(0.999) 10 in a cavity, 20-pair sapphire stacks 7;
+    # stopping at |ln r0|/a, a sapphire stack's cavity at nu = 6 took 2.
+    geometry, zs = FIRST_PANEL_CASES[case]
+    integrate, calls, inside = cavitycp.greens.adaptive_integrate, [], []
+
+    def outermost(f, *args, **kwargs):
+        if inside:  # the tail term's inner xi integral
+            return integrate(f, *args, **kwargs)
+        inside.append(True)
+        try:
+            return integrate(lambda s: calls.append(len(s)) or f(s), *args,
+                             **kwargs)
+        finally:
+            inside.clear()
+
+    for temperature in (0.1, 4.0, 10.0, 300.0):
+        env = ThermalEnvironment(temperature)
+        monkeypatch.setattr(cavitycp.greens, "adaptive_integrate", outermost)
+        got = nonresonant_potential(zs, LIH, geometry, env)
+        assert len(calls) == 1, (temperature, calls)
+        calls.clear()
+        monkeypatch.undo()
+        want = nonresonant_potential(zs, LIH, geometry, env,
+                                     QuadratureSpec(1e-12))
+        assert np.all(np.abs(got - want)
+                      <= 10 * QuadratureSpec().rel_tol * np.abs(want).max())
 
 
 # --- parity fold: a cavity sums each distinct |z| once -----------------------
