@@ -15,16 +15,16 @@ pole's depth, or at a constant r >= 1/2 that pole, subtracted in closed form;
 0 and none at a plate).  The propagating part runs on an arch above the real
 beta axis, which passes every pole of 1/D_sigma, so no cavity mode needs
 locating.  Every trace integral starts on panels that resolve its known
-scales: that ladder, uniform edges along the arch, geometric
-lattices (quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and
-over the decay of e^{-kappa L} in the evanescent and Matsubara integrals,
-and in a gold cavity edges about the grazing TM pole of 1/D_p(i kappa), at
-kappa_p = sqrt(2 |kappa_0|/a), kappa_0 = (w/c)/sqrt(-eps) (_grazing_pole).  A
-scan's propagating part runs at Chebyshev nodes in z over the span when they
-are fewer than its positions.  Its columns (positions or nodes) meet rel_tol
-of the largest one, and an interpolated position Lambda_K rel_tol of it,
-Lambda_K <= 1 + (2/pi) ln K.  Path phases e^{i beta L} come from float64
-exp and tan(Re beta L/2), which numpy vectorises, to 8 eps (_paths).
+scales: that ladder, uniform edges along the arch, geometric lattices
+(quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and over the
+decay of e^{-kappa L} in the evanescent and Matsubara integrals, and in a
+gold cavity edges about the grazing TM pole of 1/D_p(i kappa), at kappa_p =
+sqrt(2 |kappa_0|/a), kappa_0 = (w/c)/sqrt(-eps) (_grazing_pole).  A scan's
+propagating part runs at Chebyshev nodes in z over the span when they are
+fewer than its positions.  Its columns (positions or nodes) meet rel_tol of
+the largest, an interpolated position Lambda_K <= 1 + (2/pi) ln K times it.
+Path phases e^{i beta L} come from float64 exp and tan(Re beta L/2) to 8 eps
+(_paths), as real sums that each panel meets with its rules times the kernel.
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -265,19 +265,6 @@ def _grazing_pole(width, wc, lattice):
     return pole if 8.0 * pole < wc else None
 
 
-def _by_columns(f, zs, phase, shift):
-    """f[:, None] * phase(zs) (+ shift[:, None] unless None), a block of
-    columns at a time so that each block's temporaries fit _BLOCK_BYTES."""
-    out = np.empty((len(f), len(zs)), dtype=complex)
-    step = max(1, _BLOCK_BYTES // (16 * len(f)))
-    for start in range(0, len(zs), step):
-        cols = slice(start, start + step)
-        out[:, cols] = f[:, None] * phase(zs[cols])
-        if shift is not None:
-            out[:, cols] += shift[:, None]
-    return out
-
-
 def _cos_sin(theta):
     """(cos, sin) theta = (1 - t^2, 2 t)/(1 + t^2), t = tan(theta/2), to
     4 eps absolute: numpy vectorises float64 tan, not cos, sin, complex exp."""
@@ -364,44 +351,54 @@ def _arch(t, wc, x_lo):
 
 def _paths(x, zs, geometry):
     """sum_p e^{x L_p} per (node, position) over the geometry's decay_lengths
-    at zs: a real x = -kappa on the evanescent ray, which keeps that part in
-    float64 (each x L floored at _EXP_FLOOR), or x = i beta on and above
-    the real beta axis, where each path is e^{Re x L} _cos_sin(Im x L), to
-    8 eps of |e^{x L}|, summed in float64 and made complex once."""
+    at zs, as real parts (parts, nodes, positions), filled by blocks of
+    positions whose temporaries fit _BLOCK_BYTES: e^{x L} (x L floored at
+    _EXP_FLOOR) for a real x = -kappa, or for x = i beta, its real and
+    imaginary parts e^{Re x L} _cos_sin(Im x L), to 8 eps of |e^{x L}|."""
     lengths = geometry.decay_lengths(zs)
-    if not np.iscomplexobj(x):
-        return sum(np.exp(np.maximum(np.outer(x, lp), _EXP_FLOOR))
-                   for lp in lengths)
-    re = im = 0.0
-    for lp in lengths:
-        mag = np.exp(x.real[:, None] * lp)
-        cos, sin = _cos_sin(x.imag[:, None] * lp)
-        re, im = re + mag * cos, im + mag * sin
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+    b = np.zeros((1 + np.iscomplexobj(x), len(x), len(zs)))
+    step = max(1, _BLOCK_BYTES // (16 * len(x)))
+    for cols in (slice(k, k + step) for k in range(0, len(zs), step)):
+        for lp in lengths[:, cols]:
+            if len(b) == 1:
+                b[0, :, cols] += np.exp(np.maximum(np.outer(x, lp),
+                                                   _EXP_FLOOR))
+            else:
+                mag = np.exp(x.real[:, None] * lp)
+                cos, sin = _cos_sin(x.imag[:, None] * lp)
+                b[0, :, cols] += mag * cos
+                b[1, :, cols] += mag * sin
+    return b
+
+
+def _expanded(g, b, c, d):
+    """g b + c d per (node, column) of a factored integrand value."""
+    out = g[:, None] * (b[0] + 1j * b[1] if len(b) == 2 else b[0])
+    return out if c is None else out + c[:, None] * d
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
                     evanescent):
-    """(propagating, evanescent): cavity_trace_realfreq's parts at the
-    array zs, evaluated once per geometry.fold rep (the propagating one at
-    _z_interpolation's columns, each within rel_tol of the largest column);
-    evanescent is None unless asked for.  Both parts subtract S e^{-x a}/x
-    below w/c, so the split changes each part by a constant in z exactly.
+    """(propagating, evanescent): cavity_trace_realfreq's parts at the array
+    zs (evanescent None unless asked for), evaluated once per geometry.fold
+    rep, the propagating one at _z_interpolation's columns, each within
+    rel_tol of the largest.  Both subtract S e^{-x a}/x below w/c, which
+    moves each by a constant in z exactly.  Each integrand returns K times
+    its weight, the real path sums (_paths) and that term apart, factored.
 
-    The propagating integral over real beta in [x_lo, w/c] runs instead on
-    the arch beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), t in
-    [x_lo, w/c], h = _ARCH: the poles of 1/D_sigma lie below the real axis
-    (|r_sigma| < 1), so the arch passes none and nothing needs locating; on
-    it the paths decay as e^{-L Im beta}.  A tuned pole beta_p's term
-    g_j/(beta - beta_p), g_j = k_p sum_p e^{i beta_p L_p(z_j)}, is subtracted
-    from column j and integrated as a log.
+    The propagating integral over real beta in [x_lo, w/c] runs on the arch
+    beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), h = _ARCH, which
+    passes no pole of 1/D_sigma (they lie below the real axis, |r_sigma| < 1)
+    and on which the paths decay as e^{-L Im beta}.  A tuned pole beta_p's
+    term g_j/(beta - beta_p), g_j = k_p sum_p e^{i beta_p L_p(z_j)}, replaces
+    S in column j and is integrated as a log.
     """
     zs, index = geometry.fold(zs)
     wc = omega / C
     cols, interp = _z_interpolation(zs, wc, geometry)
     s_coef, bps, tuned = geometry.resonance_seed(omega)
-    residues = tuned[1] * _paths(np.array([1j * tuned[0]]), cols,
-                                 geometry)[0] if tuned else None
+    residues = tuned[1] * np.dot((1.0, 1j), _paths(
+        np.array([1j * tuned[0]]), cols, geometry)[:, 0]) if tuned else 1.0
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
@@ -426,13 +423,12 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         return s_coef * geometry.round_trip(0.5 * x) / x
 
     def columns(beta, weight):
-        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta
-        - g/(beta - beta_p)) at beta."""
-        out = _by_columns(_kernel(beta, omega, geometry) * weight, cols,
-                          lambda z: _paths(1j * beta, z, geometry),
-                          -grazing(beta) * weight if s_coef else None)
-        return out - np.outer(weight / (beta - tuned[0]), residues) \
-            if tuned else out
+        """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta - g/(beta -
+        beta_p)) at beta, factored; at most one of S, beta_p is set."""
+        shift = -weight / (beta - tuned[0]) if tuned else \
+            -grazing(beta) * weight if s_coef else None
+        return _kernel(beta, omega, geometry) * weight, \
+            _paths(1j * beta, cols, geometry), shift, residues
 
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
@@ -442,17 +438,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             relative_to_max=True)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
-        prop = prop + columns(mid, x_lo)[0]
+        prop = prop + _expanded(*columns(mid, x_lo))[0]
     if tuned:  # the arch and [x_lo, w/c] lie above beta_p: principal logs
         prop = prop + residues * np.log((wc - tuned[0]) / (x_lo - tuned[0]))
 
     evan = None
     if evanescent:
         def f_evan(kappa):
-            g = -1j * _kernel(1j * kappa, omega, geometry)
-            return _by_columns(g, zs, lambda z: _paths(-kappa, z, geometry),
-                               grazing(kappa) * (kappa <= wc) if s_coef
-                               else None)
+            return -1j * _kernel(1j * kappa, omega, geometry), \
+                _paths(-kappa, zs, geometry), \
+                grazing(kappa) * (kappa <= wc) if s_coef else None, 1.0
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
@@ -467,7 +462,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
                                          breakpoints=edges)
         if x_lo > 0:
-            evan = evan + f_evan(np.array([0.5 * x_lo]))[0] * x_lo
+            evan = evan + x_lo * _expanded(*f_evan(np.array([0.5 * x_lo])))[0]
         evan = evan[index]
     prop = prop if interp is None else interp @ prop
     return prop[index], evan
@@ -564,15 +559,15 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                                   err.splits) from err
 
     def f(s):
-        decays = [np.exp(-np.outer(s, lp)) for lp in lengths]
         h = tail_bracket(s) if tail else None
         vals = np.empty((len(s), len(q)))
         for start in range(0, len(s), rows):
             block = slice(start, start + rows)
             bracket = kernel(s[block]) if h is None else np.column_stack(
                 (kernel(s[block]), h[block]))
-            vals[block] = sum((bracket @ m) * d[block]
-                              for m, d in zip(shifts, decays))
+            vals[block] = sum((bracket @ m) * np.exp(np.maximum(
+                -np.outer(s[block], lp), _EXP_FLOOR))
+                for m, lp in zip(shifts, lengths))
         return vals
 
     # Panel edges halve from the widest cutoff down to 2/l, l the longest

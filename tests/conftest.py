@@ -71,18 +71,27 @@ def reflection_evaluations(monkeypatch):
     return sizes
 
 
+class _PathCalls(list):
+    """Calls of one kind, with those of the other kind in .evanescent."""
+
+    def __init__(self):
+        super().__init__()
+        self.evanescent = []
+
+
 @pytest.fixture()
 def trace_columns(monkeypatch):
     """(nodes, positions) of each greens._paths call at complex x = i beta
     during the test, in call order: the (node x position) products of the
     propagating traces, positions being the array of z (or d) the call got.
-    The evanescent part's calls, at real x = -kappa, are not recorded."""
-    calls = []
+    Its .evanescent list records the evanescent part's calls, at real
+    x = -kappa, in the same form."""
+    calls = _PathCalls()
     paths = cavitycp.greens._paths
 
     def counted(x, zs, geometry):
-        if np.iscomplexobj(x):
-            calls.append((len(x), np.array(zs)))
+        (calls if np.iscomplexobj(x) else calls.evanescent).append(
+            (len(x), np.array(zs)))
         return paths(x, zs, geometry)
 
     monkeypatch.setattr(cavitycp.greens, "_paths", counted)

@@ -1,11 +1,11 @@
-"""Integrand calls, reflection evaluations and propagating columns per
-benchmark workload: machine-independent guards on how many adaptive rounds
-the seed-0 commands of perfbench/workloads.py need, on how many (node,
-omega) pairs their trace kernels evaluate reflection coefficients at, on
-how many (node, position) products their propagating traces form, and on how
-many (coefficient, seed) pairs their depths' Newton steps take.  Each call of
-quadrature._panels is one integrand call (one batched reflection evaluation
-and its Python overhead), whatever its panel count.
+"""Integrand calls, reflection evaluations and trace columns per benchmark
+workload: machine-independent guards on how many adaptive rounds the seed-0
+commands of perfbench/workloads.py need, on how many (node, omega) pairs
+their trace kernels evaluate reflection coefficients at, on how many (node,
+position) path sums their propagating and evanescent traces form, and on
+how many (coefficient, seed) pairs their depths' Newton steps take.  Each
+call of quadrature._panels is one integrand call (one batched reflection
+evaluation and its Python overhead), whatever its panel count.
 """
 
 import contextlib
@@ -83,6 +83,15 @@ MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 21846,
 # with one cos(2 beta z) per product, 29 792, 14 896, 6 980 and 32 910.
 MAX_PROPAGATING_PRODUCTS = {"scan-gold": 15392, "matsubara-cold": 7696,
                             "depth-bragg": 7936, "asym-sharp": 6897}
+# (node, position) products of the evanescent traces' path sums
+# sum_p e^{-kappa L_p}: a profile or heating scan's 435 panel nodes and its
+# [0, x_lo] rectangle's one node, times its 101 or 100 folded positions, and
+# matsubara-cold's 21; a depth makes no evanescent trace.  They are real
+# (node x position) arrays, which each panel contracts with its Kronrod
+# rules times the complex kernel; when the integrand multiplied them out
+# into a complex product with the kernel, that product had the same count.
+MAX_EVANESCENT_PRODUCTS = {"scan-gold": 87636, "matsubara-cold": 9156,
+                           "depth-bragg": 0, "asym-sharp": 0}
 # float64 imaginary-axis reflection evaluations of a 40-point gold profile
 # at 0.1 K, off the benchmark, where every row needs the Euler-Maclaurin
 # tail (J(z) up to 107 953): 34 425 (node, xi) pairs, the tail term's xi
@@ -139,6 +148,14 @@ def test_propagating_products_per_workload(workload, trace_columns):
     _run_checked(workload)
     assert 0 < sum(n * len(p) for n, p in trace_columns) \
         <= MAX_PROPAGATING_PRODUCTS[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_evanescent_products_per_workload(workload, trace_columns):
+    _run_checked(workload)
+    products = sum(n * len(p) for n, p in trace_columns.evanescent)
+    assert (products > 0) == (MAX_EVANESCENT_PRODUCTS[workload] > 0)
+    assert products <= MAX_EVANESCENT_PRODUCTS[workload]
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

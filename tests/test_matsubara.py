@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cavitycp.greens as greens
 import cavitycp.potential
 import cavitycp.quadrature
 from cavitycp import LIH, ThermalEnvironment
@@ -324,6 +325,33 @@ def test_cold_scan_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_decays_are_floored(monkeypatch):
+    # e^{-s L} per (node, position) is taken at exponents floored at
+    # greens._EXP_FLOOR, as the shifts e^{-xi_j L/c} are: next to a wall
+    # most of them lie below -708, where np.exp takes ~180 ns per argument.
+    # U_nr moves by less than 1e-15 of its largest value
+    cav = CavityGeometry(width=A2, mirror=HalfSpace(GOLD_DRUDE))
+    zs = np.array(_z_grid(A2, 37))
+    columns = len(np.unique(np.abs(zs)))  # the positions the fold keeps
+    env = ThermalEnvironment(300.0)
+    exponents = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.ndim(x) == 2 and np.shape(x)[1] == columns:
+            exponents.append(np.min(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    floored = nonresonant_potential(zs, LIH, cav, env)
+    assert exponents and min(exponents) >= greens._EXP_FLOOR
+    monkeypatch.setattr(greens, "_EXP_FLOOR", -np.inf)
+    unfloored = nonresonant_potential(zs, LIH, cav, env)
+    assert min(exponents) < -708.0
+    assert np.abs(floored - unfloored).max() \
+        <= 1e-15 * np.abs(unfloored).max()
 
 
 def test_tail_failure_names_a_row(monkeypatch):

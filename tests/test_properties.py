@@ -163,6 +163,7 @@ def test_path_phase_matches_complex_exp(re, im):
     # |e^{x L}| against numpy's complex exp, over Re x L down past underflow
     # and Im x L up to the longest path resolved at LiH
     x = np.array([complex(re, im)])
-    got = _paths(x, np.array([0.5]), PlateGeometry(ConstantR(0.5)))[0, 0]
+    got = complex(*_paths(x, np.array([0.5]),
+                          PlateGeometry(ConstantR(0.5)))[:, 0, 0])
     want = np.exp(x[0])
     assert abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)

@@ -1,12 +1,17 @@
 """Adaptive Gauss-Kronrod integrator, scalar and vector-valued."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
+import cavitycp.greens
 import cavitycp.quadrature
+from cavitycp.cli import main
 from cavitycp.quadrature import (QuadratureError, QuadratureSpec, _ladder,
                                  adaptive_integrate)
 
@@ -166,3 +171,67 @@ def test_relative_to_max_takes_the_largest_component():
                   * np.abs(want).max())
     exact = scale * np.sin(ks) / ks
     assert np.all(np.abs(got - exact) <= spec.rel_tol * np.abs(exact).max())
+
+
+def _factored(real_b, shift):
+    """An integrand that returns its (nodes, 4) values factored as (g, b, c,
+    d), g complex with a sharp peak, b real or complex path-like sums, and
+    c d absent, a constant-column term (d = 1) or a rank-one one."""
+    ks = np.array([0.5, 1.3, 2.5, 7.2])
+    d = {None: None, "constant": 1.0,
+         "rank_one": np.array([1.0, -0.5 + 2j, 3j, 0.25])}[shift]
+
+    def f(x):
+        g = np.exp(3j * x) / ((x - 0.3)**2 + 1e-4)
+        b = np.stack((np.cos(np.outer(x, ks)), np.sin(np.outer(x, ks))))
+        c = None if d is None else (1.0 - 2j) * np.exp(-x) / (x + 0.1)
+        return g, b[:1] if real_b else b, c, d
+    return f
+
+
+def _expanded(f):
+    """The integrand f of _factored with its values multiplied out."""
+    def expanded(x):
+        g, b, c, d = f(x)
+        out = g[:, None] * (b[0] if len(b) == 1 else b[0] + 1j * b[1])
+        return out if c is None else out + c[:, None] * d
+    return expanded
+
+
+@pytest.mark.parametrize("shift", [None, "constant", "rank_one"])
+@pytest.mark.parametrize("real_b", [True, False], ids=["real_b", "complex_b"])
+def test_factored_integrand_matches_its_expanded_form(real_b, shift):
+    # each panel applies its rules to g before the real products with b:
+    # the same value and error within 1e-15 of each column's, on the same
+    # bisections (the same node count per call)
+    f = _factored(real_b, shift)
+    spec = QuadratureSpec(1e-12)
+    factored, factored_calls = _counted(f)
+    expanded, expanded_calls = _counted(_expanded(f))
+    want, want_err = adaptive_integrate(expanded, 0.0, 2.0, spec)
+    got, err = adaptive_integrate(factored, 0.0, 2.0, spec)
+    assert got.shape == want.shape == (4,) and got.dtype == complex
+    assert len(expanded_calls) > 2
+    assert factored_calls == expanded_calls
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.all(np.abs(err - want_err) <= 1e-15 * np.abs(want))
+
+
+def _heating_gamma(argv):
+    """gamma_per_s of a heating table printed by the CLI."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    header, *rows = list(csv.reader(io.StringIO(out.getvalue())))
+    return np.array([float(r[header.index("gamma_per_s")]) for r in rows])
+
+
+def test_blocks_of_1_kib_leave_a_heating_scan(monkeypatch):
+    # the path sums are filled a block of positions at a time; with a
+    # block of one position (1 KiB over 435 nodes) the scan is the same
+    argv = ["heating", "--mirror", "gold", "--width", "resonance:2",
+            "--points", "200"]
+    want = _heating_gamma(argv)
+    monkeypatch.setattr(cavitycp.greens, "_BLOCK_BYTES", 1024)
+    got = _heating_gamma(argv)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
