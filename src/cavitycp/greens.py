@@ -24,7 +24,8 @@ propagating part runs at Chebyshev nodes in z over the span when they are
 fewer than its positions.  Its columns (positions or nodes) meet rel_tol of
 the largest, an interpolated position Lambda_K <= 1 + (2/pi) ln K times it.
 Path phases e^{i beta L} come from float64 exp and tan(Re beta L/2) to 8 eps
-(_paths), as real sums that each panel meets with its rules times the kernel.
+(_paths), as real sums that each panel meets with its rules times the kernel
+(_factored: a real-frequency integrand returns a function of the rules).
 
 At real frequency the integral splits into a propagating part (beta real,
 k_perp < w/c) and an evanescent part (beta = i kappa, k_perp > w/c).  In a
@@ -40,7 +41,8 @@ a constant in z exactly.
 At imaginary frequency omega = i xi, beta = i kappa, the bracket is real and
 evaluated in float64; the static term xi = 0 takes the static reflection
 coefficients.  imagfreq_trace_sum integrates every Matsubara term, its
-Euler-Maclaurin tail and every position at once.
+Euler-Maclaurin tail and every position at once.  Every trace integrates
+once per fold rep, and maps values and errors back to positions (_unfolded).
 """
 
 from __future__ import annotations
@@ -342,9 +344,9 @@ def _check_paths(longest, wc, x_lo, spec: QuadratureSpec):
 
 def _arch(t, wc, x_lo):
     """(beta, dbeta/dt) at t: beta = t + i h wc sin(pi (t - x_lo)/(wc - x_lo))
-    over [x_lo, wc], h = _ARCH, and beta = t below x_lo (the rectangle's)."""
+    over [x_lo, wc], h = _ARCH."""
     rise = np.pi / (wc - x_lo)
-    angle = rise * np.maximum(t - x_lo, 0.0)
+    angle = rise * (t - x_lo)
     return t + 1j * _ARCH * wc * np.sin(angle), \
         1.0 + 1j * _ARCH * wc * rise * np.cos(angle)
 
@@ -371,10 +373,27 @@ def _paths(x, zs, geometry):
     return b
 
 
-def _expanded(g, b, c, d):
-    """g b + c d per (node, column) of a factored integrand value."""
-    out = g[:, None] * (b[0] + 1j * b[1] if len(b) == 2 else b[0])
-    return out if c is None else out + c[:, None] * d
+def _factored(g, b, c, d):
+    """The integrand value g b + c d per (node, column) as a function of
+    rules (k, q), which returns their (panels, k, column) sums over q-node
+    panels: (rules g) meets b, _paths' real sums, in real products, and
+    (rules c) d is added (c None: no such term).  It runs once per value."""
+    def sums(rules):
+        nonlocal b
+        k, q = rules.shape
+        w = rules * g.reshape(-1, 1, q)
+        p = np.concatenate((w.real, w.imag), axis=1) \
+            @ b.reshape(len(b), len(w), q, -1)
+        del b  # the path sums go before the rule sums are combined
+        re, im = p[0, :, :k], p[0, :, k:]
+        if len(p) == 2:
+            re, im = re - p[1, :, k:], im + p[1, :, :k]
+        out = np.empty(re.shape, complex)
+        out.real, out.imag = re, im
+        if c is not None:
+            out += (c.reshape(-1, q) @ rules.T)[..., None] * d
+        return out
+    return sums
 
 
 def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
@@ -383,8 +402,9 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     zs (evanescent None unless asked for), evaluated once per geometry.fold
     rep, the propagating one at _z_interpolation's columns, each within
     rel_tol of the largest.  Both subtract S e^{-x a}/x below w/c, which
-    moves each by a constant in z exactly.  Each integrand returns K times
-    its weight, the real path sums (_paths) and that term apart, factored.
+    moves each by a constant in z exactly.  Each integrand returns
+    _factored(K times its weight, _paths, that term), and the [0, x_lo]
+    rectangle calls that function with a one-node rule.
 
     The propagating integral over real beta in [x_lo, w/c] runs on the arch
     beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), h = _ARCH, which
@@ -427,8 +447,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         beta_p)) at beta, factored; at most one of S, beta_p is set."""
         shift = -weight / (beta - tuned[0]) if tuned else \
             -grazing(beta) * weight if s_coef else None
-        return _kernel(beta, omega, geometry) * weight, \
-            _paths(1j * beta, cols, geometry), shift, residues
+        return _factored(_kernel(beta, omega, geometry) * weight,
+                         _paths(1j * beta, cols, geometry), shift, residues)
 
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
@@ -438,16 +458,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             relative_to_max=True)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
-        prop = prop + _expanded(*columns(mid, x_lo))[0]
+        prop = prop + columns(mid, x_lo)(np.ones((1, 1)))[0, 0]
     if tuned:  # the arch and [x_lo, w/c] lie above beta_p: principal logs
         prop = prop + residues * np.log((wc - tuned[0]) / (x_lo - tuned[0]))
 
     evan = None
     if evanescent:
         def f_evan(kappa):
-            return -1j * _kernel(1j * kappa, omega, geometry), \
-                _paths(-kappa, zs, geometry), \
-                grazing(kappa) * (kappa <= wc) if s_coef else None, 1.0
+            shift = grazing(kappa) * (kappa <= wc) if s_coef else None
+            return _factored(-1j * _kernel(1j * kappa, omega, geometry),
+                             _paths(-kappa, zs, geometry), shift, 1.0)
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
@@ -462,7 +482,7 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
                                          breakpoints=edges)
         if x_lo > 0:
-            evan = evan + x_lo * _expanded(*f_evan(np.array([0.5 * x_lo])))[0]
+            evan = evan + x_lo * f_evan(mid)(np.ones((1, 1)))[0, 0]
         evan = evan[index]
     prop = prop if interp is None else interp @ prop
     return prop[index], evan
@@ -490,14 +510,15 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                        spec: QuadratureSpec = QuadratureSpec(), tail=None):
     """sum_j weights[j] xi_j^2 Tr G(i xi_j) at each position of the array zs
     of a CavityGeometry or PlateGeometry, whose trace carries
-    sum_p e^{-kappa L_p} over the geometry's decay_lengths.  zs must pass
-    check_position, and each xi_j must be finite and >= 0, else ValueError.
+    sum_p e^{-kappa L_p} over the geometry's decay_lengths, once per
+    geometry.fold rep (+-z equal bit for bit).  zs must pass check_position,
+    and each xi_j must be finite and >= 0, else ValueError.
     xi[0] = 0 is the static limit.  weights holds one weight per term, and
     one more for the tail term if tail is given.
 
     One vector integral over s = kappa_j - xi_j/c >= 0, the same variable for
     every term (k_par = sqrt(s (s + 2 xi_j/c)), and dk_par k_par/kappa_j =
-    ds), covers all terms and positions: reflection coefficients and bracket
+    ds), covers all terms and reps: reflection coefficients and bracket
     are evaluated once per (node, xi_j).  e^{-kappa_j L} factors into
     e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position),
     each exponent floored at _EXP_FLOOR, so the sum over j is one matrix
@@ -512,7 +533,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     integrates H at all its nodes over u in [0, 1], xi = xi_m (1 +
     c s/xi_m)^u, each to rel_tol of the largest, or fails on its worst one.
     """
-    lengths = geometry.decay_lengths(geometry.check_position(zs)[1])
+    zs, index = geometry.fold(geometry.check_position(zs)[1])
+    lengths = geometry.decay_lengths(zs)
     xi = np.asarray(xi, dtype=float)
     bad = ~((xi >= 0) & (xi < np.inf))
     if bad.any():
@@ -583,9 +605,10 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         trip = 2.0 * geometry.width + 4.0 * depth
         r0 = np.abs(static_limit_reflection(mirror, 0.0)).max()
         scale = min(scale, -2.0 * np.log(r0)) if 0 < r0 < 1 else scale
-    val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
-        0.0, 0.5 * q.max(), scale / trip, 0.5))
-    return val / (4.0 * np.pi)
+    with _unfolded(index):
+        val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
+            0.0, 0.5 * q.max(), scale / trip, 0.5))
+    return val[index] / (4.0 * np.pi)
 
 
 def cavity_trace_imagfreq(z, xi: float, cavity,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import C, EPSILON_0, HBAR, MU_0
 from .greens import _CUTOFF, CavityGeometry, _propagating_series, \
-    _unfolded, cavity_trace_realfreq, imagfreq_trace_sum
+    cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
 from .molecules import Molecule, ThermalEnvironment, Transition, \
     matsubara_frequency, photon_number, polarizability_imag
@@ -114,12 +114,11 @@ class ExtremumReport:
 def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
                  spec: QuadratureSpec):
     """mu0 k_B T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j) at each position of
-    the array zs, once per geometry.fold rep, in one integral whose errors
-    index zs.  One weight vector serves all, in units of mu0 k_B T/xi_1 =
+    the array zs, in one imagfreq_trace_sum (once per geometry.fold rep).
+    One weight vector serves all, in units of mu0 k_B T/xi_1 =
     mu0 hbar/2 pi: xi_1 alpha(i xi_j) for J of the smallest gap (J > J0
     decided as 40 c/gap > (J0 - 2) xi_1, so no J overflows), and if J > J0,
     _END_WEIGHTS and the tail term from xi_m, m = J0 - 1, at weight 1."""
-    zs, index = geometry.fold(zs)
     xi1 = matsubara_frequency(1, env)
     rate = _CUTOFF * C / geometry.decay_lengths(zs).min()
     tail = rate > (_J0 - 2) * xi1
@@ -128,10 +127,8 @@ def _nonresonant(geometry, zs, alpha, env: ThermalEnvironment,
     w[0] *= 0.5
     if tail:
         w = np.append(w * (1.0 + _END_WEIGHTS), 1.0)
-    with _unfolded(index):
-        u = imagfreq_trace_sum(geometry, zs, xi, w, spec,
-                               alpha if tail else None)
-    return MU_0 * HBAR / (2.0 * np.pi) * u[index]
+    return MU_0 * HBAR / (2.0 * np.pi) * imagfreq_trace_sum(
+        geometry, zs, xi, w, spec, alpha if tail else None)
 
 
 def nonresonant_potential(z, mol: Molecule, cavity, env: ThermalEnvironment,

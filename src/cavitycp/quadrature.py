@@ -4,10 +4,10 @@ vector-valued integrands.
 The integrator uses the embedded 7-point Gauss / 15-point Kronrod rule pair
 with adaptive bisection.  Integrands accept a 1-D numpy array of abscissae
 and return one value per abscissa, or an array of shape (nodes, m) holding m
-components per abscissa, or that array factored (a factor per node times
-real sums, plus a rank-one term) so that no complex (node x m) product is
-formed: QUADPACK needs only each panel's rule sums.  Semi-infinite integrals
-are mapped to finite intervals by exponential cutoffs set by the caller.
+components per abscissa, or a function that applies given rules to those
+values per panel: QUADPACK needs only each panel's rule sums, so such an
+integrand never forms its (node x m) values.  Semi-infinite integrals are
+mapped to finite intervals by exponential cutoffs set by the caller.
 
 Each panel carries QUADPACK's error estimate |Kronrod - Gauss| per component
 (Piessens et al., QUADPACK, 1983), and every component k must meet its own
@@ -102,36 +102,16 @@ class QuadratureError(RuntimeError):
         self.splits, self.error_ratio = splits, error_ratio
 
 
-def _nodes(lo, hi):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return (mid[:, None] + half[:, None] * _NODES).ravel()
-
-
 def _panels(f: Callable, lo, hi):
     """Kronrod values and |Kronrod - Gauss| errors of the panels
     [lo_i, hi_i] from one integrand call, both of shape (panels, m), and
-    whether f returned a single value per node.  A factored value takes
-    (rules g) @ b in real products, plus (rules c) d."""
-    n, y = len(lo), f(_nodes(lo, hi))
-    half = 0.5 * (hi - lo)[:, None]
-    if not isinstance(y, tuple):
-        y = np.asarray(y)
-        rules = _RULES @ y.reshape(n, 15, -1)
-        return half * rules[:, 0], np.abs(half * rules[:, 1]), y.ndim == 1
-    g, b, c, d = y
-    w = _RULES * g.reshape(n, 1, 15)
-    p = np.concatenate((w.real, w.imag), axis=1) \
-        @ b.reshape(len(b), n, 15, -1)
-    del y, b  # the (node x m) sums go before the rule sums are combined
-    re, im = p[0, :, :2], p[0, :, 2:]
-    if len(p) == 2:
-        re, im = re - p[1, :, 2:], im + p[1, :, :2]
-    if c is not None:
-        shift = (c.reshape(n, 15) @ _RULES.T)[..., None] * d
-        re, im = re + shift.real, im + shift.imag
-    return half * (re[:, 0] + 1j * im[:, 0]), \
-        half * np.hypot(re[:, 1], im[:, 1]), False
+    whether f returned a single value per node.  f returns its values, or a
+    function that takes rules of shape (k, 15) to their (panels, k, m) sums."""
+    n, half = len(lo), 0.5 * (hi - lo)[:, None]
+    y = f((0.5 * (hi + lo)[:, None] + half * _NODES).ravel())
+    scalar = not callable(y) and np.ndim(y) == 1
+    sums = y(_RULES) if callable(y) else _RULES @ np.reshape(y, (n, 15, -1))
+    return half * sums[:, 0], half * np.abs(sums[:, 1]), scalar
 
 
 def _to_split(err, excess, tol):
@@ -167,10 +147,9 @@ def adaptive_integrate(
     """Integrate a vectorized integrand over [lo, hi].
 
     f maps an array of nodes to values of shape (nodes,), giving a scalar
-    integral, or (nodes, m), giving m integrals at once, or to a tuple (g, b,
-    c, d) that factors (nodes, m) values as g[:, None] (b[0] + i b[1]) +
-    c[:, None] d: g per node, b real (1 or 2, nodes, m) sums (b[1] = 0 if
-    absent), c per node or None (no such term), d a scalar or (m,).  Returns
+    integral, or (nodes, m), giving m integrals at once, or to a function
+    that maps rules of shape (k, 15) to the (panels, k, m) sums they take of
+    those (nodes, m) values, 15 nodes per panel in order.  Returns
     (value, error_estimate); for a vector integrand both are arrays of
     length m.  Optional interior breakpoints seed the initial panel list
     (useful when the caller knows where sharp features sit).  With

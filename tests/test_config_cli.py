@@ -120,7 +120,10 @@ def test_config_error_line_context():
         ("[molecule:x]\ntransition = 1e12 1e-58\ntransition = 2e12\n",
          "[molecule:x] (line 3): transition needs exactly 'omega d_squared'"),
         ("[molecule:x]\n",
-         "[molecule:x] (line 1): molecule needs at least one transition")]:
+         "[molecule:x] (line 1): molecule needs at least one transition"),
+        ("[mirror:x\n", "line 1: section header must look like [kind:NAME], "
+         "got '[mirror:x'"),
+        ("[mirror: ]\n", "line 1: empty section name")]:
         with pytest.raises(ConfigError) as exc:
             load_registry(text)
         assert str(exc.value) == message
@@ -494,6 +497,24 @@ def test_cli_heating_single_plate_bad_grid(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["depth", "--nu", "0"],
+     "--nu needs a comma-separated list of integers >= 1"),
+    (["depth", "--nu", ","],
+     "--nu needs a comma-separated list of integers >= 1"),
+    (["bragg", "--n-min", "3", "--n-max", "2"], "need 0 <= n-min <= n-max"),
+    (["bragg", "--n-min", "-1", "--n-max", "2"], "need 0 <= n-min <= n-max")],
+    ids=["nu_zero", "nu_empty", "n_min_above_n_max", "n_min_negative"])
+def test_cli_refuses_an_empty_or_inverted_range(argv, message, capsys):
+    # each exits 2 with its one line, before any integral
+    if argv[0] == "bragg":
+        argv = argv + ["--material-a", "sapphire_300K", "--material-b",
+                       "vacuum", "--design-frequency", "2.78973e12"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_cli_asym(capsys):

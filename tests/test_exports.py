@@ -75,3 +75,28 @@ def test_no_dead_private_helpers():
                if name.startswith("_") and not name.startswith("__")]
     assert private
     assert [p for p in private if p.split(":")[1] not in used] == []
+
+
+def _imports(name):
+    """(module, name) per name a cavitycp module imports; module is what a
+    relative import resolves to, e.g. cavitycp.greens for .greens."""
+    tree = ast.parse(Path(cavitycp.__file__).with_name(f"{name}.py")
+                     .read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "cavitycp" + ("." + module if module else "")
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_layering():
+    # the integrator knows quadrature rules, not the traces' value formats:
+    # it imports no cavitycp module; and the trace layer owns its fold of
+    # the positions, so potential imports no fold or row-mapping helper
+    assert [m for m, _ in _imports("quadrature")
+            if m.split(".")[0] == "cavitycp"] == []
+    assert [n for m, n in _imports("potential")
+            if m == "cavitycp.greens" and "fold" in n] == []

@@ -467,6 +467,30 @@ def test_fold_realfreq_symmetric_positions(mirror, quad_fast, trace_columns):
                       <= 10.0 * quad_fast.rel_tol * np.abs(want).max()), part
 
 
+@pytest.mark.parametrize("trace", ["imagfreq", "zero"])
+def test_fold_imagfreq_symmetric_positions(trace, gold, quad, monkeypatch):
+    # every trace entry folds: on an antisymmetric grid the imaginary-
+    # frequency traces integrate one column per distinct |z|, and +-z get
+    # equal entries bit for bit
+    cav = _resonant_cavity(gold, 2)
+    half = np.linspace(0.0, 0.49, 21) * cav.width
+    zs = np.concatenate((-half[:0:-1], half))
+    widths, integrate = set(), greens.adaptive_integrate
+
+    def counted(f, *args, **kwargs):
+        def columns(s):
+            vals = f(s)
+            widths.add(vals.shape[1])
+            return vals
+        return integrate(columns, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "adaptive_integrate", counted)
+    got = cavity_trace_imagfreq(zs, 1e13, cav, quad) if trace == "imagfreq" \
+        else zero_frequency_trace_limit(zs, cav, quad)
+    assert widths == {len(half)}
+    assert np.array_equal(got, got[::-1])
+
+
 def test_fold_keeps_scalar_sign(gold, quad_fast, trace_columns):
     # a scalar call at -z still evaluates at -z, so the parity tests compare
     # two independent evaluations

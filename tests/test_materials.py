@@ -68,6 +68,10 @@ def test_model_validation():
             Layer(Vacuum(), thickness)
     with pytest.raises(ValueError):
         Stack((Layer(Vacuum(), 1e-6),))  # no semi-infinite terminator
+    with pytest.raises(ValueError, match="^only the final layer may be "
+                       "semi-infinite$"):
+        Stack((Layer(Vacuum(), 1e-6), Layer(Vacuum(), None),
+               Layer(Vacuum(), None)))
 
 
 @pytest.mark.parametrize("eps_real, eps_imag", [

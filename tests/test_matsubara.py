@@ -27,8 +27,7 @@ from cavitycp.cli import _z_grid, main
 from cavitycp.config import load_registry
 from cavitycp.constants import C, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
-                             cavity_trace_imagfreq, cavity_trace_realfreq,
-                             imagfreq_trace_sum)
+                             cavity_trace_imagfreq, cavity_trace_realfreq)
 from cavitycp.materials import (ConstantR, HalfSpace, Stack,
                                 Vacuum, quarter_wave_stack,
                                 reflection_coefficients,
@@ -493,24 +492,41 @@ def test_matsubara_integral_converges_on_its_first_panels(case, monkeypatch):
 @pytest.mark.parametrize("mirror", ["gold", "sapphire_stack", "constant_r"])
 def test_fold_nonresonant_symmetric_positions(mirror, monkeypatch):
     # at 10 K the wall pair needs the Euler-Maclaurin tail: the head sum
-    # and the tail run on one position per distinct |z|, +-z entries are
+    # and the tail run on one column per distinct |z|, +-z entries are
     # equal bit for bit and every entry is its scalar call's value
     env = ThermalEnvironment(10.0)
     cav = CavityGeometry(width=A2, mirror=HYBRID_MIRRORS[mirror])
     wall = _wall_positions(cav, env, [3 * _J0])[0]
     zs = np.array([wall, -1e-5, 0.0, -wall, 1e-5, 2e-4])
-    seen = []
+    fold, integrate = CavityGeometry.fold, greens.adaptive_integrate
+    seen, widths, inside, tails = [], set(), [], []
 
-    def recorded(geometry, z, *args, **kwargs):
-        seen.append(np.array(z))
-        return imagfreq_trace_sum(geometry, z, *args, **kwargs)
+    def recorded(geometry, z):
+        reps = fold(geometry, z)
+        seen.append(reps[0])
+        return reps
 
-    monkeypatch.setattr(cavitycp.potential, "imagfreq_trace_sum", recorded)
+    def outermost(f, *args, **kwargs):
+        if inside:  # the tail term's inner xi integral
+            tails.append(True)
+            return integrate(f, *args, **kwargs)
+
+        def counted(s):
+            vals = f(s)
+            widths.add(vals.shape[1])
+            return vals
+        inside.append(True)
+        try:
+            return integrate(counted, *args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(CavityGeometry, "fold", recorded)
+    monkeypatch.setattr(greens, "adaptive_integrate", outermost)
     got = nonresonant_potential(zs, LIH, cav, env, FAST)
     head = np.array([0.0, -1e-5, 2e-4, wall])
-    assert any(np.array_equal(z, head) for z in seen)
-    assert all(np.array_equal(z, head) or np.array_equal(z, [wall])
-               for z in seen)
+    assert len(seen) == 1 and np.array_equal(seen[0], head)
+    assert widths == {len(head)} and tails
     assert np.array_equal(got[[0, 1]], got[[3, 4]])
     want = np.array([nonresonant_potential(float(z), LIH, cav, env, FAST)
                      for z in zs])
@@ -518,4 +534,4 @@ def test_fold_nonresonant_symmetric_positions(mirror, monkeypatch):
     # a scalar call at -z still sums at -z
     seen.clear()
     nonresonant_potential(-1e-5, LIH, cav, env, FAST)
-    assert seen and all(np.array_equal(z, [-1e-5]) for z in seen)
+    assert len(seen) == 1 and np.array_equal(seen[0], [-1e-5])

@@ -174,9 +174,9 @@ def test_relative_to_max_takes_the_largest_component():
 
 
 def _factored(real_b, shift):
-    """An integrand that returns its (nodes, 4) values factored as (g, b, c,
-    d), g complex with a sharp peak, b real or complex path-like sums, and
-    c d absent, a constant-column term (d = 1) or a rank-one one."""
+    """An integrand whose (nodes, 4) values factor as (g, b, c, d), g complex
+    with a sharp peak, b real or complex path-like sums, and c d absent, a
+    constant-column term (d = 1) or a rank-one one."""
     ks = np.array([0.5, 1.3, 2.5, 7.2])
     d = {None: None, "constant": 1.0,
          "rank_one": np.array([1.0, -0.5 + 2j, 3j, 0.25])}[shift]
@@ -201,12 +201,14 @@ def _expanded(f):
 @pytest.mark.parametrize("shift", [None, "constant", "rank_one"])
 @pytest.mark.parametrize("real_b", [True, False], ids=["real_b", "complex_b"])
 def test_factored_integrand_matches_its_expanded_form(real_b, shift):
-    # each panel applies its rules to g before the real products with b:
-    # the same value and error within 1e-15 of each column's, on the same
-    # bisections (the same node count per call)
+    # greens._factored hands the integrator a function of its rules, which
+    # applies them to g before the real products with b: the same value and
+    # error within 1e-15 of each column's, on the same bisections (the same
+    # node count per call)
     f = _factored(real_b, shift)
     spec = QuadratureSpec(1e-12)
-    factored, factored_calls = _counted(f)
+    factored, factored_calls = _counted(
+        lambda x: cavitycp.greens._factored(*f(x)))
     expanded, expanded_calls = _counted(_expanded(f))
     want, want_err = adaptive_integrate(expanded, 0.0, 2.0, spec)
     got, err = adaptive_integrate(factored, 0.0, 2.0, spec)
