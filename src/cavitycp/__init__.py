@@ -15,8 +15,8 @@ from .potential import ExtremumReport, LevelScheme, PotentialComponents, \
     general_state_potential, heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_components, potential_depth, \
     resonance_width, resonant_potential
-from .asymptotics import ConstantRCavity, I_half_closed, I_phi_series, \
-    depth_nu1_asym, depth_scaling, phi_asymptote, phi_nu
+from .asymptotics import I_half_closed, I_phi_series, depth_nu1_asym, \
+    depth_scaling, phi_asymptote, phi_nu
 from .config import ConfigError, Registry, load_registry, parse_quantity
 
 __version__ = "0.1.0"

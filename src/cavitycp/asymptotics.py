@@ -4,6 +4,8 @@ These serve as independent oracles for the quadrature pipeline: the exact
 series for the propagating integral I(phi), the nu = 1 closed form and its
 high-reflectivity limits, and the depth-scaling law
 Delta U_nu = coupling * (8 pi / (nu lambda^3)) * |ln(delta) + phi(nu)|.
+Each takes plain numbers: r or delta, nu, and lambda or the width
+a = nu lambda / 2 of the cavity tuned to the nu-th resonance.
 
 Two variants of the intercept function phi(nu) are exposed: phi_nu returns
 the published numeric-table value (the printed closed form plus
@@ -15,7 +17,6 @@ is phi_nu_printed, which is why acceptance criterion 1 fails on phi_nu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,60 +24,44 @@ from .constants import EULER_GAMMA, ZETA_3
 from .specfun import digamma, hurwitz_zeta3, lerch_phi
 
 __all__ = [
-    "ConstantRCavity", "I_phi_series", "I_half_closed", "I_half_asym",
-    "I_zero_asym", "depth_nu1_asym", "phi_nu", "phi_nu_printed",
-    "phi_asymptote", "depth_scaling",
+    "I_phi_series", "I_half_closed", "I_half_asym", "I_zero_asym",
+    "depth_nu1_asym", "phi_nu", "phi_nu_printed", "phi_asymptote",
+    "depth_scaling",
 ]
 
 
-@dataclass(frozen=True)
-class ConstantRCavity:
-    """Ideal cavity with r_p = -r_s = r tuned to the nu-th resonance of a
-    transition of wavelength lam; width a = nu * lam / 2."""
-    r: float
-    nu: int
-    lam: float
-    a: float = field(init=False)
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.r < 1:
-            raise ValueError("ConstantRCavity requires 0 < r < 1")
-        if not float(self.nu).is_integer() or self.nu < 1:
-            raise ValueError("resonance order nu must be an integer >= 1")
-        if not self.lam > 0:
-            raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "a", self.nu * self.lam / 2.0)
-        object.__setattr__(self, "delta", 1.0 - self.r)
-
-
-def I_phi_series(cfg: ConstantRCavity, phi):
-    """Exact series for the constant-r propagating integral I(phi), 1/m^3,
-    for |phi| < 1/2 (I_half_closed gives phi = 1/2):
+def I_phi_series(r: float, nu, lam: float, phi):
+    """Exact series for the propagating integral I(phi), 1/m^3, of the
+    cavity with r_p = -r_s = r tuned to the nu-th resonance of a transition
+    of wavelength lam, for 0 < r < 1, integer nu >= 1, lam > 0 and
+    |phi| < 1/2 (I_half_closed gives phi = 1/2):
     I(phi) = r/(2 pi nu^3 lam^3) * sum_j r^(2j) [y(j+1/2+phi) + y(j+1/2-phi)]
     with y(p) = -2/p^3 + (2/p^3 - 4 nu^2 pi^2/p) cos(2 pi nu p)
     + 4 nu pi/p^2 sin(2 pi nu p).  For integer nu, C = cos(2 pi nu (j + b))
     and S = sin(2 pi nu (j + b)) do not depend on j, so with lerch_phi
     sum_j r^(2j) y(j + b) = (2C - 2) Phi(r^2, 3, b)
     - 4 nu^2 pi^2 C Phi(r^2, 1, b) + 4 nu pi S Phi(r^2, 2, b).
-    An array phi gives an array of its shape from one lerch_phi call.  cfg
-    may also be a sequence of cavities of one r and lam, phi[i] for cfg[i].
+    Phi takes delta = 1 - r, so a delta enters rounded as ConstantR(1 - delta)
+    sees it.  An array phi gives an array of its shape from one lerch_phi
+    call; nu may be an array of orders too, phi[i] for nu[i].
     """
-    if isinstance(cfg, ConstantRCavity):
-        return I_phi_series([cfg], np.asarray(phi)[None])[0]
+    nu = np.asarray(nu)
     phi = np.abs(np.asarray(phi, dtype=float))  # I(-phi) == I(phi) exactly
+    if not 0 < r < 1:
+        raise ValueError(f"I_phi_series requires 0 < r < 1, got {r}")
+    if not (np.all(nu >= 1) and np.all(nu % 1 == 0)):
+        raise ValueError(f"I_phi_series requires integer nu >= 1, got {nu}")
+    if not lam > 0:
+        raise ValueError(f"I_phi_series requires lam > 0, got {lam}")
     if not np.all(phi < 0.5):
         raise ValueError(f"I_phi_series requires |phi| < 1/2, got {phi}")
-    if len({(c.r, c.lam) for c in cfg}) != 1:
-        raise ValueError("I_phi_series takes cavities of one r and lam")
-    nu = np.reshape([c.nu for c in cfg], (-1,) + (1,) * (phi.ndim - 1))
-    cfg = cfg[0]
+    nu = np.reshape(nu, nu.shape + (1,) * (phi.ndim - nu.ndim))
     b = np.stack((0.5 + phi, 0.5 - phi))
     c, s = np.cos(2 * math.pi * nu * b), np.sin(2 * math.pi * nu * b)
-    p = lerch_phi(cfg.delta, b)
+    p = lerch_phi(1.0 - r, b)
     half = (2 * c - 2) * p[..., 2] - 4 * (nu * math.pi)**2 * c * p[..., 0] \
         + 4 * nu * math.pi * s * p[..., 1]
-    return cfg.r / (2.0 * math.pi * nu**3 * cfg.lam**3) * (half[0] + half[1])
+    return r / (2.0 * math.pi * nu**3 * lam**3) * (half[0] + half[1])
 
 
 def I_half_closed(r: float, a: float) -> float:

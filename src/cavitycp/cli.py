@@ -100,11 +100,9 @@ def _setup(args):
 
 
 def _grid(lo, hi, points):
-    """points evenly spaced values from lo up to hi."""
+    """points evenly spaced values from lo up to hi > lo."""
     if points < 2:
         raise ConfigError("grid needs at least 2 points")
-    if not lo < hi:
-        raise ConfigError(f"grid must ascend, but runs from {lo} m to {hi} m")
     step = (hi - lo) / (points - 1)
     return [lo + i * step for i in range(points)]
 
@@ -179,9 +177,12 @@ def cmd_heating(args) -> int:
     gamma_free = heating_rate_free(args.molecule, args.env)
 
     if args.single_plate:
-        lam = 2.0 * math.pi * C / args.molecule.transitions[0].omega
+        floor = 2.0 * math.pi * C / args.molecule.transitions[0].omega / 100
+        if not args.width > floor:
+            raise ConfigError(f"--width must exceed lam/100 = {floor} m, the "
+                              f"plate grid's floor, got {args.width} m")
         geometry = PlateGeometry(args.mirror)
-        grid = _grid(lam / 100.0, args.width, args.points)
+        grid = _grid(floor, args.width, args.points)
     else:
         geometry = CavityGeometry(width=args.width, mirror=args.mirror)
         grid = _z_grid(args.width, args.points)
@@ -205,10 +206,9 @@ def cmd_asym(args) -> int:
         raise ConfigError(f"--delta takes values in (0, 1), got {args.delta}")
 
     # the series of every nu from one Lerch integral per delta
-    series = {delta: asymptotics.I_phi_series(
-        [asymptotics.ConstantRCavity(r=1.0 - delta, nu=nu, lam=lam)
-         for nu in nus], [[0.5 - 1.5 / nu, 0.5 - 1.0 / nu] for nu in nus])
-        for delta in deltas}
+    phis = [[0.5 - 1.5 / nu, 0.5 - 1.0 / nu] for nu in nus]
+    series = {delta: asymptotics.I_phi_series(1.0 - delta, nus, lam, phis)
+              for delta in deltas}
     rows = []
     for nu in nus:
         phi = asymptotics.phi_nu(nu)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import cavitycp.greens
-from cavitycp import (ConstantLossy, Drude, HalfSpace, LIH,
-                      ThermalEnvironment, Vacuum)
+from cavitycp import ConstantLossy, Drude, HalfSpace, ThermalEnvironment
 from cavitycp.materials import _imaginary_axis, reflection_coefficients
 from cavitycp.quadrature import QuadratureSpec
 

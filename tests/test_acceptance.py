@@ -8,13 +8,11 @@ visible and failing.  Tolerances are stated inline next to each check.
 import math
 
 import numpy as np
-import pytest
 
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.asymptotics import (ConstantRCavity, I_half_asym, I_half_closed,
-                                  I_phi_series, I_zero_asym, depth_scaling,
-                                  phi_asymptote, phi_nu)
-from cavitycp.constants import C, EPSILON_0, HBAR, K_B, MU_0
+from cavitycp.asymptotics import (I_half_asym, I_half_closed, I_zero_asym,
+                                  depth_scaling, phi_asymptote, phi_nu)
+from cavitycp.constants import C, EPSILON_0, HBAR, K_B
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              cavity_trace_imagfreq, cavity_trace_realfreq,
                              zero_frequency_trace_limit)
@@ -29,7 +27,7 @@ from cavitycp.potential import (LevelScheme, PotentialComponents,
                                 potential_components, potential_depth,
                                 resonance_width)
 from cavitycp.quadrature import QuadratureSpec
-from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
+from tests.conftest import SAPPHIRE_300K, SAPPHIRE_77K
 from tests.test_asymptotics import I_phi_quadrature
 
 T_LIH = LIH.transitions[0]

@@ -12,12 +12,14 @@ import pytest
 
 import cavitycp.greens as greens
 from cavitycp.constants import C
-from cavitycp.greens import CavityGeometry, cavity_trace_realfreq
-from cavitycp.materials import HalfSpace, Stack, Vacuum, quarter_wave_stack
+from cavitycp.greens import (CavityGeometry, PlateGeometry,
+                             cavity_trace_realfreq)
+from cavitycp.materials import (ConstantLossy, ConstantR, HalfSpace, Stack,
+                                Vacuum, quarter_wave_stack)
 from freeze_cli_corpus import run
 from reference import contour_trace
 from test_cli_corpus import mismatches
-from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K
+from tests.conftest import GOLD_DRUDE, SAPPHIRE_300K, SAPPHIRE_77K
 
 W_LIH = 2.78973e12
 LAM = 2.0 * math.pi * C / W_LIH
@@ -51,6 +53,46 @@ def test_wider_cavity_is_refused_at_the_door(quad):
     cav = CavityGeometry(1.01 * WIDEST, GOLD)
     with pytest.raises(ValueError, match="exceeds the 26.9 m"):
         cavity_trace_realfreq(0.499 * cav.width, W_LIH, cav, quad)
+
+
+WIDTHS = (0.37, 1.0, 3.1, 7.5)  # in units of LAM
+
+
+@pytest.mark.parametrize("mirror, widths", [
+    (GOLD, WIDTHS),
+    (Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 20, W_LIH)), WIDTHS),
+    (HalfSpace(ConstantLossy(eps_real=3.0, eps_imag=0.5)), WIDTHS),
+    (ConstantR(0.9), WIDTHS),
+    (ConstantR(0.3), WIDTHS),
+    (Stack(quarter_wave_stack(SAPPHIRE_77K, Vacuum(), 8, W_LIH)),
+     WIDTHS[:3])],
+    ids=["gold", "sapphire-300K-20-pair", "eps-3+0.5i", "constant-r-0.9",
+         "constant-r-0.3", "sapphire-77K-8-pair-item-6"])
+def test_propagating_trace_does_not_depend_on_the_arch_height(
+        mirror, widths, quad, monkeypatch):
+    # The arch passes no pole of 1/D_sigma, and S e^{-beta a}/beta is
+    # analytic off beta = 0, so by Cauchy's theorem its height cannot move
+    # the trace: at heights 0.15 and 0.6 w/c it matches 0.3, in value and
+    # in z-differences, within 10 rel_tol of the column's max, in cavities
+    # of widths * lam and at a plate out to that width.  Item 6's case
+    # leaves out the 8-pair sapphire_77K cavity of 7.5 lam: near its tuned
+    # pole the heights differ by 4.7e-9 of the max, within 2x of the bound
+    def trace(geometry, zs, height):
+        monkeypatch.setattr(greens, "_ARCH", height)
+        return cavity_trace_realfreq(zs, W_LIH, geometry, quad).propagating
+
+    for width in np.array(widths) * LAM:
+        for geometry, zs in (
+                (CavityGeometry(width, mirror),
+                 np.linspace(-0.45, 0.45, 7) * width),
+                (PlateGeometry(mirror), np.linspace(0.05, 1.0, 7) * width)):
+            want = trace(geometry, zs, 0.3)
+            bound = 10.0 * quad.rel_tol * np.max(np.abs(want))
+            for height in (0.15, 0.6):
+                got = trace(geometry, zs, height)
+                assert np.all(np.abs(got - want) <= bound)
+                assert np.all(np.abs((got - got[0]) - (want - want[0]))
+                              <= bound)
 
 
 def _sapphire_77k_stack(tmp_path):

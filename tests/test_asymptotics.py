@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from cavitycp.asymptotics import (ConstantRCavity, I_half_asym, I_half_closed,
-                                  I_phi_series, I_zero_asym, depth_nu1_asym,
-                                  depth_scaling, phi_asymptote, phi_nu,
-                                  phi_nu_printed)
+from cavitycp.asymptotics import (I_half_asym, I_half_closed, I_phi_series,
+                                  I_zero_asym, depth_nu1_asym, depth_scaling,
+                                  phi_asymptote, phi_nu, phi_nu_printed)
 from cavitycp.constants import ZETA_3
 from cavitycp.quadrature import QuadratureSpec, adaptive_integrate
 
@@ -23,10 +22,9 @@ PHI_TABLE = [(2, -0.1134423724), (3, -0.4015949503), (4, -0.7384479470)]
 LAM = 6.7526e-4
 
 
-def I_phi_plain(cfg, phi):
+def I_phi_plain(r, nu, lam, phi):
     """I(phi) as the plain series, summed term by term until
     r^(2j) < 1e-16."""
-    r, nu = cfg.r, cfg.nu
     j = np.arange(int(-16.0 * math.log(10.0) / (2.0 * math.log(r))) + 1.0)
 
     def y(p):
@@ -34,7 +32,7 @@ def I_phi_plain(cfg, phi):
         return (-2.0 / p**3 + (2.0 / p**3 - 4.0 * nu**2 * np.pi**2 / p) * c
                 + 4.0 * nu * np.pi / p**2 * s)
 
-    return r / (2.0 * np.pi * nu**3 * cfg.lam**3) * float(
+    return r / (2.0 * np.pi * nu**3 * lam**3) * float(
         np.sum(r ** (2.0 * j) * (y(j + 0.5 + phi) + y(j + 0.5 - phi))))
 
 
@@ -47,19 +45,20 @@ def lerch_mpmath(delta, b):
         return tuple(mpmath.lerchphi(z, s, b) for s in (1, 2, 3))
 
 
-def I_phi_mpmath(cfg, phi):
-    """I(phi) combined at 30 digits from mpmath's Lerch transcendent."""
+def I_phi_mpmath(r, nu, lam, phi):
+    """I(phi) combined at 30 digits from mpmath's Lerch transcendent, at
+    delta = 1 - r as the series takes it."""
     mpmath = pytest.importorskip("mpmath")
-    nu = cfg.nu
+    delta = 1.0 - r
     with mpmath.workdps(30):
         total = 0
         for b in (0.5 + phi, 0.5 - phi):
             c, s = mpmath.cospi(2 * nu * b), mpmath.sinpi(2 * nu * b)
-            phi1, phi2, phi3 = lerch_mpmath(cfg.delta, b)
+            phi1, phi2, phi3 = lerch_mpmath(delta, b)
             total += ((2 * c - 2) * phi3 - 4 * nu**2 * mpmath.pi**2 * c * phi1
                       + 4 * nu * mpmath.pi * s * phi2)
-        return float((1 - mpmath.mpf(cfg.delta)) * total
-                     / (2 * mpmath.pi * nu**3 * mpmath.mpf(cfg.lam) ** 3))
+        return float((1 - mpmath.mpf(delta)) * total
+                     / (2 * mpmath.pi * nu**3 * mpmath.mpf(lam) ** 3))
 
 
 def depth_phis(nu):
@@ -127,23 +126,16 @@ def test_phi_asymptote_approach():
     assert phi_asymptote(12) == pytest.approx(phi_nu(12), rel=0.02)
 
 
-def test_constant_r_cavity_fields():
-    cfg = ConstantRCavity(r=0.99, nu=3, lam=6.7e-4)
-    assert cfg.a == pytest.approx(1.5 * 6.7e-4, rel=1e-15)
-    assert cfg.delta == pytest.approx(0.01, rel=1e-12)
-    with pytest.raises(ValueError):
-        ConstantRCavity(r=1.0, nu=1, lam=6.7e-4)
-    with pytest.raises(ValueError):
-        ConstantRCavity(r=0.5, nu=0, lam=6.7e-4)
-    with pytest.raises(ValueError):
-        ConstantRCavity(r=0.5, nu=1, lam=0.0)
-    # the Lerch form of I(phi) needs integer nu
-    with pytest.raises(ValueError):
-        ConstantRCavity(r=0.5, nu=2.5, lam=6.7e-4)
+def test_series_domain():
+    # 0 < r < 1, lam > 0, and the Lerch form of I(phi) needs integer nu >= 1
+    for r, nu, lam in ((1.0, 1, LAM), (0.5, 0, LAM), (0.5, [2, 0], LAM),
+                       (0.5, 2.5, LAM), (0.5, 1, 0.0)):
+        with pytest.raises(ValueError):
+            I_phi_series(r, nu, lam, 0.1)
     # b = 1/2 - |phi| must stay positive; I_half_closed covers phi = 1/2
     for phi in (0.5, -0.5, 0.7):
         with pytest.raises(ValueError):
-            I_phi_series(cfg, phi)
+            I_phi_series(0.99, 3, LAM, phi)
 
 
 def test_I_half_closed_value():
@@ -160,84 +152,83 @@ def test_I_half_closed_vs_quadrature(r):
 
 
 def test_series_vs_quadrature_interior():
-    cfg = ConstantRCavity(r=0.9, nu=2, lam=6.7526e-4)
+    nu = 2
     for phi in (0.0, 0.25, 0.4):
-        assert I_phi_series(cfg, phi) == pytest.approx(
-            I_phi_quadrature(cfg.r, cfg.nu, cfg.a, phi), rel=1e-8)
+        assert I_phi_series(0.9, nu, LAM, phi) == pytest.approx(
+            I_phi_quadrature(0.9, nu, nu * LAM / 2.0, phi), rel=1e-8)
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-2, 1e-3])
 def test_series_vs_plain_series(delta):
+    r = 1.0 - delta
     for nu in range(1, 7):
-        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
         phis = (0.0, 0.1, 0.25, -0.37) + (depth_phis(nu) if nu >= 2 else ())
         for phi in phis:
-            assert I_phi_series(cfg, phi) == pytest.approx(
-                I_phi_plain(cfg, phi), rel=1e-11)
+            assert I_phi_series(r, nu, LAM, phi) == pytest.approx(
+                I_phi_plain(r, nu, LAM, phi), rel=1e-11)
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-8, 1e-12])
 def test_series_vs_mpmath_lerch(delta):
     pytest.importorskip("mpmath")
+    r = 1.0 - delta
     for nu in (2, 3, 4):
-        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
         for phi in depth_phis(nu):
-            assert I_phi_series(cfg, phi) == pytest.approx(
-                I_phi_mpmath(cfg, phi), rel=1e-13)
+            assert I_phi_series(r, nu, LAM, phi) == pytest.approx(
+                I_phi_mpmath(r, nu, LAM, phi), rel=1e-13)
 
 
 def test_depth_intercept_is_printed_closed_form():
     # Evidence on criterion 1: the exact series' depth at delta = 1e-8 has
     # intercept phi_eff = -ln delta - (nu lam^3/8 pi) Delta I equal to the
     # printed closed form phi_nu_printed, not the table value phi_nu (which
-    # is larger by nu/(4(nu - 1))).  ln of cfg.delta: rounding r = 1 - delta
-    # moves ln delta by ~2e-5 at delta = 1e-12.
+    # is larger by nu/(4(nu - 1))).  ln of 1 - r, the rounded delta: rounding
+    # r = 1 - delta moves ln delta by ~2e-5 at delta = 1e-12.
+    r = 1.0 - 1e-8
     for nu in (2, 3, 4):
-        cfg = ConstantRCavity(r=1.0 - 1e-8, nu=nu, lam=LAM)
         lo, hi = depth_phis(nu)
-        phi_eff = -math.log(cfg.delta) - nu * LAM**3 / (8.0 * math.pi) * (
-            I_phi_series(cfg, lo) - I_phi_series(cfg, hi))
+        phi_eff = -math.log(1.0 - r) - nu * LAM**3 / (8.0 * math.pi) * (
+            I_phi_series(r, nu, LAM, lo) - I_phi_series(r, nu, LAM, hi))
         assert phi_eff == pytest.approx(phi_nu_printed(nu), abs=1e-5)
         assert abs(phi_eff - phi_nu(nu)) > 0.1
 
 
 def test_series_even_in_phi():
-    cfg = ConstantRCavity(r=0.95, nu=3, lam=6.7526e-4)
     for phi in (0.1, 0.3, 0.45):
-        assert I_phi_series(cfg, phi) == I_phi_series(cfg, -phi)
+        assert I_phi_series(0.95, 3, LAM, phi) == \
+            I_phi_series(0.95, 3, LAM, -phi)
 
 
 @pytest.mark.parametrize("delta", [0.5, 1e-3, 1e-5, 1e-8])
 def test_series_array_matches_scalar_calls(delta):
     # one lerch_phi call for every element; the elements near a zero of I
     # are matched on the scale of the largest
+    r = 1.0 - delta
     for nu in (2, 3, 4, 7):
-        cfg = ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM)
+        def series(phi):
+            return I_phi_series(r, nu, LAM, phi)
+
         phis = np.array((-0.37, -0.125, 0.0, 0.25, 0.45) + depth_phis(nu))
-        got = I_phi_series(cfg, phis)
+        got = series(phis)
         assert got.shape == phis.shape
-        want = np.array([I_phi_series(cfg, phi) for phi in phis])
+        want = np.array([series(phi) for phi in phis])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(I_phi_series(cfg, -phis), got)
-        assert all(I_phi_series(cfg, -phi) == I_phi_series(cfg, phi)
-                   for phi in phis)
-        assert I_phi_series(cfg, phis.reshape(7, 1)).shape == (7, 1)
+        assert np.array_equal(series(-phis), got)
+        assert all(series(-phi) == series(phi) for phi in phis)
+        assert series(phis.reshape(7, 1)).shape == (7, 1)
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-8])
 def test_series_over_cavities_matches_per_cavity_calls(delta):
-    # one lerch_phi call for every resonance order at one r and lam
-    nus = (2, 3, 4, 7)
-    cfgs = [ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM) for nu in nus]
+    # one lerch_phi call for every resonance order at one r and lam, with
+    # phis[i] for nus[i]
+    r, nus = 1.0 - delta, np.array((2, 3, 4, 7))
     phis = np.array([depth_phis(nu) for nu in nus])
-    got = I_phi_series(cfgs, phis)
+    got = I_phi_series(r, nus, LAM, phis)
     assert got.shape == phis.shape
-    for cfg, phi, row in zip(cfgs, phis, got):
-        want = I_phi_series(cfg, phi)
+    for nu, phi, row in zip(nus, phis, got):
+        want = I_phi_series(r, nu, LAM, phi)
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
-    with pytest.raises(ValueError):
-        I_phi_series([cfgs[0], ConstantRCavity(r=0.5, nu=2, lam=LAM)],
-                     phis[:2])
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-6])

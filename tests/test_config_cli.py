@@ -487,16 +487,21 @@ def test_cli_heating_single_plate(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--points", "1"], "grid needs at least 2 points"),
     (["--points", "0"], "grid needs at least 2 points"),
-    (["--width", "5um"], "grid must ascend")],
-    ids=["one_point", "no_points", "width_below_lam_over_100"])
+    (["--width", "5um"], "--width must exceed lam/100 = "
+     "6.752092737680181e-06 m, the plate grid's floor"),
+    (["--width", "6.752092737680181e-06"], "--width must exceed lam/100 = "
+     "6.752092737680181e-06 m, the plate grid's floor")],
+    ids=["one_point", "no_points", "width_below_lam_over_100",
+         "width_at_lam_over_100"])
 def test_cli_heating_single_plate_bad_grid(argv, message, capsys):
     # the distance grid runs from lam/100 (6.75 um for LiH) to the width and
-    # needs two points, as the cavity grid does
+    # needs two points, as the cavity grid does; a width at or below the
+    # floor is named at the door, in one line
     argv = ["heating", "--width", "500um", "--single-plate"] + argv
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -32,11 +32,17 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(cavitycp, n)] == []
 
 
-@pytest.mark.parametrize("name", [n for n in MODULES if n != "__init__"])
+@pytest.mark.parametrize("name", MODULES + sorted(
+    f"tests/{path.name}" for path in Path(__file__).parent.glob("*.py")))
 def test_no_dead_imports(name):
-    # every name a module imports is used in it or re-exported by __all__;
-    # __init__.py only re-exports, and is not a module of MODULES
-    path = Path(cavitycp.__file__).with_name(f"{name}.py")
+    # every name a module or test file imports is used in it or re-exported
+    # by __all__; __init__.py only re-exports, and is not a module of MODULES
+    if name.startswith("tests/"):
+        path, exported = Path(__file__).with_name(name[6:]), set()
+    else:
+        path = Path(cavitycp.__file__).with_name(f"{name}.py")
+        exported = set(getattr(importlib.import_module(f"cavitycp.{name}"),
+                               "__all__", ()))
     tree = ast.parse(path.read_text())
     imported = {alias.asname or alias.name.split(".")[0]
                 for node in ast.walk(tree)
@@ -44,8 +50,6 @@ def test_no_dead_imports(name):
                 and getattr(node, "module", None) != "__future__"
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set(getattr(importlib.import_module(f"cavitycp.{name}"),
-                           "__all__", ()))
     assert sorted(imported - used - exported) == []
 
 

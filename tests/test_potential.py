@@ -12,8 +12,8 @@ import pytest
 
 import cavitycp.greens
 import cavitycp.potential
-from cavitycp import LIH, ThermalEnvironment
-from cavitycp.asymptotics import ConstantRCavity, I_phi_series
+from cavitycp import LIH
+from cavitycp.asymptotics import I_phi_series
 from cavitycp.constants import EPSILON_0, HBAR, K_B, MU_0
 from cavitycp.greens import (CavityGeometry, PlateGeometry,
                              _propagating_series, _realfreq_trace,
@@ -213,8 +213,7 @@ def test_constant_r_depth_matches_series_at_refined_extrema(delta, env300):
     for nu in range(2, 11):
         rep = potential_depth(LIH, ConstantR(1.0 - delta), nu, env300, spec)
         i_max, i_min = I_phi_series(
-            ConstantRCavity(r=1.0 - delta, nu=nu, lam=LAM),
-            np.array(rep.depth_positions) / rep.width)
+            1.0 - delta, nu, LAM, np.array(rep.depth_positions) / rep.width)
         want = coupling * (i_max - i_min)
         assert abs(rep.depth - want) <= 10.0 * spec.rel_tol * want
 
