@@ -17,6 +17,6 @@ from .potential import ExtremumReport, LevelScheme, PotentialComponents, \
     resonance_width, resonant_potential
 from .asymptotics import I_half_closed, I_phi_series, depth_nu1_asym, \
     depth_scaling, phi_asymptote, phi_nu
-from .config import ConfigError, Registry, load_registry, parse_quantity
+from .config import ConfigError, Registry, load_registry
 
 __version__ = "0.1.0"

@@ -10,12 +10,13 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_registry, lookup, parse_quantity
+from .config import ConfigError, load_registry, lookup
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
 from .materials import ConstantR, Stack, quarter_wave_stack, \
@@ -66,17 +67,27 @@ def _emit(rows, header, args):
         sys.stdout.write(text)
 
 
-def _quantity(text, units, flag):
-    """parse_quantity(text) in (0, inf), its unit one of units or none."""
+_UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0, "K": 1.0}
+
+
+def _quantity(text, flag, units=(), kind=float, hi=math.inf):
+    """kind(text) in (0, hi), scaled by its unit if it ends in one of units
+    (keys of _UNITS); else a one-line ConfigError that names flag."""
+    head = text.strip()
+    number, unit = re.fullmatch(r"(.*?)([a-zA-Z]*)", head, re.S).groups()
     try:
-        value = float(text)
+        value = kind(number) * _UNITS[unit] if number and unit in units \
+            else kind(head)
     except ValueError:
-        unit = text.strip().lstrip("+-.0123456789eE")
-        if unit not in units:
-            raise ConfigError(f"{flag} takes {'/'.join(units)}, not {unit!r}")
-        value = parse_quantity(text)
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {text!r}")
+        wrong = units and number and unit not in ("", *units)
+        what = "/".join(units) if wrong else "an integer" if kind is int \
+            else "a number"
+        raise ConfigError(f"{flag} takes {what}, not "
+                          f"{unit if wrong else text!r}") from None
+    if not 0 < value < hi:
+        raise ConfigError(f"{flag} must be positive and finite, got {text!r}"
+                          if hi == math.inf else
+                          f"{flag} takes values in (0, {hi:g}), got {text!r}")
     return value
 
 
@@ -87,16 +98,16 @@ def _setup(args):
                              else "")
     if "molecule" in args:
         args.molecule = lookup(args.reg.molecules, args.molecule, "molecule")
-        args.env = ThermalEnvironment(_quantity(args.temperature, ("K",),
-                                                "--temperature"))
+        args.env = ThermalEnvironment(_quantity(
+            args.temperature, "--temperature", ("K",)))
     if "mirror" in args:
         args.mirror = lookup(args.reg.mirrors, args.mirror, "mirror")
     if "width" in args and args.width.startswith("resonance:"):
-        args.width = resonance_width(args.molecule.transitions[0],
-                                     int(args.width.split(":", 1)[1]))
+        args.width = resonance_width(args.molecule.transitions[0], _quantity(
+            args.width.split(":", 1)[1], "--width resonance:N", kind=int))
     elif "width" in args:
-        args.width = _quantity(args.width, ("nm", "um", "mm", "cm", "m"),
-                               "--width")
+        args.width = _quantity(args.width, "--width",
+                               ("nm", "um", "mm", "cm", "m"))
 
 
 def _grid(lo, hi, points):
@@ -116,7 +127,7 @@ def _z_grid(width, points):
     return half + [0.0] * (points % 2) + [-z for z in reversed(half)]
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args):
     mol, env, spec, width = args.molecule, args.env, args.spec, args.width
     cavity = CavityGeometry(width=width, mirror=args.mirror)
 
@@ -128,13 +139,13 @@ def cmd_profile(args) -> int:
     off = np.zeros(3) if args.raw else u[:, -1]
     rows = [(z, *c, sum(c))
             for z, c in zip(zs.tolist(), (u.T[:args.points] - off).tolist())]
-    _emit(rows, ["z_m", "U_nr_J", "U_pr_J", "U_ev_J", "U_total_J"], args)
-    return EXIT_OK
+    return rows, ["z_m", "U_nr_J", "U_pr_J", "U_ev_J", "U_total_J"]
 
 
-def cmd_depth(args) -> int:
-    nus = [int(s) for s in args.nu.split(",") if s.strip()]
-    if not nus or any(nu < 1 for nu in nus):
+def cmd_depth(args):
+    nus = [_quantity(s, "--nu", kind=int) for s in args.nu.split(",")
+           if s.strip()]
+    if not nus:
         raise ConfigError("--nu needs a comma-separated list of integers >= 1")
 
     rows = []
@@ -145,15 +156,13 @@ def cmd_depth(args) -> int:
         rows.append((nu, rep.width, rep.depth, z_min,
                      ";".join("%.17g" % z for z in rep.maxima_positions),
                      "well_depth" if rep.is_well_depth else "peak_height"))
-    _emit(rows, ["nu", "a_m", "depth_J", "z_min_m", "z_maxima_m", "kind"],
-          args)
-    return EXIT_OK
+    return rows, ["nu", "a_m", "depth_J", "z_min_m", "z_maxima_m", "kind"]
 
 
-def cmd_bragg(args) -> int:
+def cmd_bragg(args):
     mat_a = lookup(args.reg.materials, args.material_a, "material")
     mat_b = lookup(args.reg.materials, args.material_b, "material")
-    omega0 = float(args.design_frequency)
+    omega0 = _quantity(args.design_frequency, "--design-frequency")
     if args.n_min > args.n_max or args.n_min < 0:
         raise ConfigError("need 0 <= n-min <= n-max")
 
@@ -169,11 +178,10 @@ def cmd_bragg(args) -> int:
             abs(one_minus - prev) <= 0.01 * abs(prev)
         rows.append((n_pairs, one_minus, abs(r), saturated))
         prev = one_minus
-    _emit(rows, ["n_pairs", "one_minus_re_r", "abs_r", "saturated"], args)
-    return EXIT_OK
+    return rows, ["n_pairs", "one_minus_re_r", "abs_r", "saturated"]
 
 
-def cmd_heating(args) -> int:
+def cmd_heating(args):
     gamma_free = heating_rate_free(args.molecule, args.env)
 
     if args.single_plate:
@@ -189,21 +197,19 @@ def cmd_heating(args) -> int:
     gammas = heating_rate_profile(np.array(grid), args.molecule, geometry,
                                   args.env, args.spec)
     rows = [(z, float(g), gamma_free) for z, g in zip(grid, gammas)]
-    _emit(rows, ["z_m", "gamma_per_s", "gamma_free_per_s"], args)
-    return EXIT_OK
+    return rows, ["z_m", "gamma_per_s", "gamma_free_per_s"]
 
 
-def cmd_asym(args) -> int:
+def cmd_asym(args):
     mol, env, spec = args.molecule, args.env, args.spec
     t = mol.transitions[0]
     lam = 2.0 * math.pi * C / t.omega
     coupling = photon_number(t.omega, env) * t.d_squared / (3.0 * EPSILON_0)
     nus = list(range(args.nu_min, args.nu_max + 1))
-    deltas = [float(s) for s in args.delta.split(",") if s.strip()]
+    deltas = [_quantity(s, "--delta", hi=1.0) for s in args.delta.split(",")
+              if s.strip()]
     if not nus or nus[0] < 2:
         raise ConfigError("asym needs 2 <= --nu-min <= --nu-max")
-    if not all(0 < delta < 1 for delta in deltas):
-        raise ConfigError(f"--delta takes values in (0, 1), got {args.delta}")
 
     # the series of every nu from one Lerch integral per delta
     phis = [[0.5 - 1.5 / nu, 0.5 - 1.0 / nu] for nu in nus]
@@ -222,9 +228,8 @@ def cmd_asym(args) -> int:
             rows.append((nu, delta, rep.depth, coupling * (i_max - i_min),
                          asymptotics.depth_scaling(nu, delta, lam, coupling),
                          phi, asymptotics.phi_asymptote(nu)))
-    _emit(rows, ["nu", "delta", "depth_quadrature_J", "depth_series_J",
-                 "depth_scaling_J", "phi_nu", "phi_asymptote"], args)
-    return EXIT_OK
+    return rows, ["nu", "delta", "depth_quadrature_J", "depth_series_J",
+                  "depth_scaling_J", "phi_nu", "phi_asymptote"]
 
 
 @functools.cache  # built at the first call; a parse leaves it unchanged
@@ -310,7 +315,8 @@ def main(argv=None) -> int:
     try:
         args.spec = QuadratureSpec(rel_tol=args.rel_tol)
         _setup(args)
-        return args.func(args)
+        _emit(*args.func(args), args)
+        return EXIT_OK
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,8 +42,8 @@ from .materials import ConstantLossy, ConstantR, Drude, HalfSpace, \
     MirrorSpec, PermittivityModel, Stack, Vacuum, quarter_wave_stack
 from .molecules import Molecule, Transition, builtin_molecules
 
-__all__ = ["ConfigError", "Registry", "load_registry", "parse_quantity",
-           "builtin_materials", "builtin_mirrors"]
+__all__ = ["ConfigError", "Registry", "load_registry", "builtin_materials",
+           "builtin_mirrors"]
 
 
 class ConfigError(ValueError):
@@ -71,21 +71,6 @@ class Registry:
     materials: Dict[str, PermittivityModel] = field(
         default_factory=builtin_materials)
     mirrors: Dict[str, MirrorSpec] = field(default_factory=builtin_mirrors)
-
-
-_SUFFIXES = {"um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0, "nm": 1e-9,
-             "K": 1.0}
-
-
-def parse_quantity(text: str) -> float:
-    """Parse a number with an optional unit suffix (um/mm/cm/m/nm/K)."""
-    text = text.strip()
-    for suffix, scale in sorted(_SUFFIXES.items(), key=lambda s: -len(s[0])):
-        if text.endswith(suffix):
-            head = text[:-len(suffix)]
-            if head and (head[-1].isdigit() or head[-1] == "."):
-                return float(head) * scale
-    return float(text)
 
 
 def _parse_sections(text: str) -> List[Tuple[str, str, int, List]]:

@@ -614,11 +614,17 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
 def cavity_trace_imagfreq(z, xi: float, cavity,
                           spec: QuadratureSpec = QuadratureSpec()):
     """Tr G at omega = i xi (real-valued), xi > 0; cavity or plate.  z is a
-    position (float out) or a 1-D array of them (array out)."""
+    position (float out) or a 1-D array of them (array out).  Where Tr G ~
+    1/xi^2 overflows a float, ArithmeticError."""
     if not 0 < xi < np.inf:
         raise ValueError(f"cavity_trace_imagfreq requires 0 < xi < inf, got "
                          f"{xi}; use zero_frequency_trace_limit for xi = 0")
-    tr = imagfreq_trace_sum(cavity, z, [xi], [xi**-2], spec)
+    tr = imagfreq_trace_sum(cavity, z, [xi], [1.0], spec)  # xi^2 Tr G
+    with np.errstate(over="ignore"):
+        tr = tr / xi / xi
+    if not np.isfinite(tr).all():
+        raise ArithmeticError(f"Tr G at xi = {xi} overflows a float; use "
+                              "zero_frequency_trace_limit, xi^2 Tr G at 0")
     return float(tr[0]) if np.ndim(z) == 0 else tr
 
 

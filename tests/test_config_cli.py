@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from cavitycp import LIH, ThermalEnvironment
-from cavitycp.cli import _csv, _z_grid, build_parser, main
+from cavitycp.cli import _csv, _quantity, _z_grid, build_parser, main
 from cavitycp.config import (ConfigError, builtin_materials, builtin_mirrors,
-                             load_registry, parse_quantity)
+                             load_registry)
 from cavitycp.constants import C
 from cavitycp.greens import CavityGeometry
 from cavitycp.materials import ConstantR, Drude, HalfSpace, Stack, Vacuum, \
@@ -29,16 +29,27 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # --- config -----------------------------------------------------------------
 
+LENGTHS = ("nm", "um", "mm", "cm", "m")
+
+
 def test_parse_quantity_suffixes():
-    assert parse_quantity("500um") == pytest.approx(5e-4)
-    assert parse_quantity("1.5mm") == pytest.approx(1.5e-3)
-    assert parse_quantity("2cm") == pytest.approx(0.02)
-    assert parse_quantity("3m") == 3.0
-    assert parse_quantity("250nm") == pytest.approx(2.5e-7)
-    assert parse_quantity("300K") == 300.0
-    assert parse_quantity(" 6.7526e-4 ") == pytest.approx(6.7526e-4)
-    with pytest.raises(ValueError):
-        parse_quantity("five")
+    # the CLI's one reader of flag values: every length suffix scales, and
+    # K is a unit of --temperature only
+    for text, value in (("500um", 500 * 1e-6), ("1.5mm", 1.5 * 1e-3),
+                        ("2cm", 2 * 1e-2), ("3m", 3.0), ("250nm", 250 * 1e-9),
+                        (" 6.7526e-4 ", 6.7526e-4), (" 7um\n", 7 * 1e-6)):
+        assert _quantity(text, "--width", LENGTHS) == value
+    assert _quantity(" 300K ", "--temperature", ("K",)) == 300.0
+    with pytest.raises(ConfigError, match=r"^--width takes nm/um/mm/cm/m, "
+                       r"not 'K'$"):
+        _quantity("300K", "--width", LENGTHS)
+    with pytest.raises(ConfigError,
+                       match=r"^--temperature takes K, not 'um'$"):
+        _quantity("300um", "--temperature", ("K",))
+    for garbage in ("five", "mm", "e5m", "1.2.3"):
+        with pytest.raises(ConfigError,
+                           match=f"^--width takes a number, not '{garbage}'$"):
+            _quantity(garbage, "--width", LENGTHS)
 
 
 def test_builtin_registry_contents():
@@ -505,8 +516,7 @@ def test_cli_heating_single_plate_bad_grid(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["depth", "--nu", "0"],
-     "--nu needs a comma-separated list of integers >= 1"),
+    (["depth", "--nu", "0"], "--nu must be positive and finite, got '0'"),
     (["depth", "--nu", ","],
      "--nu needs a comma-separated list of integers >= 1"),
     (["bragg", "--n-min", "3", "--n-max", "2"], "need 0 <= n-min <= n-max"),
@@ -687,6 +697,32 @@ def test_cli_rejects_units_of_the_wrong_dimension(argv, unit, capsys):
     assert unit in err and err.count("\n") == 1
 
 
+BRAGG = ["bragg", "--material-a", "sapphire_300K", "--material-b", "vacuum",
+         "--n-max", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["profile", "--width", "resonance:x"], "--width"),
+    (["profile", "--width", "resonance:2.5"], "--width"),
+    (["profile", "--width", "resonance:0"], "--width"),
+    (["depth", "--nu", "2,x"], "--nu"),
+    (["depth", "--nu", "2.0"], "--nu"),
+    (["asym", "--nu-max", "3", "--delta", "1e-3,abc"], "--delta"),
+    (BRAGG + ["--design-frequency", "abc"], "--design-frequency"),
+    (BRAGG + ["--design-frequency", "0"], "--design-frequency"),
+    (["profile", "--width", "mm"], "--width"),
+    (["profile", "--width", "e5m"], "--width")],
+    ids=["resonance_x", "resonance_2.5", "resonance_0", "nu_x", "nu_2.0",
+         "delta_abc", "design_frequency_abc", "design_frequency_0",
+         "width_unit_only", "width_e5m"])
+def test_cli_every_value_flag_is_refused_in_one_line_naming_it(argv, flag,
+                                                               capsys):
+    # each printed Python's own ValueError text, or a line naming no flag
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+
+
 def test_cli_accepts_units_of_the_right_dimension(capsys):
     for width, temperature in (("0.0007", "300K"), ("700um", "300"),
                                ("0.07cm", "300.K")):
@@ -712,7 +748,8 @@ def test_cli_bragg_rejects_zero_design_frequency(capsys, recwarn):
         ["bragg", "--material-a", "sapphire_300K", "--material-b", "vacuum",
          "--n-max", "2", "--design-frequency", "0"], capsys)
     assert code == 2 and out == ""
-    assert "design frequency" in err
+    assert err == "error: --design-frequency must be positive and finite, " \
+        "got '0'\n"
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 

@@ -104,3 +104,30 @@ def test_layering():
             if m.split(".")[0] == "cavitycp"] == []
     assert [n for m, n in _imports("potential")
             if m == "cavitycp.greens" and "fold" in n] == []
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_cli_has_one_door():
+    # cli._quantity converts every flag value argparse leaves as text, and
+    # main writes every table: no cmd_* function calls _emit, and no int()
+    # or float() outside _quantity takes flag text (an args attribute, or
+    # an item of a list made from one)
+    tree = ast.parse(Path(cavitycp.__file__).with_name("cli.py").read_text())
+    found = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef) or func.name == "_quantity":
+            continue
+        text = {"args"} | {name for comp in ast.walk(func)
+                           if isinstance(comp, ast.comprehension)
+                           and "args" in _names(comp.iter)
+                           for name in _names(comp.target)}
+        for call in ast.walk(func):
+            callee = getattr(getattr(call, "func", None), "id", None)
+            if callee == "_emit" and func.name.startswith("cmd_") or \
+                    callee in ("int", "float") and \
+                    text & set().union(*map(_names, call.args)):
+                found.append(f"{func.name}:{call.lineno} {callee}")
+    assert found == []

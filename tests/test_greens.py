@@ -144,6 +144,26 @@ def test_imagfreq_small_xi_approaches_zero_limit(gold, quad):
 
 
 @pytest.mark.parametrize("plate", [False, True], ids=["cavity", "plate"])
+def test_imagfreq_refuses_a_xi_where_the_trace_overflows(plate, gold, quad,
+                                                          recwarn):
+    # Tr G ~ lim / xi^2 passes the largest float near xi = 1e-141: xi =
+    # 1e-145 overflowed inside numpy (inf after a RuntimeWarning), 1e-160
+    # raised a bare OverflowError from xi**-2.  Both are refused, naming the
+    # zero-frequency limit, and xi^2 Tr G above them is that limit
+    geometry, z = (PlateGeometry(gold), 1e-4) if plate \
+        else (_resonant_cavity(gold, 2), 0.0)
+    lim = zero_frequency_trace_limit(z, geometry, quad)
+    for xi in (1e-145, 1e-160):
+        with pytest.raises(ArithmeticError, match=f"xi = {xi} overflows .*"
+                           "zero_frequency_trace_limit"):
+            cavity_trace_imagfreq(z, xi, geometry, quad)
+    xi = 1e-120
+    assert xi * xi * cavity_trace_imagfreq(z, xi, geometry, quad) == \
+        pytest.approx(lim, rel=1e-12)
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("plate", [False, True], ids=["cavity", "plate"])
 def test_imagfreq_traces_batch_positions(plate, gold, quad_fast):
     # an array of positions gives one entry per position, each the value of
     # its own scalar call; a scalar position gives a float

@@ -1,22 +1,29 @@
-"""Property tests of the reflection kernel on random passive mirrors, and
-of the propagating path phase."""
+"""Property tests of the reflection kernel on random passive mirrors, of
+the propagating path phase, and of the propagating trace's arch height."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import cavitycp.greens as greens  # noqa: E402
 from cavitycp.constants import C  # noqa: E402
-from cavitycp.greens import PlateGeometry, _paths  # noqa: E402
+from cavitycp.greens import (CavityGeometry, PlateGeometry,  # noqa: E402
+                             _paths, cavity_trace_realfreq)
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude,  # noqa
                                 HalfSpace, Layer, Stack, Vacuum,
                                 permittivity_at, quarter_wave_stack,
                                 reflection_coefficients, sqrt_upper,
                                 static_limit_reflection,
                                 transverse_wavenumber)
+from cavitycp.quadrature import QuadratureSpec  # noqa: E402
 
 W_LIH = 2.78973e12
+LAM = 2.0 * math.pi * C / W_LIH
 
 drude = st.builds(Drude, plasma_frequency=st.floats(1e13, 1e17),
                   damping=st.floats(1e10, 1e15))
@@ -167,3 +174,46 @@ def test_path_phase_matches_complex_exp(re, im):
                           PlateGeometry(ConstantR(0.5)))[:, 0, 0])
     want = np.exp(x[0])
     assert abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)
+
+
+def decades(lo, hi):
+    """Floats 10**e, e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+lossy = st.builds(ConstantLossy, eps_real=st.floats(1.5, 15.0),
+                  eps_imag=decades(-6, 0))
+# one of four kinds, each a quarter of the draws (st.one_of drew 4 stacks
+# in 60 examples)
+arch_mirror = st.sampled_from([
+    st.builds(HalfSpace, st.builds(Drude, plasma_frequency=decades(14, 17),
+                                   damping=decades(11, 14))),
+    st.builds(HalfSpace, lossy),
+    st.builds(ConstantR, st.floats(0.05, 0.99)),
+    st.builds(lambda a, b, n: Stack(quarter_wave_stack(a, b, n, W_LIH)),
+              lossy, st.one_of(st.just(Vacuum()), lossy), st.integers(1, 20))
+]).flatmap(lambda kind: kind)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(arch_mirror, st.floats(0.3, 3.1), st.booleans(), st.floats(0.1, 0.6))
+def test_propagating_trace_does_not_depend_on_a_drawn_arch_height(
+        mirror, width, plate, height):
+    # test_arch's invariant on drawn mirrors: the arch passes no pole, so
+    # at any height in [0.1, 0.6] w/c the trace matches height 0.3, in value
+    # and in z-differences, within 10 rel_tol of the column's max.  Widths
+    # stop at 3.1 lam: item 6's 8-pair sapphire_77K case sits at 7.5 lam
+    spec, width = QuadratureSpec(), width * LAM
+    geometry, zs = (PlateGeometry(mirror), np.linspace(0.05, 1.0, 7) * width) \
+        if plate else (CavityGeometry(width, mirror),
+                       np.linspace(-0.45, 0.45, 7) * width)
+
+    def trace(h):
+        with mock.patch.object(greens, "_ARCH", h):
+            return cavity_trace_realfreq(zs, W_LIH, geometry,
+                                         spec).propagating
+
+    want, got = trace(0.3), trace(height)
+    bound = 10.0 * spec.rel_tol * np.max(np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.abs((got - got[0]) - (want - want[0])) <= bound)
