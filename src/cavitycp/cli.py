@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -55,11 +54,14 @@ def _csv(rows, header) -> str:
 
 
 def _emit(rows, header, args):
-    # JSON: RFC 8259 has no NaN or Infinity, so non-finite floats are null
-    text = _csv(rows, header) if args.format == "csv" else json.dumps(
-        [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-          for k, v in zip(header, row)} for row in rows],
-        indent=2, allow_nan=False) + "\n"
+    if args.format == "csv":
+        text = _csv(rows, header)
+    else:  # imported here only; non-finite floats become null (RFC 8259)
+        import json
+        text = json.dumps(
+            [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in zip(header, row)} for row in rows],
+            indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -71,8 +73,8 @@ _UNITS = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0, "K": 1.0}
 
 
 def _quantity(text, flag, units=(), kind=float, hi=math.inf):
-    """kind(text) in (0, hi), scaled by its unit if it ends in one of units
-    (keys of _UNITS); else a one-line ConfigError that names flag."""
+    """kind(text) in (0, hi) (with hi - it < hi for a finite hi), scaled by its
+    unit if it ends in one of units, else a ConfigError line naming flag."""
     head = text.strip()
     number, unit = re.fullmatch(r"(.*?)([a-zA-Z]*)", head, re.S).groups()
     try:
@@ -84,10 +86,10 @@ def _quantity(text, flag, units=(), kind=float, hi=math.inf):
             else "a number"
         raise ConfigError(f"{flag} takes {what}, not "
                           f"{unit if wrong else text!r}") from None
-    if not 0 < value < hi:
+    if not 0 < value < hi or math.isfinite(hi) and hi - value == hi:
         raise ConfigError(f"{flag} must be positive and finite, got {text!r}"
-                          if hi == math.inf else
-                          f"{flag} takes values in (0, {hi:g}), got {text!r}")
+                          if hi == math.inf else f"{flag} takes v in (0, "
+                          f"{hi:g}) with {hi:g} - v < {hi:g}, got {text!r}")
     return value
 
 
@@ -163,6 +165,8 @@ def cmd_bragg(args):
     mat_a = lookup(args.reg.materials, args.material_a, "material")
     mat_b = lookup(args.reg.materials, args.material_b, "material")
     omega0 = _quantity(args.design_frequency, "--design-frequency")
+    if not omega0 / C < math.sqrt(sys.float_info.max):  # (omega0/c)^2 finite
+        raise ConfigError(f"--design-frequency {omega0} overflows (omega/c)^2")
     if args.n_min > args.n_max or args.n_min < 0:
         raise ConfigError("need 0 <= n-min <= n-max")
 

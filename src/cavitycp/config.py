@@ -35,7 +35,6 @@ override them, which is reported as a warning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .materials import ConstantLossy, ConstantR, Drude, HalfSpace, \
@@ -50,27 +49,29 @@ class ConfigError(ValueError):
     """Malformed configuration, with line context."""
 
 
+_MATERIALS = {  # built once: registries share these immutable values
+    "vacuum": Vacuum(),
+    "gold": Drude(plasma_frequency=1.37e16, damping=5.32e13),
+    "sapphire_300K": ConstantLossy(eps_real=10.0, eps_imag=1e-4),
+    "sapphire_77K": ConstantLossy(eps_real=10.0, eps_imag=1e-6),
+    "GaAs": ConstantLossy(eps_real=12.96, eps_imag=0.02),
+    "AlAs": ConstantLossy(eps_real=10.96, eps_imag=0.02),
+}
+
+
 def builtin_materials() -> Dict[str, PermittivityModel]:
-    return {
-        "vacuum": Vacuum(),
-        "gold": Drude(plasma_frequency=1.37e16, damping=5.32e13),
-        "sapphire_300K": ConstantLossy(eps_real=10.0, eps_imag=1e-4),
-        "sapphire_77K": ConstantLossy(eps_real=10.0, eps_imag=1e-6),
-        "GaAs": ConstantLossy(eps_real=12.96, eps_imag=0.02),
-        "AlAs": ConstantLossy(eps_real=10.96, eps_imag=0.02),
-    }
+    return dict(_MATERIALS)
 
 
 def builtin_mirrors() -> Dict[str, MirrorSpec]:
-    return {"gold": HalfSpace(builtin_materials()["gold"])}
+    return {"gold": HalfSpace(_MATERIALS["gold"])}
 
 
-@dataclass
 class Registry:
-    molecules: Dict[str, Molecule] = field(default_factory=builtin_molecules)
-    materials: Dict[str, PermittivityModel] = field(
-        default_factory=builtin_materials)
-    mirrors: Dict[str, MirrorSpec] = field(default_factory=builtin_mirrors)
+    def __init__(self):  # the built-ins; load_registry adds a config's
+        self.molecules = builtin_molecules()
+        self.materials = builtin_materials()
+        self.mirrors = builtin_mirrors()
 
 
 def _parse_sections(text: str) -> List[Tuple[str, str, int, List]]:

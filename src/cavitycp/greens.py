@@ -48,12 +48,11 @@ once per fold rep, and maps values and errors back to positions (_unfolded).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .constants import C
+from .constants import C, Record
 from .materials import ConstantR, MirrorSpec, Stack, _imaginary_axis, \
     permittivity_at, reflection_coefficients, static_limit_reflection
 from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
@@ -85,8 +84,7 @@ _GRAZING_STEP = 1e-6  # beta_0 c/w of _grazing_coefficient
 _BLOCK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
+class CavityGeometry(Record):
     """Planar cavity of width a with one MirrorSpec used for both walls."""
     width: float
     mirror: MirrorSpec
@@ -140,8 +138,7 @@ class CavityGeometry:
             _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist(), None
 
 
-@dataclass(frozen=True)
-class PlateGeometry:
+class PlateGeometry(Record):
     """A single plate; its positions are distances d > 0 from it."""
     mirror: MirrorSpec
 
@@ -203,8 +200,7 @@ def _unfolded(index, interp=None):
                               err.error_ratio) from err
 
 
-@dataclass
-class GreenTraceParts:
+class GreenTraceParts(Record):
     """Propagating and evanescent contributions to Tr G (units 1/m); complex
     numbers, or complex arrays for an array of positions."""
     propagating: Any

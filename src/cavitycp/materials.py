@@ -11,12 +11,11 @@ the positive root of a positive real radicand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
 
-from .constants import C
+from .constants import C, Record
 
 __all__ = [
     "Drude", "ConstantLossy", "Vacuum", "PermittivityModel",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Drude:
+class Drude(Record):
     """Metal permittivity eps = 1 - wp^2 / (w (w + i gamma))."""
     plasma_frequency: float  # rad/s
     damping: float           # rad/s
@@ -39,8 +37,7 @@ class Drude:
                              "frequency and damping")
 
 
-@dataclass(frozen=True)
-class ConstantLossy:
+class ConstantLossy(Record):
     """Frequency-independent permittivity eps_real + i eps_imag.
 
     On the imaginary axis (omega = i xi) the model is continued as the real
@@ -58,16 +55,14 @@ class ConstantLossy:
                              "and eps_imag >= 0 (passivity)")
 
 
-@dataclass(frozen=True)
-class Vacuum:
+class Vacuum(Record):
     pass
 
 
 PermittivityModel = Union[Drude, ConstantLossy, Vacuum]
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """One slab of a stack; thickness None marks the semi-infinite terminator."""
     material: PermittivityModel
     thickness: Union[float, None]
@@ -77,18 +72,14 @@ class Layer:
             raise ValueError("layer thickness must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Stack:
+class Stack(Record):
     """Vacuum | layers[0] | ... | layers[-1], the last layer semi-infinite.
 
     Numbered once: materials holds the distinct materials in order of
     appearance, and media[i + 1] = j says layers[i] is of materials[j - 1];
-    media[0] = 0 is the vacuum in front.  Equality and hashing use layers.
+    media[0] = 0 is the vacuum in front.  Equality, hash and repr use layers.
     """
     layers: Tuple[Layer, ...]
-    materials: Tuple[PermittivityModel, ...] = field(
-        init=False, repr=False, compare=False)
-    media: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -111,8 +102,7 @@ class HalfSpace(Stack):
         super().__init__((Layer(material, None),))
 
 
-@dataclass(frozen=True)
-class ConstantR:
+class ConstantR(Record):
     """Ideal wall with r_p = -r_s = r at every frequency and angle."""
     r: float
 
@@ -190,15 +180,13 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
                          f"frequency, got {omega0}")
     if n_pairs < 0:
         raise ValueError(f"quarter-wave stack needs pairs >= 0, got {n_pairs}")
-    layers = []
-    for _ in range(n_pairs):
-        for mat in (mat_a, mat_b):
-            n_index = np.sqrt(permittivity_at(mat, omega0)).real
-            if not n_index > 0:
-                raise ValueError("quarter-wave stack needs Re sqrt(eps) > 0")
-            layers.append(Layer(mat, np.pi * C / (2.0 * n_index * omega0)))
-    layers.append(Layer(mat_a, None))
-    return tuple(layers)
+    pair = []  # built once: every pair repeats the same two layers
+    for mat in (mat_a, mat_b) if n_pairs else ():
+        n_index = np.sqrt(permittivity_at(mat, omega0)).real
+        if not n_index > 0:
+            raise ValueError("quarter-wave stack needs Re sqrt(eps) > 0")
+        pair.append(Layer(mat, np.pi * C / (2.0 * n_index * omega0)))
+    return (*pair * n_pairs, Layer(mat_a, None))
 
 
 def static_limit_reflection(mirror: MirrorSpec, k_perp):

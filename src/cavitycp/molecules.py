@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .constants import HBAR, K_B
+from .constants import HBAR, K_B, Record
 
 __all__ = [
     "Transition", "Molecule", "ThermalEnvironment",
@@ -17,8 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """One ground-state transition: angular frequency and summed |d|^2."""
     omega: float       # rad/s
     d_squared: float   # C^2 m^2, summed over the degenerate manifold
@@ -30,8 +28,7 @@ class Transition:
             raise ValueError("d_squared must lie in (0, inf)")
 
 
-@dataclass(frozen=True)
-class Molecule:
+class Molecule(Record):
     name: str
     transitions: Tuple[Transition, ...]
 
@@ -43,8 +40,7 @@ class Molecule:
             raise ValueError("transitions must be sorted ascending in omega")
 
 
-@dataclass(frozen=True)
-class ThermalEnvironment:
+class ThermalEnvironment(Record):
     temperature: float  # K
 
     def __post_init__(self):

@@ -29,12 +29,11 @@ Each cavity argument is a CavityGeometry or a PlateGeometry (z = distance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .constants import C, EPSILON_0, HBAR, MU_0
+from .constants import C, EPSILON_0, HBAR, MU_0, Record
 from .greens import _CUTOFF, CavityGeometry, _propagating_series, \
     cavity_trace_realfreq, imagfreq_trace_sum
 from .materials import MirrorSpec
@@ -82,8 +81,7 @@ _NEWTON_STEPS = 50
 _NEWTON_XTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PotentialComponents:
+class PotentialComponents(Record):
     """The three-way split of the potential at one position (joules)."""
     z: float
     U_nr: float
@@ -95,8 +93,7 @@ class PotentialComponents:
         return self.U_nr + self.U_pr + self.U_ev
 
 
-@dataclass(frozen=True)
-class ExtremumReport:
+class ExtremumReport(Record):
     """Extrema of the oscillating (propagating) potential at resonance."""
     nu: int
     width: float
@@ -183,8 +180,7 @@ def potential_components(z: float, mol: Molecule, cavity,
     return PotentialComponents(z=z, U_nr=u_nr, U_pr=u_pr, U_ev=u_ev)
 
 
-@dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(Record):
     """State-resolved level data for the general-state potential.
 
     energies: state energies in rad/s (energies[0] is the reference);

@@ -24,7 +24,6 @@ the error is spread it saves one integrand call per panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,15 +67,15 @@ _TINY = 1e-300
 _MAX_SUBDIVISIONS = 2000  # bisections per adaptive_integrate call
 
 
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Relative tolerance every component of an integral must meet."""
 
-    rel_tol: float = 1e-9
+    __slots__ = ("rel_tol",)
 
-    def __post_init__(self):
-        if not 0 < self.rel_tol < 1:
+    def __init__(self, rel_tol: float = 1e-9):
+        if not 0 < rel_tol < 1:
             raise ValueError("rel_tol must lie in (0, 1)")
+        self.rel_tol = rel_tol
 
 
 class QuadratureError(RuntimeError):

@@ -708,19 +708,41 @@ BRAGG = ["bragg", "--material-a", "sapphire_300K", "--material-b", "vacuum",
     (["depth", "--nu", "2,x"], "--nu"),
     (["depth", "--nu", "2.0"], "--nu"),
     (["asym", "--nu-max", "3", "--delta", "1e-3,abc"], "--delta"),
+    (["asym", "--nu-max", "2", "--delta", "1e-300"], "--delta"),
+    (["asym", "--nu-max", "2", "--delta", "5e-17"], "--delta"),
     (BRAGG + ["--design-frequency", "abc"], "--design-frequency"),
     (BRAGG + ["--design-frequency", "0"], "--design-frequency"),
+    (BRAGG + ["--design-frequency", "1e300"], "--design-frequency"),
     (["profile", "--width", "mm"], "--width"),
     (["profile", "--width", "e5m"], "--width")],
     ids=["resonance_x", "resonance_2.5", "resonance_0", "nu_x", "nu_2.0",
-         "delta_abc", "design_frequency_abc", "design_frequency_0",
-         "width_unit_only", "width_e5m"])
+         "delta_abc", "delta_1e-300", "delta_5e-17", "design_frequency_abc",
+         "design_frequency_0", "design_frequency_1e300", "width_unit_only",
+         "width_e5m"])
 def test_cli_every_value_flag_is_refused_in_one_line_naming_it(argv, flag,
                                                                capsys):
     # each printed Python's own ValueError text, or a line naming no flag
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, edge", [
+    (["asym", "--nu-max", "2", "--delta"], ("6e-17", "5.551115123125783e-17")),
+    (["bragg", "--material-a", "gold", "--material-b", "vacuum", "--n-max",
+      "1", "--design-frequency"],
+     (repr(C * 1.3407807929942596e154), repr(C * 1.3407807929942597e154)))],
+    ids=["delta", "design_frequency"])
+def test_cli_value_doors_sit_at_the_double_precision_edge(argv, edge,
+                                                          capsys):
+    # a delta that 1 - delta rounds to 1 named r, not --delta (exit 2), and
+    # a design frequency whose (omega/c)^2 overflows exited 3 with a bare
+    # OverflowError; the largest values that leave both finite still run
+    accepted, refused = edge
+    code, out, err = run_cli(argv + [accepted], capsys)
+    assert code == 0 and err == "" and "nan" not in out
+    code, out, err = run_cli(argv + [refused], capsys)
+    assert code == 2 and out == "" and err.startswith(f"error: {argv[-1]}")
 
 
 def test_cli_accepts_units_of_the_right_dimension(capsys):
