@@ -18,8 +18,8 @@ import numpy as np
 from .config import ConfigError, load_registry, lookup
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
-from .materials import ConstantR, Stack, quarter_wave_stack, \
-    reflection_coefficients, transverse_wavenumber
+from .materials import ConstantR, Stack, permittivity_at, \
+    quarter_wave_stack, reflection_coefficients
 from .molecules import ThermalEnvironment, photon_number
 from .potential import heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_depth, resonance_width, \
@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _GLOBAL_DEFAULTS = {"config": None, "out": None, "format": "csv",
-                    "rel_tol": 1e-9}
+                    "rel_tol": "1e-9"}
 
 
 def _csv(rows, header) -> str:
@@ -115,7 +115,7 @@ def _setup(args):
 def _grid(lo, hi, points):
     """points evenly spaced values from lo up to hi > lo."""
     if points < 2:
-        raise ConfigError("grid needs at least 2 points")
+        raise ConfigError(f"--points needs at least 2, got {points}")
     step = (hi - lo) / (points - 1)
     return [lo + i * step for i in range(points)]
 
@@ -165,12 +165,16 @@ def cmd_bragg(args):
     mat_a = lookup(args.reg.materials, args.material_a, "material")
     mat_b = lookup(args.reg.materials, args.material_b, "material")
     omega0 = _quantity(args.design_frequency, "--design-frequency")
-    if not omega0 / C < math.sqrt(sys.float_info.max):  # (omega0/c)^2 finite
-        raise ConfigError(f"--design-frequency {omega0} overflows (omega/c)^2")
+    # (w/c)^2 normal, and beta^2 + (eps_j - 1) (w/c)^2 finite: the chain
+    # evaluates each eps_j(w) only if w/c passes its lower bound
+    eps = (abs(permittivity_at(m, omega0) - 1.0) for m in (mat_a, mat_b))
+    if not math.sqrt(sys.float_info.min) < omega0 / C < math.sqrt(
+            sys.float_info.max / (1.0 + max(eps))):
+        raise ConfigError(f"--design-frequency {omega0} is out of float range")
     if args.n_min > args.n_max or args.n_min < 0:
-        raise ConfigError("need 0 <= n-min <= n-max")
+        raise ConfigError(f"--n-min {args.n_min} is not in [0, n-max]")
 
-    normal = transverse_wavenumber(1.0, omega0, np.array([0.0]))
+    normal = np.array([omega0 / C])  # beta at normal incidence
     rows = []
     prev = None
     for n_pairs in range(args.n_min, args.n_max + 1):
@@ -213,7 +217,7 @@ def cmd_asym(args):
     deltas = [_quantity(s, "--delta", hi=1.0) for s in args.delta.split(",")
               if s.strip()]
     if not nus or nus[0] < 2:
-        raise ConfigError("asym needs 2 <= --nu-min <= --nu-max")
+        raise ConfigError(f"--nu-min {args.nu_min} is not in [2, nu-max]")
 
     # the series of every nu from one Lerch integral per delta
     phis = [[0.5 - 1.5 / nu, 0.5 - 1.0 / nu] for nu in nus]
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"),
                         help="default csv")
-    common.add_argument("--rel-tol", type=float,
+    common.add_argument("--rel-tol",
                         help="quadrature relative tolerance (default 1e-9)")
     parser = argparse.ArgumentParser(
         prog="cavitycp", parents=[common],
@@ -317,7 +321,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        args.spec = QuadratureSpec(rel_tol=args.rel_tol)
+        args.spec = QuadratureSpec(_quantity(args.rel_tol, "--rel-tol", hi=1))
         _setup(args)
         _emit(*args.func(args), args)
         return EXIT_OK

@@ -53,7 +53,7 @@ from typing import Any
 import numpy as np
 
 from .constants import C, Record
-from .materials import ConstantR, MirrorSpec, Stack, _imaginary_axis, \
+from .materials import ConstantR, MirrorSpec, _imaginary_axis, \
     permittivity_at, reflection_coefficients, static_limit_reflection
 from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
     _ladder, adaptive_integrate
@@ -137,6 +137,15 @@ class CavityGeometry(Record):
         return _grazing_coefficient(self, omega), \
             _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist(), None
 
+    def first_panel_end(self, lengths):
+        """End of a Matsubara sum's halving edges: 2/l, l = 2a + 4 sum d the
+        longest round trip, sum d the mirror's depth, or D_sigma ~ 1 - r0^2
+        e^{-s l}'s real zero |ln r0^2|/l if nearer, 0 < r0 = max_sigma
+        |r_sigma(0)| < 1 (a stack's r_sigma(s) grows for s < 0)."""
+        r0 = np.abs(static_limit_reflection(self.mirror, 0.0)).max()
+        return (min(2.0, -2.0 * np.log(r0)) if 0 < r0 < 1 else 2.0) \
+            / (2.0 * self.width + 4.0 * self.mirror.depth)
+
 
 class PlateGeometry(Record):
     """A single plate; its positions are distances d > 0 from it."""
@@ -165,6 +174,10 @@ class PlateGeometry(Record):
     def resonance_seed(self, omega):
         """(0, [], None): D_sigma = 1 has no resonance and no 1/beta term."""
         return 0.0, [], None
+
+    def first_panel_end(self, lengths):
+        """2/l, l = max L_p + 2 sum d: r_sigma carries e^{-2 s sum d}."""
+        return 2.0 / (lengths.max() + 2.0 * self.mirror.depth)
 
 
 def _positions(z, geometry, what):
@@ -519,8 +532,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
     e^{-s L} per (node, position) and e^{-xi_j L/c} per (term, position),
     each exponent floored at _EXP_FLOOR, so the sum over j is one matrix
     product per path.  A position's range ends at s = CUTOFF / min_p L_p,
-    where each of its terms has decayed by e^-CUTOFF.  The first panels
-    reach 2/l, l the longest round trip, or D_sigma's real zero if nearer.
+    where each of its terms has decayed by e^-CUTOFF.  Panel edges halve
+    from the widest cutoff down to geometry.first_panel_end(lengths).
 
     tail = alpha adds weights[-1] int_{xi_m}^inf alpha(i xi) xi^2 Tr G(i xi)
     dxi, xi_m = xi[-1] > 0: swapping the integrals makes it one more term
@@ -588,22 +601,9 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
                 for m, lp in zip(shifts, lengths))
         return vals
 
-    # Panel edges halve from the widest cutoff down to 2/l, l the longest
-    # round trip: a path plus 2 sum d at a plate (r_sigma carries the mirror
-    # depth's e^{-2 s sum d}), 2a + 4 sum d in a cavity; there down to
-    # |ln r0^2|/l if nearer, D_sigma ~ 1 - r0^2 e^{-s l}'s real zero, 0 < r0 =
-    # max_sigma |r_sigma(0)| < 1 (a stack's r_sigma(s) grows for s < 0).
-    mirror, scale = geometry.mirror, 2.0
-    depth = sum(l.thickness for l in mirror.layers[:-1]) \
-        if isinstance(mirror, Stack) else 0.0
-    trip = lengths.max() + 2.0 * depth
-    if isinstance(geometry, CavityGeometry):
-        trip = 2.0 * geometry.width + 4.0 * depth
-        r0 = np.abs(static_limit_reflection(mirror, 0.0)).max()
-        scale = min(scale, -2.0 * np.log(r0)) if 0 < r0 < 1 else scale
     with _unfolded(index):
         val, _ = adaptive_integrate(f, 0.0, q.max(), spec, breakpoints=_ladder(
-            0.0, 0.5 * q.max(), scale / trip, 0.5))
+            0.0, 0.5 * q.max(), geometry.first_panel_end(lengths), 0.5))
     return val[index] / (4.0 * np.pi)
 
 

@@ -77,7 +77,8 @@ class Stack(Record):
 
     Numbered once: materials holds the distinct materials in order of
     appearance, and media[i + 1] = j says layers[i] is of materials[j - 1];
-    media[0] = 0 is the vacuum in front.  Equality, hash and repr use layers.
+    media[0] = 0 is the vacuum in front; depth sums the finite thicknesses.
+    Equality, hash and repr use layers.
     """
     layers: Tuple[Layer, ...]
 
@@ -93,6 +94,8 @@ class Stack(Record):
                  for l in self.layers]
         object.__setattr__(self, "materials", tuple(number))
         object.__setattr__(self, "media", (0, *media))
+        object.__setattr__(self, "depth",
+                           sum(l.thickness for l in self.layers[:-1]))
 
 
 class HalfSpace(Stack):
@@ -105,6 +108,7 @@ class HalfSpace(Stack):
 class ConstantR(Record):
     """Ideal wall with r_p = -r_s = r at every frequency and angle."""
     r: float
+    depth = 0.0  # no layers (not a field)
 
     def __post_init__(self):
         if not 0 <= self.r < 1:
@@ -185,6 +189,8 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
         n_index = np.sqrt(permittivity_at(mat, omega0)).real
         if not n_index > 0:
             raise ValueError("quarter-wave stack needs Re sqrt(eps) > 0")
+        if not n_index * omega0 > np.pi * C / np.finfo(float).max:
+            raise ValueError(f"design frequency {omega0} overflows a layer")
         pair.append(Layer(mat, np.pi * C / (2.0 * n_index * omega0)))
     return (*pair * n_pairs, Layer(mat_a, None))
 

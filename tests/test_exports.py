@@ -106,6 +106,29 @@ def test_layering():
             if m == "cavitycp.greens" and "fold" in n] == []
 
 
+def _reads(node):
+    """Names called and attributes read anywhere in node."""
+    return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)} | \
+        {f".{n.attr}" for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_geometry_supplies_what_differs():
+    # the trace kernels ask the geometry and its mirror, not their classes:
+    # imagfreq_trace_sum calls no isinstance and reads no .width or .layers,
+    # _realfreq_trace calls no isinstance, and only materials walks a
+    # Stack's layers (a mirror's depth comes from the mirror)
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(cavitycp.__file__).parent.glob("*.py"))}
+    kernels = {f.name: _reads(f) for f in trees["greens"].body
+               if isinstance(f, ast.FunctionDef)}
+    assert kernels["imagfreq_trace_sum"] & {"isinstance", ".width",
+                                            ".layers"} == set()
+    assert "isinstance" not in kernels["_realfreq_trace"]
+    assert [m for m, tree in trees.items()
+            if m != "materials" and ".layers" in _reads(tree)] == []
+
+
 def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 

@@ -105,7 +105,12 @@ def test_stack_numbers_its_media_once():
     stack = Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 2, W_LIH))
     assert stack.materials == (SAPPHIRE_300K, Vacuum())
     assert stack.media == (0, 1, 2, 1, 2, 1)
-    # the numbering takes no part in equality
+    # it records its depth, the sum of the finite thicknesses (0 at a
+    # half-space and a constant r); neither the depth nor the numbering is a
+    # field, so neither takes part in equality or repr
+    assert stack.depth == sum(l.thickness for l in stack.layers[:-1]) > 0
+    assert HalfSpace(GOLD_DRUDE).depth == ConstantR(0.5).depth == 0.0
+    assert stack._fields == ("layers",) and ConstantR._fields == ("r",)
     assert stack == Stack(stack.layers) and "media" not in repr(stack)
 
 
