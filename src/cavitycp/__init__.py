@@ -4,8 +4,8 @@ ground-state polar molecules in planar cavities."""
 from .constants import C, EPSILON_0, HBAR, K_B, MU_0
 from .quadrature import QuadratureError, QuadratureSpec, adaptive_integrate
 from .materials import ConstantLossy, ConstantR, Drude, HalfSpace, Layer, \
-    Stack, Vacuum, permittivity_at, quarter_wave_stack, \
-    reflection_coefficients, static_limit_reflection, transverse_wavenumber
+    Stack, Vacuum, quarter_wave_stack, reflection_coefficients, \
+    static_limit_reflection, transverse_wavenumber
 from .greens import CavityGeometry, GreenTraceParts, PlateGeometry, \
     cavity_trace_imagfreq, cavity_trace_realfreq, zero_frequency_trace_limit
 from .molecules import LIH, Molecule, ThermalEnvironment, Transition, \

@@ -18,8 +18,8 @@ import numpy as np
 from .config import ConfigError, load_registry, lookup
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
-from .materials import ConstantR, Stack, permittivity_at, \
-    quarter_wave_stack, reflection_coefficients
+from .materials import ConstantR, Stack, quarter_wave_stack, \
+    reflection_coefficients
 from .molecules import ThermalEnvironment, photon_number
 from .potential import heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_depth, resonance_width, \
@@ -167,7 +167,7 @@ def cmd_bragg(args):
     omega0 = _quantity(args.design_frequency, "--design-frequency")
     # (w/c)^2 normal, and beta^2 + (eps_j - 1) (w/c)^2 finite: the chain
     # evaluates each eps_j(w) only if w/c passes its lower bound
-    eps = (abs(permittivity_at(m, omega0) - 1.0) for m in (mat_a, mat_b))
+    eps = (abs(m.eps(omega0) - 1.0) for m in (mat_a, mat_b))
     if not math.sqrt(sys.float_info.min) < omega0 / C < math.sqrt(
             sys.float_info.max / (1.0 + max(eps))):
         raise ConfigError(f"--design-frequency {omega0} is out of float range")

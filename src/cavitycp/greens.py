@@ -11,15 +11,15 @@ runs one path for both: the geometry supplies D_sigma's round trip
 paths, its fold of the positions (each distinct |z| once in a cavity, the
 identity at a plate), their span and its resonance seed (the grazing
 coefficient S and a 2^k ladder toward w/c for the tuned mode, from 1/8 of its
-pole's depth, or at a constant r >= 1/2 that pole, subtracted in closed form;
-0 and none at a plate).  The propagating part runs on an arch above the real
-beta axis, which passes every pole of 1/D_sigma, so no cavity mode needs
-locating.  Every trace integral starts on panels that resolve its known
-scales: that ladder, uniform edges along the arch, geometric lattices
-(quadrature._ladder) at the grazing end, from w/(4 c sqrt|eps|), and over the
-decay of e^{-kappa L} in the evanescent and Matsubara integrals, and in a
-gold cavity edges about the grazing TM pole of 1/D_p(i kappa), at kappa_p =
-sqrt(2 |kappa_0|/a), kappa_0 = (w/c)/sqrt(-eps) (_grazing_pole).  A scan's
+pole's depth, or the mirror's closed-form tuned pole, subtracted; 0 and none
+at a plate).  The propagating part runs on an arch above the real beta axis,
+which passes every pole of 1/D_sigma, so no cavity mode needs locating.
+Every trace integral starts on panels that resolve its known scales: that
+ladder, uniform edges along the arch, geometric lattices (quadrature._ladder)
+at the grazing end, from the mirror's grazing scale, and over the decay of
+e^{-kappa L} in the evanescent and Matsubara integrals, and in a gold cavity
+edges about the grazing TM pole of 1/D_p(i kappa), at kappa_p = sqrt(2
+|kappa_0|/a), kappa_0 = (w/c)/sqrt(-eps) (_grazing_pole).  A scan's
 propagating part runs at Chebyshev nodes in z over the span when they are
 fewer than its positions.  Its columns (positions or nodes) meet rel_tol of
 the largest, an interpolated position Lambda_K <= 1 + (2/pi) ln K times it.
@@ -53,8 +53,8 @@ from typing import Any
 import numpy as np
 
 from .constants import C, Record
-from .materials import ConstantR, MirrorSpec, _imaginary_axis, \
-    permittivity_at, reflection_coefficients, static_limit_reflection
+from .materials import MirrorSpec, reflection_coefficients, \
+    static_limit_reflection
 from .quadrature import _ROUNDING, QuadratureError, QuadratureSpec, \
     _ladder, adaptive_integrate
 
@@ -120,18 +120,14 @@ class CavityGeometry(Record):
         return 0.0, np.abs(zs).max()
 
     def resonance_seed(self, omega):
-        """(S, edges, pole) of a propagating trace at omega.  ConstantR(r),
-        r >= 1/2: (0, [], (beta_p, k_p)), the nearest mode m = round(w a/pi c)
-        >= 1 at beta_p = (m pi + i ln r)/a and K's residue k_p = (beta_p c/w)^2
-        r/(4 pi a) (a smaller r's residues, up to r^-2, would cancel digits).
-        Else S, edges w/c - x_0 2^k up to w/c - w/2c toward the tuned pole
-        d = -ln max_sigma |r_sigma(w/c)| / a below w/c, x_0 = max(1e-9 w/c,
-        d/8) (none if r = 0), and None."""
+        """(S, edges, pole) of a propagating trace at omega: (0, [], the
+        mirror's tuned_pole) if it answers one.  Else S, edges w/c - x_0 2^k up
+        to w/c - w/2c toward the tuned pole d = -ln max_sigma |r_sigma(w/c)|
+        / a below w/c, x_0 = max(1e-9 w/c, d/8) (none if r = 0), and None."""
         wc, a = omega / C, self.width
-        r = self.mirror.r if isinstance(self.mirror, ConstantR) else 0.0
-        if r >= 0.5:
-            beta = (max(1, round(wc * a / np.pi)) * np.pi + 1j * np.log(r)) / a
-            return 0.0, [], (beta, (beta / wc)**2 * r / (4.0 * np.pi * a))
+        pole = self.mirror.tuned_pole(omega, a)
+        if pole is not None:
+            return 0.0, [], pole
         r = np.abs(reflection_coefficients(self.mirror, omega, beta=wc)).max()
         x_0 = max(1e-9 * wc, -np.log(r) / (8.0 * a)) if r else wc
         return _grazing_coefficient(self, omega), \
@@ -246,21 +242,11 @@ def _grazing_coefficient(cavity: CavityGeometry, omega):
     Richardson steps from beta_0 = _GRAZING_STEP w/c cancel its O(beta_0)
     error (a 1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for
     gold at 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
-    if isinstance(cavity.mirror, ConstantR):
+    if cavity.mirror.grazing_scale(omega) is None:
         return 0.0 + 0.0j
     beta = _GRAZING_STEP * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
     s = 2.0 * beta * _kernel(beta, omega, cavity)
     return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
-
-
-def _grazing_lattice(mirror, omega):
-    """Edges 4^k x_0 to w/c, x_0 = max(4e-6 w/c, w/(4 c sqrt max_j |eps_j|)),
-    where r_sigma leaves its grazing limit; none for a constant r."""
-    if isinstance(mirror, ConstantR):
-        return []
-    eps = max(abs(permittivity_at(m, omega)) for m in mirror.materials)
-    wc = omega / C
-    return _ladder(0.0, max(4e-6, 0.25 / np.sqrt(eps)) * wc, wc, 4.0).tolist()
 
 
 def _grazing_pole(width, wc, lattice):
@@ -440,7 +426,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     # longest path, up to 32: its damping e^{-h pi (t - x_lo) L} near the
     # arch's ends leaves ~2 CUTOFF/(h pi^2) = 27 half turns above e^-CUTOFF.
     uniform = min(max(8, np.ceil(wc * longest / np.pi)), 32) if tuned else 8
-    lattice = _grazing_lattice(geometry.mirror, omega)
+    x_0 = geometry.mirror.grazing_scale(omega)  # edges 4^k x_0 up to w/c
+    lattice = [] if x_0 is None else _ladder(0.0, x_0, wc, 4.0).tolist()
     # A cavity's grazing TM pole, if well below w/c, and on the arch the
     # lattice's midpoints within 4x of it, if 4 kappa_p < w/8c.
     pole = _grazing_pole(geometry.width, wc, lattice) if s_coef else None
@@ -565,8 +552,8 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
         if static:
             rs[:, 0], rp[:, 0] = static_limit_reflection(geometry.mirror, s)
         if len(xi) > static:
-            rs[:, static:], rp[:, static:] = _imaginary_axis(
-                geometry.mirror, xi[static:], kappa[:, static:])
+            rs[:, static:], rp[:, static:] = geometry.mirror.imaginary_axis(
+                xi[static:], kappa[:, static:])
         return _bracket(rs, rp, -xi**2, -kappa**2,
                         geometry.round_trip(s[:, None]) * trips)
 
@@ -577,7 +564,7 @@ def imagfreq_trace_sum(geometry, zs, xi, weights,
 
         def g(u):
             x = xi[-1] * np.exp(np.outer(u, log))
-            rs, rp = _imaginary_axis(geometry.mirror, x, kappa)
+            rs, rp = geometry.mirror.imaginary_axis(x, kappa)
             return tail(x) * x * log * _bracket(rs, rp, -x**2, -kappa**2,
                                                  phase)
 

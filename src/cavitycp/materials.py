@@ -1,12 +1,13 @@
 """Permittivity models and wall reflection coefficients.
 
-A layered mirror is a `Stack`, whose one-layer case is `HalfSpace(model)`;
-`ConstantR` is the idealization r_p = -r_s = r.  A Stack numbers its media
-once, when built, and `reflection_coefficients`, the one entry for r_s and
-r_p, runs the back-to-front (Abeles) recursion over those numbers.
-`static_limit_reflection` gives the omega -> 0 limits needed by the j = 0
-Matsubara term.  Square roots (beta, beta_j, sqrt(eps)) take Im >= 0, and
-the positive root of a positive real radicand.
+A permittivity model answers eps(omega) and holds eps_static = eps(0).  A
+`Stack` (one layer: `HalfSpace(model)`) and the ideal `ConstantR` (r_p = -r_s
+= r) each answer reflection at real omega, on the imaginary axis and at
+omega -> 0 (the j = 0 Matsubara term), a grazing scale and a tuned pole;
+`reflection_coefficients` and `static_limit_reflection` are the public
+entries.  A Stack numbers its media once, when built, and runs the
+back-to-front (Abeles) recursion over them.  Square roots (beta, beta_j,
+sqrt(eps)) take Im >= 0, and the positive root of a positive real radicand.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .constants import C, Record
 __all__ = [
     "Drude", "ConstantLossy", "Vacuum", "PermittivityModel",
     "Layer", "HalfSpace", "Stack", "ConstantR", "MirrorSpec",
-    "permittivity_at", "quarter_wave_stack", "static_limit_reflection",
+    "quarter_wave_stack", "static_limit_reflection",
     "reflection_coefficients", "sqrt_upper", "transverse_wavenumber",
 ]
 
@@ -29,12 +30,21 @@ class Drude(Record):
     """Metal permittivity eps = 1 - wp^2 / (w (w + i gamma))."""
     plasma_frequency: float  # rad/s
     damping: float           # rad/s
+    eps_static = np.inf  # eps(0): a perfect static reflector (not a field)
 
     def __post_init__(self):
         if not (0 < self.plasma_frequency < np.inf
                 and 0 < self.damping < np.inf):
             raise ValueError("Drude requires finite positive plasma "
                              "frequency and damping")
+
+    def eps(self, omega):
+        """eps(omega) on the real or positive imaginary axis, or an array."""
+        if np.count_nonzero(omega) < np.size(omega):
+            raise ValueError("Drude permittivity diverges at omega = 0; "
+                             "use static_limit_reflection")
+        return 1.0 - self.plasma_frequency**2 / (
+            omega * (omega + 1j * self.damping))
 
 
 class ConstantLossy(Record):
@@ -53,10 +63,18 @@ class ConstantLossy(Record):
         if not (1 <= self.eps_real < np.inf and 0 <= self.eps_imag < np.inf):
             raise ValueError("ConstantLossy requires finite eps_real >= 1 "
                              "and eps_imag >= 0 (passivity)")
+        object.__setattr__(self, "eps_static", self.eps_real)  # eps(0)
+
+    def eps(self, omega):
+        lossy = (omega.real != 0) | (omega.imag <= 0)
+        return self.eps_real + 1j * self.eps_imag * lossy
 
 
 class Vacuum(Record):
-    pass
+    eps_static = 1.0  # eps(0) (not a field)
+
+    def eps(self, omega):
+        return 1.0 + 0.0j
 
 
 PermittivityModel = Union[Drude, ConstantLossy, Vacuum]
@@ -97,6 +115,49 @@ class Stack(Record):
         object.__setattr__(self, "depth",
                            sum(l.thickness for l in self.layers[:-1]))
 
+    def reflection(self, omega, beta):
+        """reflection_coefficients(self, omega, beta=beta)."""
+        beta = np.asarray(beta, dtype=complex)
+        grazing = beta == 0
+        if grazing.any():
+            beta = np.where(grazing, 1.0, beta)
+        eps = [1.0] + [m.eps(omega) for m in self.materials]
+        betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
+                          for e in eps[1:]]
+        rs, rp = _recursion(self, eps, betas,
+                            [2j * l.thickness for l in self.layers[:-1]])
+        if not grazing.any():
+            return rs, rp
+        limit = np.where(np.any([e != 1.0 for e in np.broadcast_arrays(
+            *eps[1:])], axis=0), -1.0, 0.0)
+        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
+
+    def imaginary_axis(self, xi, kappa):
+        """reflection(1j * xi, 1j * kappa) in float64, for xi > 0 and kappa > 0
+        that broadcast: eps_j(i xi) >= 1 is real, and so is kappa_j =
+        sqrt(kappa^2 + (eps_j - 1) xi^2/c^2) >= kappa."""
+        eps = [1.0] + [m.eps(1j * xi).real for m in self.materials]
+        kappas = [kappa] + [np.sqrt(kappa * kappa + (e - 1.0) * (xi / C)**2)
+                            for e in eps[1:]]
+        return _recursion(self, eps, kappas,
+                          [-2.0 * l.thickness for l in self.layers[:-1]])
+
+    def static(self, k_perp):
+        """static_limit_reflection(self, k_perp) at a float array k_perp."""
+        eps = [1.0] + [m.eps_static for m in self.materials]
+        metal = [eps[j] == np.inf for j in self.media[1:]]
+        end = metal.index(True) if any(metal) else -1
+        return _recursion(self, eps, [1.0] * len(eps), [
+            -2.0 * k_perp * l.thickness + 0j for l in self.layers[:end]])
+
+    def grazing_scale(self, omega):
+        """max(4e-6, 1/(4 sqrt max_j |eps_j|)) w/c: r_sigma leaves -1 there."""
+        eps = max(abs(m.eps(omega)) for m in self.materials)
+        return max(4e-6, 0.25 / np.sqrt(eps)) * (omega / C)
+
+    def tuned_pole(self, omega, width):
+        return None  # a stack's has no closed form
+
 
 class HalfSpace(Stack):
     """Vacuum in front of one semi-infinite material: the one-layer Stack."""
@@ -114,22 +175,32 @@ class ConstantR(Record):
         if not 0 <= self.r < 1:
             raise ValueError("ConstantR requires 0 <= r < 1")
 
+    def reflection(self, omega, beta):
+        r = np.full(np.broadcast(beta, omega).shape, self.r, dtype=complex)
+        return -r, r
+
+    def imaginary_axis(self, xi, kappa):
+        return tuple(r.real for r in self.reflection(xi, kappa))
+
+    def static(self, k_perp):
+        return -self.r, self.r
+
+    def grazing_scale(self, omega):
+        return None
+
+    def tuned_pole(self, omega, width):
+        """(beta_p, k_p) in a cavity of this width for r >= 1/2: the nearest
+        mode m = round(w a/pi c) >= 1 at beta_p = (m pi + i ln r)/a and K's
+        residue k_p = (beta_p c/w)^2 r/(4 pi a); else None (a smaller r's
+        residues, up to r^-2, would cancel digits)."""
+        wc, a, r = omega / C, width, self.r
+        if r < 0.5:
+            return None
+        beta = (max(1, round(wc * a / np.pi)) * np.pi + 1j * np.log(r)) / a
+        return beta, (beta / wc)**2 * r / (4.0 * np.pi * a)
+
 
 MirrorSpec = Union[Stack, ConstantR]
-
-
-def permittivity_at(model: PermittivityModel, omega):
-    """eps(omega) on the real axis or the positive imaginary axis; omega may
-    be an array of frequencies."""
-    if isinstance(model, Vacuum):
-        return 1.0 + 0.0j
-    if isinstance(model, ConstantLossy):
-        lossy = (omega.real != 0) | (omega.imag <= 0)
-        return model.eps_real + 1j * model.eps_imag * lossy
-    if np.count_nonzero(omega) < np.size(omega):
-        raise ValueError("Drude permittivity diverges at omega = 0; "
-                         "use static_limit_reflection")
-    return 1.0 - model.plasma_frequency**2 / (omega * (omega + 1j * model.damping))
 
 
 def sqrt_upper(w):
@@ -139,7 +210,10 @@ def sqrt_upper(w):
 
 
 def transverse_wavenumber(eps, omega, k_perp):
-    """beta_j = sqrt(eps * omega^2/c^2 - k_perp^2) with Im >= 0."""
+    """beta_j = sqrt(eps * omega^2/c^2 - k_perp^2) with Im >= 0: public API
+    for callers that hold k_perp.  No cavitycp code path calls it, because
+    it loses all precision near grazing incidence (beta -> 0); the traces
+    pass beta itself to reflection_coefficients."""
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
@@ -186,7 +260,7 @@ def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,
         raise ValueError(f"quarter-wave stack needs pairs >= 0, got {n_pairs}")
     pair = []  # built once: every pair repeats the same two layers
     for mat in (mat_a, mat_b) if n_pairs else ():
-        n_index = np.sqrt(permittivity_at(mat, omega0)).real
+        n_index = np.sqrt(mat.eps(omega0)).real
         if not n_index > 0:
             raise ValueError("quarter-wave stack needs Re sqrt(eps) > 0")
         if not n_index * omega0 > np.pi * C / np.finfo(float).max:
@@ -199,24 +273,15 @@ def static_limit_reflection(mirror: MirrorSpec, k_perp):
     """(r_s(0), r_p(0)): the omega -> 0 limits of the reflection coefficients,
     floats for a scalar k_perp and arrays of its shape for an array.
 
-    A Stack runs _recursion with eps_j(0) and kappa_j = k_perp in every
+    The public entry, which each mirror answers (its static method).  A
+    Stack runs _recursion with eps_j(0) and kappa_j = k_perp in every
     medium.  The Fresnel pairs depend on ratios of the kappa_j only, so it
     runs with kappa_j = 1 and exponents -2 k_perp d_j + 0i (complex, so r(0)
     keeps its rounding), which keeps k_perp = 0 finite.  r_s vanishes; a
-    Drude layer (eps(0) = inf) reflects perfectly, so the stack ends there.
+    metal layer (eps(0) = inf) reflects perfectly, so the stack ends there.
     """
     k_perp = np.asarray(k_perp, dtype=float)
-    if isinstance(mirror, ConstantR):
-        rs, rp = -mirror.r, mirror.r
-    else:
-        eps = [1.0] + [np.inf if isinstance(m, Drude) else 1.0
-                       if isinstance(m, Vacuum) else m.eps_real
-                       for m in mirror.materials]
-        drude = [eps[j] == np.inf for j in mirror.media[1:]]
-        end = drude.index(True) if any(drude) else -1
-        rs, rp = _recursion(mirror, eps, [1.0] * len(eps), [
-            -2.0 * k_perp * l.thickness + 0j for l in mirror.layers[:end]])
-    rs, rp = (np.full(k_perp.shape, np.real(r)) for r in (rs, rp))
+    rs, rp = (np.full(k_perp.shape, np.real(r)) for r in mirror.static(k_perp))
     if k_perp.ndim == 0:
         return float(rs), float(rp)
     return rs, rp
@@ -226,41 +291,11 @@ def reflection_coefficients(mirror: MirrorSpec, omega: complex, *, beta):
     """(r_s, r_p) for any mirror at the exact vacuum transverse wavenumber
     beta (Im >= 0); beta and omega broadcast against each other.
 
+    The public entry, which each mirror answers (its reflection method).
     transverse_wavenumber(1.0, omega, k_perp) is beta at k_perp, but loses
     all precision near grazing incidence (beta -> 0).  eps and beta_j =
     sqrt(beta^2 + (eps_j - 1) omega^2/c^2) are taken once per distinct
     material.  At beta = 0, where vacuum-index layers give 0/0, the limit
     is r_s = r_p = -1 if any eps != 1, else 0.
     """
-    if isinstance(mirror, ConstantR):
-        r = np.full(np.broadcast_shapes(np.shape(beta), np.shape(omega)),
-                    mirror.r, dtype=complex)
-        return -r, r
-    beta = np.asarray(beta, dtype=complex)
-    grazing = beta == 0
-    if grazing.any():
-        beta = np.where(grazing, 1.0, beta)
-    eps = [1.0] + [permittivity_at(m, omega) for m in mirror.materials]
-    betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
-                      for e in eps[1:]]
-    rs, rp = _recursion(mirror, eps, betas,
-                        [2j * l.thickness for l in mirror.layers[:-1]])
-    if not grazing.any():
-        return rs, rp
-    limit = np.where(np.any([e != 1.0 for e in np.broadcast_arrays(*eps[1:])],
-                            axis=0), -1.0, 0.0)
-    return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
-
-
-def _imaginary_axis(mirror: MirrorSpec, xi, kappa):
-    """reflection_coefficients(mirror, 1j * xi, beta=1j * kappa) in float64,
-    for xi > 0 and kappa > 0 that broadcast: eps_j(i xi) >= 1 is real, and so
-    is kappa_j = sqrt(kappa^2 + (eps_j - 1) xi^2/c^2) >= kappa."""
-    if isinstance(mirror, ConstantR):
-        r = np.full(np.broadcast(kappa, xi).shape, mirror.r)
-        return -r, r
-    eps = [1.0] + [permittivity_at(m, 1j * xi).real for m in mirror.materials]
-    kappas = [kappa] + [np.sqrt(kappa * kappa + (e - 1.0) * (xi / C)**2)
-                        for e in eps[1:]]
-    return _recursion(mirror, eps, kappas,
-                      [-2.0 * l.thickness for l in mirror.layers[:-1]])
+    return mirror.reflection(omega, beta)

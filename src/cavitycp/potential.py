@@ -254,10 +254,13 @@ def _newton_extrema(b, half, seeds, maximum, half_width, xtol):
     curvature has the wrong sign, that leaves seed +- half_width or reaches
     the edge +-half (phi = +-pi/2, stationary for every series), or that
     steps still above xtol in z after _NEWTON_STEPS, raises ArithmeticError.
+    An all-zero series (a mirror with r = 0) is flat: every seed stays put.
     """
     m = 2.0 * np.arange(len(b))
     slope_b, curvature_b = -m * b, -m * m * b
     phi = np.arcsin(np.divide(seeds, half))
+    if not b.any():
+        return phi
     for _ in range(_NEWTON_STEPS):
         angle = np.outer(phi, m)
         curvature = np.cos(angle) @ curvature_b

@@ -5,7 +5,7 @@ import pytest
 
 import cavitycp.greens
 from cavitycp import ConstantLossy, Drude, HalfSpace, ThermalEnvironment
-from cavitycp.materials import _imaginary_axis, reflection_coefficients
+from cavitycp.materials import ConstantR, Stack, reflection_coefficients
 from cavitycp.quadrature import QuadratureSpec
 
 try:
@@ -49,24 +49,37 @@ def quad_fast():
     return QuadratureSpec(rel_tol=1e-7)
 
 
+class _Evaluations(list):
+    """Sizes of reflection evaluations, with the calls per route in
+    .routes."""
+
+    def __init__(self):
+        super().__init__()
+        self.routes = dict.fromkeys(("real", "imaginary"), 0)
+
+
 @pytest.fixture()
 def reflection_evaluations(monkeypatch):
     """The (node x omega column) sizes of the reflection evaluations the
     trace kernels make during the test, in call order: complex ones on the
-    real axis (reflection_coefficients) and float64 ones on the imaginary
-    axis (materials._imaginary_axis) alike."""
-    sizes = []
+    real axis (greens' reflection_coefficients) and float64 ones on the
+    imaginary axis (each mirror's imaginary_axis) alike; .routes counts the
+    calls of each, so a test can check that a route it counts was run."""
+    sizes = _Evaluations()
 
-    def counting(evaluate):
+    def counting(evaluate, route):
         def counted(*args, **kwargs):
             rs, rp = evaluate(*args, **kwargs)
             sizes.append(rs.size)
+            sizes.routes[route] += 1
             return rs, rp
         return counted
 
-    for evaluate in (reflection_coefficients, _imaginary_axis):
-        monkeypatch.setattr(cavitycp.greens, evaluate.__name__,
-                            counting(evaluate))
+    monkeypatch.setattr(cavitycp.greens, "reflection_coefficients",
+                        counting(reflection_coefficients, "real"))
+    for mirror in (Stack, ConstantR):
+        monkeypatch.setattr(mirror, "imaginary_axis",
+                            counting(mirror.imaginary_axis, "imaginary"))
     return sizes
 
 

@@ -220,6 +220,19 @@ def test_cli_depth_csv(capsys):
     assert math.isnan(float(rows[0]["z_min_m"]))
 
 
+def test_cli_depth_of_a_zero_mirror_is_zero(capsys, tmp_path):
+    # r = 0 gives a trace of exact zeros: a flat potential whose depth and
+    # peak height are 0, as at r = 1e-300, with no 0/0 in the Newton steps
+    # (a RuntimeWarning fails the test)
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[mirror:zero]\ntype = constant_r\nr = 0\n")
+    code, out, err = run_cli(["--config", str(cfg), "depth", "--mirror",
+                              "zero", "--nu", "1,2"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["nu"], r["depth_J"]) for r in rows] == [("1", "0"), ("2", "0")]
+
+
 def test_cli_depth_nu3_minimum_is_the_depth_minimum(capsys):
     # z_min_m is the minimum depth_J is measured from: the one nearest
     # (nu - 2) lam/4 = +lam/4, with depth_J = U(z_max) - U(z_min) for the

@@ -129,6 +129,28 @@ def test_geometry_supplies_what_differs():
             if m != "materials" and ".layers" in _reads(tree)] == []
 
 
+MIRROR_AND_MATERIAL_CLASSES = {"Stack", "HalfSpace", "ConstantR", "Drude",
+                               "ConstantLossy", "Vacuum"}
+
+
+def test_mirror_supplies_what_differs():
+    # the mirror and the permittivity model answer their own facts: greens
+    # and materials call no isinstance anywhere (methods included), no
+    # other module asks isinstance of a mirror or material class, and
+    # greens imports no mirror class or mirror-kind helper
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(cavitycp.__file__).parent.glob("*.py"))}
+    asks = {m: [call.args[1] for call in ast.walk(tree)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "isinstance"]
+            for m, tree in trees.items()}
+    assert asks["greens"] == [] and asks["materials"] == []
+    assert [f"{m}:{arg.lineno}" for m, args in asks.items() for arg in args
+            if _names(arg) & MIRROR_AND_MATERIAL_CLASSES] == []
+    assert {n for m, n in _imports("greens")} & {
+        "ConstantR", "Stack", "permittivity_at", "_imaginary_axis"} == set()
+
+
 def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 

@@ -27,8 +27,8 @@ GOLD = HalfSpace(GOLD_DRUDE)
 
 
 def _pole(mirror, width):
-    return greens._grazing_pole(width, WC,
-                                greens._grazing_lattice(mirror, W_LIH))
+    return greens._grazing_pole(width, WC, quadrature._ladder(
+        0.0, mirror.grazing_scale(W_LIH), WC, 4.0).tolist())
 
 
 def _newton_root(mirror, width, kappa, steps=40):

@@ -24,8 +24,8 @@ from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
                              cavity_trace_realfreq, imagfreq_trace_sum,
                              zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, Drude, HalfSpace, Stack, Vacuum,
-                                permittivity_at, quarter_wave_stack,
-                                reflection_coefficients, transverse_wavenumber)
+                                quarter_wave_stack, reflection_coefficients,
+                                transverse_wavenumber)
 from cavitycp.molecules import LIH, ThermalEnvironment, polarizability_imag
 from cavitycp.potential import heating_rate_profile, nonresonant_potential, \
     potential_depth
@@ -344,11 +344,14 @@ def test_grazing_coefficient_step_independent(mirror, nu, monkeypatch):
 
 # --- parity fold: a cavity evaluates each distinct |z| once ------------------
 
-def _complex_route(mirror, xi, kappa):
-    """The imaginary-axis reflection coefficients through the complex
-    recursion at omega = i xi, beta = i kappa (whose imaginary parts are 0)."""
-    return tuple(r.real for r in reflection_coefficients(
-        mirror, 1j * xi, beta=1j * kappa))
+def _complex_route(calls):
+    """Stack.imaginary_axis through the complex recursion at omega = i xi,
+    beta = i kappa (whose imaginary parts are 0), counting its calls."""
+    def route(mirror, xi, kappa):
+        calls.append(np.size(kappa))
+        return tuple(r.real for r in reflection_coefficients(
+            mirror, 1j * xi, beta=1j * kappa))
+    return route
 
 
 @pytest.mark.parametrize("mirror", [HalfSpace(GOLD_DRUDE), STACK],
@@ -370,15 +373,18 @@ def test_imagfreq_trace_sum_matches_the_complex_kernel(mirror, plate, quad,
     cases = [(weights, None),
              (tail, lambda x: polarizability_imag(LIH, x))]
     got = [imagfreq_trace_sum(geometry, zs, xi, w, quad, t) for w, t in cases]
-    monkeypatch.setattr(greens, "_imaginary_axis", _complex_route)
+    calls = []
+    monkeypatch.setattr(Stack, "imaginary_axis", _complex_route(calls))
     for (w, t), g in zip(cases, got):
+        calls.clear()
         want = imagfreq_trace_sum(geometry, zs, xi, w, quad, t)
+        assert calls, "the complex route was not reached"
         assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want))
 
 
 def _normal_incidence_r(mirror):
     """|r| = |(1 - n)/(1 + n)| of a half-space at normal incidence."""
-    n = np.sqrt(permittivity_at(mirror.materials[0], W_LIH))
+    n = np.sqrt(mirror.materials[0].eps(W_LIH))
     return abs((1.0 - n) / (1.0 + n))
 
 
@@ -445,19 +451,22 @@ def test_zero_mirror_gets_no_resonance_ladder():
 
 
 @pytest.mark.parametrize("mirror, eps", [
-    (HalfSpace(GOLD_DRUDE), abs(permittivity_at(GOLD_DRUDE, W_LIH))),
-    (STACK, abs(permittivity_at(SAPPHIRE_300K, W_LIH))),
+    (HalfSpace(GOLD_DRUDE), abs(GOLD_DRUDE.eps(W_LIH))),
+    (STACK, abs(SAPPHIRE_300K.eps(W_LIH))),
     (HalfSpace(Vacuum()), 1.0)],
     ids=["gold", "sapphire_stack", "vacuum"])
 def test_grazing_lattice_starts_at_the_grazing_scale(mirror, eps):
     # r_sigma leaves its grazing limit on the scale w/(c sqrt|eps|): the
-    # lattice starts at a quarter of it and quadruples up to w/c
+    # mirror's grazing scale x_0 is a quarter of it, and the arch's lattice
+    # quadruples from x_0 up to w/c; a constant r has no grazing scale
     wc = W_LIH / C
-    edges = np.array(greens._grazing_lattice(mirror, W_LIH))
-    assert edges[0] == pytest.approx(wc / (4.0 * np.sqrt(eps)), rel=1e-12)
+    x_0 = mirror.grazing_scale(W_LIH)
+    edges = quadrature._ladder(0.0, x_0, wc, 4.0)
+    assert edges[0] == x_0 == pytest.approx(wc / (4.0 * np.sqrt(eps)),
+                                            rel=1e-12)
     assert edges[1:] / edges[:-1] == pytest.approx(4.0, rel=1e-12)
     assert edges[-1] <= wc < 4.0 * edges[-1]
-    assert greens._grazing_lattice(ConstantR(0.9), W_LIH) == []
+    assert ConstantR(0.9).grazing_scale(W_LIH) is None
 
 
 FOLD_MIRRORS = [HalfSpace(GOLD_DRUDE), STACK, ConstantR(0.9)]

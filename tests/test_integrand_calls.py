@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 import cavitycp.asymptotics as asymptotics
-import cavitycp.greens as greens
 import cavitycp.potential as potential
 import cavitycp.quadrature as quadrature
 from cavitycp.cli import main
-from cavitycp.materials import ConstantR
+from cavitycp.materials import ConstantR, Stack
 from cavitycp.molecules import LIH, ThermalEnvironment
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -138,9 +137,15 @@ def test_integrand_calls_per_workload(workload, monkeypatch):
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_reflection_evaluations_per_workload(workload,
                                              reflection_evaluations):
+    # both routes are counted: scan-gold and matsubara-cold run Matsubara
+    # sums on the imaginary axis, the two depth workloads run none
     _run_checked(workload)
     assert 0 < sum(reflection_evaluations) \
         <= MAX_REFLECTION_EVALUATIONS[workload]
+    routes = reflection_evaluations.routes
+    assert routes["real"] > 0
+    assert (routes["imaginary"] > 0) == (
+        workload in ("scan-gold", "matsubara-cold"))
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -199,14 +204,14 @@ def test_constant_r_depth_trace_converges_on_its_first_panels(delta,
 
 def test_imaginary_axis_evaluations_of_a_cold_profile(monkeypatch):
     sizes = []
-    evaluate = greens._imaginary_axis
+    evaluate = Stack.imaginary_axis
 
     def counted(*args):
         rs, rp = evaluate(*args)
         sizes.append(rs.size)
         return rs, rp
 
-    monkeypatch.setattr(greens, "_imaginary_axis", counted)
+    monkeypatch.setattr(Stack, "imaginary_axis", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["profile", "--mirror", "gold", "--width", "resonance:2",
                      "--points", "40", "--temperature", "0.1K"]) == 0

@@ -8,8 +8,7 @@ import pytest
 
 from cavitycp.constants import C
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude, HalfSpace,
-                                Layer, Stack, Vacuum, _imaginary_axis,
-                                permittivity_at, quarter_wave_stack,
+                                Layer, Stack, Vacuum, quarter_wave_stack,
                                 reflection_coefficients,
                                 static_limit_reflection, sqrt_upper,
                                 transverse_wavenumber)
@@ -26,32 +25,32 @@ def fresnel(material, k_perp):
 
 
 def test_drude_permittivity():
-    eps = permittivity_at(GOLD_DRUDE, W_LIH)
+    eps = GOLD_DRUDE.eps(W_LIH)
     expect = 1.0 - 1.37e16**2 / (W_LIH * (W_LIH + 1j * 5.32e13))
     assert eps == pytest.approx(expect, rel=1e-14)
     assert eps.imag > 0
 
 
 def test_drude_imag_axis_real():
-    eps = permittivity_at(GOLD_DRUDE, 1j * 2.0e14)
+    eps = GOLD_DRUDE.eps(1j * 2.0e14)
     assert abs(eps.imag) < 1e-10 * abs(eps.real)
     assert eps.real > 1.0
 
 
 def test_constant_lossy_imag_axis_lossless():
     # real axis: the complex constant; imaginary axis: eps_real
-    assert permittivity_at(SAPPHIRE_300K, W_LIH) == complex(10.0, 1e-4)
-    assert permittivity_at(SAPPHIRE_300K, 1j * 2.0e14) == complex(10.0, 0.0)
+    assert SAPPHIRE_300K.eps(W_LIH) == complex(10.0, 1e-4)
+    assert SAPPHIRE_300K.eps(1j * 2.0e14) == complex(10.0, 0.0)
 
 
 def test_constant_lossy_and_vacuum():
-    assert permittivity_at(SAPPHIRE_300K, 1e12) == 10.0 + 1e-4j
-    assert permittivity_at(Vacuum(), 1e12) == 1.0
+    assert SAPPHIRE_300K.eps(1e12) == 10.0 + 1e-4j
+    assert Vacuum().eps(1e12) == 1.0
 
 
 def test_drude_static_rejected():
     with pytest.raises(ValueError):
-        permittivity_at(GOLD_DRUDE, 0.0)
+        GOLD_DRUDE.eps(0.0)
 
 
 def test_model_validation():
@@ -143,7 +142,7 @@ def test_sqrt_upper_branch(rng):
 def test_transverse_wavenumber_branch(rng):
     omega = 1e13
     k = rng.uniform(0.0, 3.0 * omega / C, size=500)
-    for eps in (1.0, 10.0 + 1e-4j, permittivity_at(GOLD_DRUDE, omega)):
+    for eps in (1.0, 10.0 + 1e-4j, GOLD_DRUDE.eps(omega)):
         beta = transverse_wavenumber(eps, omega, k)
         assert np.all(beta.imag >= 0)
 
@@ -398,7 +397,7 @@ def _layers(mirror):
 def reflection_per_layer(mirror, omega, k_perp, beta=None):
     layers = _layers(mirror)
     return _reflection_per_layer(
-        [permittivity_at(l.material, omega) for l in layers],
+        [l.material.eps(omega) for l in layers],
         [l.thickness for l in layers[:-1]], omega,
         np.asarray(k_perp, dtype=float), beta)
 
@@ -510,7 +509,7 @@ def test_imaginary_axis_matches_the_complex_route(mirror):
     # xi/c (normal incidence) to 10^3 xi/c
     xi = W_LIH * np.array([0.03, 0.3, 1.0, 3.0, 30.0, 300.0])
     kappa = xi / C * np.geomspace(1.0, 1e3, 41)[:, None]
-    got = _imaginary_axis(mirror, xi, kappa)
+    got = mirror.imaginary_axis(xi, kappa)
     want = reflection_coefficients(mirror, 1j * xi, beta=1j * kappa)
     for g, w in zip(got, want):
         assert g.dtype == np.float64 and g.shape == kappa.shape

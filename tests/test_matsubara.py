@@ -307,6 +307,7 @@ def test_cost_bounded_in_temperature(reflection_evaluations):
         nonresonant_potential(zs, LIH, cav, ThermalEnvironment(temperature),
                               QuadratureSpec(rel_tol=1e-9))
         cost[temperature] = sum(reflection_evaluations)
+    assert reflection_evaluations.routes["imaginary"] > 0
     assert cost[0.1] <= 3 * cost[10.0]
 
 

@@ -16,7 +16,7 @@ from cavitycp.greens import (CavityGeometry, PlateGeometry,  # noqa: E402
                              _paths, cavity_trace_realfreq)
 from cavitycp.materials import (ConstantLossy, ConstantR, Drude,  # noqa
                                 HalfSpace, Layer, Stack, Vacuum,
-                                permittivity_at, quarter_wave_stack,
+                                quarter_wave_stack,
                                 reflection_coefficients, sqrt_upper,
                                 static_limit_reflection,
                                 transverse_wavenumber)
@@ -112,7 +112,7 @@ def test_array_xi_reflection_equals_per_xi(m, xis, ks):
 
 def _per_polarization(m, w, k, beta, pol):
     layers = m.layers if isinstance(m, Stack) else (Layer(m.material, None),)
-    eps = [1.0 + 0.0j] + [permittivity_at(l.material, w) for l in layers]
+    eps = [1.0 + 0.0j] + [l.material.eps(w) for l in layers]
     betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (w / C) ** 2)
                       for e in eps[1:]]
 
