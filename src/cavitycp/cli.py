@@ -18,8 +18,7 @@ import numpy as np
 from .config import ConfigError, load_registry, lookup
 from .constants import C, EPSILON_0
 from .greens import CavityGeometry, PlateGeometry
-from .materials import ConstantR, Stack, quarter_wave_stack, \
-    reflection_coefficients
+from .materials import ConstantR, Stack, quarter_wave_stack
 from .molecules import ThermalEnvironment, photon_number
 from .potential import heating_rate_free, heating_rate_profile, \
     nonresonant_potential, potential_depth, resonance_width, \
@@ -174,12 +173,13 @@ def cmd_bragg(args):
     if args.n_min > args.n_max or args.n_min < 0:
         raise ConfigError(f"--n-min {args.n_min} is not in [0, n-max]")
 
-    normal = np.array([omega0 / C])  # beta at normal incidence
+    # r_p at normal incidence of n = 0, ..., n-max pairs: each n-pair stack
+    # is the n-max-pair stack's tail, all from one back-to-front pass
+    stack = Stack(quarter_wave_stack(mat_a, mat_b, args.n_max, omega0))
+    tails = stack.tails(omega0, np.array([omega0 / C + 0j]), 2)
     rows = []
     prev = None
-    for n_pairs in range(args.n_min, args.n_max + 1):
-        stack = Stack(quarter_wave_stack(mat_a, mat_b, n_pairs, omega0))
-        _, rp = reflection_coefficients(stack, omega0, beta=normal)
+    for n_pairs, rp in enumerate(tails[args.n_min:], args.n_min):
         r = complex(rp[0])
         one_minus = 1.0 - r.real
         saturated = prev is not None and \

@@ -11,9 +11,10 @@ runs one path for both: the geometry supplies D_sigma's round trip
 paths, its fold of the positions (each distinct |z| once in a cavity, the
 identity at a plate), their span and its resonance seed (the grazing
 coefficient S and a 2^k ladder toward w/c for the tuned mode, from 1/8 of its
-pole's depth, or the mirror's closed-form tuned pole, subtracted; 0 and none
-at a plate).  The propagating part runs on an arch above the real beta axis,
-which passes every pole of 1/D_sigma, so no cavity mode needs locating.
+pole's depth, and the [0, x_lo] rectangles' kernels, all from one reflection
+call, or the mirror's closed-form tuned pole, subtracted, from none; 0, none
+and no call at a plate).  The propagating part runs on an arch above the real
+beta axis, which passes every pole of 1/D_sigma, so no mode needs locating.
 Every trace integral starts on panels that resolve its known scales: that
 ladder, uniform edges along the arch, geometric lattices (quadrature._ladder)
 at the grazing end, from the mirror's grazing scale, and over the decay of
@@ -79,7 +80,7 @@ _MAX_RECTANGLE_PHASE = 0.25
 # products normal (not subnormal), and spares np.exp its underflows: ~180 ns
 # per argument in (-745, -708) and 6-20 ns below, against ~1 ns per normal one.
 _EXP_FLOOR = -600.0
-_GRAZING_STEP = 1e-6  # beta_0 c/w of _grazing_coefficient
+_GRAZING_STEP = 1e-6  # x_lo c/w, also resonance_seed's Richardson step
 # Bytes per block of the temporaries of a batched trace or Matsubara sum.
 _BLOCK_BYTES = 1 << 17
 
@@ -119,19 +120,31 @@ class CavityGeometry(Record):
         """(0, max|z|), centre and half-width: the fold halves its nodes."""
         return 0.0, np.abs(zs).max()
 
-    def resonance_seed(self, omega):
-        """(S, edges, pole) of a propagating trace at omega: (0, [], the
-        mirror's tuned_pole) if it answers one.  Else S, edges w/c - x_0 2^k up
-        to w/c - w/2c toward the tuned pole d = -ln max_sigma |r_sigma(w/c)|
-        / a below w/c, x_0 = max(1e-9 w/c, d/8) (none if r = 0), and None."""
+    def resonance_seed(self, omega, evanescent):
+        """(S, edges, pole, K) of a real-frequency trace at omega: (0, [],
+        the mirror's tuned_pole, None) if it answers one.  Else, from one
+        reflection call, edges w/c - x_0 2^k up to w/c - w/2c toward the tuned
+        pole d = -ln max_sigma |r_sigma(w/c)| / a below w/c, x_0 = max(1e-9
+        w/c, d/8) (none if r = 0), and with a grazing scale S = lim_{beta->0}
+        2 beta K, the integrand's 1/beta term, from 2 beta K at x_lo (1/4,
+        1/2, 1), x_lo = _GRAZING_STEP w/c (two Richardson steps cancel its
+        O(x_lo) and O(x_lo^2) errors, 1e-7 for gold at 1e-5 w/c), and K at
+        the [0, x_lo] rectangles' nodes x_lo/2 and, for an evanescent part,
+        i x_lo/2 (without a grazing scale, 0 and None)."""
         wc, a = omega / C, self.width
         pole = self.mirror.tuned_pole(omega, a)
         if pole is not None:
-            return 0.0, [], pole
-        r = np.abs(reflection_coefficients(self.mirror, omega, beta=wc)).max()
+            return 0.0, [], pole, None
+        steps = [] if self.mirror.grazing_scale(omega) is None \
+            else [0.25, 0.5, 1.0, 0.5j][:3 + evanescent]
+        beta = np.array([wc, *(_GRAZING_STEP * wc * np.array(steps))])
+        rs, rp = reflection_coefficients(self.mirror, omega, beta=beta)
+        r = max(abs(rs[0]), abs(rp[0]))
         x_0 = max(1e-9 * wc, -np.log(r) / (8.0 * a)) if r else wc
-        return _grazing_coefficient(self, omega), \
-            _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist(), None
+        k = _kernel(beta[1:], omega, self, (rs[1:], rp[1:]))
+        s = 2.0 * beta[1:4] * k[:3] @ (8.0, -6.0, 1.0) / 3.0 if steps else 0.0
+        return complex(s), _ladder(wc, -x_0, -0.5 * wc, 2.0).tolist(), None, \
+            k[1::2] if steps else None
 
     def first_panel_end(self, lengths):
         """End of a Matsubara sum's halving edges: 2/l, l = 2a + 4 sum d the
@@ -167,9 +180,10 @@ class PlateGeometry(Record):
         """Centre and half-width of [min d, max d]."""
         return 0.5 * (ds.max() + ds.min()), 0.5 * (ds.max() - ds.min())
 
-    def resonance_seed(self, omega):
-        """(0, [], None): D_sigma = 1 has no resonance and no 1/beta term."""
-        return 0.0, [], None
+    def resonance_seed(self, omega, evanescent):
+        """(0, [], None, None): D_sigma = 1 has no resonance and no 1/beta
+        term, so the trace takes no [0, x_lo] rectangle."""
+        return 0.0, [], None, None
 
     def first_panel_end(self, lengths):
         """2/l, l = max L_p + 2 sum d: r_sigma carries e^{-2 s sum d}."""
@@ -228,25 +242,14 @@ def _bracket(rs, rp, omega2, beta2, phase):
     return 2.0 * C**2 * beta2 * rp - omega2 * (rs + rp)
 
 
-def _kernel(beta, omega: float, geometry):
+def _kernel(beta, omega: float, geometry, r=None):
     """K = B / (4 pi i omega^2) at real omega along complex beta: beta real
-    for propagating waves, beta = i kappa for evanescent ones."""
-    rs, rp = reflection_coefficients(geometry.mirror, omega, beta=beta)
+    for propagating waves, beta = i kappa for evanescent ones; r: (r_s, r_p)
+    at beta, if already evaluated."""
+    rs, rp = reflection_coefficients(geometry.mirror, omega, beta=beta) \
+        if r is None else r
     return _bracket(rs, rp, omega**2, beta * beta,
                     geometry.round_trip(-1j * beta)) / (4j * np.pi * omega**2)
-
-
-def _grazing_coefficient(cavity: CavityGeometry, omega):
-    """S = lim_{beta->0} 2 beta K(beta), the 1/beta grazing singularity of a
-    cavity's propagating integrand.  2 beta K is analytic at beta = 0; two
-    Richardson steps from beta_0 = _GRAZING_STEP w/c cancel its O(beta_0)
-    error (a 1/beta tail in the integrand) and O(beta_0^2) error (1e-7 for
-    gold at 1e-5 w/c, as r_p leaves -1 on the scale w/(c sqrt|eps|))."""
-    if cavity.mirror.grazing_scale(omega) is None:
-        return 0.0 + 0.0j
-    beta = _GRAZING_STEP * omega / C * np.array([0.25, 0.5, 1.0]) + 0j
-    s = 2.0 * beta * _kernel(beta, omega, cavity)
-    return complex(8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
 
 
 def _grazing_pole(width, wc, lattice):
@@ -399,7 +402,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     rel_tol of the largest.  Both subtract S e^{-x a}/x below w/c, which
     moves each by a constant in z exactly.  Each integrand returns
     _factored(K times its weight, _paths, that term), and the [0, x_lo]
-    rectangle calls that function with a one-node rule.
+    rectangle calls that function with a one-node rule, on the kernel that
+    the resonance seed's one reflection call evaluated at its node.
 
     The propagating integral over real beta in [x_lo, w/c] runs on the arch
     beta(t) = t + i h (w/c) sin(pi (t - x_lo)/(w/c - x_lo)), h = _ARCH, which
@@ -411,14 +415,14 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
     zs, index = geometry.fold(zs)
     wc = omega / C
     cols, interp = _z_interpolation(zs, wc, geometry)
-    s_coef, bps, tuned = geometry.resonance_seed(omega)
+    s_coef, bps, tuned, rectangle = geometry.resonance_seed(omega, evanescent)
     residues = tuned[1] * np.dot((1.0, 1j), _paths(
         np.array([1j * tuned[0]]), cols, geometry)[:, 0]) if tuned else 1.0
     # The regularized integrands are finite and slowly varying at grazing
     # incidence, but below ~1e-8 w/c the D_sigma denominators lose all
     # precision; start at a small floor and add the residual's (essentially
     # constant) rectangle contribution for [0, x_lo].
-    x_lo = 1e-6 * wc if s_coef != 0 else 0.0
+    x_lo = _GRAZING_STEP * wc if s_coef != 0 else 0.0
     longest = geometry.decay_lengths(zs).max()
     _check_paths(longest, wc, x_lo, spec)
     # The arch's uniform panels: 8, or with a tuned pole subtracted, which
@@ -438,13 +442,15 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
         """S e^{-x a}/x, e^{-x a} = round_trip(x/2), for real or complex x."""
         return s_coef * geometry.round_trip(0.5 * x) / x
 
-    def columns(beta, weight):
+    def columns(beta, weight, k=None):
         """weight (K sum_p e^{i beta L_p} - S e^{-beta a}/beta - g/(beta -
-        beta_p)) at beta, factored; at most one of S, beta_p is set."""
+        beta_p)) at beta, factored, K given as k if known; at most one of S,
+        beta_p is set."""
         shift = -weight / (beta - tuned[0]) if tuned else \
             -grazing(beta) * weight if s_coef else None
-        return _factored(_kernel(beta, omega, geometry) * weight,
-                         _paths(1j * beta, cols, geometry), shift, residues)
+        k = _kernel(beta, omega, geometry) if k is None else k
+        return _factored(k * weight, _paths(1j * beta, cols, geometry), shift,
+                         residues)
 
     with _unfolded(index, interp):
         prop, _ = adaptive_integrate(
@@ -454,16 +460,16 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             relative_to_max=True)
     if x_lo > 0:
         mid = np.array([0.5 * x_lo])  # the rectangle's node
-        prop = prop + columns(mid, x_lo)(np.ones((1, 1)))[0, 0]
+        prop = prop + columns(mid, x_lo, rectangle[:1])(np.ones((1, 1)))[0, 0]
     if tuned:  # the arch and [x_lo, w/c] lie above beta_p: principal logs
         prop = prop + residues * np.log((wc - tuned[0]) / (x_lo - tuned[0]))
 
     evan = None
     if evanescent:
-        def f_evan(kappa):
+        def f_evan(kappa, k=None):
             shift = grazing(kappa) * (kappa <= wc) if s_coef else None
-            return _factored(-1j * _kernel(1j * kappa, omega, geometry),
-                             _paths(-kappa, zs, geometry), shift, 1.0)
+            k = _kernel(1j * kappa, omega, geometry) if k is None else k
+            return _factored(-1j * k, _paths(-kappa, zs, geometry), shift, 1.0)
 
         # Every position shares the widest cutoff; beyond its own cutoff a
         # position's integrand is below e^-40 of its peak.  Edges (w/c) 2^k
@@ -478,7 +484,8 @@ def _realfreq_trace(zs, omega: float, geometry, spec: QuadratureSpec,
             evan, _ = adaptive_integrate(f_evan, x_lo, kappa_max, spec,
                                          breakpoints=edges)
         if x_lo > 0:
-            evan = evan + x_lo * f_evan(mid)(np.ones((1, 1)))[0, 0]
+            evan = evan + x_lo * f_evan(mid, rectangle[1:])(
+                np.ones((1, 1)))[0, 0]
         evan = evan[index]
     prop = prop if interp is None else interp @ prop
     return prop[index], evan

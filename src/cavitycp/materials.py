@@ -1,13 +1,14 @@
 """Permittivity models and wall reflection coefficients.
 
-A permittivity model answers eps(omega) and holds eps_static = eps(0).  A
-`Stack` (one layer: `HalfSpace(model)`) and the ideal `ConstantR` (r_p = -r_s
-= r) each answer reflection at real omega, on the imaginary axis and at
-omega -> 0 (the j = 0 Matsubara term), a grazing scale and a tuned pole;
-`reflection_coefficients` and `static_limit_reflection` are the public
-entries.  A Stack numbers its media once, when built, and runs the
-back-to-front (Abeles) recursion over them.  Square roots (beta, beta_j,
-sqrt(eps)) take Im >= 0, and the positive root of a positive real radicand.
+A permittivity model answers eps(omega) and imaginary(xi) (the float64
+imaginary axis), and holds eps_static = eps(0).  A `Stack` (one layer:
+`HalfSpace(model)`) and the ideal `ConstantR` (r_p = -r_s = r) each answer
+reflection at real omega, on the imaginary axis and at omega -> 0 (the j = 0
+Matsubara term), a grazing scale and a tuned pole; `reflection_coefficients`
+and `static_limit_reflection` are the public entries.  A Stack numbers its
+media once, when built, and runs the back-to-front (Abeles) recursion over
+them.  Square roots (beta, beta_j, sqrt(eps)) take Im >= 0, and the positive
+root of a positive real radicand.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class Drude(Record):
         return 1.0 - self.plasma_frequency**2 / (
             omega * (omega + 1j * self.damping))
 
+    def imaginary(self, xi):
+        """(eps(i xi), (eps(i xi) - 1)(xi/c)^2) at xi > 0: at tiny xi eps is
+        inf (a perfect p reflector) and the second stays finite."""
+        with np.errstate(over="ignore"):
+            return self.eps(1j * xi).real, \
+                (self.plasma_frequency / C)**2 * (xi / (xi + self.damping))
+
 
 class ConstantLossy(Record):
     """Frequency-independent permittivity eps_real + i eps_imag.
@@ -69,12 +77,18 @@ class ConstantLossy(Record):
         lossy = (omega.real != 0) | (omega.imag <= 0)
         return self.eps_real + 1j * self.eps_imag * lossy
 
+    def imaginary(self, xi):
+        return self.eps_real, (self.eps_real - 1.0) * (xi / C)**2
+
 
 class Vacuum(Record):
     eps_static = 1.0  # eps(0) (not a field)
 
     def eps(self, omega):
         return 1.0 + 0.0j
+
+    def imaginary(self, xi):
+        return 1.0, 0.0
 
 
 PermittivityModel = Union[Drude, ConstantLossy, Vacuum]
@@ -121,26 +135,30 @@ class Stack(Record):
         grazing = beta == 0
         if grazing.any():
             beta = np.where(grazing, 1.0, beta)
+        rs, rp = self.tails(omega, beta, 0)
+        if not grazing.any():
+            return rs, rp
+        limit = np.where(np.any(np.broadcast_arrays(*[
+            m.eps(omega) != 1.0 for m in self.materials]), axis=0), -1.0, 0.0)
+        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
+
+    def tails(self, omega, beta, every):
+        """_recursion at omega along a complex beta off grazing: (r_s, r_p),
+        or for every > 0 r_p of every every-th tail."""
         eps = [1.0] + [m.eps(omega) for m in self.materials]
         betas = [beta] + [sqrt_upper(beta * beta + (e - 1.0) * (omega / C)**2)
                           for e in eps[1:]]
-        rs, rp = _recursion(self, eps, betas,
-                            [2j * l.thickness for l in self.layers[:-1]])
-        if not grazing.any():
-            return rs, rp
-        limit = np.where(np.any([e != 1.0 for e in np.broadcast_arrays(
-            *eps[1:])], axis=0), -1.0, 0.0)
-        return np.where(grazing, limit, rs), np.where(grazing, limit, rp)
+        return _recursion(self, eps, betas,
+                          [2j * l.thickness for l in self.layers[:-1]], every)
 
     def imaginary_axis(self, xi, kappa):
         """reflection(1j * xi, 1j * kappa) in float64, for xi > 0 and kappa > 0
         that broadcast: eps_j(i xi) >= 1 is real, and so is kappa_j =
-        sqrt(kappa^2 + (eps_j - 1) xi^2/c^2) >= kappa."""
-        eps = [1.0] + [m.eps(1j * xi).real for m in self.materials]
-        kappas = [kappa] + [np.sqrt(kappa * kappa + (e - 1.0) * (xi / C)**2)
-                            for e in eps[1:]]
-        return _recursion(self, eps, kappas,
-                          [-2.0 * l.thickness for l in self.layers[:-1]])
+        sqrt(kappa^2 + (eps_j - 1) xi^2/c^2) >= kappa (model.imaginary)."""
+        eps, shifts = zip(*[m.imaginary(xi) for m in self.materials])
+        return _recursion(self, (1.0, *eps), [kappa] + [
+            np.sqrt(kappa * kappa + s) for s in shifts],
+            [-2.0 * l.thickness for l in self.layers[:-1]])
 
     def static(self, k_perp):
         """static_limit_reflection(self, k_perp) at a float array k_perp."""
@@ -217,36 +235,43 @@ def transverse_wavenumber(eps, omega, k_perp):
     return sqrt_upper(eps * (omega / C)**2 - np.asarray(k_perp)**2)
 
 
-def _recursion(mirror: Stack, eps, betas, exponents):
+def _recursion(mirror: Stack, eps, betas, exponents, every=0):
     """(r_s, r_p) of vacuum | mirror.layers[0] | ... | mirror.layers[n],
     n = len(exponents), in one pass.  eps[j], betas[j]: permittivity and
     beta_j of medium j (mirror.media); finite layer i has phase e_j =
     e^{betas[j] exponents[i]}, exponent 2i d_i with beta_j or -2 d_i with
     kappa_j = -i beta_j (the Fresnel ratios read the same).  Back to front,
-    r_{ij..} = (r_ij + r_{jk..} e_j) / (1 + r_ij r_{jk..} e_j); r_p uses
-    eps_i/eps_j (eps_j = inf gives 1).  Each distinct pair of media gets its
-    Fresnel pair once, and each distinct (medium, thickness) its phase once:
-    a Bragg stack of two materials costs three Fresnel pairs and two phases.
+    t = r_{jk..} e_j, formed once, and r_{ij..} = (r_ij + t) / (1 + r_ij t);
+    r_p uses eps_i/eps_j (eps_j = inf gives 1).  Each distinct pair of media
+    gets its Fresnel pair once, and each distinct (medium, thickness) its
+    phase once: a Bragg stack of two materials costs three Fresnel pairs and
+    two phases.  every = k > 0 returns r_p of the tails vacuum | layers[i:],
+    i = n, n - k, ... >= 0, instead: each takes the shared t behind layer i
+    through its own front interface, the operations of its own Stack.
     """
     media, pairs, phases = mirror.media, {}, {}
 
-    def fresnel(i):
-        key = media[i], media[i + 1]
+    def fresnel(i, j):
+        key = media[i], media[j]
         if key not in pairs:
             b, b_t, n = betas[key[0]], betas[key[1]], eps[key[0]] / eps[key[1]]
             pairs[key] = (b - b_t) / (b + b_t), (b - n * b_t) / (b + n * b_t)
         return pairs[key]
 
-    rs, rp = fresnel(len(exponents))
-    for i in range(len(exponents) - 1, -1, -1):
+    n = len(exponents)
+    rs, rp = fresnel(n, n + 1)
+    tails = [fresnel(0, n + 1)[1]] if every else None
+    for i in range(n - 1, -1, -1):
         key = media[i + 1], mirror.layers[i].thickness
         if key not in phases:
             phases[key] = np.exp(betas[key[0]] * exponents[i])
-        phase = phases[key]
-        us, up = fresnel(i)
-        rs = (us + rs * phase) / (1.0 + us * rs * phase)
-        rp = (up + rp * phase) / (1.0 + up * rp * phase)
-    return rs, rp
+        ts, tp = rs * phases[key], rp * phases[key]
+        us, up = fresnel(i, i + 1)
+        rs, rp = (us + ts) / (1.0 + us * ts), (up + tp) / (1.0 + up * tp)
+        if every and (n - i) % every == 0:
+            front = fresnel(0, i + 1)[1]
+            tails.append((front + tp) / (1.0 + front * tp))
+    return tails if every else (rs, rp)
 
 
 def quarter_wave_stack(mat_a: PermittivityModel, mat_b: PermittivityModel,

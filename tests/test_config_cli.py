@@ -442,6 +442,37 @@ def test_cli_bragg(capsys):
         assert float(row["abs_r"]) == abs(r)
 
 
+@pytest.mark.parametrize("pair", [("sapphire_300K", "vacuum"),
+                                  ("GaAs", "AlAs"), ("gold", "vacuum")])
+def test_cli_bragg_rows_from_one_stack(pair, capsys, monkeypatch):
+    # the rows are the tails of one n-max-pair stack, taken in one
+    # back-to-front pass: one Stack per command, and each row, from n-min
+    # on, bit for bit that of its own n-pair Stack
+    built = []
+
+    def counted(layers):
+        built.append(len(layers))
+        return Stack(layers)
+
+    monkeypatch.setattr("cavitycp.cli.Stack", counted)
+    code, out, _ = run_cli(
+        ["bragg", "--material-a", pair[0], "--material-b", pair[1],
+         "--n-min", "3", "--n-max", "40", "--design-frequency", "2.78973e12"],
+        capsys)
+    assert code == 0 and built == [81]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    materials = [load_registry("").materials[name] for name in pair]
+    beta = np.array([2.78973e12 / C + 0j])
+    for n, row in enumerate(rows, 3):
+        _, rp = reflection_coefficients(
+            Stack(quarter_wave_stack(*materials, n, 2.78973e12)), 2.78973e12,
+            beta=beta)
+        r = complex(rp[0])
+        assert int(row["n_pairs"]) == n
+        assert float(row["one_minus_re_r"]) == 1.0 - r.real
+        assert float(row["abs_r"]) == abs(r)
+
+
 def test_cli_shared_flags_keep_their_defaults():
     parser = build_parser()
     need = {"profile": ["--width", "1mm"], "depth": ["--nu", "2"],

@@ -9,6 +9,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ import cavitycp.greens as greens
 import cavitycp.quadrature as quadrature
 from cavitycp.asymptotics import I_phi_series
 from cavitycp.cli import _grid, _z_grid, main
+from cavitycp.config import load_registry
 from cavitycp.constants import C, ZETA_3
 from cavitycp.greens import (CavityGeometry, PlateGeometry, _chebyshev,
-                             _grazing_coefficient, _realfreq_trace,
-                             _z_interpolation, cavity_trace_imagfreq,
+                             _realfreq_trace, _z_interpolation,
+                             cavity_trace_imagfreq,
                              cavity_trace_realfreq, imagfreq_trace_sum,
                              zero_frequency_trace_limit)
 from cavitycp.materials import (ConstantR, Drude, HalfSpace, Stack, Vacuum,
@@ -335,11 +337,49 @@ def test_grazing_coefficient_step_independent(mirror, nu, monkeypatch):
     # S is a limit beta -> 0: the default step beta_0 = 1e-6 w/c and a
     # ten times larger one agree
     cav = _resonant_cavity(mirror, nu)
-    s_default = cav.resonance_seed(W_LIH)[0]
+    s_default = cav.resonance_seed(W_LIH, False)[0]
     monkeypatch.setattr(greens, "_GRAZING_STEP", 1e-5)
-    s_coarse = _grazing_coefficient(cav, W_LIH)
+    s_coarse = cav.resonance_seed(W_LIH, False)[0]
     assert s_default != 0
     assert abs(s_coarse - s_default) <= 1e-8 * abs(s_default)
+
+
+SEED_MIRRORS = {
+    "gold": HalfSpace(GOLD_DRUDE),
+    "bragg_cfg": load_registry((Path(__file__).resolve().parent.parent
+                                / "perfbench" / "bragg.cfg").read_text()
+                               ).mirrors["bragg"],
+    "sapphire_20": Stack(quarter_wave_stack(SAPPHIRE_300K, Vacuum(), 20,
+                                            W_LIH))}
+
+
+@pytest.mark.parametrize("mirror", SEED_MIRRORS.values(),
+                         ids=SEED_MIRRORS.keys())
+@pytest.mark.parametrize("nu", [1, 2, 6])
+def test_resonance_seed_is_one_reflection_call(mirror, nu,
+                                               reflection_evaluations):
+    # one call at w/c, x_lo (1/4, 1/2, 1) and i x_lo/2 gives S as the
+    # Richardson combination of 2 beta K from separate _kernel calls at
+    # x_lo (1/4, 1/2, 1), and the [0, x_lo] rectangles' kernels as _kernel
+    # at x_lo/2 and i x_lo/2 (without an evanescent part, the first only)
+    cavity = _resonant_cavity(mirror, nu)
+    seeds = [cavity.resonance_seed(W_LIH, evanescent)
+             for evanescent in (True, False)]
+    assert reflection_evaluations == [5, 4]
+    x_lo = greens._GRAZING_STEP * W_LIH / C
+
+    def kernel(beta):
+        return greens._kernel(np.array([beta + 0j]), W_LIH, cavity)[0]
+
+    s = [2.0 * b * kernel(b) for b in x_lo * np.array([0.25, 0.5, 1.0])]
+    s_coef = (8.0 * s[0] - 6.0 * s[1] + s[2]) / 3.0
+    rectangle = [kernel(0.5 * x_lo), kernel(0.5j * x_lo)]
+    for seed, k in zip(seeds, (rectangle, rectangle[:1])):
+        assert seed[0] != 0 and seed[2] is None
+        assert abs(seed[0] - s_coef) <= 1e-14 * abs(s_coef)
+        assert len(seed[3]) == len(k)
+        assert np.all(np.abs(seed[3] - k) <= 1e-14 * np.abs(k))
+    assert seeds[0][1] == seeds[1][1]
 
 
 # --- parity fold: a cavity evaluates each distinct |z| once ------------------
@@ -405,7 +445,7 @@ def test_resonance_ladder_starts_at_the_tuned_pole_depth(mirror, nu):
     cavity = _resonant_cavity(mirror, nu)
     wc = W_LIH / C
     depth = -np.log(_normal_incidence_r(mirror)) / cavity.width
-    s_coef, edges, pole = cavity.resonance_seed(W_LIH)
+    s_coef, edges, pole, _ = cavity.resonance_seed(W_LIH, False)
     assert s_coef != 0 and pole is None
     steps = wc - np.sort(edges)[::-1]
     assert steps[0] >= 1e-9 * wc - 4.0 * np.spacing(wc)  # wc - x_0 rounds
@@ -423,8 +463,9 @@ def test_constant_r_cavity_seeds_its_tuned_pole(r, width):
     # points about the pole (exact up to O(h^4)); no ladder and S = 0
     cavity = CavityGeometry(width=width * LAM / 2.0, mirror=ConstantR(r))
     a = cavity.width
-    s_coef, edges, (beta_p, k_p) = cavity.resonance_seed(W_LIH)
-    assert s_coef == 0 and edges == []
+    s_coef, edges, (beta_p, k_p), rectangle = cavity.resonance_seed(W_LIH,
+                                                                    True)
+    assert s_coef == 0 and edges == [] and rectangle is None
     assert beta_p.real * a / np.pi == pytest.approx(max(1, round(width)))
     assert abs(np.expm1(2j * beta_p * a + 2.0 * np.log(r))) < 1e-14
     h = 1e-3 / a * 1j ** np.arange(4)
@@ -437,17 +478,17 @@ def test_weak_constant_r_keeps_the_ladder(r):
     # below r = 1/2 the residues (up to r^-2) would cancel digits: the
     # ladder from the pole's depth d = -ln r/a, and no pole
     cavity = _resonant_cavity(ConstantR(r), 2)
-    s_coef, edges, pole = cavity.resonance_seed(W_LIH)
+    s_coef, edges, pole, rectangle = cavity.resonance_seed(W_LIH, True)
     wc = W_LIH / C
-    assert s_coef == 0 and pole is None
+    assert s_coef == 0 and pole is None and rectangle is None
     assert wc - max(edges) == pytest.approx(-np.log(r) / (8.0 * cavity.width),
                                             rel=1e-6)
 
 
 def test_zero_mirror_gets_no_resonance_ladder():
     # r = 0 has no pole: no edges, and no log(0) on the way
-    assert _resonant_cavity(ConstantR(0.0), 2).resonance_seed(W_LIH) \
-        == (0.0, [], None)
+    assert _resonant_cavity(ConstantR(0.0), 2).resonance_seed(W_LIH, True) \
+        == (0.0, [], None, None)
 
 
 @pytest.mark.parametrize("mirror, eps", [

@@ -56,18 +56,32 @@ _SPEC.loader.exec_module(workloads)
 MAX_CALLS = {"scan-gold": 5, "matsubara-cold": 4, "depth-bragg": 1,
              "asym-sharp": 5}
 # (node, omega) pairs of the trace kernels' reflection evaluations, complex
-# on the real axis and float64 on the imaginary axis: 1 842 + 8 325,
-# 921 + 20 925, 500 and 360.  Each depth makes one trace; a constant r's
-# makes none at w/c for its tuned pole.  With that pole's ladder, asym-sharp
-# took 1 368 (30 panels and an evaluation at w/c per depth).  With a separate
-# xi integral for the Matsubara tail, matsubara-cold's imaginary axis took
-# 22 050: its tail term's xi integral takes (xi node, wavenumber node)
-# pairs of its own, but no per-term wavenumber integral at each xi node.
+# on the real axis and float64 on the imaginary axis: 1 840 + 8 325,
+# 920 + 20 925, 499 and 360.  A profile or heating trace takes 5 + 480 +
+# 435 on the real axis (its resonance seed, arch and evanescent ray), a
+# stack depth's trace 4 + 495; with the seed's nodes evaluated apart they
+# were 1 + 3 + 480 + 1 + 435 + 1 and 1 + 3 + 495 + 1, for 1 842, 921 and
+# 500.  Each depth makes one trace; a constant r's makes none at w/c for its
+# tuned pole.  With that pole's ladder, asym-sharp took 1 368 (30 panels and
+# an evaluation at w/c per depth).  With a separate xi integral for the
+# Matsubara tail, matsubara-cold's imaginary axis took 22 050: its tail
+# term's xi integral takes (xi node, wavenumber node) pairs of its own, but
+# no per-term wavenumber integral at each xi node.
 # Without the grazing pole's edges the real axis took 1 992, 996, 500 and
 # 1 368; with the first panels from 1e-9 and 4e-6 w/c, 2 590, 1 295, 694
 # and 1 665; on the real beta axis, 11 451, 23 613, 1 549 and 4 557 in all.
-MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10167, "matsubara-cold": 21846,
-                              "depth-bragg": 500, "asym-sharp": 360}
+MAX_REFLECTION_EVALUATIONS = {"scan-gold": 10165, "matsubara-cold": 21845,
+                              "depth-bragg": 499, "asym-sharp": 360}
+# Calls of greens' real-axis reflection evaluations: one per trace for its
+# resonance seed (at w/c, the grazing coefficient's three Richardson nodes
+# and, with an evanescent part, the [0, x_lo] rectangles' two nodes), one
+# per integrand call of its arch and one of its evanescent ray: 3 per
+# profile or heating trace, 2 per depth's trace, and on asym-sharp 1 per
+# depth (a constant r's seed makes no call).  With the seed's |r(w/c)|, the
+# Richardson nodes and each rectangle's node evaluated apart they were 12,
+# 6, 4 and 3.
+MAX_REFLECTION_CALLS = {"scan-gold": 6, "matsubara-cold": 3, "depth-bragg": 2,
+                        "asym-sharp": 3}
 # (node, position) products of the propagating traces' path phases
 # sum_p e^{i beta L_p}.  A profile or heating scan evaluates its trace at 16
 # folded Chebyshev nodes in z, not at its 101 or 21 folded positions; a
@@ -143,7 +157,7 @@ def test_reflection_evaluations_per_workload(workload,
     assert 0 < sum(reflection_evaluations) \
         <= MAX_REFLECTION_EVALUATIONS[workload]
     routes = reflection_evaluations.routes
-    assert routes["real"] > 0
+    assert 0 < routes["real"] <= MAX_REFLECTION_CALLS[workload]
     assert (routes["imaginary"] > 0) == (
         workload in ("scan-gold", "matsubara-cold"))
 

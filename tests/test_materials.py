@@ -369,8 +369,8 @@ def _recursion_per_layer(eps, betas, thickness):
     for i in range(len(thickness) - 1, -1, -1):
         phase = np.exp(2j * betas[i + 1] * thickness[i])
         us, up = fresnel(i)
-        rs = (us + rs * phase) / (1.0 + us * rs * phase)
-        rp = (up + rp * phase) / (1.0 + up * rp * phase)
+        ts, tp = rs * phase, rp * phase
+        rs, rp = (us + ts) / (1.0 + us * ts), (up + tp) / (1.0 + up * tp)
     return rs, rp
 
 
@@ -460,6 +460,20 @@ PER_MEDIUM_MIRRORS = {
                          ids=PER_MEDIUM_MIRRORS.keys())
 def test_per_medium_recursion_equals_per_layer(mirror):
     _assert_per_medium_equals_per_layer(mirror, W_LIH)
+
+
+@pytest.mark.parametrize("mirror", PER_MEDIUM_MIRRORS.values(),
+                         ids=PER_MEDIUM_MIRRORS.keys())
+def test_tails_are_their_own_stacks(mirror):
+    # one back-to-front pass gives r_p of every tail vacuum | layers[i:],
+    # propagating and evanescent, bit for bit that of a Stack of its layers
+    wc = W_LIH / C
+    beta = sqrt_upper(wc**2 * (1.0 - np.linspace(0.1, 3.0, 7)**2))
+    tails = mirror.tails(W_LIH, beta, 1)
+    assert len(tails) == len(mirror.layers)
+    for i, rp in zip(range(len(tails) - 1, -1, -1), tails):
+        assert np.array_equal(
+            rp, Stack(mirror.layers[i:]).reflection(W_LIH, beta)[1])
 
 
 def test_per_medium_recursion_random_stacks():

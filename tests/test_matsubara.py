@@ -433,6 +433,31 @@ def test_u_nr_as_temperature_underflows():
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
+def test_drude_mirror_as_temperature_underflows(tmp_path):
+    # eps(i xi_1) - 1 = wp^2/(xi_1 (xi_1 + gamma)) passes the largest float
+    # at 1e-300 K for wp = 1e20, gamma = 1e19 rad/s: eps overflowed with a
+    # RuntimeWarning, kappa_j took inf * 0 = nan, and the command exited 3
+    # with "estimate nan".  The shift (eps - 1)(xi/c)^2 stays finite, eps =
+    # inf reflects p perfectly, and the rows are those of 1e-30 K
+    cfg = tmp_path / "drude.cfg"
+    cfg.write_text("[material:hot]\nmodel = drude\nplasma_frequency = 1e20\n"
+                   "damping = 1e19\n\n[mirror:hotm]\ntype = halfspace\n"
+                   "material = hot\n")
+    rows = {}
+    for temperature in ("1e-300K", "1e-30K"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--config", str(cfg), "profile", "--mirror", "hotm",
+                         "--width", "resonance:2", "--points", "3",
+                         "--temperature", temperature]) == 0
+        rows[temperature] = np.loadtxt(out.getvalue().splitlines()[1:],
+                                       delimiter=",")
+    want = rows["1e-30K"]
+    assert np.any(want[:, 1] != 0)
+    assert np.all(np.abs(rows["1e-300K"] - want)
+                  <= 10 * QuadratureSpec().rel_tol * np.abs(want).max(axis=0))
+
+
 # the cases of the Matsubara integral's first panels: 41 positions of a
 # resonance:2 cavity (and of a resonance:6 one), and plates at 1 um ... 1 mm
 STACKS = load_registry((Path(__file__).resolve().parent / "data"
